@@ -8,7 +8,6 @@ behavior both by exact probability enumeration and by Monte Carlo
 sampling.
 """
 
-from ._kernels import BACKEND, HAS_NUMBA
 from .attacks import (
     AttackKind,
     AttackModel,
@@ -63,14 +62,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackKind",
     "AttackModel",
-    "BACKEND",
     "BasisKind",
     "BellLabel",
     "CaoRoundConfig",
     "EveNote",
     "ExactResult",
     "Gate1Q",
-    "HAS_NUMBA",
     "IdentityReport",
     "MeasurementBasis",
     "NO_ATTACK",

@@ -1,55 +1,39 @@
 """Amplitude-array kernels behind the state-vector operations.
 
-Two interchangeable implementations exist for every kernel: a numba
-``@njit`` version and a pure-numpy version. The active backend is chosen
-at import time by the ``WQSC_BACKEND`` environment variable:
-
-* unset or ``auto``: numba when importable, numpy otherwise;
-* ``numba``: force numba (raises if numba is unavailable);
-* ``numpy``: force the pure-numpy path.
-
-All kernels take a flat complex128 amplitude array plus *bit positions*
-(position ``p`` is the weight-``2**p`` bit of the basis-state index) and
-return new arrays; inputs are never mutated. ``benchmarks/bench_kernels.py``
-compares the two backends on the same workloads.
+Every kernel is plain numpy. Kernels take a flat complex128 amplitude
+array plus either *bit positions* (position ``p`` is the weight-``2**p``
+bit of the basis-state index) or an *outcome index* (the measurement
+outcome of every basis state, as ``qstate`` caches it per basis) and
+return new arrays; inputs are never mutated.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "BACKEND",
-    "HAS_NUMBA",
-    "NUMPY_IMPL",
-    "NUMBA_IMPL",
     "apply_gate_1q",
     "apply_cnot",
+    "outcome_index",
     "z_probabilities",
     "collapse_z",
     "bell_probabilities",
     "bell_collapse",
-    "warmup",
 ]
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-def _np_apply_gate_1q(amps: np.ndarray, pos: int, gate: np.ndarray) -> np.ndarray:
-    bit = 1 << pos
-    idx = np.arange(amps.shape[0])
-    lo = idx[(idx & bit) == 0]
-    hi = lo | bit
-    out = np.empty_like(amps)
-    out[lo] = gate[0, 0] * amps[lo] + gate[0, 1] * amps[hi]
-    out[hi] = gate[1, 0] * amps[lo] + gate[1, 1] * amps[hi]
-    return out
+def apply_gate_1q(amps: np.ndarray, pos: int, gate: np.ndarray) -> np.ndarray:
+    # axis 1 of the view is the bit at ``pos``
+    pairs = amps.reshape(-1, 2, 1 << pos)
+    a0 = pairs[:, 0]
+    a1 = pairs[:, 1]
+    out = np.empty_like(pairs)
+    out[:, 0] = gate[0, 0] * a0 + gate[0, 1] * a1
+    out[:, 1] = gate[1, 0] * a0 + gate[1, 1] * a1
+    return out.reshape(-1)
 
 
-def _np_apply_cnot(amps: np.ndarray, control_pos: int, target_pos: int) -> np.ndarray:
+def apply_cnot(amps: np.ndarray, control_pos: int, target_pos: int) -> np.ndarray:
     cbit = 1 << control_pos
     tbit = 1 << target_pos
     idx = np.arange(amps.shape[0])
@@ -57,8 +41,8 @@ def _np_apply_cnot(amps: np.ndarray, control_pos: int, target_pos: int) -> np.nd
     return amps[src]
 
 
-def _bit_gather(size: int, positions: np.ndarray) -> np.ndarray:
-    """Outcome index of every basis state: listed positions MSB-first."""
+def outcome_index(size: int, positions: list[int]) -> np.ndarray:
+    """Outcome of every basis state: listed positions read MSB-first."""
     idx = np.arange(size)
     out = np.zeros(size, dtype=np.int64)
     for p in positions:
@@ -66,15 +50,14 @@ def _bit_gather(size: int, positions: np.ndarray) -> np.ndarray:
     return out
 
 
-def _np_z_probabilities(amps: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    outcomes = _bit_gather(amps.shape[0], positions)
+def z_probabilities(amps: np.ndarray, outcomes: np.ndarray, count: int) -> np.ndarray:
+    """Probabilities of the ``count`` outcomes that ``outcomes`` assigns."""
     weights = amps.real ** 2 + amps.imag ** 2
-    return np.bincount(outcomes, weights=weights, minlength=1 << len(positions))
+    return np.bincount(outcomes, weights=weights, minlength=count)
 
 
-def _np_collapse_z(amps: np.ndarray, positions: np.ndarray, outcome: int) -> np.ndarray:
-    keep = _bit_gather(amps.shape[0], positions) == outcome
-    out = np.where(keep, amps, 0.0 + 0.0j)
+def collapse_z(amps: np.ndarray, outcomes: np.ndarray, outcome: int) -> np.ndarray:
+    out = np.where(outcomes == outcome, amps, 0.0 + 0.0j)
     norm2 = float(np.sum(out.real ** 2 + out.imag ** 2))
     if norm2 > 0.0:
         out = out / np.sqrt(norm2)
@@ -96,7 +79,7 @@ _BELL_TABLE = np.array(
 )
 
 
-def _np_bell_probabilities(amps: np.ndarray, pair_idx: np.ndarray) -> np.ndarray:
+def bell_probabilities(amps: np.ndarray, pair_idx: np.ndarray) -> np.ndarray:
     """Probabilities of the four Bell outcomes on the indexed qubit pair.
 
     ``pair_idx[ba, bb, r]`` is the flat amplitude index with pair bits
@@ -112,7 +95,7 @@ def _np_bell_probabilities(amps: np.ndarray, pair_idx: np.ndarray) -> np.ndarray
     return probs
 
 
-def _np_bell_collapse(amps: np.ndarray, pair_idx: np.ndarray, which: int) -> np.ndarray:
+def bell_collapse(amps: np.ndarray, pair_idx: np.ndarray, which: int) -> np.ndarray:
     row = _BELL_TABLE[which]
     b1a, b1b, s1 = int(row[0]), int(row[1]), row[2]
     b2a, b2b, s2 = int(row[3]), int(row[4]), row[5]
@@ -124,180 +107,3 @@ def _np_bell_collapse(amps: np.ndarray, pair_idx: np.ndarray, which: int) -> np.
         out[pair_idx[b1a, b1b]] = s1 * overlap * scale
         out[pair_idx[b2a, b2b]] = s2 * overlap * scale
     return out
-
-
-NUMPY_IMPL = {
-    "apply_gate_1q": _np_apply_gate_1q,
-    "apply_cnot": _np_apply_cnot,
-    "z_probabilities": _np_z_probabilities,
-    "collapse_z": _np_collapse_z,
-    "bell_probabilities": _np_bell_probabilities,
-    "bell_collapse": _np_bell_collapse,
-}
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-_requested = os.environ.get("WQSC_BACKEND", "auto").strip().lower() or "auto"
-if _requested not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"WQSC_BACKEND must be 'numba', 'numpy' or unset, got {_requested!r}"
-    )
-
-HAS_NUMBA = False
-NUMBA_IMPL: dict | None = None
-
-if _requested != "numpy":
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise ImportError("WQSC_BACKEND=numba but numba is not installed")
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _nb_apply_gate_1q(amps, pos, gate):  # pragma: no cover - jitted
-        bit = 1 << pos
-        g00 = gate[0, 0]
-        g01 = gate[0, 1]
-        g10 = gate[1, 0]
-        g11 = gate[1, 1]
-        out = np.empty_like(amps)
-        for i in range(amps.shape[0]):
-            if i & bit == 0:
-                a0 = amps[i]
-                a1 = amps[i | bit]
-                out[i] = g00 * a0 + g01 * a1
-                out[i | bit] = g10 * a0 + g11 * a1
-        return out
-
-    @njit(cache=True)
-    def _nb_apply_cnot(amps, control_pos, target_pos):  # pragma: no cover
-        cbit = 1 << control_pos
-        tbit = 1 << target_pos
-        out = amps.copy()
-        for i in range(amps.shape[0]):
-            if i & cbit:
-                out[i] = amps[i ^ tbit]
-        return out
-
-    @njit(cache=True)
-    def _nb_z_probabilities(amps, positions):  # pragma: no cover
-        k = positions.shape[0]
-        out = np.zeros(1 << k)
-        for i in range(amps.shape[0]):
-            o = 0
-            for j in range(k):
-                o = (o << 1) | ((i >> positions[j]) & 1)
-            a = amps[i]
-            out[o] += a.real * a.real + a.imag * a.imag
-        return out
-
-    @njit(cache=True)
-    def _nb_collapse_z(amps, positions, outcome):  # pragma: no cover
-        k = positions.shape[0]
-        out = np.zeros_like(amps)
-        norm2 = 0.0
-        for i in range(amps.shape[0]):
-            o = 0
-            for j in range(k):
-                o = (o << 1) | ((i >> positions[j]) & 1)
-            if o == outcome:
-                a = amps[i]
-                norm2 += a.real * a.real + a.imag * a.imag
-                out[i] = a
-        if norm2 > 0.0:
-            inv = 1.0 / np.sqrt(norm2)
-            for i in range(out.shape[0]):
-                out[i] = out[i] * inv
-        return out
-
-    @njit(cache=True)
-    def _nb_bell_probabilities(amps, pair_idx):  # pragma: no cover
-        rest = pair_idx.shape[2]
-        probs = np.zeros(4)
-        for r in range(rest):
-            a10 = amps[pair_idx[1, 0, r]]
-            a01 = amps[pair_idx[0, 1, r]]
-            a00 = amps[pair_idx[0, 0, r]]
-            a11 = amps[pair_idx[1, 1, r]]
-            c0 = a10 + a01
-            c1 = a10 - a01
-            c2 = a00 + a11
-            c3 = a00 - a11
-            probs[0] += 0.5 * (c0.real * c0.real + c0.imag * c0.imag)
-            probs[1] += 0.5 * (c1.real * c1.real + c1.imag * c1.imag)
-            probs[2] += 0.5 * (c2.real * c2.real + c2.imag * c2.imag)
-            probs[3] += 0.5 * (c3.real * c3.real + c3.imag * c3.imag)
-        return probs
-
-    @njit(cache=True)
-    def _nb_bell_collapse(amps, pair_idx, which):  # pragma: no cover
-        if which == 0:
-            b1a, b1b, s1, b2a, b2b, s2 = 1, 0, 1.0, 0, 1, 1.0
-        elif which == 1:
-            b1a, b1b, s1, b2a, b2b, s2 = 1, 0, 1.0, 0, 1, -1.0
-        elif which == 2:
-            b1a, b1b, s1, b2a, b2b, s2 = 0, 0, 1.0, 1, 1, 1.0
-        else:
-            b1a, b1b, s1, b2a, b2b, s2 = 0, 0, 1.0, 1, 1, -1.0
-        rest = pair_idx.shape[2]
-        inv_sqrt2 = 0.7071067811865476
-        out = np.zeros_like(amps)
-        norm2 = 0.0
-        for r in range(rest):
-            c = (s1 * amps[pair_idx[b1a, b1b, r]] + s2 * amps[pair_idx[b2a, b2b, r]]) * inv_sqrt2
-            norm2 += c.real * c.real + c.imag * c.imag
-            out[pair_idx[b1a, b1b, r]] = s1 * c * inv_sqrt2
-            out[pair_idx[b2a, b2b, r]] = s2 * c * inv_sqrt2
-        if norm2 > 0.0:
-            scale = 1.0 / np.sqrt(norm2)
-            for i in range(out.shape[0]):
-                out[i] = out[i] * scale
-        return out
-
-    NUMBA_IMPL = {
-        "apply_gate_1q": _nb_apply_gate_1q,
-        "apply_cnot": _nb_apply_cnot,
-        "z_probabilities": _nb_z_probabilities,
-        "collapse_z": _nb_collapse_z,
-        "bell_probabilities": _nb_bell_probabilities,
-        "bell_collapse": _nb_bell_collapse,
-    }
-
-if HAS_NUMBA and _requested in ("auto", "numba"):
-    BACKEND = "numba"
-    _active = NUMBA_IMPL
-else:
-    BACKEND = "numpy"
-    _active = NUMPY_IMPL
-
-apply_gate_1q = _active["apply_gate_1q"]
-apply_cnot = _active["apply_cnot"]
-z_probabilities = _active["z_probabilities"]
-collapse_z = _active["collapse_z"]
-bell_probabilities = _active["bell_probabilities"]
-bell_collapse = _active["bell_collapse"]
-
-
-def warmup() -> None:
-    """Run every active kernel once so JIT costs land here, not in callers."""
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0] = 1.0
-    gate = np.eye(2, dtype=np.complex128)
-    positions = np.array([2, 1], dtype=np.int64)
-    apply_gate_1q(amps, 0, gate)
-    apply_cnot(amps, 2, 0)
-    probs = z_probabilities(amps, positions)
-    collapse_z(amps, positions, int(np.argmax(probs)))
-    pair_idx = np.empty((2, 2, 2), dtype=np.int64)
-    for ba in (0, 1):
-        for bb in (0, 1):
-            for r in (0, 1):
-                pair_idx[ba, bb, r] = (ba << 2) | (bb << 1) | r
-    bell = bell_probabilities(amps, pair_idx)
-    bell_collapse(amps, pair_idx, int(np.argmax(bell)))

@@ -35,13 +35,12 @@ from .qstate import (
     BasisKind,
     Outcome,
     StateVector,
-    ZERO_PROB,
     _pair_rest_indices,
     _wrap,
-    basis_ket,
     apply_cnot,
+    basis_ket,
+    branches,
     measure,
-    project,
     tensor,
     x_basis,
     z_basis,
@@ -151,13 +150,10 @@ def attack_branches(
             basis, kind = z_basis(q), BasisKind.Z
         else:
             basis, kind = x_basis(q), BasisKind.X
-        result: list[Branch] = []
-        for bit in ("0", "1"):
-            prob, collapsed = project(state, basis, Outcome(kind, bit))
-            if prob > ZERO_PROB:
-                note = EveNote(basis=kind.value, observed=bit)
-                result.append((collapsed, note, prob))
-        return result
+        return [
+            (collapsed, EveNote(basis=kind.value, observed=outcome.value), prob)
+            for outcome, collapsed, prob in branches(state, basis)
+        ]
 
     if model.kind is AttackKind.CNOT_ANCILLA:
         q = transit_qubits[0]
@@ -169,13 +165,10 @@ def attack_branches(
     # cao-ir-z: Z measurement of the transit pair, then forward |00> for
     # outcome 00 and a fresh psi+ pair for a single-excitation outcome
     qa, qb = transit_qubits
-    basis = z_basis(qa, qb)
     psi_plus = build(StateLabel.BELL_PSI_PLUS)
     result = []
-    for bits in ("00", "01", "10", "11"):
-        prob, collapsed = project(state, basis, Outcome(BasisKind.Z, bits))
-        if prob <= ZERO_PROB:
-            continue
+    for outcome, collapsed, prob in branches(state, z_basis(qa, qb)):
+        bits = outcome.value
         note = EveNote(basis="z", observed=bits)
         if bits == "00":
             forwarded = collapsed

@@ -1,22 +1,25 @@
-"""Exact branch-tree analyzer, deterministic Monte Carlo runner, statistics.
+"""Branch trees of a round, exact analyzer, deterministic Monte Carlo runner.
 
-The exact analyzer multiplies its way through every branch of a round
-(initial-state choice x attack outcome x both parties' measurement
-outcomes x, for the entangling probe, the ancilla outcome) and therefore
-produces check-error and leak rates with no sampling error.
+A round of either scheme is described once, as the finite branch tree of
+a check round and of a message round (message bit x initial state or
+check basis x attack outcome x both parties' measurement outcomes x, for
+the entangling probe, the ancilla outcome). Every leaf carries its
+outcome and its mass, the product of the branch probabilities on its
+path. Both analyses read the same trees:
 
-The Monte Carlo runner builds, once per run, the finite branch tree of a
-check round and of a message round from the same branch primitives, and
-samples every round by walking it with numpy array operations: each tree
-level matches one column of the round's draw row against its nodes'
-cumulative probabilities, so no Python code runs per round. Levels
-consume draws in the order the scalar engines ``present_round`` and
-``cao_round`` do, with the same selection rules, so a walk reproduces
-the round those engines play on the same draws. The draws come from a
-keyed counter generator: Philox keyed by the master seed, with every
-round owning a fixed block of counter positions. Results are therefore
-bit-identical for a given config no matter how rounds are chunked or
-parallelized.
+* the exact analyzer sums the leaves' outcomes weighted by their masses,
+  so its check-error and leak rates carry no sampling error;
+* the Monte Carlo runner samples every round by walking the trees with
+  numpy array operations: each tree level matches one column of the
+  round's draw row against its nodes' cumulative probabilities, so no
+  Python code runs per round, and the leaves are weighted by their hit
+  counts. Levels consume draws in the order the scalar engines
+  ``present_round`` and ``cao_round`` do, with the same selection rules,
+  so a walk reproduces the round those engines play on the same draws.
+  The draws come from a keyed counter generator: Philox keyed by the
+  master seed, with every round owning a fixed block of counter
+  positions. Results are therefore bit-identical for a given config no
+  matter how rounds are chunked or parallelized.
 
 Rate conventions: ``error_rate`` is a check-round statistic;
 ``recovery_accuracy`` and ``eve_leak_rate`` are message-round statistics.
@@ -53,15 +56,13 @@ from .errors import InvalidConfig, InvalidCounts, UnsupportedPair
 from .protocol import (
     CHECK_BASES,
     RoundRecord,
-    _ALICE_KEY,
-    _BOB_KEY,
     _pair_basis,
     cao_check_error,
     cao_keys,
     check_consistent,
     recover_bit,
 )
-from .qstate import FLIP, HADAMARD, Outcome, apply_1q, bell_basis, branches, z_basis
+from .qstate import FLIP, HADAMARD, Outcome, apply_1q, branches, z_basis
 from .states import IdentityReport, StateLabel, build
 
 SCHEMES = ("present", "cao")
@@ -88,8 +89,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         _validate_pair(self.scheme, self.attack)
-        if self.rounds < 1:
-            raise InvalidConfig(f"rounds must be >= 1, got {self.rounds}")
+        if not 1 <= self.rounds <= _MAX_ROUNDS:
+            raise InvalidConfig(f"rounds must lie in 1..{_MAX_ROUNDS}, got {self.rounds}")
         if not 0.0 < self.check_fraction < 1.0:
             raise InvalidConfig(
                 f"check_fraction must lie in (0, 1), got {self.check_fraction}"
@@ -162,205 +163,7 @@ def binomial_ci(successes: int, trials: int, z: float = 1.96) -> tuple[float, fl
 
 
 # ---------------------------------------------------------------------------
-# exact analyzer
-
-
-class _LeakTally:
-    """Probability mass bookkeeping for Eve's guesses and Bob's recovery."""
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.known = 0.0
-        self.correct = 0.0
-        self.recovered = 0.0
-
-    def add(self, mass: float, guess: int | None, bit: int, recovered_ok: bool) -> None:
-        self.total += mass
-        if recovered_ok:
-            self.recovered += mass
-        if guess is not None:
-            self.known += mass
-            if guess == bit:
-                self.correct += mass
-
-    def leak_rate(self) -> float:
-        return self.correct / self.known if self.known > 0.0 else 0.0
-
-    def unknown_fraction(self) -> float:
-        return 1.0 - self.known / self.total if self.total > 0.0 else 1.0
-
-    def recovery(self) -> float:
-        return self.recovered / self.total if self.total > 0.0 else 1.0
-
-
-def _present_check_error(initial: str, model: AttackModel) -> float:
-    error = 0.0
-    state = build(initial)
-    for forwarded, _, p_attack in attack_branches(model, state, (3,)):
-        decoded = (
-            apply_1q(forwarded, 3, HADAMARD)
-            if initial == StateLabel.PHI2.value
-            else forwarded
-        )
-        for alice_out, after_alice, p_alice in branches(decoded, z_basis(1, 2)):
-            for bob_out, _, p_bob in branches(after_alice, z_basis(3)):
-                if not check_consistent(alice_out, bob_out):
-                    error += p_attack * p_alice * p_bob
-    return error
-
-
-def _present_message_tally(initial: str, model: AttackModel, tally: _LeakTally, weight: float) -> None:
-    for bit in (0, 1):
-        state = build(initial)
-        if bit == 1:
-            state = apply_1q(state, 3, FLIP)
-        for forwarded, note, p_attack in attack_branches(model, state, (3,)):
-            decoded = (
-                apply_1q(forwarded, 3, HADAMARD)
-                if initial == StateLabel.PHI2.value
-                else forwarded
-            )
-            for alice_out, after_alice, p_alice in branches(decoded, z_basis(1, 2)):
-                transcript = PublicTranscript(
-                    scheme="present",
-                    mode="message",
-                    initial_label=initial,
-                    alice_published=alice_out,
-                )
-                for bob_out, after_bob, p_bob in branches(after_alice, z_basis(3)):
-                    mass = weight * 0.5 * p_attack * p_alice * p_bob
-                    recovered_ok = recover_bit(alice_out, bob_out) == bit
-                    if note is not None and note.ancilla_qubit is not None:
-                        for eps_out, _, p_eps in branches(
-                            after_bob, z_basis(note.ancilla_qubit)
-                        ):
-                            full_note = replace(
-                                note, ancilla_outcome=int(eps_out.value)
-                            )
-                            guess = eve_guess(model, full_note, transcript)
-                            tally.add(mass * p_eps, guess, bit, recovered_ok)
-                    else:
-                        guess = eve_guess(model, note, transcript)
-                        tally.add(mass, guess, bit, recovered_ok)
-
-
-def _exact_present(model: AttackModel, init_policy: str) -> ExactResult:
-    if init_policy == "random":
-        initials = [(StateLabel.PHI1.value, 0.5), (StateLabel.PHI2.value, 0.5)]
-    else:
-        initials = [(init_policy, 1.0)]
-
-    conditional_error: dict[str, float] = {}
-    conditional_leak: dict[str, float] = {}
-    total_error = 0.0
-    overall = _LeakTally()
-    for initial, weight in initials:
-        err = _present_check_error(initial, model)
-        conditional_error[initial] = err
-        total_error += weight * err
-
-        per_init = _LeakTally()
-        _present_message_tally(initial, model, per_init, 1.0)
-        conditional_leak[initial] = per_init.leak_rate()
-        overall.total += weight * per_init.total
-        overall.known += weight * per_init.known
-        overall.correct += weight * per_init.correct
-        overall.recovered += weight * per_init.recovered
-
-    return ExactResult(
-        scheme="present",
-        attack=model.kind.value,
-        total_error_rate=total_error,
-        conditional_error_rates=conditional_error,
-        leak_rate=overall.leak_rate(),
-        unknown_fraction=overall.unknown_fraction(),
-        conditional_leak_rates=conditional_leak,
-        recovery_accuracy=overall.recovery(),
-    )
-
-
-def _cao_check_error_for_basis(basis: str, model: AttackModel) -> float:
-    error = 0.0
-    state = build(StateLabel.W4)
-    for forwarded, _, p_attack in attack_branches(model, state, (3, 4)):
-        for alice_out, after_alice, p_alice in branches(
-            forwarded, _pair_basis(basis, 1, 2)
-        ):
-            for bob_out, _, p_bob in branches(after_alice, _pair_basis(basis, 3, 4)):
-                if cao_check_error(basis, alice_out, bob_out):
-                    error += p_attack * p_alice * p_bob
-    return error
-
-
-def _cao_message_tally(model: AttackModel, tally: _LeakTally) -> None:
-    state = build(StateLabel.W4)
-    for bit in (0, 1):
-        for forwarded, note, p_attack in attack_branches(model, state, (3, 4)):
-            for alice_out, after_alice, p_alice in branches(forwarded, bell_basis(1, 2)):
-                alice_key = _ALICE_KEY[alice_out.value]
-                ciphertext = alice_key ^ bit
-                transcript = PublicTranscript(
-                    scheme="cao", mode="key", ciphertext=ciphertext
-                )
-                guess = eve_guess(model, note, transcript)
-                for bob_out, _, p_bob in branches(after_alice, bell_basis(3, 4)):
-                    bob_key = _BOB_KEY[bob_out.value]
-                    recovered_ok = (bob_key ^ ciphertext) == bit
-                    mass = 0.5 * p_attack * p_alice * p_bob
-                    tally.add(mass, guess, bit, recovered_ok)
-
-
-def _exact_cao(model: AttackModel, basis_policy: str) -> ExactResult:
-    if basis_policy == "random":
-        bases = [(b, 1.0 / 3.0) for b in CHECK_BASES]
-    else:
-        bases = [(basis_policy, 1.0)]
-
-    conditional_error: dict[str, float] = {}
-    total_error = 0.0
-    for basis, weight in bases:
-        err = _cao_check_error_for_basis(basis, model)
-        conditional_error[basis] = err
-        total_error += weight * err
-
-    tally = _LeakTally()
-    _cao_message_tally(model, tally)
-    return ExactResult(
-        scheme="cao",
-        attack=model.kind.value,
-        total_error_rate=total_error,
-        conditional_error_rates=conditional_error,
-        leak_rate=tally.leak_rate(),
-        unknown_fraction=tally.unknown_fraction(),
-        conditional_leak_rates={"w4": tally.leak_rate()},
-        recovery_accuracy=tally.recovery(),
-    )
-
-
-def exact_analyze(
-    scheme: str,
-    attack: str,
-    init_policy: str = "random",
-    check_basis_policy: str = "random",
-) -> ExactResult:
-    """Exact rates for a (scheme, attack) pair by full branch enumeration."""
-    model = _validate_pair(scheme, attack)
-    if scheme == "present":
-        if init_policy not in ("random", "phi1", "phi2"):
-            raise InvalidConfig(f"init_policy {init_policy!r} invalid")
-        return _exact_present(model, init_policy)
-    if check_basis_policy not in ("random", *CHECK_BASES):
-        raise InvalidConfig(f"check_basis_policy {check_basis_policy!r} invalid")
-    return _exact_cao(model, check_basis_policy)
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo runner
-
-# each round owns a fixed block of uniforms; Philox emits 4 doubles per
-# 128-bit counter step, so 8 draws = 2 counter steps keeps blocks aligned
-_DRAWS_PER_ROUND = 8
-_BLOCKS_PER_ROUND = 2
+# branch trees
 
 # how a tree level turns a uniform u into a child index
 _BORN = "born"  # first child whose cumulative probability exceeds u
@@ -393,29 +196,33 @@ class _BranchTree:
     are added in the order in which :func:`~wqsc.protocol.present_round`
     and :func:`~wqsc.protocol.cao_round` consume their draws; a step that
     draws nothing is a :meth:`step`, not a level. Node probabilities come
-    from the same :func:`~wqsc.qstate.branches` and
-    :func:`~wqsc.attacks.attack_branches` calls the exact analyzer uses,
-    which compute the same probabilities, collapse and ``ZERO_PROB``
-    pruning as :func:`~wqsc.qstate.measure`. A walk therefore reaches the
-    leaf the scalar engines reach on the same draw row.
+    from :func:`~wqsc.qstate.branches` and
+    :func:`~wqsc.attacks.attack_branches`, which compute the same
+    probabilities, collapse and ``ZERO_PROB`` pruning as
+    :func:`~wqsc.qstate.measure`. A walk therefore reaches the leaf the
+    scalar engines reach on the same draw row.
 
     While the tree is built a node is a dict of the round's variables;
     :meth:`finish` turns the last level's nodes into :class:`_Leaf` values.
+    ``masses[i]`` is the probability of the path to node (finally leaf)
+    ``i``: the product of its branch probabilities, root first.
     """
 
     def __init__(self, **root) -> None:
         self.levels: list[_Level] = []
         self.nodes: list[dict] = [root]
+        self.masses: list[float] = [1.0]
         self.leaves: list[_Leaf] = []
 
     def split(self, expand, rule: str = _BORN) -> None:
         """Add a level; ``expand(node)`` lists ``(probability, child)``."""
-        cumulative, first, children = [], [], []
-        for node in self.nodes:
+        cumulative, first, children, masses = [], [], [], []
+        for node, mass in zip(self.nodes, self.masses):
             kids = expand(node)
             first.append(len(children))
             cumulative.append(np.cumsum([p for p, _ in kids]))
             children.extend(child for _, child in kids)
+            masses.extend(mass * p for p, _ in kids)
         width = max(len(c) for c in cumulative)
         thresholds = np.full((len(cumulative), width), np.inf)
         for row, c in zip(thresholds, cumulative):
@@ -429,6 +236,7 @@ class _BranchTree:
             )
         )
         self.nodes = children
+        self.masses = masses
 
     def step(self, update) -> None:
         """Apply a draw-free transition; ``update(node)`` returns new items."""
@@ -458,7 +266,8 @@ class _BranchTree:
         if model.samples:
             self.split(expand)
         else:
-            self.nodes = [child for node in self.nodes for _, child in expand(node)]
+            # a draw-free attack has a single branch, of probability 1
+            self.nodes = [expand(node)[0][1] for node in self.nodes]
 
     def finish(self, leaf) -> "_BranchTree":
         self.leaves = [leaf(node) for node in self.nodes]
@@ -540,7 +349,7 @@ def _cao_tree(model: AttackModel, basis_policy: str, message: bool) -> _BranchTr
         tree.coin("bit", (0, 1))
     tree.attack(model, (3, 4))
     if basis == "random":
-        # the thirds rule picks the child itself; 1/3 only documents the mass
+        # the thirds rule picks the child itself; 1/3 is each child's mass
         tree.split(
             lambda node: [(1.0 / 3.0, {**node, "basis": b}) for b in CHECK_BASES],
             rule=_THIRDS,
@@ -573,6 +382,111 @@ def _round_trees(config: RunConfig) -> tuple[_BranchTree, _BranchTree]:
     return tuple(_cao_tree(model, config.check_basis_policy, m) for m in (False, True))
 
 
+_COUNTS = (
+    "check_rounds",
+    "check_errors",
+    "message_rounds",
+    "recovered_correct",
+    "guesses_known",
+    "guesses_correct",
+)
+
+
+def _leaf_totals(tree: _BranchTree, weights) -> dict:
+    """The run counts of ``tree``'s rounds, leaf ``i`` weighted by
+    ``weights[i]``: its hit count (Monte Carlo) or its mass (exact)."""
+    totals = dict.fromkeys(_COUNTS, 0)
+    for leaf, w in zip(tree.leaves, weights):
+        if leaf.check_pass is not None:
+            totals["check_rounds"] += w
+            totals["check_errors"] += 0 if leaf.check_pass else w
+            continue
+        totals["message_rounds"] += w
+        if leaf.recovered_bit == leaf.message_bit:
+            totals["recovered_correct"] += w
+        if leaf.eve_guess is not None:
+            totals["guesses_known"] += w
+            if leaf.eve_guess == leaf.message_bit:
+                totals["guesses_correct"] += w
+    return totals
+
+
+# ---------------------------------------------------------------------------
+# exact analyzer
+
+
+def exact_analyze(
+    scheme: str,
+    attack: str,
+    init_policy: str = "random",
+    check_basis_policy: str = "random",
+) -> ExactResult:
+    """Exact rates for a (scheme, attack) pair: the leaves of the round's
+    branch trees, weighted by their masses.
+
+    A random policy is analyzed one concrete group at a time (``phi1`` and
+    ``phi2``, or the three check bases) and the groups are weighted
+    equally, which yields the per-group conditional rates.
+    """
+    model = _validate_pair(scheme, attack)
+    if scheme == "present":
+        if init_policy not in ("random", "phi1", "phi2"):
+            raise InvalidConfig(f"init_policy {init_policy!r} invalid")
+        groups = (
+            (StateLabel.PHI1.value, StateLabel.PHI2.value)
+            if init_policy == "random"
+            else (init_policy,)
+        )
+        check_trees = {g: _present_tree(model, g, message=False) for g in groups}
+        message_trees = {g: _present_tree(model, g, message=True) for g in groups}
+    else:
+        if check_basis_policy not in ("random", *CHECK_BASES):
+            raise InvalidConfig(f"check_basis_policy {check_basis_policy!r} invalid")
+        groups = CHECK_BASES if check_basis_policy == "random" else (check_basis_policy,)
+        check_trees = {b: _cao_tree(model, b, message=False) for b in groups}
+        message_trees = {"w4": _cao_tree(model, "bell", message=True)}
+
+    conditional_error = {}
+    total_error = 0.0
+    for group, tree in check_trees.items():
+        # float(): the count is the int 0 when no leaf fails
+        conditional_error[group] = float(_leaf_totals(tree, tree.masses)["check_errors"])
+        total_error += (1.0 / len(check_trees)) * conditional_error[group]
+
+    conditional_leak = {}
+    message = dict.fromkeys(_COUNTS, 0.0)
+    for group, tree in message_trees.items():
+        totals = _leaf_totals(tree, tree.masses)
+        known = totals["guesses_known"]
+        conditional_leak[group] = totals["guesses_correct"] / known if known > 0.0 else 0.0
+        for key in _COUNTS:
+            message[key] += (1.0 / len(message_trees)) * totals[key]
+
+    known, total = message["guesses_known"], message["message_rounds"]
+    return ExactResult(
+        scheme=scheme,
+        attack=model.kind.value,
+        total_error_rate=total_error,
+        conditional_error_rates=conditional_error,
+        leak_rate=message["guesses_correct"] / known if known > 0.0 else 0.0,
+        unknown_fraction=1.0 - known / total if total > 0.0 else 1.0,
+        conditional_leak_rates=conditional_leak,
+        recovery_accuracy=message["recovered_correct"] / total if total > 0.0 else 1.0,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo runner
+
+# each round owns a fixed block of uniforms; Philox emits 4 doubles per
+# 128-bit counter step, so 8 draws = 2 counter steps keeps blocks aligned
+_DRAWS_PER_ROUND = 8
+_BLOCKS_PER_ROUND = 2
+
+# the most rounds whose draw table (8 doubles a round) numpy can address
+_MAX_ROUNDS = np.iinfo(np.intp).max // (8 * _DRAWS_PER_ROUND)
+
+
 def _draw_block(master_seed: int, start: int, count: int) -> np.ndarray:
     """Uniform matrix for rounds [start, start+count): row i of the full
     run's draw table, regardless of chunking."""
@@ -595,28 +509,32 @@ def _check_flags(config: RunConfig) -> np.ndarray:
 def _run_chunk(config: RunConfig, start: int, flags: np.ndarray) -> dict[str, int]:
     """Counts of rounds [start, start+len(flags)), walked down the trees."""
     draws = _draw_block(config.master_seed, start, len(flags))
-    counts = {
-        "check_rounds": 0,
-        "check_errors": 0,
-        "message_rounds": 0,
-        "recovered_correct": 0,
-        "guesses_known": 0,
-        "guesses_correct": 0,
-    }
+    counts = dict.fromkeys(_COUNTS, 0)
     for tree, rows in zip(_round_trees(config), (draws[flags], draws[~flags])):
         hits = np.bincount(tree.walk(rows), minlength=len(tree.leaves)).tolist()
-        for leaf, n in zip(tree.leaves, hits):
-            if leaf.check_pass is not None:
-                counts["check_rounds"] += n
-                counts["check_errors"] += 0 if leaf.check_pass else n
-                continue
-            counts["message_rounds"] += n
-            if leaf.recovered_bit == leaf.message_bit:
-                counts["recovered_correct"] += n
-            if leaf.eve_guess is not None:
-                counts["guesses_known"] += n
-                if leaf.eve_guess == leaf.message_bit:
-                    counts["guesses_correct"] += n
+        for key, n in _leaf_totals(tree, hits).items():
+            counts[key] += n
+    return counts
+
+
+def _run_counts(config: RunConfig, workers: int) -> dict[str, int]:
+    flags = _check_flags(config)
+    if workers <= 1:
+        return _run_chunk(config, 0, flags)
+    # imported here so that serial runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = np.linspace(0, config.rounds, workers + 1, dtype=int)
+    jobs = [
+        (config, int(lo), flags[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+        if hi > lo
+    ]
+    counts = dict.fromkeys(_COUNTS, 0)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for partial in pool.map(_run_chunk, *zip(*jobs)):
+            for key, value in partial.items():
+                counts[key] += value
     return counts
 
 
@@ -625,26 +543,15 @@ def run_monte_carlo(config: RunConfig, workers: int = 1) -> RunStats:
 
     Every round draws from its own counter-keyed stream, and the counts
     merge is a plain sum, so the result is identical for any ``workers``
-    value or chunking order.
+    value or chunking order. A run whose per-round arrays do not fit in
+    memory raises :class:`~wqsc.errors.InvalidConfig`.
     """
-    flags = _check_flags(config)
-    if workers <= 1:
-        counts = _run_chunk(config, 0, flags)
-    else:
-        # imported here so that serial runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = np.linspace(0, config.rounds, workers + 1, dtype=int)
-        jobs = [
-            (config, int(lo), flags[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        counts = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for partial in pool.map(_run_chunk, *zip(*jobs)):
-                for key, value in partial.items():
-                    counts[key] = counts.get(key, 0) + value
+    try:
+        counts = _run_counts(config, workers)
+    except MemoryError:
+        raise InvalidConfig(
+            f"rounds={config.rounds} needs more memory than is available"
+        ) from None
 
     check_rounds = counts["check_rounds"]
     message_rounds = counts["message_rounds"]

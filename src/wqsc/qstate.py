@@ -179,7 +179,7 @@ class MeasurementBasis:
     qubits: tuple[int, ...]
 
     def validate(self, state: StateVector) -> None:
-        _measured_positions(self, state.num_qubits)
+        _outcome_index(self, state.num_qubits)
 
 
 @lru_cache(maxsize=None)
@@ -244,9 +244,10 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
 
 
 @lru_cache(maxsize=None)
-def _measured_positions(basis: MeasurementBasis, num_qubits: int) -> np.ndarray:
-    """Validated bit positions of a basis on a register size, cached since
-    the same few bases are measured millions of times."""
+def _outcome_index(basis: MeasurementBasis, num_qubits: int) -> np.ndarray:
+    """Validated outcome of every basis state of a Z/X basis (for a Bell
+    basis, validation only), cached since the same few bases are measured
+    millions of times."""
     if len(set(basis.qubits)) != len(basis.qubits):
         raise InvalidBasis(f"duplicate qubit in {basis.qubits}")
     if basis.kind is BasisKind.BELL and len(basis.qubits) != 2:
@@ -256,9 +257,9 @@ def _measured_positions(basis: MeasurementBasis, num_qubits: int) -> np.ndarray:
     for q in basis.qubits:
         if not 1 <= q <= num_qubits:
             raise IndexOutOfRange(f"qubit {q} outside 1..{num_qubits}")
-    positions = np.array([num_qubits - q for q in basis.qubits], dtype=np.int64)
-    positions.setflags(write=False)
-    return positions
+    outcomes = _kernels.outcome_index(1 << num_qubits, [num_qubits - q for q in basis.qubits])
+    outcomes.setflags(write=False)
+    return outcomes
 
 
 def _rotate_measured(state: StateVector, basis: MeasurementBasis) -> StateVector:
@@ -289,95 +290,74 @@ def _pair_rest_indices(num_qubits: int, qa: int, qb: int) -> np.ndarray:
     return idx
 
 
-def _bell_probs(state: StateVector, qa: int, qb: int) -> np.ndarray:
-    """Probabilities of the four Bell outcomes, in ``BELL_ORDER``."""
-    idx = _pair_rest_indices(state.num_qubits, qa, qb)
-    return _kernels.bell_probabilities(state.amplitudes, idx)
+def _measurement(state: StateVector, basis: MeasurementBasis):
+    """Outcome probabilities of a measurement and ``collapse(i)``, the
+    state after outcome ``i``; probabilities are computed once."""
+    outcomes = _outcome_index(basis, state.num_qubits)
+    if basis.kind is BasisKind.BELL:
+        idx = _pair_rest_indices(state.num_qubits, *basis.qubits)
+        probs = _kernels.bell_probabilities(state.amplitudes, idx)
 
+        def collapse(i: int) -> StateVector:
+            return _wrap(state.num_qubits, _kernels.bell_collapse(state.amplitudes, idx, i))
 
-def _bell_project(state: StateVector, qa: int, qb: int, which: int) -> StateVector:
-    idx = _pair_rest_indices(state.num_qubits, qa, qb)
-    return _wrap(state.num_qubits, _kernels.bell_collapse(state.amplitudes, idx, which))
-
-
-def _zx_probabilities(state: StateVector, basis: MeasurementBasis) -> np.ndarray:
+        return probs, collapse
     work = state if basis.kind is BasisKind.Z else _rotate_measured(state, basis)
-    return _kernels.z_probabilities(
-        work.amplitudes, _measured_positions(basis, state.num_qubits)
-    )
+    probs = _kernels.z_probabilities(work.amplitudes, outcomes, 1 << len(basis.qubits))
+
+    def collapse(i: int) -> StateVector:
+        result = _wrap(state.num_qubits, _kernels.collapse_z(work.amplitudes, outcomes, i))
+        return result if basis.kind is BasisKind.Z else _rotate_measured(result, basis)
+
+    return probs, collapse
 
 
-def _zx_collapse(
-    state: StateVector, basis: MeasurementBasis, outcome_index: int
-) -> StateVector:
-    work = state if basis.kind is BasisKind.Z else _rotate_measured(state, basis)
-    collapsed = _kernels.collapse_z(
-        work.amplitudes, _measured_positions(basis, state.num_qubits), outcome_index
-    )
-    result = _wrap(state.num_qubits, collapsed)
-    if basis.kind is BasisKind.X:
-        result = _rotate_measured(result, basis)
-    return result
-
-
-def _bits_outcome(basis: MeasurementBasis, outcome_index: int) -> Outcome:
-    return Outcome(basis.kind, format(outcome_index, f"0{len(basis.qubits)}b"))
+def _outcome(basis: MeasurementBasis, i: int) -> Outcome:
+    if basis.kind is BasisKind.BELL:
+        return Outcome(BasisKind.BELL, BELL_ORDER[i].value)
+    return Outcome(basis.kind, format(i, f"0{len(basis.qubits)}b"))
 
 
 def distribution(state: StateVector, basis: MeasurementBasis) -> dict[Outcome, float]:
     """Exact outcome distribution, zero-probability outcomes included."""
-    _measured_positions(basis, state.num_qubits)
-    if basis.kind is BasisKind.BELL:
-        qa, qb = basis.qubits
-        probs = _bell_probs(state, qa, qb)
-        return {
-            Outcome(BasisKind.BELL, label.value): float(probs[i])
-            for i, label in enumerate(BELL_ORDER)
-        }
-    probs = _zx_probabilities(state, basis)
-    return {
-        _bits_outcome(basis, i): float(p) for i, p in enumerate(probs)
-    }
+    probs, _ = _measurement(state, basis)
+    return {_outcome(basis, i): float(p) for i, p in enumerate(probs)}
 
 
 def project(
     state: StateVector, basis: MeasurementBasis, outcome: Outcome
 ) -> tuple[float, StateVector | None]:
     """Exact probability of one outcome and the collapsed state (None if 0)."""
-    _measured_positions(basis, state.num_qubits)
+    _outcome_index(basis, state.num_qubits)
     if outcome.kind is not basis.kind:
         raise InvalidBasis(
             f"outcome kind {outcome.kind} does not match basis {basis.kind}"
         )
     if basis.kind is BasisKind.BELL:
-        qa, qb = basis.qubits
-        which = BELL_ORDER.index(BellLabel(outcome.value))
-        prob = float(_bell_probs(state, qa, qb)[which])
-        if prob <= ZERO_PROB:
-            return 0.0, None
-        return prob, _bell_project(state, qa, qb, which)
-    if len(outcome.value) != len(basis.qubits) or set(outcome.value) - {"0", "1"}:
+        i = BELL_ORDER.index(BellLabel(outcome.value))
+    elif len(outcome.value) != len(basis.qubits) or set(outcome.value) - {"0", "1"}:
         raise InvalidBasis(
             f"outcome {outcome.value!r} is not a {len(basis.qubits)}-bit string"
         )
-    outcome_index = int(outcome.value, 2)
-    probs = _zx_probabilities(state, basis)
-    prob = float(probs[outcome_index])
+    else:
+        i = int(outcome.value, 2)
+    probs, collapse = _measurement(state, basis)
+    prob = float(probs[i])
     if prob <= ZERO_PROB:
         return 0.0, None
-    return prob, _zx_collapse(state, basis, outcome_index)
+    return prob, collapse(i)
 
 
 def branches(
     state: StateVector, basis: MeasurementBasis
 ) -> list[tuple[Outcome, StateVector, float]]:
     """All nonzero-probability branches as (outcome, collapsed, probability)."""
-    out = []
-    for outcome, prob in distribution(state, basis).items():
-        if prob > ZERO_PROB:
-            _, collapsed = project(state, basis, outcome)
-            out.append((outcome, collapsed, prob))
-    return out
+    probs, collapse = _measurement(state, basis)
+    return [
+        (_outcome(basis, i), collapse(i), float(p))
+        for i, p in enumerate(probs)
+        if p > ZERO_PROB
+    ]
 
 
 def _sample_index(probs: np.ndarray, u: float) -> int:
@@ -402,18 +382,10 @@ def measure(
     ``rng`` needs only a ``random()`` method (``numpy.random.Generator``
     works). Outcomes with exactly zero probability are never returned.
     """
-    _measured_positions(basis, state.num_qubits)
+    probs, collapse = _measurement(state, basis)
     u = float(rng.random())
-    if basis.kind is BasisKind.BELL:
-        qa, qb = basis.qubits
-        probs = _bell_probs(state, qa, qb)
-        i = _sample_index(probs, u)
-        collapsed = _bell_project(state, qa, qb, i)
-        return Outcome(BasisKind.BELL, BELL_ORDER[i].value), collapsed, float(probs[i])
-    probs = _zx_probabilities(state, basis)
     i = _sample_index(probs, u)
-    collapsed = _zx_collapse(state, basis, i)
-    return _bits_outcome(basis, i), collapsed, float(probs[i])
+    return _outcome(basis, i), collapse(i), float(probs[i])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import time
 
 import pytest
 
-from wqsc import _kernels
 from wqsc.harness import RunConfig, run_monte_carlo
 
 ATTACK_CONFIGS = (
@@ -14,14 +13,7 @@ ATTACK_CONFIGS = (
 
 
 @pytest.fixture(scope="session")
-def warmed_kernels():
-    """JIT-compile (or cache-load) every kernel before anything is timed."""
-    _kernels.warmup()
-    return _kernels.BACKEND
-
-
-@pytest.fixture(scope="session")
-def attack_mc_runs(warmed_kernels):
+def attack_mc_runs():
     """Seed-42, 1e5-round Monte Carlo for the four attacked configs.
 
     Shared between the acceptance suite (which asserts on the elapsed

@@ -3,9 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the PASS/FAIL lines
 as they happen; without ``-s`` pytest shows them for failing tests only.
 Criterion 1 asserts on wall time of the exact analyzer and criterion 7 on
-the shared seed-42 Monte Carlo fixture, both measured after the kernel
-warm-up fixture has absorbed any JIT cost. Both budgets hold on the
-pure-numpy kernel backend: the fixture's time is the build of each
+the shared seed-42 Monte Carlo fixture, whose time is the build of each
 config's branch tree plus a vectorized walk of its 1e5 rounds.
 """
 
@@ -39,7 +37,7 @@ def _criterion(number: int, description: str, passed: bool) -> None:
     assert passed, f"criterion {number}: {description}"
 
 
-def test_criterion_1_interception_z_exact_rates(warmed_kernels):
+def test_criterion_1_interception_z_exact_rates():
     start = time.perf_counter()
     result = exact_analyze("present", "ir-z")
     elapsed = time.perf_counter() - start
@@ -55,7 +53,7 @@ def test_criterion_1_interception_z_exact_rates(warmed_kernels):
     )
 
 
-def test_criterion_2_interception_x_exact_rate(warmed_kernels):
+def test_criterion_2_interception_x_exact_rate():
     result = exact_analyze("present", "ir-x")
     _criterion(
         2,
@@ -64,7 +62,7 @@ def test_criterion_2_interception_x_exact_rate(warmed_kernels):
     )
 
 
-def test_criterion_3_entangling_probe_rate_and_intermediate_state(warmed_kernels):
+def test_criterion_3_entangling_probe_rate_and_intermediate_state():
     result = exact_analyze("present", "cnot")
     rate_ok = abs(result.total_error_rate - 0.25) <= TOL
 
@@ -83,7 +81,7 @@ def test_criterion_3_entangling_probe_rate_and_intermediate_state(warmed_kernels
     )
 
 
-def test_criterion_4_cao_interception_exact_rates(warmed_kernels):
+def test_criterion_4_cao_interception_exact_rates():
     result = exact_analyze("cao", "cao-ir-z")
     conditional = result.conditional_error_rates
     ok = (
@@ -111,7 +109,7 @@ def test_criterion_5_cao_leak_exact_and_monte_carlo(attack_mc_runs):
     _criterion(5, "eavesdropper leak rate 1.0, exact and at 1e5 sampled rounds", ok)
 
 
-def test_criterion_6_no_attack_soundness(warmed_kernels):
+def test_criterion_6_no_attack_soundness():
     ok = True
     for scheme in ("present", "cao"):
         exact = exact_analyze(scheme, "none")
@@ -130,10 +128,10 @@ def test_criterion_6_no_attack_soundness(warmed_kernels):
     )
 
 
-def test_criterion_7_monte_carlo_convergence(attack_mc_runs, warmed_kernels):
+def test_criterion_7_monte_carlo_convergence(attack_mc_runs):
     results, elapsed = attack_mc_runs
     ok = elapsed < 30.0
-    details = [f"runtime {elapsed:.1f}s ({warmed_kernels} kernels)"]
+    details = [f"runtime {elapsed:.1f}s"]
     for (scheme, attack), stats in results.items():
         exact = exact_analyze(scheme, attack).total_error_rate
         sigma = math.sqrt(exact * (1.0 - exact) / stats.check_rounds)
@@ -143,7 +141,7 @@ def test_criterion_7_monte_carlo_convergence(attack_mc_runs, warmed_kernels):
     _criterion(7, "seed-42 1e5-round rates in 3-sigma bands; " + ", ".join(details), bool(ok))
 
 
-def test_criterion_8_identity_suite(warmed_kernels, capsys):
+def test_criterion_8_identity_suite(capsys):
     reports = verify_identities()
     by_id = {r.identity_id: r for r in reports}
     ok = all(r.passed for r in reports)
@@ -160,7 +158,7 @@ def test_criterion_8_identity_suite(warmed_kernels, capsys):
         _criterion(8, "all decomposition identities hold; `identities` exits 0", bool(ok))
 
 
-def test_criterion_9_property_battery(warmed_kernels):
+def test_criterion_9_property_battery():
     ok = True
 
     # norm preservation across representative operations

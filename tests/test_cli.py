@@ -115,3 +115,14 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "run", "--scheme", "present", "--rounds", "0")
         assert code == 1
         assert "rounds" in err
+
+    @pytest.mark.parametrize("rounds", [10**13, 10**30])
+    def test_extreme_rounds_exit_one(self, capsys, rounds):
+        # 1e13 rounds pass validation but no allocator grants their 73 TiB
+        # of mode flags; 1e30 exceeds what numpy can index
+        code, out, err = run_cli(
+            capsys, "run", "--scheme", "present", "--attack", "ir-z", "--rounds", str(rounds)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("wqsc: error: rounds")

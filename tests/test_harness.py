@@ -2,6 +2,8 @@
 
 import json
 import math
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,19 @@ VALID_CONFIGS = [
     for attack in ("none", "cao-ir-z")
     for basis in ("random", "z", "x", "bell")
 ]
+
+# exact_analyze of every valid config, floats as float.hex, dicts as
+# ordered pairs, as the scheme-specific branch enumerators computed them
+EXACT_RESULTS = json.loads((Path(__file__).parent / "exact_results.json").read_text())
+
+
+def _hexed(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [[key, rate.hex()] for key, rate in value.items()]
+    return value
+
 
 # counts of the seed-42, 1e5-round acceptance fixture, as the per-round
 # scalar engines produced them
@@ -85,6 +100,20 @@ class TestBinomialCi:
 
 
 class TestExactAnalyze:
+    @pytest.mark.parametrize("case", EXACT_RESULTS, ids=lambda case: "-".join(case["config"]))
+    def test_results_bit_identical_to_enumerators(self, case):
+        result = exact_analyze(*case["config"])
+        assert {key: _hexed(value) for key, value in asdict(result).items()} == case["result"]
+
+    @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
+    def test_leaf_masses_sum_to_one(self, scheme, attack, init, basis):
+        config = RunConfig(
+            scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
+        )
+        for tree in _round_trees(config):
+            assert len(tree.masses) == len(tree.leaves)
+            assert math.fsum(tree.masses) == pytest.approx(1.0, abs=ATOL)
+
     def test_total_is_weighted_sum_of_conditionals(self):
         for scheme, attack, weight in [
             ("present", "ir-z", 0.5),

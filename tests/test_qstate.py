@@ -283,5 +283,8 @@ def test_unitarity_round_trip_dense_oracle():
     state = make_state(3, rng.normal(size=8) + 1j * rng.normal(size=8))
     roundtrip = apply_1q(apply_1q(state, 2, gate), 2, gate.dagger())
     assert np.max(np.abs(roundtrip.amplitudes - state.amplitudes)) <= ATOL
-    dense = op_full(3, 2, q) @ state.amplitudes
-    assert max_dev_up_to_phase(apply_1q(state, 2, gate).amplitudes, dense) <= ATOL
+    for n in (1, 2, 3, 4):
+        state = make_state(n, rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+        for qubit in range(1, n + 1):
+            dense = op_full(n, qubit, q) @ state.amplitudes
+            assert max_dev_up_to_phase(apply_1q(state, qubit, gate).amplitudes, dense) <= ATOL
