@@ -1,10 +1,13 @@
 """Amplitude-array kernels behind the state-vector operations.
 
-Every kernel is plain numpy. Kernels take a flat complex128 amplitude
-array plus either *bit positions* (position ``p`` is the weight-``2**p``
-bit of the basis-state index) or an *outcome index* (the measurement
-outcome of every basis state, as ``qstate`` caches it per basis) and
-return new arrays; inputs are never mutated.
+Every kernel is plain numpy and takes a stack of states: a complex128
+amplitude array of shape ``(..., dim)``, one state per row (a flat array
+is a single state). Kernels take *bit positions* (position ``p`` is the
+weight-``2**p`` bit of the basis-state index) or an *outcome index* (the
+measurement outcome of every basis state, as ``qstate`` caches it per
+basis) and return new arrays; inputs are never mutated. A row of a
+stack goes through the same arithmetic, in the same order, as the row
+passed alone, so stacked and one-row calls agree bit for bit.
 """
 
 from __future__ import annotations
@@ -23,22 +26,19 @@ __all__ = [
 
 
 def apply_gate_1q(amps: np.ndarray, pos: int, gate: np.ndarray) -> np.ndarray:
-    # axis 1 of the view is the bit at ``pos``
-    pairs = amps.reshape(-1, 2, 1 << pos)
-    a0 = pairs[:, 0]
-    a1 = pairs[:, 1]
-    out = np.empty_like(pairs)
-    out[:, 0] = gate[0, 0] * a0 + gate[0, 1] * a1
-    out[:, 1] = gate[1, 0] * a0 + gate[1, 1] * a1
-    return out.reshape(-1)
+    # axis -2 of the view is the bit at ``pos``; row r of the gate makes
+    # the amplitudes with that bit set to r
+    pairs = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << pos))
+    out = gate[:, 0, None] * pairs[..., 0:1, :] + gate[:, 1, None] * pairs[..., 1:2, :]
+    return out.reshape(amps.shape)
 
 
 def apply_cnot(amps: np.ndarray, control_pos: int, target_pos: int) -> np.ndarray:
     cbit = 1 << control_pos
     tbit = 1 << target_pos
-    idx = np.arange(amps.shape[0])
+    idx = np.arange(amps.shape[-1])
     src = np.where((idx & cbit) != 0, idx ^ tbit, idx)
-    return amps[src]
+    return amps[..., src]
 
 
 def outcome_index(size: int, positions: list[int]) -> np.ndarray:
@@ -51,59 +51,71 @@ def outcome_index(size: int, positions: list[int]) -> np.ndarray:
 
 
 def z_probabilities(amps: np.ndarray, outcomes: np.ndarray, count: int) -> np.ndarray:
-    """Probabilities of the ``count`` outcomes that ``outcomes`` assigns."""
+    """Probabilities of the ``count`` outcomes that ``outcomes`` assigns,
+    shape ``(..., count)``."""
     weights = amps.real ** 2 + amps.imag ** 2
-    return np.bincount(outcomes, weights=weights, minlength=count)
+    rows = weights.reshape(-1, weights.shape[-1])
+    # one bincount for all rows: outcome o of row r is bin r * count + o,
+    # and each bin still adds its weights in index order
+    bins = np.arange(len(rows))[:, None] * count + outcomes
+    probs = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=len(rows) * count)
+    return probs.reshape(amps.shape[:-1] + (count,))
 
 
-def collapse_z(amps: np.ndarray, outcomes: np.ndarray, outcome: int) -> np.ndarray:
-    out = np.where(outcomes == outcome, amps, 0.0 + 0.0j)
-    norm2 = float(np.sum(out.real ** 2 + out.imag ** 2))
-    if norm2 > 0.0:
-        out = out / np.sqrt(norm2)
-    return out
+def collapse_z(amps: np.ndarray, outcomes: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Every row projected onto its outcome ``which`` (one per row) and
+    renormalized; a row of zero norm stays zero."""
+    out = np.where(outcomes == which[..., None], amps, 0.0 + 0.0j)
+    norm2 = (out.real ** 2 + out.imag ** 2).sum(axis=-1, keepdims=True)
+    return out / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
 
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
-# Bell states indexed 0..3 (psi+, psi-, phi+, phi-) as two basis components
-# (bit_a, bit_b, sign) each weighted 1/sqrt(2)
-_BELL_TABLE = np.array(
+# Bell states indexed 0..3 (psi+, psi-, phi+, phi-) as two basis
+# components each weighted 1/sqrt(2): the (bit_a, bit_b) of each
+# component, and its sign
+_BELL_BITS = np.array(
     [
-        [1, 0, 1.0, 0, 1, 1.0],
-        [1, 0, 1.0, 0, 1, -1.0],
-        [0, 0, 1.0, 1, 1, 1.0],
-        [0, 0, 1.0, 1, 1, -1.0],
-    ],
-    dtype=np.float64,
+        [[1, 0], [0, 1]],
+        [[1, 0], [0, 1]],
+        [[0, 0], [1, 1]],
+        [[0, 0], [1, 1]],
+    ]
 )
+_BELL_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, -1.0]])
 
 
 def bell_probabilities(amps: np.ndarray, pair_idx: np.ndarray) -> np.ndarray:
-    """Probabilities of the four Bell outcomes on the indexed qubit pair.
+    """Probabilities of the four Bell outcomes on the indexed qubit pair,
+    shape ``(..., 4)``.
 
     ``pair_idx[ba, bb, r]`` is the flat amplitude index with pair bits
     (ba, bb) and remaining-qubit configuration ``r``.
     """
-    a10 = amps[pair_idx[1, 0]]
-    a01 = amps[pair_idx[0, 1]]
-    a00 = amps[pair_idx[0, 0]]
-    a11 = amps[pair_idx[1, 1]]
-    probs = np.empty(4)
-    for i, c in enumerate((a10 + a01, a10 - a01, a00 + a11, a00 - a11)):
-        probs[i] = 0.5 * float(np.sum(c.real ** 2 + c.imag ** 2))
-    return probs
+    a10 = amps[..., pair_idx[1, 0]]
+    a01 = amps[..., pair_idx[0, 1]]
+    a00 = amps[..., pair_idx[0, 0]]
+    a11 = amps[..., pair_idx[1, 1]]
+    c = np.stack((a10 + a01, a10 - a01, a00 + a11, a00 - a11), axis=-2)
+    return 0.5 * (c.real ** 2 + c.imag ** 2).sum(axis=-1)
 
 
-def bell_collapse(amps: np.ndarray, pair_idx: np.ndarray, which: int) -> np.ndarray:
-    row = _BELL_TABLE[which]
-    b1a, b1b, s1 = int(row[0]), int(row[1]), row[2]
-    b2a, b2b, s2 = int(row[3]), int(row[4]), row[5]
-    overlap = (s1 * amps[pair_idx[b1a, b1b]] + s2 * amps[pair_idx[b2a, b2b]]) * _SQRT2_INV
-    norm2 = float(np.sum(overlap.real ** 2 + overlap.imag ** 2))
-    out = np.zeros_like(amps)
-    if norm2 > 0.0:
-        scale = _SQRT2_INV / np.sqrt(norm2)
-        out[pair_idx[b1a, b1b]] = s1 * overlap * scale
-        out[pair_idx[b2a, b2b]] = s2 * overlap * scale
-    return out
+def bell_collapse(amps: np.ndarray, pair_idx: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Every row projected onto its Bell state ``which`` (one per row) of
+    the indexed pair and renormalized."""
+    flat = amps.reshape(-1, amps.shape[-1])
+    which = np.reshape(which, -1)
+    bits = _BELL_BITS[which]
+    # (row, component, rest): flat indices of both components of each row
+    rows = np.arange(len(flat))[:, None, None]
+    where = pair_idx[bits[..., 0], bits[..., 1]]
+    signs = _BELL_SIGNS[which][..., None]
+    parts = flat[rows, where]
+    s1, s2 = signs[:, 0], signs[:, 1]
+    overlap = (s1 * parts[:, 0] + s2 * parts[:, 1]) * _SQRT2_INV
+    norm2 = (overlap.real ** 2 + overlap.imag ** 2).sum(axis=-1, keepdims=True)
+    scale = _SQRT2_INV / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
+    out = np.zeros_like(flat)
+    out[rows, where] = signs * overlap[:, None] * scale[:, None]
+    return out.reshape(amps.shape)

@@ -2,10 +2,11 @@
 
 Each attack consumes the qubits a sender puts on the channel and yields
 the forwarded state plus Eve's classical side information (:class:`EveNote`).
-Two entry points exist: :func:`attack_branches` enumerates every branch of
-the attack with its exact probability (the backbone of the exact
-analyzer), and :func:`apply_attack` samples a single branch for Monte
-Carlo rounds. Both share one branch construction, so sampled rounds and
+:func:`attack_rows` applies the attack to a stack of states at once (one
+row per node of a branch-tree level) and yields every outcome's exact
+probability. :func:`attack_branches`, which enumerates the branches of
+one state, and :func:`apply_attack`, which samples one branch for the
+scalar round engines, are one-row calls of it, so sampled rounds and
 exact analysis can never drift apart.
 
 Intercept-resend attacks are realized as measurement collapse: for a
@@ -30,18 +31,22 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ArityMismatch, MissingTranscript
+from .errors import ArityMismatch, CapacityExceeded, IndexOutOfRange, MissingTranscript
 from .qstate import (
+    QUBIT_CAPACITY,
     BasisKind,
     Outcome,
     StateVector,
     _pair_rest_indices,
+    _qubit_count,
     _wrap,
-    apply_cnot,
+    apply_cnot_rows,
     basis_ket,
-    branches,
-    measure,
-    tensor,
+    collapse_one,
+    measurement_rows,
+    nonzero_branches,
+    sample_index,
+    tensor_rows,
     x_basis,
     z_basis,
 )
@@ -113,69 +118,101 @@ class PublicTranscript:
 
 Branch = tuple[StateVector, EveNote | None, float]
 
-
-def _replace_pair(
-    state: StateVector, qa: int, qb: int, outcome_bits: str, replacement: StateVector
-) -> StateVector:
-    """Swap the collapsed product pair (qa, qb) for a fresh two-qubit state."""
-    idx = _pair_rest_indices(state.num_qubits, qa, qb)
-    ba, bb = int(outcome_bits[0]), int(outcome_bits[1])
-    rest_amps = state.amplitudes[idx[ba, bb]]
-    out = np.zeros(state.dim, dtype=np.complex128)
-    repl = replacement.amplitudes
-    for pa in (0, 1):
-        for pb in (0, 1):
-            out[idx[pa, pb]] = rest_amps * repl[(pa << 1) | pb]
-    # rest_amps and replacement are each unit vectors, so out already is
-    return _wrap(state.num_qubits, out)
+_KET0 = basis_ket("0").amplitudes
 
 
-def attack_branches(
-    model: AttackModel, state: StateVector, transit_qubits: tuple[int, ...]
-) -> list[Branch]:
-    """Enumerate the attack's outcome branches with exact probabilities."""
+def attack_rows(model: AttackModel, amps: np.ndarray, transit_qubits: tuple[int, ...]):
+    """The attack on every row of a stack of states: the ``(rows,
+    outcomes)`` array of Eve's outcome probabilities, and
+    ``forward(rows, outcomes)``, the stack of the states she forwards from
+    row ``rows[i]`` after outcome ``outcomes[i]``.
+
+    A draw-free attack has the single outcome 0, of probability 1. The
+    entangling probe's forwarded states carry her ancilla as an extra,
+    last qubit.
+    """
     arity = model.arity
     if arity is not None and len(transit_qubits) != arity:
         raise ArityMismatch(
             f"{model.kind.value} expects {arity} transit qubit(s), "
             f"got {len(transit_qubits)}"
         )
-
     if model.kind is AttackKind.NONE:
-        return [(state, None, 1.0)]
+        return np.ones((len(amps), 1)), lambda rows, _: amps[rows]
+
+    if model.kind is AttackKind.CNOT_ANCILLA:
+        q, ancilla = transit_qubits[0], _qubit_count(amps) + 1
+        if ancilla > QUBIT_CAPACITY:
+            raise CapacityExceeded(
+                f"{ancilla} qubits exceed the {QUBIT_CAPACITY}-qubit capacity"
+            )
+        if not 1 <= q < ancilla:
+            raise IndexOutOfRange(f"qubit {q} outside 1..{ancilla - 1}")
+        probed = apply_cnot_rows(tensor_rows(amps, _KET0), q, ancilla)
+        return np.ones((len(amps), 1)), lambda rows, _: probed[rows]
 
     if model.kind in (AttackKind.INTERCEPT_RESEND_Z, AttackKind.INTERCEPT_RESEND_X):
         q = transit_qubits[0]
-        if model.kind is AttackKind.INTERCEPT_RESEND_Z:
-            basis, kind = z_basis(q), BasisKind.Z
-        else:
-            basis, kind = x_basis(q), BasisKind.X
-        return [
-            (collapsed, EveNote(basis=kind.value, observed=outcome.value), prob)
-            for outcome, collapsed, prob in branches(state, basis)
-        ]
-
-    if model.kind is AttackKind.CNOT_ANCILLA:
-        q = transit_qubits[0]
-        extended = tensor(state, basis_ket("0"))
-        ancilla = extended.num_qubits
-        probed = apply_cnot(extended, q, ancilla)
-        return [(probed, EveNote(ancilla_qubit=ancilla), 1.0)]
+        basis = z_basis(q) if model.kind is AttackKind.INTERCEPT_RESEND_Z else x_basis(q)
+        return measurement_rows(amps, basis)
 
     # cao-ir-z: Z measurement of the transit pair, then forward |00> for
     # outcome 00 and a fresh psi+ pair for a single-excitation outcome
     qa, qb = transit_qubits
-    psi_plus = build(StateLabel.BELL_PSI_PLUS)
-    result = []
-    for outcome, collapsed, prob in branches(state, z_basis(qa, qb)):
-        bits = outcome.value
-        note = EveNote(basis="z", observed=bits)
-        if bits == "00":
-            forwarded = collapsed
-        else:
-            forwarded = _replace_pair(collapsed, qa, qb, bits, psi_plus)
-        result.append((forwarded, note, prob))
-    return result
+    probs, collapse = measurement_rows(amps, z_basis(qa, qb))
+
+    def forward(rows: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        out = collapse(rows, outcomes)
+        excited = np.flatnonzero(outcomes != 0)
+        if len(excited):
+            out[excited] = _replace_pair(
+                out[excited], qa, qb, outcomes[excited], build(StateLabel.BELL_PSI_PLUS)
+            )
+        return out
+
+    return probs, forward
+
+
+def attack_note(model: AttackModel, outcome: int, num_qubits: int) -> EveNote | None:
+    """Eve's note after outcome ``outcome`` of :func:`attack_rows` on
+    states of ``num_qubits`` qubits."""
+    if model.kind is AttackKind.NONE:
+        return None
+    if model.kind is AttackKind.CNOT_ANCILLA:
+        return EveNote(ancilla_qubit=num_qubits + 1)
+    if model.kind is AttackKind.CAO_INTERCEPT_RESEND_Z:
+        return EveNote(basis="z", observed=format(outcome, "02b"))
+    basis = BasisKind.Z if model.kind is AttackKind.INTERCEPT_RESEND_Z else BasisKind.X
+    return EveNote(basis=basis.value, observed=str(outcome))
+
+
+def _replace_pair(
+    amps: np.ndarray, qa: int, qb: int, outcomes: np.ndarray, replacement: StateVector
+) -> np.ndarray:
+    """Swap the collapsed product pair (qa, qb) of every row, whose bits
+    are the row's two-bit Z outcome, for a fresh two-qubit state."""
+    idx = _pair_rest_indices(_qubit_count(amps), qa, qb)
+    rest_amps = amps[np.arange(len(amps))[:, None], idx[outcomes >> 1, outcomes & 1]]
+    out = np.zeros_like(amps)
+    repl = replacement.amplitudes
+    for pa in (0, 1):
+        for pb in (0, 1):
+            out[..., idx[pa, pb]] = rest_amps * repl[(pa << 1) | pb]
+    # rest_amps and replacement are each unit vectors, so out already is
+    return out
+
+
+def attack_branches(
+    model: AttackModel, state: StateVector, transit_qubits: tuple[int, ...]
+) -> list[Branch]:
+    """Enumerate the attack's outcome branches with exact probabilities."""
+    if model.kind is AttackKind.NONE:
+        return [(state, None, 1.0)]
+    found = nonzero_branches(*attack_rows(model, state.amplitudes[None], transit_qubits))
+    return [
+        (_wrap(_qubit_count(amps), amps), attack_note(model, i, state.num_qubits), p)
+        for i, amps, p in zip(found.outcome.tolist(), found.states(), found.prob.tolist())
+    ]
 
 
 def apply_attack(
@@ -184,40 +221,15 @@ def apply_attack(
     """Sample one branch of the attack channel.
 
     Distributionally identical to drawing from :func:`attack_branches`,
-    but collapses only the sampled outcome (the hot path of the Monte
-    Carlo runner).
+    but forwards only the sampled outcome. Only an attack that measures
+    draws from ``rng``.
     """
-    arity = model.arity
-    if arity is not None and len(transit_qubits) != arity:
-        raise ArityMismatch(
-            f"{model.kind.value} expects {arity} transit qubit(s), "
-            f"got {len(transit_qubits)}"
-        )
-
     if model.kind is AttackKind.NONE:
         return state, None
-
-    if model.kind in (AttackKind.INTERCEPT_RESEND_Z, AttackKind.INTERCEPT_RESEND_X):
-        q = transit_qubits[0]
-        basis = z_basis(q) if model.kind is AttackKind.INTERCEPT_RESEND_Z else x_basis(q)
-        outcome, collapsed, _ = measure(state, basis, rng)
-        return collapsed, EveNote(basis=outcome.kind.value, observed=outcome.value)
-
-    if model.kind is AttackKind.CNOT_ANCILLA:
-        q = transit_qubits[0]
-        extended = tensor(state, basis_ket("0"))
-        ancilla = extended.num_qubits
-        return apply_cnot(extended, q, ancilla), EveNote(ancilla_qubit=ancilla)
-
-    qa, qb = transit_qubits
-    outcome, collapsed, _ = measure(state, z_basis(qa, qb), rng)
-    note = EveNote(basis="z", observed=outcome.value)
-    if outcome.value == "00":
-        return collapsed, note
-    return (
-        _replace_pair(collapsed, qa, qb, outcome.value, build(StateLabel.BELL_PSI_PLUS)),
-        note,
-    )
+    probs, forward = attack_rows(model, state.amplitudes[None], transit_qubits)
+    i = sample_index(probs[0], float(rng.random())) if model.samples else 0
+    amps = collapse_one(forward, i)
+    return _wrap(_qubit_count(amps), amps), attack_note(model, i, state.num_qubits)
 
 
 def eve_guess(

@@ -13,9 +13,10 @@ Output goes to stdout as JSON (default) or CSV. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
-from .errors import WqscError
+from .errors import InvalidConfig, WqscError
 from .harness import (
     RunConfig,
     exact_analyze,
@@ -83,6 +84,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
+            if args.threshold is not None and not math.isfinite(args.threshold):
+                raise InvalidConfig(f"threshold must be a finite number, got {args.threshold}")
             config = RunConfig(
                 scheme=args.scheme,
                 attack=args.attack,

@@ -5,7 +5,12 @@ a check round and of a message round (message bit x initial state or
 check basis x attack outcome x both parties' measurement outcomes x, for
 the entangling probe, the ancilla outcome). Every leaf carries its
 outcome and its mass, the product of the branch probabilities on its
-path. Both analyses read the same trees:
+path. A tree is built one level at a time: the states of a level's nodes
+are the rows of one amplitude array, and each gate, attack or
+measurement is one stacked call for the whole level, so the kernel calls
+of a build grow with the trees' depth, not with their node count. No
+tree or result is cached; every run and every exact analysis builds the
+trees it reads. Both analyses read the same trees:
 
 * the exact analyzer sums the leaves' outcomes weighted by their masses,
   so its check-error and leak rates carry no sampling error;
@@ -49,7 +54,8 @@ from .attacks import (
     CAO_ATTACKS,
     PRESENT_ATTACKS,
     PublicTranscript,
-    attack_branches,
+    attack_note,
+    attack_rows,
     eve_guess,
 )
 from .errors import InvalidConfig, InvalidCounts, UnsupportedPair
@@ -62,7 +68,17 @@ from .protocol import (
     check_consistent,
     recover_bit,
 )
-from .qstate import FLIP, HADAMARD, Outcome, apply_1q, branches, z_basis
+from .qstate import (
+    FLIP,
+    HADAMARD,
+    Branches,
+    Outcome,
+    apply_1q_rows,
+    branch_rows,
+    nonzero_branches,
+    outcome_at,
+    z_basis,
+)
 from .states import IdentityReport, StateLabel, build
 
 SCHEMES = ("present", "cao")
@@ -170,14 +186,40 @@ _BORN = "born"  # first child whose cumulative probability exceeds u
 _THIRDS = "thirds"  # int(u * 3) % 3, the Cao engine's basis choice
 
 
-@dataclass(frozen=True)
-class _Level:
-    """One draw of a round: the children of every node at one depth."""
+class _Level(NamedTuple):
+    """One draw of a round: the children of every node at one depth, in
+    (parent, outcome) order."""
 
     rule: str
-    thresholds: np.ndarray  # (nodes, max children) cumulative probs, +inf padded
-    last: np.ndarray  # per node, the index of its last child
-    first: np.ndarray  # per node, the next level's index of its first child
+    nodes: int  # nodes at the depth above
+    parent: np.ndarray  # per child, the index of its parent node
+    prob: np.ndarray  # per child, its branch probability
+
+
+def _walk_tables(levels: list[_Level]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The tables that walk a tree, with nodes numbered root first, depth
+    by depth: ``thresholds[k, n]``, node ``n``'s cumulative probability up
+    to its child ``k`` (+inf past its last child); ``successor[n, s]``
+    (flattened), the number of node ``n``'s child ``s``, or of its last
+    child for ``s`` beyond it; and per level, the most children a node
+    has."""
+    # the children of all depths, in node order, are nodes 1, 2, ...
+    offsets = np.cumsum([0] + [level.nodes for level in levels])
+    parent = np.concatenate([start + level.parent for start, level in zip(offsets, levels)])
+    count = np.bincount(parent, minlength=offsets[-1])
+    first = 1 + np.cumsum(count) - count
+    table = np.zeros((offsets[-1], count.max()))
+    table[parent, np.arange(1, len(parent) + 1) - first[parent]] = np.concatenate(
+        [level.prob for level in levels]
+    )
+    # zeros pad each row after its children, so a row's sums up to its
+    # last child are those of its children alone
+    thresholds = np.cumsum(table, axis=1)
+    slots = np.arange(table.shape[1] + 1)
+    thresholds[slots[:-1] >= count[:, None]] = np.inf
+    successor = first[:, None] + np.minimum(slots, count[:, None] - 1)
+    widths = [int(count[lo:hi].max()) for lo, hi in zip(offsets[:-1], offsets[1:])]
+    return thresholds.T.copy(), successor.ravel(), widths
 
 
 class _Leaf(NamedTuple):
@@ -189,125 +231,174 @@ class _Leaf(NamedTuple):
     eve_guess: int | None
 
 
+def _branch_rows_by_basis(amps: np.ndarray, bases: list) -> Branches:
+    """:func:`~wqsc.qstate.branch_rows` with row ``i`` of ``amps``
+    measured in ``bases[i]``: one stacked measurement per distinct basis,
+    branches in (row, outcome) order."""
+    if all(basis is bases[0] for basis in bases):
+        return branch_rows(amps, bases[0])
+    # grouped by identity, which the cached basis constructors make cheap
+    # and exact: two equal bases that are distinct objects are measured in
+    # separate calls, with the same results
+    groups: dict = {}
+    for row, basis in enumerate(bases):
+        groups.setdefault(id(basis), (basis, []))[1].append(row)
+    parts = [(np.array(rows), branch_rows(amps[rows], basis)) for basis, rows in groups.values()]
+    parent = np.concatenate([rows[found.parent] for rows, found in parts])
+    outcome = np.concatenate([found.outcome for _, found in parts])
+    order = np.lexsort((outcome, parent))
+    return Branches(
+        parent[order],
+        outcome[order],
+        np.concatenate([found.prob for _, found in parts])[order],
+        lambda: np.concatenate([found.states() for _, found in parts])[order],
+    )
+
+
 class _BranchTree:
-    """Finite branch tree of one round, built level by level.
+    """Finite branch tree of one round, built one level at a time.
 
     Level ``j`` consumes column ``j`` of the round's draw row, so levels
     are added in the order in which :func:`~wqsc.protocol.present_round`
     and :func:`~wqsc.protocol.cao_round` consume their draws; a step that
-    draws nothing is a :meth:`step`, not a level. Node probabilities come
-    from :func:`~wqsc.qstate.branches` and
-    :func:`~wqsc.attacks.attack_branches`, which compute the same
-    probabilities, collapse and ``ZERO_PROB`` pruning as
-    :func:`~wqsc.qstate.measure`. A walk therefore reaches the leaf the
-    scalar engines reach on the same draw row.
+    draws nothing (preparing states, a gate, a draw-free attack) adds no
+    level.
 
-    While the tree is built a node is a dict of the round's variables;
-    :meth:`finish` turns the last level's nodes into :class:`_Leaf` values.
-    ``masses[i]`` is the probability of the path to node (finally leaf)
-    ``i``: the product of its branch probabilities, root first.
+    The nodes of the deepest level are built together. Their states are
+    the rows of one ``(nodes, 2**n)`` amplitude stack, and each operation
+    is one stacked call for the whole level: a gate on the rows it applies
+    to, the attack (:func:`~wqsc.attacks.attack_rows`), or a measurement
+    (:func:`~wqsc.qstate.branch_rows`, once per distinct basis). These
+    compute every node's outcome probabilities, ``ZERO_PROB`` pruning and
+    collapse with the code that :func:`~wqsc.qstate.measure` and
+    :func:`~wqsc.attacks.apply_attack` run on one row, so a walk reaches
+    the leaf the scalar engines reach on the same draw row. A level's
+    collapsed states are computed only when a later operation reads them,
+    so the last measurement of a round collapses nothing. Nothing is
+    cached: every run and every exact analysis builds its own trees.
+
+    A node's classical values (message bit, outcomes, Eve's note) are a
+    dict per node; :meth:`finish` turns the last level's nodes into
+    :class:`_Leaf` values. ``masses[i]`` is the probability of the path to
+    node (finally leaf) ``i``: the product of its branch probabilities,
+    root first. The walk's tables are compiled on the first :meth:`walk`.
     """
 
     def __init__(self, **root) -> None:
         self.levels: list[_Level] = []
         self.nodes: list[dict] = [root]
-        self.masses: list[float] = [1.0]
+        self.masses = np.ones(1)
         self.leaves: list[_Leaf] = []
+        self._states = None  # the stack, or a function that computes it
+        self._tables = None
 
-    def split(self, expand, rule: str = _BORN) -> None:
-        """Add a level; ``expand(node)`` lists ``(probability, child)``."""
-        cumulative, first, children, masses = [], [], [], []
-        for node, mass in zip(self.nodes, self.masses):
-            kids = expand(node)
-            first.append(len(children))
-            cumulative.append(np.cumsum([p for p, _ in kids]))
-            children.extend(child for _, child in kids)
-            masses.extend(mass * p for p, _ in kids)
-        width = max(len(c) for c in cumulative)
-        thresholds = np.full((len(cumulative), width), np.inf)
-        for row, c in zip(thresholds, cumulative):
-            row[: len(c)] = c
-        self.levels.append(
-            _Level(
-                rule,
-                thresholds,
-                np.array([len(c) - 1 for c in cumulative], dtype=np.int64),
-                np.array(first, dtype=np.int64),
-            )
-        )
+    @property
+    def states(self) -> np.ndarray:
+        """The ``(nodes, 2**n)`` stack of the deepest level's states."""
+        if callable(self._states):
+            self._states = self._states()
+        return self._states
+
+    def _grow(self, rule: str, parent: np.ndarray, prob: np.ndarray, children: list, states):
+        self.levels.append(_Level(rule, len(self.nodes), parent, prob))
+        self.masses = self.masses[parent] * prob
         self.nodes = children
-        self.masses = masses
+        self._states = states
+
+    def choose(self, key: str, values: tuple, rule: str = _BORN) -> None:
+        """A fair choice of ``key`` among ``values``: one child per value
+        under every node, each of probability ``1 / len(values)``. By the
+        Born rule a coin picks ``values[0]`` iff ``u < 0.5``; the thirds
+        rule picks ``values[int(u * 3) % 3]``."""
+        parent = np.repeat(np.arange(len(self.nodes)), len(values))
+        children = [{**node, key: v} for node in self.nodes for v in values]
+        states = None if self._states is None else self.states[parent]
+        self._grow(rule, parent, np.full(len(parent), 1.0 / len(values)), children, states)
+
+    def _branch(self, found: Branches, key: str, values: list) -> None:
+        """Add the level of ``found``; a child's ``key`` is
+        ``values[parent][outcome]``."""
+        children = [
+            {**self.nodes[p], key: values[p][i]}
+            for p, i in zip(found.parent.tolist(), found.outcome.tolist())
+        ]
+        self._grow(_BORN, found.parent, found.prob, children, found.states)
 
     def step(self, update) -> None:
         """Apply a draw-free transition; ``update(node)`` returns new items."""
         self.nodes = [{**node, **update(node)} for node in self.nodes]
 
-    def coin(self, key: str, values: tuple) -> None:
-        """Fair binary choice: ``values[0]`` iff ``u < 0.5``. That is the
-        Born rule on probabilities (0.5, 0.5)."""
-        self.split(lambda node: [(0.5, {**node, key: v}) for v in values])
+    def prepare(self, state_of) -> None:
+        """Give every node the state ``state_of(node)``."""
+        self._states = np.array([state_of(node).amplitudes for node in self.nodes])
+
+    def gate(self, qubit: int, gate, where) -> None:
+        """Apply ``gate`` to ``qubit`` of every node where ``where(node)``."""
+        rows = [i for i, node in enumerate(self.nodes) if where(node)]
+        if rows:
+            # the stack belongs to this tree alone, so it is updated in place
+            self.states[rows] = apply_1q_rows(self.states[rows], qubit, gate)
 
     def measure(self, key: str, basis_of) -> None:
-        """Measure ``node["state"]`` in ``basis_of(node)``."""
-        self.split(
-            lambda node: [
-                (p, {**node, key: outcome, "state": collapsed})
-                for outcome, collapsed, p in branches(node["state"], basis_of(node))
-            ]
-        )
+        """Measure every node's state in ``basis_of(node)``."""
+        bases = [basis_of(node) for node in self.nodes]
+        found = _branch_rows_by_basis(self.states, bases)
+        outcomes = {
+            id(basis): [outcome_at(basis, i) for i in range(1 << len(basis.qubits))]
+            for basis in {id(basis): basis for basis in bases}.values()
+        }
+        self._branch(found, key, [outcomes[id(basis)] for basis in bases])
 
     def attack(self, model: AttackModel, transit: tuple[int, ...]) -> None:
-        def expand(node):
-            return [
-                (p, {**node, "state": forwarded, "note": note})
-                for forwarded, note, p in attack_branches(model, node["state"], transit)
-            ]
-
+        num_qubits = self.states.shape[1].bit_length() - 1
+        probs, forward = attack_rows(model, self.states, transit)
+        notes = [attack_note(model, i, num_qubits) for i in range(probs.shape[1])]
         if model.samples:
-            self.split(expand)
-        else:
-            # a draw-free attack has a single branch, of probability 1
-            self.nodes = [expand(node)[0][1] for node in self.nodes]
+            self._branch(nonzero_branches(probs, forward), "note", [notes] * len(self.nodes))
+            return
+        # a draw-free attack has a single branch, of probability 1
+        rows = np.arange(len(self.nodes))
+        self._states = forward(rows, np.zeros_like(rows))
+        self.nodes = [{**node, "note": notes[0]} for node in self.nodes]
 
     def finish(self, leaf) -> "_BranchTree":
         self.leaves = [leaf(node) for node in self.nodes]
+        self.masses = self.masses.tolist()
+        self._states = None
         return self
 
     def walk(self, draws: np.ndarray) -> np.ndarray:
         """Leaf index reached by each row of ``draws``."""
+        if self._tables is None:
+            self._tables = _walk_tables(self.levels)
+        thresholds, successor, widths = self._tables
+        stride = len(thresholds) + 1
         node = np.zeros(len(draws), dtype=np.int64)
-        for column, level in enumerate(self.levels):
+        for column, (level, width) in enumerate(zip(self.levels, widths)):
             u = draws[:, column]
+            pick = node * stride
             if level.rule == _THIRDS:
-                child = (u * 3.0).astype(np.int64) % 3
+                pick += (u * 3.0).astype(np.int64) % 3
             else:
                 # searchsorted(cumsum, u, side="right"), node by node; a u
                 # beyond the last cumulative sum falls to the last child,
-                # as in qstate._sample_index
-                passed = (level.thresholds[node] <= u[:, None]).sum(axis=1)
-                child = np.minimum(passed, level.last[node])
-            node = level.first[node] + child
-        return node
+                # as in qstate.sample_index
+                for child_thresholds in thresholds[:width]:
+                    pick += child_thresholds[node] <= u
+            node = successor[pick]
+        return node - (len(successor) // stride)
 
 
 def _present_tree(model: AttackModel, init_policy: str, message: bool) -> _BranchTree:
-    tree = _BranchTree(bit=None, initial=init_policy, note=None)
+    tree = _BranchTree(bit=None, initial=init_policy)
     if message:
-        tree.coin("bit", (0, 1))
+        tree.choose("bit", (0, 1))
     if init_policy == "random":
-        tree.coin("initial", (StateLabel.PHI1.value, StateLabel.PHI2.value))
-
-    def prepare(node):
-        state = build(node["initial"])
-        return {"state": apply_1q(state, 3, FLIP) if node["bit"] == 1 else state}
-
-    tree.step(prepare)
+        tree.choose("initial", (StateLabel.PHI1.value, StateLabel.PHI2.value))
+    tree.prepare(lambda node: build(node["initial"]))
+    tree.gate(3, FLIP, lambda node: node["bit"] == 1)
     tree.attack(model, (3,))
-    tree.step(
-        lambda node: {"state": apply_1q(node["state"], 3, HADAMARD)}
-        if node["initial"] == StateLabel.PHI2.value
-        else {}
-    )
+    tree.gate(3, HADAMARD, lambda node: node["initial"] == StateLabel.PHI2.value)
     tree.measure("alice", lambda node: z_basis(1, 2))
     tree.measure("bob", lambda node: z_basis(3))
     if not message:
@@ -344,16 +435,13 @@ def _present_tree(model: AttackModel, init_policy: str, message: bool) -> _Branc
 
 def _cao_tree(model: AttackModel, basis_policy: str, message: bool) -> _BranchTree:
     basis = "bell" if message else basis_policy
-    tree = _BranchTree(bit=None, basis=basis, state=build(StateLabel.W4))
+    tree = _BranchTree(bit=None, basis=basis)
     if message:
-        tree.coin("bit", (0, 1))
+        tree.choose("bit", (0, 1))
+    tree.prepare(lambda node: build(StateLabel.W4))
     tree.attack(model, (3, 4))
     if basis == "random":
-        # the thirds rule picks the child itself; 1/3 is each child's mass
-        tree.split(
-            lambda node: [(1.0 / 3.0, {**node, "basis": b}) for b in CHECK_BASES],
-            rule=_THIRDS,
-        )
+        tree.choose("basis", CHECK_BASES, _THIRDS)
     tree.measure("alice", lambda node: _pair_basis(node["basis"], 1, 2))
     tree.measure("bob", lambda node: _pair_basis(node["basis"], 3, 4))
     if not message:

@@ -14,6 +14,11 @@ probabilities exact. ``distribution`` returns the full exact outcome
 distribution (zero-probability outcomes included); ``measure`` samples one
 branch and returns the collapsed state together with the exact branch
 probability.
+
+Every operation also exists for a *stack*, a ``(rows, 2**n)`` array of
+states (the ``*_rows`` functions and :func:`branch_rows`), which is how
+the branch trees of ``harness`` process a whole level at once. The
+single-state operations are one-row calls of the stack operations.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -221,26 +226,22 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
         raise CapacityExceeded(
             f"{total} qubits exceed the {QUBIT_CAPACITY}-qubit capacity"
         )
-    # kron of two vectors, without np.kron's shape machinery
-    out = (a.amplitudes[:, None] * b.amplitudes[None, :]).ravel()
-    return _wrap(total, out)
+    return _wrap(total, tensor_rows(a.amplitudes, b.amplitudes))
 
 
 def apply_1q(state: StateVector, qubit: int, gate: Gate1Q) -> StateVector:
     """Apply a single-qubit unitary to one tensor factor."""
-    pos = state.bit_position(qubit)
-    out = _kernels.apply_gate_1q(state.amplitudes, pos, gate.entries)
-    return _wrap(state.num_qubits, out)
+    state.bit_position(qubit)
+    return _wrap(state.num_qubits, apply_1q_rows(state.amplitudes, qubit, gate))
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     """Flip the target bit on every basis state whose control bit is 1."""
     if control == target:
         raise SameQubit("control and target must differ")
-    cpos = state.bit_position(control)
-    tpos = state.bit_position(target)
-    out = _kernels.apply_cnot(state.amplitudes, cpos, tpos)
-    return _wrap(state.num_qubits, out)
+    state.bit_position(control)
+    state.bit_position(target)
+    return _wrap(state.num_qubits, apply_cnot_rows(state.amplitudes, control, target))
 
 
 @lru_cache(maxsize=None)
@@ -260,14 +261,6 @@ def _outcome_index(basis: MeasurementBasis, num_qubits: int) -> np.ndarray:
     outcomes = _kernels.outcome_index(1 << num_qubits, [num_qubits - q for q in basis.qubits])
     outcomes.setflags(write=False)
     return outcomes
-
-
-def _rotate_measured(state: StateVector, basis: MeasurementBasis) -> StateVector:
-    """Hadamard every measured qubit, mapping an X measurement onto Z."""
-    out = state
-    for q in basis.qubits:
-        out = apply_1q(out, q, HADAMARD)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -290,38 +283,119 @@ def _pair_rest_indices(num_qubits: int, qa: int, qb: int) -> np.ndarray:
     return idx
 
 
-def _measurement(state: StateVector, basis: MeasurementBasis):
-    """Outcome probabilities of a measurement and ``collapse(i)``, the
-    state after outcome ``i``; probabilities are computed once."""
-    outcomes = _outcome_index(basis, state.num_qubits)
-    if basis.kind is BasisKind.BELL:
-        idx = _pair_rest_indices(state.num_qubits, *basis.qubits)
-        probs = _kernels.bell_probabilities(state.amplitudes, idx)
-
-        def collapse(i: int) -> StateVector:
-            return _wrap(state.num_qubits, _kernels.bell_collapse(state.amplitudes, idx, i))
-
-        return probs, collapse
-    work = state if basis.kind is BasisKind.Z else _rotate_measured(state, basis)
-    probs = _kernels.z_probabilities(work.amplitudes, outcomes, 1 << len(basis.qubits))
-
-    def collapse(i: int) -> StateVector:
-        result = _wrap(state.num_qubits, _kernels.collapse_z(work.amplitudes, outcomes, i))
-        return result if basis.kind is BasisKind.Z else _rotate_measured(result, basis)
-
-    return probs, collapse
-
-
-def _outcome(basis: MeasurementBasis, i: int) -> Outcome:
+def outcome_at(basis: MeasurementBasis, i: int) -> Outcome:
+    """The outcome with kernel index ``i`` of a basis."""
     if basis.kind is BasisKind.BELL:
         return Outcome(BasisKind.BELL, BELL_ORDER[i].value)
     return Outcome(basis.kind, format(i, f"0{len(basis.qubits)}b"))
 
 
+# ---------------------------------------------------------------------------
+# stacks
+#
+# A stack is a ``(rows, 2**n)`` amplitude array that holds one n-qubit
+# state per row. Each stack operation is one kernel call per step for all
+# rows, and the StateVector operations above and below are one-row calls
+# of the same code, so a state gets bit-identical results whether it is
+# measured alone or as a row of a stack. Qubit numbers are not checked
+# here; the StateVector operations check them.
+
+_ROW0 = np.zeros(1, dtype=np.int64)
+
+
+def _qubit_count(amps: np.ndarray) -> int:
+    return amps.shape[-1].bit_length() - 1
+
+
+def tensor_rows(amps: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Every row of ``amps`` tensored with the state ``other``, whose
+    qubits become the low-order qubits."""
+    # kron of two vectors, without np.kron's shape machinery
+    return (amps[..., :, None] * other).reshape(amps.shape[:-1] + (-1,))
+
+
+def apply_1q_rows(amps: np.ndarray, qubit: int, gate: Gate1Q) -> np.ndarray:
+    """``gate`` applied to ``qubit`` of every row."""
+    return _kernels.apply_gate_1q(amps, _qubit_count(amps) - qubit, gate.entries)
+
+
+def apply_cnot_rows(amps: np.ndarray, control: int, target: int) -> np.ndarray:
+    """A CNOT applied to every row."""
+    n = _qubit_count(amps)
+    return _kernels.apply_cnot(amps, n - control, n - target)
+
+
+def _rotate_measured(amps: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
+    """Hadamard every measured qubit, mapping an X measurement onto Z."""
+    for q in basis.qubits:
+        amps = apply_1q_rows(amps, q, HADAMARD)
+    return amps
+
+
+def measurement_rows(amps: np.ndarray, basis: MeasurementBasis):
+    """Measuring every row of a stack: the ``(rows, outcomes)`` array of
+    outcome probabilities, and ``collapse(rows, outcomes)``, the stack of
+    the states of row ``rows[i]`` after outcome ``outcomes[i]``.
+
+    The probabilities are computed once, however many rows are collapsed.
+    """
+    n = _qubit_count(amps)
+    outcomes = _outcome_index(basis, n)
+    if basis.kind is BasisKind.BELL:
+        idx = _pair_rest_indices(n, *basis.qubits)
+
+        def collapse(rows: np.ndarray, which: np.ndarray) -> np.ndarray:
+            return _kernels.bell_collapse(amps[rows], idx, which)
+
+        return _kernels.bell_probabilities(amps, idx), collapse
+    work = amps if basis.kind is BasisKind.Z else _rotate_measured(amps, basis)
+
+    def collapse(rows: np.ndarray, which: np.ndarray) -> np.ndarray:
+        out = _kernels.collapse_z(work[rows], outcomes, which)
+        return out if basis.kind is BasisKind.Z else _rotate_measured(out, basis)
+
+    return _kernels.z_probabilities(work, outcomes, 1 << len(basis.qubits)), collapse
+
+
+class Branches(NamedTuple):
+    """The nonzero-probability branches of every row of a stack, in
+    (row, outcome) order: branch ``i`` is outcome ``outcome[i]`` of row
+    ``parent[i]``, of probability ``prob[i]``. ``states()`` computes the
+    stack of the branches' states; nothing is collapsed until it is
+    called."""
+
+    parent: np.ndarray
+    outcome: np.ndarray
+    prob: np.ndarray
+    states: Callable[[], np.ndarray]
+
+
+def nonzero_branches(probs: np.ndarray, collapse) -> Branches:
+    """The branches of a ``measurement_rows`` result whose probability
+    exceeds ``ZERO_PROB``."""
+    parent, outcome = np.nonzero(probs > ZERO_PROB)
+    return Branches(parent, outcome, probs[parent, outcome], lambda: collapse(parent, outcome))
+
+
+def branch_rows(amps: np.ndarray, basis: MeasurementBasis) -> Branches:
+    """The nonzero-probability branches of measuring every row."""
+    return nonzero_branches(*measurement_rows(amps, basis))
+
+
+def collapse_one(collapse, i: int) -> np.ndarray:
+    """The state after outcome ``i``, from the ``collapse`` of a
+    one-row stack."""
+    return collapse(_ROW0, np.array([i]))[0]
+
+
+# ---------------------------------------------------------------------------
+# measurement of one state
+
+
 def distribution(state: StateVector, basis: MeasurementBasis) -> dict[Outcome, float]:
     """Exact outcome distribution, zero-probability outcomes included."""
-    probs, _ = _measurement(state, basis)
-    return {_outcome(basis, i): float(p) for i, p in enumerate(probs)}
+    probs, _ = measurement_rows(state.amplitudes[None], basis)
+    return {outcome_at(basis, i): float(p) for i, p in enumerate(probs[0])}
 
 
 def project(
@@ -341,26 +415,25 @@ def project(
         )
     else:
         i = int(outcome.value, 2)
-    probs, collapse = _measurement(state, basis)
-    prob = float(probs[i])
+    probs, collapse = measurement_rows(state.amplitudes[None], basis)
+    prob = float(probs[0, i])
     if prob <= ZERO_PROB:
         return 0.0, None
-    return prob, collapse(i)
+    return prob, _wrap(state.num_qubits, collapse_one(collapse, i))
 
 
 def branches(
     state: StateVector, basis: MeasurementBasis
 ) -> list[tuple[Outcome, StateVector, float]]:
     """All nonzero-probability branches as (outcome, collapsed, probability)."""
-    probs, collapse = _measurement(state, basis)
+    found = branch_rows(state.amplitudes[None], basis)
     return [
-        (_outcome(basis, i), collapse(i), float(p))
-        for i, p in enumerate(probs)
-        if p > ZERO_PROB
+        (outcome_at(basis, i), _wrap(state.num_qubits, amps), p)
+        for i, amps, p in zip(found.outcome.tolist(), found.states(), found.prob.tolist())
     ]
 
 
-def _sample_index(probs: np.ndarray, u: float) -> int:
+def sample_index(probs: np.ndarray, u: float) -> int:
     """Index drawn from ``probs``; zero-probability entries are unreachable."""
     acc = 0.0
     last_positive = -1
@@ -382,10 +455,11 @@ def measure(
     ``rng`` needs only a ``random()`` method (``numpy.random.Generator``
     works). Outcomes with exactly zero probability are never returned.
     """
-    probs, collapse = _measurement(state, basis)
+    probs, collapse = measurement_rows(state.amplitudes[None], basis)
     u = float(rng.random())
-    i = _sample_index(probs, u)
-    return _outcome(basis, i), collapse(i), float(probs[i])
+    i = sample_index(probs[0], u)
+    collapsed = _wrap(state.num_qubits, collapse_one(collapse, i))
+    return outcome_at(basis, i), collapsed, float(probs[0, i])
 
 
 # ---------------------------------------------------------------------------

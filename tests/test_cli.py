@@ -126,3 +126,13 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("wqsc: error: rounds")
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_one(self, capsys, threshold):
+        # NaN is not valid JSON and inf is no error-rate bound
+        code, out, err = run_cli(
+            capsys, "run", "--scheme", "present", "--rounds", "200", f"--threshold={threshold}"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("wqsc: error: threshold")

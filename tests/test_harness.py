@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from oracle_tools import scalar_round_outcomes
-from wqsc import errors
+from wqsc import _kernels, errors
 from wqsc.harness import (
+    _COUNTS,
     RunConfig,
     _check_flags,
     _draw_block,
@@ -41,6 +42,10 @@ VALID_CONFIGS = [
     for attack in ("none", "cao-ir-z")
     for basis in ("random", "z", "x", "bell")
 ]
+
+# the most kernel calls that building one level of a branch tree may make
+# (a measurement in three bases, each rotated and collapsed, takes most)
+KERNEL_CALLS_PER_LEVEL = 6
 
 # exact_analyze of every valid config, floats as float.hex, dicts as
 # ordered pairs, as the scheme-specific branch enumerators computed them
@@ -240,6 +245,47 @@ class TestTreeWalk:
         # the replay compared every path of both trees
         check_tree, message_tree = _round_trees(config)
         assert len(reached) == len(check_tree.leaves) + len(message_tree.leaves)
+
+    @pytest.mark.parametrize(
+        "scheme,attack,init,basis",
+        [
+            ("present", "ir-x", "random", "random"),
+            ("present", "cnot", "phi2", "random"),
+            ("cao", "cao-ir-z", "random", "random"),
+        ],
+    )
+    def test_chunked_counts_equal_whole_run(self, scheme, attack, init, basis):
+        config = RunConfig(
+            scheme=scheme, attack=attack, rounds=2500, master_seed=11,
+            init_policy=init, check_basis_policy=basis,
+        )
+        flags = _check_flags(config)
+        bounds = [0, 1, 7, 500, 1999, config.rounds]
+        summed = dict.fromkeys(_COUNTS, 0)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            for key, value in _run_chunk(config, lo, flags[lo:hi]).items():
+                summed[key] += value
+        assert summed == _run_chunk(config, 0, flags)
+
+    @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
+    def test_tree_build_kernel_calls_bounded_per_level(
+        self, monkeypatch, scheme, attack, init, basis
+    ):
+        # a level's nodes are built by stacked calls, so the kernel calls
+        # grow with the levels of a tree, not with its nodes
+        calls = []
+        for name in _kernels.__all__:
+            kernel = getattr(_kernels, name)
+            monkeypatch.setattr(
+                _kernels, name, lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a)
+            )
+        config = RunConfig(
+            scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
+        )
+        trees = _round_trees(config)
+        # outcome_index builds a basis's lookup table once (qstate caches it)
+        stacked = [name for name in calls if name != "outcome_index"]
+        assert len(stacked) <= KERNEL_CALLS_PER_LEVEL * sum(len(tree.levels) for tree in trees)
 
     def test_seed_42_fixture_counts_pinned(self, attack_mc_runs):
         results, _ = attack_mc_runs

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracle_tools import z_projector, x_projector, project as dense_project
+from wqsc.attacks import AttackKind, AttackModel, attack_branches, attack_note, attack_rows
 from wqsc.qstate import (
     ATOL,
     FLIP,
@@ -12,11 +13,17 @@ from wqsc.qstate import (
     HADAMARD,
     Outcome,
     apply_1q,
+    apply_1q_rows,
     apply_cnot,
     bell_basis,
+    branch_rows,
+    branches,
     distribution,
     make_state,
     measure,
+    measurement_rows,
+    nonzero_branches,
+    outcome_at,
     project,
     states_equal,
     x_basis,
@@ -164,3 +171,84 @@ def test_flip_commutation_with_decode():
     ratio = hu / flip_then
     assert np.allclose(ratio, ratio[0, 0], atol=ATOL)
     assert abs(abs(ratio[0, 0]) - 1.0) <= ATOL
+
+
+def sparse_states(seed: int, n: int, m: int) -> list:
+    """``m`` random normalized n-qubit states, with about 40% of their
+    amplitudes zeroed so that outcomes of zero probability get pruned."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(m):
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        amps[rng.random(1 << n) < 0.4] = 0.0
+        amps[rng.integers(1 << n)] += 1.0
+        states.append(make_state(n, amps))
+    return states
+
+
+def _same_branches(stacked, per_row, label) -> None:
+    """A stacked result equals the one-row results, bit for bit: the
+    per-row branches in (row, outcome) order with their outcomes (as
+    ``label`` names them), probabilities and post-measurement states."""
+    parent = [row for row, found in enumerate(per_row) for _ in found]
+    assert np.array_equal(stacked.parent, parent)
+    assert [label(i) for i in stacked.outcome.tolist()] == [
+        branch[1] for found in per_row for branch in found
+    ]
+    assert np.array_equal(stacked.prob, [p for found in per_row for *_, p in found])
+    assert np.array_equal(
+        stacked.states(), [branch[0].amplitudes for found in per_row for branch in found]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 6), data=st.data()
+)
+def test_stacked_measurement_equals_one_row(seed, n, m, data):
+    states = sparse_states(seed, n, m)
+    stack = np.stack([state.amplitudes for state in states])
+    qubits = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+    bases = [z_basis(*qubits), x_basis(*qubits)]
+    if n >= 2:
+        qa, qb = data.draw(st.permutations(range(1, n + 1)))[:2]
+        bases.append(bell_basis(qa, qb))
+    for basis in bases:
+        probs, _ = measurement_rows(stack, basis)
+        for row, state in enumerate(states):
+            assert np.array_equal(probs[row], list(distribution(state, basis).values()))
+        per_row = [
+            [(collapsed, outcome, p) for outcome, collapsed, p in branches(state, basis)]
+            for state in states
+        ]
+        _same_branches(branch_rows(stack, basis), per_row, lambda i: outcome_at(basis, i))
+    gate = random_gate(seed)
+    qubit = data.draw(st.integers(1, n))
+    assert np.array_equal(
+        apply_1q_rows(stack, qubit, gate),
+        [apply_1q(state, qubit, gate).amplitudes for state in states],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    m=st.integers(1, 6),
+    kind=st.sampled_from(list(AttackKind)),
+    data=st.data(),
+)
+def test_stacked_attack_equals_one_row(seed, n, m, kind, data):
+    model = AttackModel(kind)
+    assume((model.arity or 1) <= n)
+    states = sparse_states(seed, n, m)
+    stack = np.stack([state.amplitudes for state in states])
+    transit = tuple(data.draw(st.permutations(range(1, n + 1)))[: model.arity or 1])
+    if kind is AttackKind.CAO_INTERCEPT_RESEND_Z:
+        transit = tuple(sorted(transit))
+    per_row = [attack_branches(model, state, transit) for state in states]
+    _same_branches(
+        nonzero_branches(*attack_rows(model, stack, transit)),
+        per_row,
+        lambda i: attack_note(model, i, n),
+    )
