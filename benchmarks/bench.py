@@ -2,10 +2,11 @@
 
 Usage (from the root of a checkout):
 
-    python benchmarks/bench.py --label NAME [--src DIR] [--repeats N] [--cpu K]
+    python benchmarks/bench.py --label NAME [--src DIR]
 
 For each of the 20 valid (scheme, attack, init policy, check-basis
-policy) configs, the script times on one pinned CPU:
+policy) configs, the script times on one CPU (the last one the process
+may use, to which it pins itself):
 
 * ``build_ms``: ``_round_trees(config)``, the check-round and
   message-round trees of a run;
@@ -14,7 +15,7 @@ policy) configs, the script times on one pinned CPU:
   walk, so it includes any walk tables the trees compile on first use);
 * ``exact_ms``: ``exact_analyze`` of the config.
 
-Each figure is the median of ``--repeats`` runs. Repeats go round-robin
+Each figure is the median of ``REPEATS`` runs. Repeats go round-robin
 over the configs, so a slow spell of the host hits every config alike.
 A shared host's CPU speed drifts within seconds, so every time is
 normalized as the end-to-end benchmark does it: scaled by
@@ -41,6 +42,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROUNDS = 2000
+REPEATS = 31
 
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 from calibrate import REF_NOMINAL_S, burst  # noqa: E402
@@ -82,7 +84,7 @@ def _timed(call) -> float:
     return (time.perf_counter() - start) * 1e3
 
 
-def measure(repeats: int) -> tuple[list[dict], float]:
+def measure() -> tuple[list[dict], float]:
     """Per config, the normalized median times; and the median wall time
     of a reference burst, in ms."""
     import numpy as np
@@ -100,7 +102,7 @@ def measure(repeats: int) -> tuple[list[dict], float]:
         cases.append((config, rows, {"build_ms": [], "walk_ms": [], "exact_ms": []}))
 
     refs = [burst()]
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for config, rows, times in cases:
             build = _timed(lambda: _round_trees(config))
             trees = _round_trees(config)
@@ -134,19 +136,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     parser.add_argument("--src", type=Path, default=HERE.parent / "src",
                         help="directory that holds the wqsc package to measure")
-    parser.add_argument("--repeats", type=int, default=25)
-    parser.add_argument("--cpu", type=int, default=None,
-                        help="CPU to pin to (default: the last one this process may use)")
-    parser.add_argument("--out", type=Path, default=HERE, help="directory for the JSON file")
     args = parser.parse_args(argv)
 
-    cpu = max(os.sched_getaffinity(0)) if args.cpu is None else args.cpu
+    cpu = max(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
     src = args.src.resolve()
     sys.path.insert(0, str(src))
     import numpy as np
 
-    configs, ref_burst_ms = measure(args.repeats)
+    configs, ref_burst_ms = measure()
     totals = {
         key: sum(case[key] for case in configs) for key in ("build_ms", "walk_ms", "exact_ms")
     }
@@ -160,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "walk_rounds": ROUNDS,
         "statistic": (
             "per config, the median over repeats of wall time x REF_NOMINAL_S / "
@@ -171,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         "totals_ms": totals,
         "configs": configs,
     }
-    path = args.out / f"BENCH_{args.label}.json"
+    path = HERE / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     for case in configs:
         print(

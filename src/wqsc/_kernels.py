@@ -3,9 +3,10 @@
 Every kernel is plain numpy and takes a stack of states: a complex128
 amplitude array of shape ``(..., dim)``, one state per row (a flat array
 is a single state). Kernels take *bit positions* (position ``p`` is the
-weight-``2**p`` bit of the basis-state index) or an *outcome index* (the
-measurement outcome of every basis state, as ``qstate`` caches it per
-basis) and return new arrays; inputs are never mutated. A row of a
+weight-``2**p`` bit of the basis-state index), an *outcome index* (the
+measurement outcome of every basis state) or an *order* (the basis
+states grouped by outcome), as ``qstate`` caches them per basis, and
+return new arrays; inputs are never mutated. A row of a
 stack goes through the same arithmetic, in the same order, as the row
 passed alone, so stacked and one-row calls agree bit for bit.
 """
@@ -50,39 +51,31 @@ def outcome_index(size: int, positions: list[int]) -> np.ndarray:
     return out
 
 
-def z_probabilities(amps: np.ndarray, outcomes: np.ndarray, count: int) -> np.ndarray:
-    """Probabilities of the ``count`` outcomes that ``outcomes`` assigns,
-    shape ``(..., count)``."""
+def z_probabilities(amps: np.ndarray, order: np.ndarray, count: int) -> np.ndarray:
+    """Probabilities of ``count`` outcomes, shape ``(..., count)``.
+    ``order`` lists the basis states outcome by outcome, each outcome's
+    states in index order, and every outcome has as many states."""
     weights = amps.real ** 2 + amps.imag ** 2
-    rows = weights.reshape(-1, weights.shape[-1])
-    # one bincount for all rows: outcome o of row r is bin r * count + o,
-    # and each bin still adds its weights in index order
-    bins = np.arange(len(rows))[:, None] * count + outcomes
-    probs = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=len(rows) * count)
-    return probs.reshape(amps.shape[:-1] + (count,))
+    grouped = weights.take(order, axis=-1).reshape(amps.shape[:-1] + (count, -1))
+    # a running sum adds an outcome's weights one by one in index order,
+    # as a per-outcome bincount does, so each sum has the same bits
+    return np.add.accumulate(grouped, axis=-1)[..., -1]
 
 
 def collapse_z(amps: np.ndarray, outcomes: np.ndarray, which: np.ndarray) -> np.ndarray:
     """Every row projected onto its outcome ``which`` (one per row) and
     renormalized; a row of zero norm stays zero."""
     out = np.where(outcomes == which[..., None], amps, 0.0 + 0.0j)
-    norm2 = (out.real ** 2 + out.imag ** 2).sum(axis=-1, keepdims=True)
+    norm2 = np.add.reduce(out.real ** 2 + out.imag ** 2, axis=-1, keepdims=True)
     return out / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
 
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 # Bell states indexed 0..3 (psi+, psi-, phi+, phi-) as two basis
-# components each weighted 1/sqrt(2): the (bit_a, bit_b) of each
-# component, and its sign
-_BELL_BITS = np.array(
-    [
-        [[1, 0], [0, 1]],
-        [[1, 0], [0, 1]],
-        [[0, 0], [1, 1]],
-        [[0, 0], [1, 1]],
-    ]
-)
+# components each weighted 1/sqrt(2): the pair bits (2 * bit_a + bit_b)
+# of each component, and its sign
+_BELL_COMPONENTS = np.array([[2, 1], [2, 1], [0, 3], [0, 3]])
 _BELL_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, -1.0]])
 
 
@@ -93,12 +86,15 @@ def bell_probabilities(amps: np.ndarray, pair_idx: np.ndarray) -> np.ndarray:
     ``pair_idx[ba, bb, r]`` is the flat amplitude index with pair bits
     (ba, bb) and remaining-qubit configuration ``r``.
     """
-    a10 = amps[..., pair_idx[1, 0]]
-    a01 = amps[..., pair_idx[0, 1]]
-    a00 = amps[..., pair_idx[0, 0]]
-    a11 = amps[..., pair_idx[1, 1]]
-    c = np.stack((a10 + a01, a10 - a01, a00 + a11, a00 - a11), axis=-2)
-    return 0.5 * (c.real ** 2 + c.imag ** 2).sum(axis=-1)
+    pairs = amps[..., pair_idx]
+    # (a10, a00) and (a01, a11): their sums are psi+ and phi+, their
+    # differences psi- and phi-, so c[..., i, j] is Bell state 2i + j
+    first, second = pairs[..., ::-1, 0, :], pairs[..., :, 1, :]
+    c = np.empty(pairs.shape, dtype=amps.dtype)
+    np.add(first, second, out=c[..., 0, :])
+    np.subtract(first, second, out=c[..., 1, :])
+    sums = np.add.reduce(c.real ** 2 + c.imag ** 2, axis=-1)
+    return 0.5 * sums.reshape(amps.shape[:-1] + (4,))
 
 
 def bell_collapse(amps: np.ndarray, pair_idx: np.ndarray, which: np.ndarray) -> np.ndarray:
@@ -106,15 +102,14 @@ def bell_collapse(amps: np.ndarray, pair_idx: np.ndarray, which: np.ndarray) -> 
     the indexed pair and renormalized."""
     flat = amps.reshape(-1, amps.shape[-1])
     which = np.reshape(which, -1)
-    bits = _BELL_BITS[which]
     # (row, component, rest): flat indices of both components of each row
     rows = np.arange(len(flat))[:, None, None]
-    where = pair_idx[bits[..., 0], bits[..., 1]]
+    where = pair_idx.reshape(4, -1)[_BELL_COMPONENTS[which]]
     signs = _BELL_SIGNS[which][..., None]
     parts = flat[rows, where]
     s1, s2 = signs[:, 0], signs[:, 1]
     overlap = (s1 * parts[:, 0] + s2 * parts[:, 1]) * _SQRT2_INV
-    norm2 = (overlap.real ** 2 + overlap.imag ** 2).sum(axis=-1, keepdims=True)
+    norm2 = np.add.reduce(overlap.real ** 2 + overlap.imag ** 2, axis=-1, keepdims=True)
     scale = _SQRT2_INV / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
     out = np.zeros_like(flat)
     out[rows, where] = signs * overlap[:, None] * scale[:, None]

@@ -257,14 +257,12 @@ def eve_guess(
     if transcript.alice_published is None:
         raise MissingTranscript("sender's measurement result not published")
 
-    from .protocol import recover_bit  # deferred: protocol imports this module
-
     if model.kind is AttackKind.INTERCEPT_RESEND_Z:
         # her resent Z eigenstate survives only when no decoding happens,
         # so her bit equals the receiver's result exactly for phi1 rounds
         if transcript.initial_label == StateLabel.PHI1.value:
             bob_equiv = Outcome(BasisKind.Z, note.observed)
-            return recover_bit(transcript.alice_published, bob_equiv)
+            return protocol.recover_bit(transcript.alice_published, bob_equiv)
         return None
 
     if model.kind is AttackKind.INTERCEPT_RESEND_X:
@@ -272,7 +270,7 @@ def eve_guess(
         # the computational basis, so her X bit predicts his result
         if transcript.initial_label == StateLabel.PHI2.value:
             bob_equiv = Outcome(BasisKind.Z, note.observed)
-            return recover_bit(transcript.alice_published, bob_equiv)
+            return protocol.recover_bit(transcript.alice_published, bob_equiv)
         return None
 
     # cnot ancilla: in phi1 rounds the ancilla is a classical copy of the
@@ -281,5 +279,10 @@ def eve_guess(
         return None
     if transcript.initial_label == StateLabel.PHI1.value:
         bob_equiv = Outcome(BasisKind.Z, str(note.ancilla_outcome))
-        return recover_bit(transcript.alice_published, bob_equiv)
+        return protocol.recover_bit(transcript.alice_published, bob_equiv)
     return None
+
+
+# protocol imports this module, so it is bound last, as a module whose
+# attributes are looked up when eve_guess runs
+from . import protocol  # noqa: E402

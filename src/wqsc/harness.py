@@ -8,9 +8,12 @@ outcome and its mass, the product of the branch probabilities on its
 path. A tree is built one level at a time: the states of a level's nodes
 are the rows of one amplitude array, and each gate, attack or
 measurement is one stacked call for the whole level, so the kernel calls
-of a build grow with the trees' depth, not with their node count. No
-tree or result is cached; every run and every exact analysis builds the
-trees it reads. Both analyses read the same trees:
+of a build grow with the trees' depth, not with their node count. A
+check tree whose rounds are message rounds of bit 0 cut short (every
+present round, and cao rounds checked in the Bell basis) is read off the
+message tree instead of being built again. No tree or result is cached;
+every run and every exact analysis builds the trees it reads. Both
+analyses read the same trees:
 
 * the exact analyzer sums the leaves' outcomes weighted by their masses,
   so its check-error and leak rates carry no sampling error;
@@ -43,7 +46,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +56,7 @@ from .attacks import (
     AttackKind,
     AttackModel,
     CAO_ATTACKS,
+    EveNote,
     PRESENT_ATTACKS,
     PublicTranscript,
     attack_note,
@@ -73,10 +78,11 @@ from .qstate import (
     HADAMARD,
     Branches,
     Outcome,
+    _basis_tables,
     apply_1q_rows,
+    bell_basis,
     branch_rows,
     nonzero_branches,
-    outcome_at,
     z_basis,
 )
 from .states import IdentityReport, StateLabel, build
@@ -231,19 +237,14 @@ class _Leaf(NamedTuple):
     eve_guess: int | None
 
 
-def _branch_rows_by_basis(amps: np.ndarray, bases: list) -> Branches:
-    """:func:`~wqsc.qstate.branch_rows` with row ``i`` of ``amps``
-    measured in ``bases[i]``: one stacked measurement per distinct basis,
+def _branch_rows_by_basis(amps: np.ndarray, groups: dict) -> Branches:
+    """:func:`~wqsc.qstate.branch_rows` with the rows ``groups[basis]`` of
+    ``amps`` measured in ``basis``: one stacked measurement per basis,
     branches in (row, outcome) order."""
-    if all(basis is bases[0] for basis in bases):
-        return branch_rows(amps, bases[0])
-    # grouped by identity, which the cached basis constructors make cheap
-    # and exact: two equal bases that are distinct objects are measured in
-    # separate calls, with the same results
-    groups: dict = {}
-    for row, basis in enumerate(bases):
-        groups.setdefault(id(basis), (basis, []))[1].append(row)
-    parts = [(np.array(rows), branch_rows(amps[rows], basis)) for basis, rows in groups.values()]
+    if len(groups) == 1:
+        (basis,) = groups
+        return branch_rows(amps, basis)
+    parts = [(np.array(rows), branch_rows(amps[rows], basis)) for basis, rows in groups.items()]
     parent = np.concatenate([rows[found.parent] for rows, found in parts])
     outcome = np.concatenate([found.outcome for _, found in parts])
     order = np.lexsort((outcome, parent))
@@ -281,7 +282,8 @@ class _BranchTree:
     dict per node; :meth:`finish` turns the last level's nodes into
     :class:`_Leaf` values. ``masses[i]`` is the probability of the path to
     node (finally leaf) ``i``: the product of its branch probabilities,
-    root first. The walk's tables are compiled on the first :meth:`walk`.
+    root first. :meth:`first_branch` reads a subtree off a tree as it
+    grows. The walk's tables are compiled on the first :meth:`walk`.
     """
 
     def __init__(self, **root) -> None:
@@ -335,21 +337,32 @@ class _BranchTree:
     def gate(self, qubit: int, gate, where) -> None:
         """Apply ``gate`` to ``qubit`` of every node where ``where(node)``."""
         rows = [i for i, node in enumerate(self.nodes) if where(node)]
-        if rows:
-            # the stack belongs to this tree alone, so it is updated in place
-            self.states[rows] = apply_1q_rows(self.states[rows], qubit, gate)
+        if not rows:
+            return
+        if rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        # the stack belongs to this tree alone, so it is updated in place
+        self.states[rows] = apply_1q_rows(self.states[rows], qubit, gate)
 
     def measure(self, key: str, basis_of) -> None:
-        """Measure every node's state in ``basis_of(node)``."""
-        bases = [basis_of(node) for node in self.nodes]
-        found = _branch_rows_by_basis(self.states, bases)
-        outcomes = {
-            id(basis): [outcome_at(basis, i) for i in range(1 << len(basis.qubits))]
-            for basis in {id(basis): basis for basis in bases}.values()
-        }
-        self._branch(found, key, [outcomes[id(basis)] for basis in bases])
+        """Measure every node's state in ``basis_of(node)``, with one
+        stacked measurement per distinct basis."""
+        groups: dict = {}
+        for row, node in enumerate(self.nodes):
+            groups.setdefault(basis_of(node), []).append(row)
+        num_qubits = self.states.shape[1].bit_length() - 1
+        labels = [None] * len(self.nodes)
+        for basis, rows in groups.items():
+            outcomes = _basis_tables(basis, num_qubits).labels
+            for row in rows:
+                labels[row] = outcomes
+        self._branch(_branch_rows_by_basis(self.states, groups), key, labels)
 
     def attack(self, model: AttackModel, transit: tuple[int, ...]) -> None:
+        if model.kind is AttackKind.NONE:
+            # no attack leaves the states as they are
+            self.nodes = [{**node, "note": None} for node in self.nodes]
+            return
         num_qubits = self.states.shape[1].bit_length() - 1
         probs, forward = attack_rows(model, self.states, transit)
         notes = [attack_note(model, i, num_qubits) for i in range(probs.shape[1])]
@@ -360,6 +373,21 @@ class _BranchTree:
         rows = np.arange(len(self.nodes))
         self._states = forward(rows, np.zeros_like(rows))
         self.nodes = [{**node, "note": notes[0]} for node in self.nodes]
+
+    def first_branch(self) -> "_BranchTree":
+        """The subtree under the root's first child, down to the deepest
+        level: its levels, nodes and masses (from 1 at the new root). At
+        every depth that child's descendants are the first nodes, since
+        children come in (parent, outcome) order."""
+        tree = _BranchTree()
+        count = 1  # the subtree's nodes at the depth above
+        for level in self.levels[1:]:
+            above, count = count, bisect_left(level.parent.tolist(), count)
+            parent, prob = level.parent[:count], level.prob[:count]
+            tree.levels.append(_Level(level.rule, above, parent, prob))
+            tree.masses = tree.masses[parent] * prob
+        tree.nodes = self.nodes[:count]
+        return tree
 
     def finish(self, leaf) -> "_BranchTree":
         self.leaves = [leaf(node) for node in self.nodes]
@@ -389,10 +417,15 @@ class _BranchTree:
         return node - (len(successor) // stride)
 
 
-def _present_tree(model: AttackModel, init_policy: str, message: bool) -> _BranchTree:
-    tree = _BranchTree(bit=None, initial=init_policy)
-    if message:
-        tree.choose("bit", (0, 1))
+def _present_trees(model: AttackModel, init_policy: str) -> tuple[_BranchTree, _BranchTree]:
+    """(check-round tree, message-round tree) of the present scheme.
+
+    A check round is a message round of bit 0 (whose encoding is the
+    identity) that ends at Bob's measurement, so the check tree is the
+    message tree's bit-0 branch down to that level.
+    """
+    tree = _BranchTree(initial=init_policy)
+    tree.choose("bit", (0, 1))
     if init_policy == "random":
         tree.choose("initial", (StateLabel.PHI1.value, StateLabel.PHI2.value))
     tree.prepare(lambda node: build(node["initial"]))
@@ -401,73 +434,96 @@ def _present_tree(model: AttackModel, init_policy: str, message: bool) -> _Branc
     tree.gate(3, HADAMARD, lambda node: node["initial"] == StateLabel.PHI2.value)
     tree.measure("alice", lambda node: z_basis(1, 2))
     tree.measure("bob", lambda node: z_basis(3))
-    if not message:
-        return tree.finish(
-            lambda node: _Leaf(None, check_consistent(node["alice"], node["bob"]), None, None)
-        )
+    check = tree.first_branch().finish(
+        lambda node: _Leaf(None, check_consistent(node["alice"], node["bob"]), None, None)
+    )
 
     if model.kind is AttackKind.CNOT_ANCILLA:
         # Eve measures her ancilla only at guess time
         tree.measure("ancilla", lambda node: z_basis(node["note"].ancilla_qubit))
         tree.step(
             lambda node: {
-                "note": replace(node["note"], ancilla_outcome=int(node["ancilla"].value))
+                "note": EveNote(
+                    ancilla_qubit=node["note"].ancilla_qubit,
+                    ancilla_outcome=int(node["ancilla"].value),
+                )
             }
         )
 
     def leaf(node):
-        transcript = PublicTranscript(
-            scheme="present",
-            mode="message",
-            initial_label=node["initial"],
-            alice_published=node["alice"],
-            bob_announced=node["bob"],
-        )
-        return _Leaf(
-            node["bit"],
-            None,
-            recover_bit(node["alice"], node["bob"]),
-            eve_guess(model, node["note"], transcript),
-        )
+        guess = None
+        if node["note"] is not None:
+            transcript = PublicTranscript(
+                scheme="present",
+                mode="message",
+                initial_label=node["initial"],
+                alice_published=node["alice"],
+                bob_announced=node["bob"],
+            )
+            guess = eve_guess(model, node["note"], transcript)
+        return _Leaf(node["bit"], None, recover_bit(node["alice"], node["bob"]), guess)
 
-    return tree.finish(leaf)
+    return check, tree.finish(leaf)
 
 
-def _cao_tree(model: AttackModel, basis_policy: str, message: bool) -> _BranchTree:
-    basis = "bell" if message else basis_policy
-    tree = _BranchTree(bit=None, basis=basis)
-    if message:
-        tree.choose("bit", (0, 1))
+def _cao_check_tree(model: AttackModel, basis_policy: str) -> _BranchTree:
+    """Check-round tree of the cao scheme."""
+    tree = _BranchTree(basis=basis_policy)
     tree.prepare(lambda node: build(StateLabel.W4))
     tree.attack(model, (3, 4))
-    if basis == "random":
+    if basis_policy == "random":
         tree.choose("basis", CHECK_BASES, _THIRDS)
     tree.measure("alice", lambda node: _pair_basis(node["basis"], 1, 2))
     tree.measure("bob", lambda node: _pair_basis(node["basis"], 3, 4))
-    if not message:
-        return tree.finish(
-            lambda node: _Leaf(
-                None, not cao_check_error(node["basis"], node["alice"], node["bob"]), None, None
-            )
+    return _cao_finish_check(tree)
+
+
+def _cao_finish_check(tree: _BranchTree) -> _BranchTree:
+    """Classify the leaves of a cao check-round tree."""
+    return tree.finish(
+        lambda node: _Leaf(
+            None, not cao_check_error(node["basis"], node["alice"], node["bob"]), None, None
         )
+    )
+
+
+def _cao_trees(model: AttackModel, basis_policy: str) -> tuple[_BranchTree, _BranchTree]:
+    """(check-round tree, message-round tree) of the cao scheme.
+
+    The message bit of a key round enters only its ciphertext, so the
+    quantum part of a key round is that of a Bell-basis check round, and
+    for the Bell check-basis policy the check tree is the message tree's
+    bit-0 branch.
+    """
+    tree = _BranchTree(basis="bell")
+    tree.choose("bit", (0, 1))
+    tree.prepare(lambda node: build(StateLabel.W4))
+    tree.attack(model, (3, 4))
+    tree.measure("alice", lambda node: bell_basis(1, 2))
+    tree.measure("bob", lambda node: bell_basis(3, 4))
+    if basis_policy == "bell":
+        check = _cao_finish_check(tree.first_branch())
+    else:
+        check = _cao_check_tree(model, basis_policy)
 
     def leaf(node):
         alice_key, bob_key = cao_keys(node["alice"], node["bob"])
         ciphertext = alice_key ^ node["bit"]
-        transcript = PublicTranscript(scheme="cao", mode="key", ciphertext=ciphertext)
-        return _Leaf(
-            node["bit"], None, bob_key ^ ciphertext, eve_guess(model, node["note"], transcript)
-        )
+        guess = None
+        if node["note"] is not None:
+            transcript = PublicTranscript(scheme="cao", mode="key", ciphertext=ciphertext)
+            guess = eve_guess(model, node["note"], transcript)
+        return _Leaf(node["bit"], None, bob_key ^ ciphertext, guess)
 
-    return tree.finish(leaf)
+    return check, tree.finish(leaf)
 
 
 def _round_trees(config: RunConfig) -> tuple[_BranchTree, _BranchTree]:
     """(check-round tree, message-round tree) of a run's config."""
     model = AttackModel(AttackKind(config.attack))
     if config.scheme == "present":
-        return tuple(_present_tree(model, config.init_policy, m) for m in (False, True))
-    return tuple(_cao_tree(model, config.check_basis_policy, m) for m in (False, True))
+        return _present_trees(model, config.init_policy)
+    return _cao_trees(model, config.check_basis_policy)
 
 
 _COUNTS = (
@@ -525,14 +581,18 @@ def exact_analyze(
             if init_policy == "random"
             else (init_policy,)
         )
-        check_trees = {g: _present_tree(model, g, message=False) for g in groups}
-        message_trees = {g: _present_tree(model, g, message=True) for g in groups}
+        trees = {g: _present_trees(model, g) for g in groups}
+        check_trees = {g: check for g, (check, _) in trees.items()}
+        message_trees = {g: message for g, (_, message) in trees.items()}
     else:
         if check_basis_policy not in ("random", *CHECK_BASES):
             raise InvalidConfig(f"check_basis_policy {check_basis_policy!r} invalid")
         groups = CHECK_BASES if check_basis_policy == "random" else (check_basis_policy,)
-        check_trees = {b: _cao_tree(model, b, message=False) for b in groups}
-        message_trees = {"w4": _cao_tree(model, "bell", message=True)}
+        bell_check, message = _cao_trees(model, "bell")
+        check_trees = {
+            b: bell_check if b == "bell" else _cao_check_tree(model, b) for b in groups
+        }
+        message_trees = {"w4": message}
 
     conditional_error = {}
     total_error = 0.0

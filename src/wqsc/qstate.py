@@ -184,7 +184,7 @@ class MeasurementBasis:
     qubits: tuple[int, ...]
 
     def validate(self, state: StateVector) -> None:
-        _outcome_index(self, state.num_qubits)
+        _basis_tables(self, state.num_qubits)
 
 
 @lru_cache(maxsize=None)
@@ -244,11 +244,18 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     return _wrap(state.num_qubits, apply_cnot_rows(state.amplitudes, control, target))
 
 
+class _BasisTables(NamedTuple):
+    """What measuring in a basis needs, per register width."""
+
+    outcomes: np.ndarray  # Z/X: the outcome of every basis state
+    order: np.ndarray  # Z/X: the basis states, grouped by outcome
+    labels: tuple[Outcome, ...]  # the Outcome of every kernel index
+
+
 @lru_cache(maxsize=None)
-def _outcome_index(basis: MeasurementBasis, num_qubits: int) -> np.ndarray:
-    """Validated outcome of every basis state of a Z/X basis (for a Bell
-    basis, validation only), cached since the same few bases are measured
-    millions of times."""
+def _basis_tables(basis: MeasurementBasis, num_qubits: int) -> _BasisTables:
+    """Validated tables of a basis (for a Bell basis, only its labels),
+    cached since the same few bases are measured millions of times."""
     if len(set(basis.qubits)) != len(basis.qubits):
         raise InvalidBasis(f"duplicate qubit in {basis.qubits}")
     if basis.kind is BasisKind.BELL and len(basis.qubits) != 2:
@@ -259,8 +266,11 @@ def _outcome_index(basis: MeasurementBasis, num_qubits: int) -> np.ndarray:
         if not 1 <= q <= num_qubits:
             raise IndexOutOfRange(f"qubit {q} outside 1..{num_qubits}")
     outcomes = _kernels.outcome_index(1 << num_qubits, [num_qubits - q for q in basis.qubits])
+    order = np.argsort(outcomes, kind="stable")
     outcomes.setflags(write=False)
-    return outcomes
+    order.setflags(write=False)
+    count = 4 if basis.kind is BasisKind.BELL else 1 << len(basis.qubits)
+    return _BasisTables(outcomes, order, tuple(outcome_at(basis, i) for i in range(count)))
 
 
 @lru_cache(maxsize=None)
@@ -340,7 +350,7 @@ def measurement_rows(amps: np.ndarray, basis: MeasurementBasis):
     The probabilities are computed once, however many rows are collapsed.
     """
     n = _qubit_count(amps)
-    outcomes = _outcome_index(basis, n)
+    tables = _basis_tables(basis, n)
     if basis.kind is BasisKind.BELL:
         idx = _pair_rest_indices(n, *basis.qubits)
 
@@ -351,10 +361,10 @@ def measurement_rows(amps: np.ndarray, basis: MeasurementBasis):
     work = amps if basis.kind is BasisKind.Z else _rotate_measured(amps, basis)
 
     def collapse(rows: np.ndarray, which: np.ndarray) -> np.ndarray:
-        out = _kernels.collapse_z(work[rows], outcomes, which)
+        out = _kernels.collapse_z(work[rows], tables.outcomes, which)
         return out if basis.kind is BasisKind.Z else _rotate_measured(out, basis)
 
-    return _kernels.z_probabilities(work, outcomes, 1 << len(basis.qubits)), collapse
+    return _kernels.z_probabilities(work, tables.order, len(tables.labels)), collapse
 
 
 class Branches(NamedTuple):
@@ -402,7 +412,7 @@ def project(
     state: StateVector, basis: MeasurementBasis, outcome: Outcome
 ) -> tuple[float, StateVector | None]:
     """Exact probability of one outcome and the collapsed state (None if 0)."""
-    _outcome_index(basis, state.num_qubits)
+    _basis_tables(basis, state.num_qubits)
     if outcome.kind is not basis.kind:
         raise InvalidBasis(
             f"outcome kind {outcome.kind} does not match basis {basis.kind}"
