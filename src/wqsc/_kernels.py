@@ -37,8 +37,9 @@ def apply_gate_1q(amps: np.ndarray, pos: int, gate: np.ndarray) -> np.ndarray:
 def apply_cnot(amps: np.ndarray, control_pos: int, target_pos: int) -> np.ndarray:
     cbit = 1 << control_pos
     tbit = 1 << target_pos
-    idx = np.arange(amps.shape[-1])
-    src = np.where((idx & cbit) != 0, idx ^ tbit, idx)
+    # a permutation of at most 2**8 indices, cheaper as a list than as
+    # the handful of array operations it would take
+    src = [i ^ tbit if i & cbit else i for i in range(amps.shape[-1])]
     return amps[..., src]
 
 
@@ -111,6 +112,6 @@ def bell_collapse(amps: np.ndarray, pair_idx: np.ndarray, which: np.ndarray) -> 
     overlap = (s1 * parts[:, 0] + s2 * parts[:, 1]) * _SQRT2_INV
     norm2 = np.add.reduce(overlap.real ** 2 + overlap.imag ** 2, axis=-1, keepdims=True)
     scale = _SQRT2_INV / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
-    out = np.zeros_like(flat)
+    out = np.zeros(flat.shape, dtype=flat.dtype)
     out[rows, where] = signs * overlap[:, None] * scale[:, None]
     return out.reshape(amps.shape)

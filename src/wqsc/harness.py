@@ -47,7 +47,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +56,6 @@ from .attacks import (
     AttackKind,
     AttackModel,
     CAO_ATTACKS,
-    EveNote,
     PRESENT_ATTACKS,
     PublicTranscript,
     attack_note,
@@ -312,7 +311,7 @@ class _BranchTree:
         under every node, each of probability ``1 / len(values)``. By the
         Born rule a coin picks ``values[0]`` iff ``u < 0.5``; the thirds
         rule picks ``values[int(u * 3) % 3]``."""
-        parent = np.repeat(np.arange(len(self.nodes)), len(values))
+        parent = np.arange(len(self.nodes)).repeat(len(values))
         children = [{**node, key: v} for node in self.nodes for v in values]
         states = None if self._states is None else self.states[parent]
         self._grow(rule, parent, np.full(len(parent), 1.0 / len(values)), children, states)
@@ -439,16 +438,15 @@ def _present_trees(model: AttackModel, init_policy: str) -> tuple[_BranchTree, _
     )
 
     if model.kind is AttackKind.CNOT_ANCILLA:
-        # Eve measures her ancilla only at guess time
-        tree.measure("ancilla", lambda node: z_basis(node["note"].ancilla_qubit))
-        tree.step(
-            lambda node: {
-                "note": EveNote(
-                    ancilla_qubit=node["note"].ancilla_qubit,
-                    ancilla_outcome=int(node["ancilla"].value),
-                )
-            }
-        )
+        # Eve measures her ancilla only at guess time; every node holds
+        # the probe's one note, which gets one update per ancilla outcome
+        (note,) = {node["note"] for node in tree.nodes}
+        tree.measure("ancilla", lambda node: z_basis(note.ancilla_qubit))
+        notes = {
+            outcome: replace(note, ancilla_outcome=int(outcome.value))
+            for outcome in {node["ancilla"] for node in tree.nodes}
+        }
+        tree.step(lambda node: {"note": notes[node["ancilla"]]})
 
     def leaf(node):
         guess = None

@@ -383,7 +383,7 @@ class Branches(NamedTuple):
 def nonzero_branches(probs: np.ndarray, collapse) -> Branches:
     """The branches of a ``measurement_rows`` result whose probability
     exceeds ``ZERO_PROB``."""
-    parent, outcome = np.nonzero(probs > ZERO_PROB)
+    parent, outcome = (probs > ZERO_PROB).nonzero()
     return Branches(parent, outcome, probs[parent, outcome], lambda: collapse(parent, outcome))
 
 
