@@ -15,8 +15,11 @@ may use, to which it pins itself):
   walk, so it includes any walk tables the trees compile on first use);
 * ``exact_ms``: ``exact_analyze`` of the config.
 
-Each figure is the median of ``REPEATS`` runs. Repeats go round-robin
-over the configs, so a slow spell of the host hits every config alike.
+Each figure is the median of ``REPEATS`` (31) runs. Repeats go
+round-robin over the configs, so a slow spell of the host hits every
+config alike. A build is timed right after other work, as in a real
+run, so it includes the first calls of each numpy operation with cold
+caches; on a shared host that part varies from run to run.
 A shared host's CPU speed drifts within seconds, so every time is
 normalized as the end-to-end benchmark does it: scaled by
 ``REF_NOMINAL_S`` over the mean of the reference bursts of
