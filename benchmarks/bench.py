@@ -1,4 +1,5 @@
-"""Per-config cost of the branch-tree layers: tree build, walk, exact analysis.
+"""Per-config cost of the branch-tree layers (tree build, walk, exact
+analysis) and the cost of one long cold run.
 
 Usage (from the root of a checkout):
 
@@ -23,8 +24,14 @@ caches; on a shared host that part varies from run to run.
 A shared host's CPU speed drifts within seconds, so every time is
 normalized as the end-to-end benchmark does it: scaled by
 ``REF_NOMINAL_S`` over the mean of the reference bursts of
-``perfbench/calibrate.py`` timed just before and just after it. The
-result, with the machine's core count and the python and numpy versions,
+``perfbench/calibrate.py`` timed just before and just after it.
+
+The script then runs ``wqsc run --scheme cao --attack cao-ir-z --rounds
+10000000`` once, as a cold subprocess on the same CPU, and records its
+wall seconds (not normalized) and the child's own peak RSS
+(``ru_maxrss`` of that child alone, from ``os.wait4``) as ``cold_run``.
+
+The result, with the machine's core count and the python and numpy versions,
 is written to ``benchmarks/BENCH_<label>.json``. ``--src`` measures the
 ``wqsc`` package of another checkout (its ``src`` directory), so a parent
 commit exported next to this one can be measured with the same script.
@@ -46,6 +53,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROUNDS = 2000
 REPEATS = 31
+COLD_RUN = ("run", "--scheme", "cao", "--attack", "cao-ir-z", "--rounds", "10000000")
 
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 from calibrate import REF_NOMINAL_S, burst  # noqa: E402
@@ -134,6 +142,24 @@ def measure() -> tuple[list[dict], float]:
     return configs, statistics.median(refs) * 1e3
 
 
+def cold_run(src: Path) -> dict:
+    """Wall seconds and peak RSS of one ``wqsc`` subprocess running
+    ``COLD_RUN`` from the package in ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    discard = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    start = time.perf_counter()
+    pid = os.posix_spawn(
+        sys.executable, [sys.executable, "-m", "wqsc.cli", *COLD_RUN], env,
+        file_actions=discard,
+    )
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - start
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise SystemExit(f"wqsc {' '.join(COLD_RUN)} failed with status {status}")
+    # ru_maxrss is in KiB on Linux
+    return {"argv": ["wqsc", *COLD_RUN], "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
@@ -148,6 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     import numpy as np
 
     configs, ref_burst_ms = measure()
+    cold = cold_run(src)
     totals = {
         key: sum(case[key] for case in configs) for key in ("build_ms", "walk_ms", "exact_ms")
     }
@@ -171,6 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         "ref_burst_ms": ref_burst_ms,
         "totals_ms": totals,
         "configs": configs,
+        "cold_run": cold,
     }
     path = HERE / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
@@ -181,6 +209,7 @@ def main(argv: list[str] | None = None) -> int:
             f"  exact {case['exact_ms']:7.3f} ms"
         )
     print("totals (ms): " + ", ".join(f"{k} {v:.2f}" for k, v in totals.items()))
+    print(f"cold {' '.join(cold['argv'])}: {cold['wall_s']:.2f} s, {cold['peak_rss_mb']:.1f} MB")
     print(f"wrote {path}")
     return 0
 

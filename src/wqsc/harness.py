@@ -26,8 +26,9 @@ analyses read the same trees:
   so a walk reproduces the round those engines play on the same draws.
   The draws come from a keyed counter generator: Philox keyed by the
   master seed, with every round owning a fixed block of counter
-  positions. Results are therefore bit-identical for a given config no
-  matter how rounds are chunked or parallelized.
+  positions. A run streams its rounds in fixed blocks, so its memory does
+  not grow with the round count, and its results are bit-identical for a
+  given config whatever the block size.
 
 Rate conventions: ``error_rate`` is a check-round statistic;
 ``recovery_accuracy`` and ``eve_leak_rate`` are message-round statistics.
@@ -629,75 +630,69 @@ def exact_analyze(
 _DRAWS_PER_ROUND = 8
 _BLOCKS_PER_ROUND = 2
 
-# the most rounds whose draw table (8 doubles a round) numpy can address
-_MAX_ROUNDS = np.iinfo(np.intp).max // (8 * _DRAWS_PER_ROUND)
+# rounds a run streams at a time; a multiple of 4, so that every block of
+# mode flags starts on a Philox counter step
+_BLOCK_ROUNDS = 2**16
+
+# about 48 minutes of rounds at 3.5e6 rounds/s (cao-ir-z, one core of a
+# 2-core VM); larger counts would run for hours to months
+_MAX_ROUNDS = 10**10
 
 
 def _draw_block(master_seed: int, start: int, count: int) -> np.ndarray:
     """Uniform matrix for rounds [start, start+count): row i of the full
-    run's draw table, regardless of chunking."""
+    run's draw table, regardless of blocking."""
     bitgen = np.random.Philox(key=np.array([master_seed, _DRAW_STREAM_TAG], dtype=np.uint64))
     bitgen.advance(_BLOCKS_PER_ROUND * start)
     return np.random.Generator(bitgen).random((count, _DRAWS_PER_ROUND))
 
 
-def _check_flags(config: RunConfig) -> np.ndarray:
-    """Per-round check/message assignment from the master mode stream."""
-    master = np.random.Generator(
-        np.random.Philox(key=np.array([config.master_seed, _MODE_STREAM_TAG], dtype=np.uint64))
-    )
-    flags = master.random(config.rounds) < config.check_fraction
-    if not flags.any():
-        flags[0] = True
+def _check_flags(config: RunConfig, start: int = 0, count: int | None = None) -> np.ndarray:
+    """Check/message assignment of rounds [start, start+count), by default
+    the rest of the run, from the master mode stream; ``start`` is a
+    multiple of 4. If the stream flags no round of the run, round 0 is a
+    check round: a block 0 with no check flag scans later blocks for one."""
+    if count is None:
+        count = config.rounds - start
+    bitgen = np.random.Philox(key=np.array([config.master_seed, _MODE_STREAM_TAG], np.uint64))
+    bitgen.advance(start // 4)
+    flags = np.random.Generator(bitgen).random(count) < config.check_fraction
+    if start == 0 and not flags.any():
+        later = range(count, config.rounds, _BLOCK_ROUNDS)
+        blocks = (_check_flags(config, lo, min(_BLOCK_ROUNDS, config.rounds - lo)) for lo in later)
+        flags[0] = not any(block.any() for block in blocks)
     return flags
 
 
-def _run_chunk(config: RunConfig, start: int, flags: np.ndarray) -> dict[str, int]:
-    """Counts of rounds [start, start+len(flags)), walked down the trees."""
-    draws = _draw_block(config.master_seed, start, len(flags))
+def _run_counts(config: RunConfig) -> dict[str, int]:
+    """The run's counts: its rounds, ``_BLOCK_ROUNDS`` at a time, walked
+    down the trees, and each tree's leaf hits summed over the blocks."""
+    trees = _round_trees(config)
+    hits = [np.zeros(len(tree.leaves), dtype=np.int64) for tree in trees]
+    for start in range(0, config.rounds, _BLOCK_ROUNDS):
+        count = min(_BLOCK_ROUNDS, config.rounds - start)
+        flags = _check_flags(config, start, count)
+        draws = _draw_block(config.master_seed, start, count)
+        for tree, total, rows in zip(trees, hits, (draws[flags], draws[~flags])):
+            total += np.bincount(tree.walk(rows), minlength=len(total))
     counts = dict.fromkeys(_COUNTS, 0)
-    for tree, rows in zip(_round_trees(config), (draws[flags], draws[~flags])):
-        hits = np.bincount(tree.walk(rows), minlength=len(tree.leaves)).tolist()
-        for key, n in _leaf_totals(tree, hits).items():
+    for tree, total in zip(trees, hits):
+        for key, n in _leaf_totals(tree, total.tolist()).items():
             counts[key] += n
-    return counts
-
-
-def _run_counts(config: RunConfig, workers: int) -> dict[str, int]:
-    flags = _check_flags(config)
-    if workers <= 1:
-        return _run_chunk(config, 0, flags)
-    # imported here so that serial runs never load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = np.linspace(0, config.rounds, workers + 1, dtype=int)
-    jobs = [
-        (config, int(lo), flags[lo:hi])
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    counts = dict.fromkeys(_COUNTS, 0)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for partial in pool.map(_run_chunk, *zip(*jobs)):
-            for key, value in partial.items():
-                counts[key] += value
     return counts
 
 
 def run_monte_carlo(config: RunConfig, workers: int = 1) -> RunStats:
     """Execute ``config.rounds`` independent rounds and aggregate counts.
 
-    Every round draws from its own counter-keyed stream, and the counts
-    merge is a plain sum, so the result is identical for any ``workers``
-    value or chunking order. A run whose per-round arrays do not fit in
-    memory raises :class:`~wqsc.errors.InvalidConfig`.
+    Rounds stream in fixed blocks, so memory stays constant whatever the
+    round count. Every round draws from its own counter-keyed stream and
+    the counts merge is a plain sum, so the result is the same for any
+    block size. ``workers`` remains only as 1: the process pool is gone.
     """
-    try:
-        counts = _run_counts(config, workers)
-    except MemoryError:
-        raise InvalidConfig(
-            f"rounds={config.rounds} needs more memory than is available"
-        ) from None
+    if workers != 1:
+        raise InvalidConfig(f"workers={workers}: the process pool was removed")
+    counts = _run_counts(config)
 
     check_rounds = counts["check_rounds"]
     message_rounds = counts["message_rounds"]

@@ -118,8 +118,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("rounds", [10**13, 10**30])
     def test_extreme_rounds_exit_one(self, capsys, rounds):
-        # 1e13 rounds pass validation but no allocator grants their 73 TiB
-        # of mode flags; 1e30 exceeds what numpy can index
+        # both lie above the 10**10-round ceiling that RunConfig enforces
         code, out, err = run_cli(
             capsys, "run", "--scheme", "present", "--attack", "ir-z", "--rounds", str(rounds)
         )

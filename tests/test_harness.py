@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 
 from oracle_tools import scalar_round_outcomes
-from wqsc import _kernels, errors
+from wqsc import _kernels, errors, harness
 from wqsc.harness import (
-    _COUNTS,
     RunConfig,
     _check_flags,
     _draw_block,
     _round_trees,
-    _run_chunk,
+    _run_counts,
     binomial_ci,
     exact_analyze,
     exact_result_to_dict,
@@ -187,13 +186,21 @@ class TestRunConfig:
         with pytest.raises(errors.UnsupportedPair):
             RunConfig(scheme="present", attack="cao-ir-z")
 
-    def test_at_least_one_check_round_forced(self):
+    def test_at_least_one_check_round_forced(self, monkeypatch):
         # fraction small enough that some seeds draw no check round
-        for seed in range(30):
-            config = RunConfig(
-                scheme="present", rounds=12, check_fraction=0.09, master_seed=seed
-            )
+        configs = [
+            RunConfig(scheme="present", rounds=12, check_fraction=0.09, master_seed=seed)
+            for seed in range(30)
+        ]
+        for config in configs:
             assert _check_flags(config).sum() >= 1
+        whole = [_run_counts(config) for config in configs]
+        # in blocks of 4 the rule still looks at the whole run
+        monkeypatch.setattr(harness, "_BLOCK_ROUNDS", 4)
+        for config, counts in zip(configs, whole):
+            blocked = [_check_flags(config, lo, 4) for lo in range(0, 12, 4)]
+            assert np.array_equal(np.concatenate(blocked), _check_flags(config))
+            assert _run_counts(config) == counts
 
 
 class TestDeterminism:
@@ -203,11 +210,10 @@ class TestDeterminism:
         b = run_monte_carlo(config)
         assert to_json(run_stats_to_dict(a)) == to_json(run_stats_to_dict(b))
 
-    def test_parallel_equals_serial(self):
+    def test_workers_other_than_one_raise(self):
         config = RunConfig(scheme="cao", attack="cao-ir-z", rounds=1500, master_seed=3)
-        serial = run_monte_carlo(config, workers=1)
-        parallel = run_monte_carlo(config, workers=2)
-        assert serial == parallel
+        with pytest.raises(errors.InvalidConfig, match="pool was removed"):
+            run_monte_carlo(config, workers=2)
 
     def test_different_seeds_differ(self):
         a = run_monte_carlo(RunConfig(scheme="present", attack="ir-z", rounds=3000, master_seed=0))
@@ -254,18 +260,18 @@ class TestTreeWalk:
             ("cao", "cao-ir-z", "random", "random"),
         ],
     )
-    def test_chunked_counts_equal_whole_run(self, scheme, attack, init, basis):
+    @pytest.mark.parametrize("block", [4, 8, 4096, 8192])
+    def test_chunked_counts_equal_whole_run(
+        self, monkeypatch, scheme, attack, init, basis, block
+    ):
+        # 5003 rounds: a multiple of neither 4 nor any block size
         config = RunConfig(
-            scheme=scheme, attack=attack, rounds=2500, master_seed=11,
+            scheme=scheme, attack=attack, rounds=5003, master_seed=11,
             init_policy=init, check_basis_policy=basis,
         )
-        flags = _check_flags(config)
-        bounds = [0, 1, 7, 500, 1999, config.rounds]
-        summed = dict.fromkeys(_COUNTS, 0)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            for key, value in _run_chunk(config, lo, flags[lo:hi]).items():
-                summed[key] += value
-        assert summed == _run_chunk(config, 0, flags)
+        whole = _run_counts(config)
+        monkeypatch.setattr(harness, "_BLOCK_ROUNDS", block)
+        assert _run_counts(config) == whole
 
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
     def test_tree_build_kernel_calls_bounded_per_level(
@@ -291,7 +297,7 @@ class TestTreeWalk:
         results, _ = attack_mc_runs
         for (scheme, attack), pinned in SEED42_COUNTS.items():
             config = RunConfig(scheme=scheme, attack=attack, rounds=100_000, master_seed=42)
-            assert _run_chunk(config, 0, _check_flags(config)) == pinned
+            assert _run_counts(config) == pinned
             stats = results[(scheme, attack)]
             assert stats.check_rounds == pinned["check_rounds"]
             assert stats.check_errors == pinned["check_errors"]
