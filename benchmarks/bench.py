@@ -107,7 +107,7 @@ def measure() -> tuple[list[dict], float]:
             scheme=scheme, attack=attack, rounds=ROUNDS, check_fraction=0.5,
             init_policy=init, check_basis_policy=basis,
         )
-        flags = _check_flags(config)
+        flags = _check_flags(config, 0, config.rounds)
         draws = _draw_block(config.master_seed, 0, ROUNDS)
         rows = (np.ascontiguousarray(draws[flags]), np.ascontiguousarray(draws[~flags]))
         cases.append((config, rows, {"build_ms": [], "walk_ms": [], "exact_ms": []}))

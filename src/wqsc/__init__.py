@@ -14,7 +14,6 @@ from .attacks import (
     EveNote,
     NO_ATTACK,
     PublicTranscript,
-    apply_attack,
     attack_branches,
     eve_guess,
 )
@@ -27,16 +26,7 @@ from .harness import (
     exact_analyze,
     run_monte_carlo,
 )
-from .protocol import (
-    CaoRoundConfig,
-    PresentRoundConfig,
-    RoundRecord,
-    cao_check_error,
-    cao_round,
-    check_consistent,
-    present_round,
-    recover_bit,
-)
+from .protocol import cao_check_error, check_consistent, recover_bit
 from .qstate import (
     BasisKind,
     BellLabel,
@@ -64,7 +54,6 @@ __all__ = [
     "AttackModel",
     "BasisKind",
     "BellLabel",
-    "CaoRoundConfig",
     "EveNote",
     "ExactResult",
     "Gate1Q",
@@ -72,30 +61,25 @@ __all__ = [
     "MeasurementBasis",
     "NO_ATTACK",
     "Outcome",
-    "PresentRoundConfig",
     "PublicTranscript",
-    "RoundRecord",
     "RunConfig",
     "RunStats",
     "StateLabel",
     "StateVector",
     "WqscError",
     "apply_1q",
-    "apply_attack",
     "apply_cnot",
     "attack_branches",
     "bell_basis",
     "binomial_ci",
     "build",
     "cao_check_error",
-    "cao_round",
     "check_consistent",
     "distribution",
     "eve_guess",
     "exact_analyze",
     "make_state",
     "measure",
-    "present_round",
     "recover_bit",
     "run_monte_carlo",
     "states_equal",

@@ -4,10 +4,11 @@ Each attack consumes the qubits a sender puts on the channel and yields
 the forwarded state plus Eve's classical side information (:class:`EveNote`).
 :func:`attack_rows` applies the attack to a stack of states at once (one
 row per node of a branch-tree level) and yields every outcome's exact
-probability. :func:`attack_branches`, which enumerates the branches of
-one state, and :func:`apply_attack`, which samples one branch for the
-scalar round engines, are one-row calls of it, so sampled rounds and
-exact analysis can never drift apart.
+probability. The branch trees of :mod:`wqsc.harness` call it once per
+tree level, and :func:`attack_branches`, which enumerates the branches
+of one state, is a one-row call of it; the test suite's one-round
+oracle samples a branch from the same call, so sampled rounds and exact
+analysis can never drift apart.
 
 Intercept-resend attacks are realized as measurement collapse: for a
 single-qubit Z or X interception the collapsed state IS the state after
@@ -32,6 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ArityMismatch, CapacityExceeded, IndexOutOfRange, MissingTranscript
+from .protocol import recover_bit
 from .qstate import (
     QUBIT_CAPACITY,
     BasisKind,
@@ -42,10 +44,8 @@ from .qstate import (
     _wrap,
     apply_cnot_rows,
     basis_ket,
-    collapse_one,
     measurement_rows,
     nonzero_branches,
-    sample_index,
     tensor_rows,
     x_basis,
     z_basis,
@@ -78,8 +78,8 @@ class AttackModel:
 
     @property
     def samples(self) -> bool:
-        """True iff :func:`apply_attack` measures the transit qubits,
-        consuming one uniform from the round's stream."""
+        """True iff the attack measures the transit qubits, so that a
+        round spends one uniform of its draw row on Eve's outcome."""
         return self.kind not in (AttackKind.NONE, AttackKind.CNOT_ANCILLA)
 
 
@@ -215,23 +215,6 @@ def attack_branches(
     ]
 
 
-def apply_attack(
-    model: AttackModel, state: StateVector, transit_qubits: tuple[int, ...], rng
-) -> tuple[StateVector, EveNote | None]:
-    """Sample one branch of the attack channel.
-
-    Distributionally identical to drawing from :func:`attack_branches`,
-    but forwards only the sampled outcome. Only an attack that measures
-    draws from ``rng``.
-    """
-    if model.kind is AttackKind.NONE:
-        return state, None
-    probs, forward = attack_rows(model, state.amplitudes[None], transit_qubits)
-    i = sample_index(probs[0], float(rng.random())) if model.samples else 0
-    amps = collapse_one(forward, i)
-    return _wrap(_qubit_count(amps), amps), attack_note(model, i, state.num_qubits)
-
-
 def eve_guess(
     model: AttackModel, note: EveNote | None, transcript: PublicTranscript
 ) -> int | None:
@@ -262,7 +245,7 @@ def eve_guess(
         # so her bit equals the receiver's result exactly for phi1 rounds
         if transcript.initial_label == StateLabel.PHI1.value:
             bob_equiv = Outcome(BasisKind.Z, note.observed)
-            return protocol.recover_bit(transcript.alice_published, bob_equiv)
+            return recover_bit(transcript.alice_published, bob_equiv)
         return None
 
     if model.kind is AttackKind.INTERCEPT_RESEND_X:
@@ -270,7 +253,7 @@ def eve_guess(
         # the computational basis, so her X bit predicts his result
         if transcript.initial_label == StateLabel.PHI2.value:
             bob_equiv = Outcome(BasisKind.Z, note.observed)
-            return protocol.recover_bit(transcript.alice_published, bob_equiv)
+            return recover_bit(transcript.alice_published, bob_equiv)
         return None
 
     # cnot ancilla: in phi1 rounds the ancilla is a classical copy of the
@@ -279,10 +262,6 @@ def eve_guess(
         return None
     if transcript.initial_label == StateLabel.PHI1.value:
         bob_equiv = Outcome(BasisKind.Z, str(note.ancilla_outcome))
-        return protocol.recover_bit(transcript.alice_published, bob_equiv)
+        return recover_bit(transcript.alice_published, bob_equiv)
     return None
 
-
-# protocol imports this module, so it is bound last, as a module whose
-# attributes are looked up when eve_guess runs
-from . import protocol  # noqa: E402

@@ -21,9 +21,9 @@ analyses read the same trees:
   numpy array operations: each tree level matches one column of the
   round's draw row against its nodes' cumulative probabilities, so no
   Python code runs per round, and the leaves are weighted by their hit
-  counts. Levels consume draws in the order the scalar engines
-  ``present_round`` and ``cao_round`` do, with the same selection rules,
-  so a walk reproduces the round those engines play on the same draws.
+  counts. Levels consume draws in the order of the round's steps, with
+  fixed selection rules, so a walk reproduces the round that the test
+  suite's one-round oracle plays on the same draw row.
   The draws come from a keyed counter generator: Philox keyed by the
   master seed, with every round owning a fixed block of counter
   positions. A run streams its rounds in fixed blocks, so its memory does
@@ -39,8 +39,7 @@ instead.
 
 Serialization: every public result type has a ``*_to_dict`` companion,
 numbers are emitted with 12 significant digits, and ``to_json``/``to_csv``
-render those dicts. The flat :func:`round_record_to_dict` schema is the
-stable wire format for round traces.
+render those dicts.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from .attacks import (
 from .errors import InvalidConfig, InvalidCounts, UnsupportedPair
 from .protocol import (
     CHECK_BASES,
-    RoundRecord,
     _pair_basis,
     cao_check_error,
     cao_keys,
@@ -77,7 +75,6 @@ from .qstate import (
     FLIP,
     HADAMARD,
     Branches,
-    Outcome,
     _basis_tables,
     apply_1q_rows,
     bell_basis,
@@ -260,10 +257,10 @@ class _BranchTree:
     """Finite branch tree of one round, built one level at a time.
 
     Level ``j`` consumes column ``j`` of the round's draw row, so levels
-    are added in the order in which :func:`~wqsc.protocol.present_round`
-    and :func:`~wqsc.protocol.cao_round` consume their draws; a step that
-    draws nothing (preparing states, a gate, a draw-free attack) adds no
-    level.
+    are added in the order in which a round takes its random steps (a
+    present message round: its bit, its initial state, Eve's outcome,
+    the sender's and the receiver's measurements); a step that draws
+    nothing (preparing states, a gate, a draw-free attack) adds no level.
 
     The nodes of the deepest level are built together. Their states are
     the rows of one ``(nodes, 2**n)`` amplitude stack, and each operation
@@ -272,11 +269,12 @@ class _BranchTree:
     (:func:`~wqsc.qstate.branch_rows`, once per distinct basis). These
     compute every node's outcome probabilities, ``ZERO_PROB`` pruning and
     collapse with the code that :func:`~wqsc.qstate.measure` and
-    :func:`~wqsc.attacks.apply_attack` run on one row, so a walk reaches
-    the leaf the scalar engines reach on the same draw row. A level's
-    collapsed states are computed only when a later operation reads them,
-    so the last measurement of a round collapses nothing. Nothing is
-    cached: every run and every exact analysis builds its own trees.
+    :func:`~wqsc.attacks.attack_branches` run on one row, so a walk
+    reaches the leaf that a round played one state at a time (the test
+    suite's oracle) reaches on the same draw row. A level's collapsed
+    states are computed only when a later operation reads them, so the
+    last measurement of a round collapses nothing. Nothing is cached:
+    every run and every exact analysis builds its own trees.
 
     A node's classical values (message bit, outcomes, Eve's note) are a
     dict per node; :meth:`finish` turns the last level's nodes into
@@ -647,13 +645,11 @@ def _draw_block(master_seed: int, start: int, count: int) -> np.ndarray:
     return np.random.Generator(bitgen).random((count, _DRAWS_PER_ROUND))
 
 
-def _check_flags(config: RunConfig, start: int = 0, count: int | None = None) -> np.ndarray:
-    """Check/message assignment of rounds [start, start+count), by default
-    the rest of the run, from the master mode stream; ``start`` is a
-    multiple of 4. If the stream flags no round of the run, round 0 is a
-    check round: a block 0 with no check flag scans later blocks for one."""
-    if count is None:
-        count = config.rounds - start
+def _check_flags(config: RunConfig, start: int, count: int) -> np.ndarray:
+    """Check/message assignment of rounds [start, start+count) from the
+    master mode stream; ``start`` is a multiple of 4. If the stream flags
+    no round of the run, round 0 is a check round: a block 0 with no check
+    flag scans later blocks for one."""
     bitgen = np.random.Philox(key=np.array([config.master_seed, _MODE_STREAM_TAG], np.uint64))
     bitgen.advance(start // 4)
     flags = np.random.Generator(bitgen).random(count) < config.check_fraction
@@ -777,35 +773,6 @@ def identity_reports_to_dict(reports: list[IdentityReport]) -> dict:
             for r in reports
         ],
         "all_passed": all(r.passed for r in reports),
-    }
-
-
-def round_record_to_dict(record: RoundRecord) -> dict:
-    """Stable flat wire format for one round trace."""
-
-    def outcome_str(outcome: Outcome | None) -> str | None:
-        return None if outcome is None else outcome.value
-
-    note = record.eve_note
-    return {
-        "scheme": record.scheme,
-        "mode": record.mode,
-        "initial": record.initial,
-        "message_bit": record.message_bit,
-        "alice_encoding": record.alice_encoding,
-        "eve_basis": None if note is None else note.basis,
-        "eve_observed": None if note is None else note.observed,
-        "eve_ancilla_outcome": None if note is None else note.ancilla_outcome,
-        "bob_decoded": record.bob_decoded,
-        "alice_outcome": outcome_str(record.alice_outcome),
-        "bob_outcome": outcome_str(record.bob_outcome),
-        "check_basis": record.check_basis,
-        "check_pass": record.check_pass,
-        "recovered_bit": record.recovered_bit,
-        "alice_key": record.alice_key,
-        "bob_key": record.bob_key,
-        "ciphertext": record.ciphertext,
-        "eve_guess": "unknown" if record.eve_guess is None else record.eve_guess,
     }
 
 

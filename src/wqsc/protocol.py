@@ -1,4 +1,4 @@
-"""Executable round engines for the two W-state communication schemes.
+"""The rules of the two W-state communication schemes.
 
 Present scheme (three qubits, identifiers ``present``): the sender keeps
 qubits 1,2 and transmits qubit 3. Each round starts from ``phi1`` or
@@ -7,52 +7,39 @@ transmission (identity for 0, the double-basis flip for 1); after the
 initial state is announced the receiver Hadamards qubit 3 when it was
 ``phi2``. Check rounds carry no encoding: both sides measure in the
 computational basis and test the correlation (sender ``10``/``01`` forces
-receiver ``0``, sender ``00`` forces ``1``). Message rounds publish the
-sender's two-qubit result and the receiver recovers the bit from the
-correlation table.
+receiver ``0``, sender ``00`` forces ``1``, :func:`check_consistent`).
+Message rounds publish the sender's two-qubit result and the receiver
+recovers the bit from the correlation table (:func:`recover_bit`).
 
 Cao scheme (four qubits, identifier ``cao``): each round is a fresh
 ``w4`` with qubits 3,4 in transit. Check rounds measure both pairs in a
 randomly chosen basis (Z, X or Bell) and flag outcomes that are
-impossible for the ideal state; the impossible set is derived from the
-exact distribution, never hard-coded. Key rounds Bell-measure both pairs,
-map the sender's label to a key bit (``psi+`` -> 0, ``phi+/-`` -> 1) and
-the receiver's to the complementary map, then demonstrate one-time-pad
-transfer of a message bit through the announced ciphertext.
+impossible for the ideal state (:func:`cao_check_error`); the impossible
+set is derived from the exact distribution, never hard-coded. Key rounds
+Bell-measure both pairs, map the sender's label to a key bit (``psi+`` ->
+0, ``phi+/-`` -> 1) and the receiver's to the complementary map
+(:func:`cao_keys`), then demonstrate one-time-pad transfer of a message
+bit through the announced ciphertext.
 
-Every round is a pure function of (config, rng stream) and returns a full
-:class:`RoundRecord` trace.
+A round itself is played only as a branch tree in :mod:`wqsc.harness`,
+whose leaves these rules classify; the test suite's oracle replays
+rounds one at a time as an independent reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .attacks import (
-    AttackModel,
-    CAO_ATTACKS,
-    EveNote,
-    NO_ATTACK,
-    PRESENT_ATTACKS,
-    PublicTranscript,
-    apply_attack,
-    eve_guess,
-)
-from .errors import BasisMismatch, InvalidConfig, InvalidOutcome
+from .errors import BasisMismatch, InvalidOutcome
 from .qstate import (
     BasisKind,
     BellLabel,
-    FLIP,
-    HADAMARD,
     MeasurementBasis,
     Outcome,
     ZERO_PROB,
-    apply_1q,
     bell_basis,
     branches,
     distribution,
-    measure,
     x_basis,
     z_basis,
 )
@@ -63,76 +50,6 @@ CHECK_BASES = ("z", "x", "bell")
 # Bell-label key maps for the Cao scheme
 _ALICE_KEY = {BellLabel.PSI_PLUS.value: 0, BellLabel.PHI_PLUS.value: 1, BellLabel.PHI_MINUS.value: 1}
 _BOB_KEY = {BellLabel.PHI_PLUS.value: 0, BellLabel.PHI_MINUS.value: 0, BellLabel.PSI_PLUS.value: 1}
-
-
-@dataclass(frozen=True)
-class PresentRoundConfig:
-    initial: str = "random"  # "phi1", "phi2" or "random"
-    mode: str = "check"  # "check" or "message"
-    message_bit: int | None = None
-    attack: AttackModel = NO_ATTACK
-
-    def __post_init__(self) -> None:
-        if self.initial not in ("random", StateLabel.PHI1.value, StateLabel.PHI2.value):
-            raise InvalidConfig(f"initial must be phi1/phi2/random, got {self.initial!r}")
-        if self.mode not in ("check", "message"):
-            raise InvalidConfig(f"mode must be check or message, got {self.mode!r}")
-        if (self.message_bit is not None) != (self.mode == "message"):
-            raise InvalidConfig("message_bit is required exactly in message mode")
-        if self.message_bit is not None and self.message_bit not in (0, 1):
-            raise InvalidConfig(f"message_bit must be 0 or 1, got {self.message_bit!r}")
-        if self.attack.kind not in PRESENT_ATTACKS:
-            raise InvalidConfig(
-                f"attack {self.attack.kind.value} does not apply to the present scheme"
-            )
-
-
-@dataclass(frozen=True)
-class CaoRoundConfig:
-    mode: str = "check"  # "check" or "key"
-    check_basis: str | None = "random"  # "z", "x", "bell" or "random"
-    message_bit: int | None = None
-    attack: AttackModel = NO_ATTACK
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("check", "key"):
-            raise InvalidConfig(f"mode must be check or key, got {self.mode!r}")
-        if self.mode == "check":
-            if self.check_basis not in ("random", *CHECK_BASES):
-                raise InvalidConfig(f"check_basis must be z/x/bell/random, got {self.check_basis!r}")
-            if self.message_bit is not None:
-                raise InvalidConfig("check rounds carry no message bit")
-        else:
-            if self.check_basis is not None:
-                raise InvalidConfig("check_basis applies only to check rounds")
-            if self.message_bit not in (0, 1):
-                raise InvalidConfig(f"key rounds need message_bit 0 or 1, got {self.message_bit!r}")
-        if self.attack.kind not in CAO_ATTACKS:
-            raise InvalidConfig(
-                f"attack {self.attack.kind.value} does not apply to the Cao scheme"
-            )
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """Full trace of one protocol round."""
-
-    scheme: str
-    mode: str
-    initial: str
-    message_bit: int | None
-    alice_encoding: str | None
-    eve_note: EveNote | None
-    bob_decoded: bool
-    alice_outcome: Outcome
-    bob_outcome: Outcome
-    check_basis: str | None
-    check_pass: bool | None
-    recovered_bit: int | None
-    alice_key: int | None
-    bob_key: int | None
-    ciphertext: int | None
-    eve_guess: int | None  # None = unknown
 
 
 # ---------------------------------------------------------------------------
@@ -172,74 +89,7 @@ def recover_bit(alice_outcome: Outcome, bob_outcome: Outcome) -> int:
 
 
 # ---------------------------------------------------------------------------
-# present-scheme round
-
-
-def present_round(config: PresentRoundConfig, rng) -> RoundRecord:
-    """Execute one round of the three-qubit scheme."""
-    if config.initial == "random":
-        initial = StateLabel.PHI1.value if rng.random() < 0.5 else StateLabel.PHI2.value
-    else:
-        initial = config.initial
-    state = build(initial)
-
-    encoding: str | None = None
-    if config.mode == "message":
-        encoding = "I" if config.message_bit == 0 else "U"
-        if encoding == "U":
-            state = apply_1q(state, 3, FLIP)
-
-    state, note = apply_attack(config.attack, state, (3,), rng)
-
-    bob_decoded = initial == StateLabel.PHI2.value
-    if bob_decoded:
-        state = apply_1q(state, 3, HADAMARD)
-
-    alice_outcome, state, _ = measure(state, z_basis(1, 2), rng)
-    bob_outcome, state, _ = measure(state, z_basis(3), rng)
-
-    check_pass = None
-    recovered = None
-    guess = None
-    if config.mode == "check":
-        check_pass = check_consistent(alice_outcome, bob_outcome)
-    else:
-        recovered = recover_bit(alice_outcome, bob_outcome)
-        if note is not None and note.ancilla_qubit is not None:
-            # Eve measures her ancilla only now, at guess time
-            eps, state, _ = measure(state, z_basis(note.ancilla_qubit), rng)
-            note = replace(note, ancilla_outcome=int(eps.value))
-        transcript = PublicTranscript(
-            scheme="present",
-            mode=config.mode,
-            initial_label=initial,
-            alice_published=alice_outcome,
-            bob_announced=bob_outcome,
-        )
-        guess = eve_guess(config.attack, note, transcript)
-
-    return RoundRecord(
-        scheme="present",
-        mode=config.mode,
-        initial=initial,
-        message_bit=config.message_bit,
-        alice_encoding=encoding,
-        eve_note=note,
-        bob_decoded=bob_decoded,
-        alice_outcome=alice_outcome,
-        bob_outcome=bob_outcome,
-        check_basis=None,
-        check_pass=check_pass,
-        recovered_bit=recovered,
-        alice_key=None,
-        bob_key=None,
-        ciphertext=None,
-        eve_guess=guess,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Cao-scheme round
+# check and key rules (Cao scheme)
 
 
 def _pair_basis(kind: str, qa: int, qb: int) -> MeasurementBasis:
@@ -290,66 +140,3 @@ def cao_keys(alice_outcome: Outcome, bob_outcome: Outcome) -> tuple[int, int]:
             "encoding; impossible under the modeled channels"
         )
     return _ALICE_KEY[alice_outcome.value], _BOB_KEY[bob_outcome.value]
-
-
-def cao_round(config: CaoRoundConfig, rng) -> RoundRecord:
-    """Execute one round of the four-qubit scheme."""
-    state = build(StateLabel.W4)
-    state, note = apply_attack(config.attack, state, (3, 4), rng)
-
-    if config.mode == "check":
-        if config.check_basis == "random":
-            basis_kind = CHECK_BASES[int(rng.random() * 3.0) % 3]
-        else:
-            basis_kind = config.check_basis
-        alice_outcome, state, _ = measure(state, _pair_basis(basis_kind, 1, 2), rng)
-        bob_outcome, state, _ = measure(state, _pair_basis(basis_kind, 3, 4), rng)
-        check_pass = not cao_check_error(basis_kind, alice_outcome, bob_outcome)
-        return RoundRecord(
-            scheme="cao",
-            mode="check",
-            initial=StateLabel.W4.value,
-            message_bit=None,
-            alice_encoding=None,
-            eve_note=note,
-            bob_decoded=False,
-            alice_outcome=alice_outcome,
-            bob_outcome=bob_outcome,
-            check_basis=basis_kind,
-            check_pass=check_pass,
-            recovered_bit=None,
-            alice_key=None,
-            bob_key=None,
-            ciphertext=None,
-            eve_guess=None,
-        )
-
-    alice_outcome, state, _ = measure(state, bell_basis(1, 2), rng)
-    bob_outcome, state, _ = measure(state, bell_basis(3, 4), rng)
-    alice_key, bob_key = cao_keys(alice_outcome, bob_outcome)
-    ciphertext = alice_key ^ config.message_bit
-    recovered = bob_key ^ ciphertext
-    transcript = PublicTranscript(
-        scheme="cao",
-        mode="key",
-        ciphertext=ciphertext,
-    )
-    guess = eve_guess(config.attack, note, transcript)
-    return RoundRecord(
-        scheme="cao",
-        mode="key",
-        initial=StateLabel.W4.value,
-        message_bit=config.message_bit,
-        alice_encoding=None,
-        eve_note=note,
-        bob_decoded=False,
-        alice_outcome=alice_outcome,
-        bob_outcome=bob_outcome,
-        check_basis=None,
-        check_pass=None,
-        recovered_bit=recovered,
-        alice_key=alice_key,
-        bob_key=bob_key,
-        ciphertext=ciphertext,
-        eve_guess=guess,
-    )

@@ -146,8 +146,6 @@ IDENTITY = Gate1Q(np.array([[1, 0], [0, 1]], dtype=complex), name="I")
 # |0> -> -|1>, |1> -> |0>, |+> -> |->, |-> -> -|+>
 FLIP = Gate1Q(np.array([[0, 1], [-1, 0]], dtype=complex), name="U")
 HADAMARD = Gate1Q(np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV, name="H")
-PAULI_X = Gate1Q(np.array([[0, 1], [1, 0]], dtype=complex), name="X")
-PAULI_Z = Gate1Q(np.array([[1, 0], [0, -1]], dtype=complex), name="Z")
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +180,6 @@ class MeasurementBasis:
 
     kind: BasisKind
     qubits: tuple[int, ...]
-
-    def validate(self, state: StateVector) -> None:
-        _basis_tables(self, state.num_qubits)
-
 
 @lru_cache(maxsize=None)
 def z_basis(*qubits: int) -> MeasurementBasis:

@@ -6,17 +6,48 @@ code with the package's kernels, so agreement between the two routes is
 meaningful. Qubit 1 is the most significant index bit, matching the
 package convention.
 
-The scalar round reference replays a run's draw rows through the
-per-round engines ``present_round``/``cao_round``, one round at a time:
-the sampling the Monte Carlo runner's branch-tree walk must reproduce.
+The scalar round reference plays a run's rounds one at a time, one
+state vector per round, each round consuming its draw row in order: the
+sampling the Monte Carlo runner's branch-tree walk must reproduce. Its
+rounds use the package's rules and single-state operations, not the
+branch trees.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from wqsc.attacks import AttackKind, AttackModel
-from wqsc.protocol import CaoRoundConfig, PresentRoundConfig, cao_round, present_round
+from wqsc.attacks import (
+    AttackKind,
+    AttackModel,
+    PublicTranscript,
+    attack_note,
+    attack_rows,
+    eve_guess,
+)
+from wqsc.protocol import (
+    CHECK_BASES,
+    _pair_basis,
+    cao_check_error,
+    cao_keys,
+    check_consistent,
+    recover_bit,
+)
+from wqsc.qstate import (
+    FLIP,
+    HADAMARD,
+    _qubit_count,
+    _wrap,
+    apply_1q,
+    bell_basis,
+    collapse_one,
+    measure,
+    sample_index,
+    z_basis,
+)
+from wqsc.states import build
 
 I2 = np.eye(2, dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -136,39 +167,78 @@ class RoundStream:
         return float(value)
 
 
+def sample_attack(model: AttackModel, state, transit_qubits: tuple[int, ...], rng):
+    """One sampled branch of the attack channel: the forwarded state and
+    Eve's note. Only an attack that measures draws from ``rng``."""
+    if model.kind is AttackKind.NONE:
+        return state, None
+    probs, forward = attack_rows(model, state.amplitudes[None], transit_qubits)
+    i = sample_index(probs[0], float(rng.random())) if model.samples else 0
+    amps = collapse_one(forward, i)
+    return _wrap(_qubit_count(amps), amps), attack_note(model, i, state.num_qubits)
+
+
+def present_round(model: AttackModel, init_policy: str, bit: int | None, rng) -> tuple:
+    """``(message_bit, check_pass, recovered_bit, eve_guess)`` of one
+    round of the three-qubit scheme; ``bit`` None plays a check round."""
+    initial = init_policy
+    if initial == "random":
+        initial = "phi1" if rng.random() < 0.5 else "phi2"
+    state = build(initial)
+    if bit == 1:
+        state = apply_1q(state, 3, FLIP)
+    state, note = sample_attack(model, state, (3,), rng)
+    if initial == "phi2":
+        state = apply_1q(state, 3, HADAMARD)
+    alice, state, _ = measure(state, z_basis(1, 2), rng)
+    bob, state, _ = measure(state, z_basis(3), rng)
+    if bit is None:
+        return (None, check_consistent(alice, bob), None, None)
+    if note is not None and note.ancilla_qubit is not None:
+        # Eve measures her ancilla only now, at guess time
+        ancilla, state, _ = measure(state, z_basis(note.ancilla_qubit), rng)
+        note = replace(note, ancilla_outcome=int(ancilla.value))
+    transcript = PublicTranscript(
+        scheme="present",
+        mode="message",
+        initial_label=initial,
+        alice_published=alice,
+        bob_announced=bob,
+    )
+    return (bit, None, recover_bit(alice, bob), eve_guess(model, note, transcript))
+
+
+def cao_round(model: AttackModel, basis_policy: str, bit: int | None, rng) -> tuple:
+    """``(message_bit, check_pass, recovered_bit, eve_guess)`` of one
+    round of the four-qubit scheme; ``bit`` None plays a check round."""
+    state, note = sample_attack(model, build("w4"), (3, 4), rng)
+    if bit is None:
+        basis = basis_policy
+        if basis == "random":
+            basis = CHECK_BASES[int(rng.random() * 3.0) % 3]
+        alice, state, _ = measure(state, _pair_basis(basis, 1, 2), rng)
+        bob, _, _ = measure(state, _pair_basis(basis, 3, 4), rng)
+        return (None, not cao_check_error(basis, alice, bob), None, None)
+    alice, state, _ = measure(state, bell_basis(1, 2), rng)
+    bob, _, _ = measure(state, bell_basis(3, 4), rng)
+    alice_key, bob_key = cao_keys(alice, bob)
+    ciphertext = alice_key ^ bit
+    transcript = PublicTranscript(scheme="cao", mode="key", ciphertext=ciphertext)
+    return (bit, None, bob_key ^ ciphertext, eve_guess(model, note, transcript))
+
+
 def scalar_round_outcomes(config, flags: np.ndarray, draws: np.ndarray) -> list[tuple]:
     """Per round ``(message_bit, check_pass, recovered_bit, eve_guess)``
-    from the scalar engines, round ``i`` consuming ``draws[i]`` in order:
-    a message round's first draw picks its bit (0 iff ``u < 0.5``)."""
+    from the one-round engines, round ``i`` consuming ``draws[i]`` in
+    order: a message round's first draw picks its bit (0 iff ``u < 0.5``)."""
     model = AttackModel(AttackKind(config.attack))
     if config.scheme == "present":
-        check_cfg = PresentRoundConfig(initial=config.init_policy, mode="check", attack=model)
-        message_cfg = {
-            bit: PresentRoundConfig(
-                initial=config.init_policy, mode="message", message_bit=bit, attack=model
-            )
-            for bit in (0, 1)
-        }
-        run_round = present_round
+        play, policy = present_round, config.init_policy
     else:
-        check_cfg = CaoRoundConfig(
-            mode="check", check_basis=config.check_basis_policy, attack=model
-        )
-        message_cfg = {
-            bit: CaoRoundConfig(mode="key", check_basis=None, message_bit=bit, attack=model)
-            for bit in (0, 1)
-        }
-        run_round = cao_round
-
+        play, policy = cao_round, config.check_basis_policy
     outcomes = []
     for is_check, row in zip(flags, draws):
         rng = RoundStream(row)
-        if is_check:
-            record = run_round(check_cfg, rng)
-        else:
-            bit = 0 if rng.random() < 0.5 else 1
-            record = run_round(message_cfg[bit], rng)
-        outcomes.append(
-            (record.message_bit, record.check_pass, record.recovered_bit, record.eve_guess)
-        )
+        bit = None if is_check else (0 if rng.random() < 0.5 else 1)
+        outcomes.append(play(model, policy, bit, rng))
     return outcomes

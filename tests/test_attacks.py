@@ -6,6 +6,7 @@ import pytest
 from oracle_tools import (
     FixedUniform,
     ket,
+    sample_attack,
     x_projector,
     z_projector,
     project as dense_project,
@@ -17,7 +18,6 @@ from wqsc.attacks import (
     EveNote,
     NO_ATTACK,
     PublicTranscript,
-    apply_attack,
     attack_branches,
     eve_guess,
 )
@@ -45,7 +45,7 @@ class TestBranches:
         state = build("phi1")
         options = attack_branches(NO_ATTACK, state, (3,))
         assert options == [(state, None, 1.0)]
-        forwarded, note = apply_attack(NO_ATTACK, state, (3,), FixedUniform(0.5))
+        forwarded, note = sample_attack(NO_ATTACK, state, (3,), FixedUniform(0.5))
         assert forwarded is state and note is None
 
     def test_ir_z_on_phi2(self):
@@ -92,7 +92,7 @@ class TestBranches:
         with pytest.raises(errors.ArityMismatch):
             attack_branches(CAO_IR, build("phi1"), (3,))
         with pytest.raises(errors.ArityMismatch):
-            apply_attack(CAO_IR, build("phi1"), (3,), FixedUniform(0.1))
+            sample_attack(CAO_IR, build("phi1"), (3,), FixedUniform(0.1))
 
 
 class TestResendEquivalence:
@@ -122,8 +122,8 @@ class TestResendEquivalence:
     def test_sampling_agrees_with_enumeration(self):
         state = build("phi2")
         options = attack_branches(IR_Z, state, (3,))
-        sampled0, note0 = apply_attack(IR_Z, state, (3,), FixedUniform(0.2))
-        sampled1, note1 = apply_attack(IR_Z, state, (3,), FixedUniform(0.9))
+        sampled0, note0 = sample_attack(IR_Z, state, (3,), FixedUniform(0.2))
+        sampled1, note1 = sample_attack(IR_Z, state, (3,), FixedUniform(0.9))
         assert note0 == options[0][1]
         assert states_equal(sampled0, options[0][0])
         assert note1 == options[1][1]

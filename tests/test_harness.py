@@ -20,13 +20,11 @@ from wqsc.harness import (
     exact_analyze,
     exact_result_to_dict,
     identity_reports_to_dict,
-    round_record_to_dict,
     run_monte_carlo,
     run_stats_to_dict,
     to_csv,
     to_json,
 )
-from wqsc.protocol import PresentRoundConfig, present_round
 from wqsc.states import verify_identities
 
 ATOL = 1e-12
@@ -173,6 +171,26 @@ class TestExactAnalyze:
                 assert total == pytest.approx(1.0, abs=ATOL)
 
 
+class TestRoundTrees:
+    @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
+    def test_leaves_obey_rules(self, scheme, attack, init, basis):
+        # every branch of both trees, so no sampled round can hide one
+        config = RunConfig(
+            scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
+        )
+        for tree in _round_trees(config):
+            for node, leaf in zip(tree.nodes, tree.leaves, strict=True):
+                if scheme == "present":
+                    assert node["alice"].value != "11"
+                if attack != "none":
+                    continue
+                if leaf.check_pass is None:
+                    assert leaf.recovered_bit == leaf.message_bit
+                else:
+                    assert leaf.check_pass is True
+                assert leaf.eve_guess is None
+
+
 class TestRunConfig:
     def test_validation(self):
         with pytest.raises(errors.InvalidConfig):
@@ -193,13 +211,13 @@ class TestRunConfig:
             for seed in range(30)
         ]
         for config in configs:
-            assert _check_flags(config).sum() >= 1
+            assert _check_flags(config, 0, config.rounds).sum() >= 1
         whole = [_run_counts(config) for config in configs]
         # in blocks of 4 the rule still looks at the whole run
         monkeypatch.setattr(harness, "_BLOCK_ROUNDS", 4)
         for config, counts in zip(configs, whole):
             blocked = [_check_flags(config, lo, 4) for lo in range(0, 12, 4)]
-            assert np.array_equal(np.concatenate(blocked), _check_flags(config))
+            assert np.array_equal(np.concatenate(blocked), _check_flags(config, 0, config.rounds))
             assert _run_counts(config) == counts
 
 
@@ -243,7 +261,7 @@ class TestTreeWalk:
                     scheme=scheme, attack=attack, rounds=500, check_fraction=fraction,
                     master_seed=seed, init_policy=init, check_basis_policy=basis,
                 )
-                flags = _check_flags(config)
+                flags = _check_flags(config, 0, config.rounds)
                 draws = _draw_block(seed, 0, config.rounds)
                 walked, hit = self._walk(config, flags, draws)
                 assert walked == scalar_round_outcomes(config, flags, draws), (seed, fraction)
@@ -398,18 +416,3 @@ class TestSerialization:
         csv_text = to_csv(payload)
         assert csv_text.startswith("identity_id,description,deviation,passed,expect")
         assert len(csv_text.strip().splitlines()) == len(payload["reports"]) + 1
-
-    def test_round_record_schema(self):
-        rng = np.random.default_rng(4)
-        record = present_round(
-            PresentRoundConfig(initial="phi1", mode="message", message_bit=0), rng
-        )
-        payload = round_record_to_dict(record)
-        assert list(payload) == [
-            "scheme", "mode", "initial", "message_bit", "alice_encoding",
-            "eve_basis", "eve_observed", "eve_ancilla_outcome", "bob_decoded",
-            "alice_outcome", "bob_outcome", "check_basis", "check_pass",
-            "recovered_bit", "alice_key", "bob_key", "ciphertext", "eve_guess",
-        ]
-        assert payload["eve_guess"] == "unknown"
-        assert payload["alice_outcome"] in ("10", "01", "00")
