@@ -20,7 +20,7 @@ from oracle_tools import (
     z_projector,
 )
 from wqsc import errors, protocol
-from wqsc.harness import exact_analyze
+from wqsc.harness import RunConfig, _round_trees, exact_analyze
 from wqsc.protocol import (
     _allowed_joint_outcomes,
     cao_check_error,
@@ -64,6 +64,26 @@ class TestCorrelationRules:
 
 
 class TestPresentRound:
+    @pytest.mark.parametrize("initial", ["phi1", "phi2"])
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_no_attack_message_rounds_always_recover(self, initial, bit):
+        # every branch of the message tree that sends ``bit``, weighted by
+        # its probability, so no unsampled round can hide a failure
+        config = RunConfig(scheme="present", init_policy=initial)
+        _, message_tree = _round_trees(config)
+        mass = 0.0
+        for node, leaf, m in zip(
+            message_tree.nodes, message_tree.leaves, message_tree.masses, strict=True
+        ):
+            if leaf.message_bit != bit:
+                continue
+            assert node["initial"] == initial
+            assert leaf.recovered_bit == bit
+            assert node["alice"].value != "11"
+            assert leaf.eve_guess is None
+            mass += m
+        assert mass == pytest.approx(0.5, abs=ATOL)
+
     def test_flip_encoding_branch_enumeration(self):
         # encoded bit 1 on phi1: whenever the sender reads 00 the receiver
         # must read 0, and the table recovers 1
