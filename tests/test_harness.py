@@ -57,6 +57,12 @@ def _hexed(value):
     return value
 
 
+# run_stats_to_dict of every valid config at five (seed, rounds, check
+# fraction) points: 500, 1999 and 137 rounds; 70 000 rounds, which span
+# two blocks; and 12 rounds at seed 0 and fraction 0.09, where the mode
+# stream flags no round, so round 0 is forced to be a check round
+MC_COUNTS = json.loads((Path(__file__).parent / "mc_counts.json").read_text())
+
 # counts of the seed-42, 1e5-round acceptance fixture, as the per-round
 # scalar engines produced them
 SEED42_COUNTS = {
@@ -310,6 +316,18 @@ class TestTreeWalk:
         # outcome_index builds a basis's lookup table once (qstate caches it)
         stacked = [name for name in calls if name != "outcome_index"]
         assert len(stacked) <= KERNEL_CALLS_PER_LEVEL * sum(len(tree.levels) for tree in trees)
+
+    def test_seeded_stats_of_every_config_pinned(self):
+        for case in MC_COUNTS:
+            scheme, attack, init, basis = case["config"]
+            config = RunConfig(
+                scheme=scheme, attack=attack, rounds=case["rounds"],
+                check_fraction=case["check_fraction"], master_seed=case["seed"],
+                init_policy=init, check_basis_policy=basis,
+            )
+            assert run_stats_to_dict(run_monte_carlo(config)) == case["stats"], case["config"]
+        forced = [case["stats"] for case in MC_COUNTS if case["rounds"] == 12]
+        assert forced and all(stats["check_rounds"] == 1 for stats in forced)
 
     def test_seed_42_fixture_counts_pinned(self, attack_mc_runs):
         results, _ = attack_mc_runs
