@@ -1,5 +1,5 @@
-"""Per-config cost of the branch-tree layers (tree build, walk, exact
-analysis) and the cost of one long cold run.
+"""Per-config cost of the branch-tree layers (tree build, a short run,
+exact analysis) and the cost of one long cold run.
 
 Usage (from the root of a checkout):
 
@@ -11,9 +11,10 @@ may use, to which it pins itself):
 
 * ``build_ms``: ``_round_trees(config)``, the check-round and
   message-round trees of a run;
-* ``walk_ms``: walking a freshly built pair of trees with the check and
-  message draw rows of a 2000-round run at check fraction 0.5 (a first
-  walk, so it includes any walk tables the trees compile on first use);
+* ``run_ms``: ``_run_counts(config)`` of a 2000-round run at check
+  fraction 0.5 and seed 0: the tree build, its mode flags and draws, the
+  walk (with the walk tables it compiles) and the leaf totals, so the
+  same call times the whole Monte Carlo path of any version;
 * ``exact_ms``: ``exact_analyze`` of the config.
 
 Each figure is the median of ``REPEATS`` (31) runs. Repeats go
@@ -98,26 +99,24 @@ def _timed(call) -> float:
 def measure() -> tuple[list[dict], float]:
     """Per config, the normalized median times; and the median wall time
     of a reference burst, in ms."""
-    import numpy as np
-    from wqsc.harness import RunConfig, _check_flags, _draw_block, _round_trees, exact_analyze
+    from wqsc.harness import RunConfig, _round_trees, _run_counts, exact_analyze
 
-    cases = []
-    for scheme, attack, init, basis in CONFIGS:
-        config = RunConfig(
-            scheme=scheme, attack=attack, rounds=ROUNDS, check_fraction=0.5,
-            init_policy=init, check_basis_policy=basis,
+    cases = [
+        (
+            RunConfig(
+                scheme=scheme, attack=attack, rounds=ROUNDS, check_fraction=0.5,
+                init_policy=init, check_basis_policy=basis,
+            ),
+            {"build_ms": [], "run_ms": [], "exact_ms": []},
         )
-        flags = _check_flags(config, 0, config.rounds)
-        draws = _draw_block(config.master_seed, 0, ROUNDS)
-        rows = (np.ascontiguousarray(draws[flags]), np.ascontiguousarray(draws[~flags]))
-        cases.append((config, rows, {"build_ms": [], "walk_ms": [], "exact_ms": []}))
+        for scheme, attack, init, basis in CONFIGS
+    ]
 
     refs = [burst()]
     for _ in range(REPEATS):
-        for config, rows, times in cases:
+        for config, times in cases:
             build = _timed(lambda: _round_trees(config))
-            trees = _round_trees(config)
-            walk = _timed(lambda: [tree.walk(r) for tree, r in zip(trees, rows)])
+            run = _timed(lambda: _run_counts(config))
             exact = _timed(
                 lambda: exact_analyze(
                     config.scheme, config.attack, config.init_policy, config.check_basis_policy
@@ -126,7 +125,7 @@ def measure() -> tuple[list[dict], float]:
             refs.append(burst())
             scale = REF_NOMINAL_S / ((refs[-2] + refs[-1]) / 2.0)
             times["build_ms"].append(build * scale)
-            times["walk_ms"].append(walk * scale)
+            times["run_ms"].append(run * scale)
             times["exact_ms"].append(exact * scale)
 
     configs = [
@@ -137,7 +136,7 @@ def measure() -> tuple[list[dict], float]:
             "check_basis": config.check_basis_policy,
             **{key: statistics.median(values) for key, values in times.items()},
         }
-        for config, _, times in cases
+        for config, times in cases
     ]
     return configs, statistics.median(refs) * 1e3
 
@@ -176,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     configs, ref_burst_ms = measure()
     cold = cold_run(src)
     totals = {
-        key: sum(case[key] for case in configs) for key in ("build_ms", "walk_ms", "exact_ms")
+        key: sum(case[key] for case in configs) for key in ("build_ms", "run_ms", "exact_ms")
     }
     report = {
         "label": args.label,
@@ -189,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
             "numpy": np.__version__,
         },
         "repeats": REPEATS,
-        "walk_rounds": ROUNDS,
+        "run_rounds": ROUNDS,
         "statistic": (
             "per config, the median over repeats of wall time x REF_NOMINAL_S / "
             "mean of the reference bursts before and after it, in ms"
@@ -205,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     for case in configs:
         print(
             f"{case['scheme']:8}{case['attack']:10}{case['init']:8}{case['check_basis']:8}"
-            f" build {case['build_ms']:7.3f}  walk {case['walk_ms']:7.3f}"
+            f" build {case['build_ms']:7.3f}  run {case['run_ms']:7.3f}"
             f"  exact {case['exact_ms']:7.3f} ms"
         )
     print("totals (ms): " + ", ".join(f"{k} {v:.2f}" for k, v in totals.items()))

@@ -17,13 +17,16 @@ analyses read the same trees:
 
 * the exact analyzer sums the leaves' outcomes weighted by their masses,
   so its check-error and leak rates carry no sampling error;
-* the Monte Carlo runner samples every round by walking the trees with
-  numpy array operations: each tree level matches one column of the
-  round's draw row against its nodes' cumulative probabilities, so no
-  Python code runs per round, and the leaves are weighted by their hit
-  counts. Levels consume draws in the order of the round's steps, with
-  fixed selection rules, so a walk reproduces the round that the test
-  suite's one-round oracle plays on the same draw row.
+* the Monte Carlo runner compiles the check and message trees into one
+  walk table with two roots and walks each block of rounds down it once,
+  a check round from the check tree's root and a message round from the
+  message tree's, with numpy array operations: each level matches one
+  column of the rounds' draw rows against its nodes' cumulative
+  probabilities, so no Python code runs per round, and the leaves are
+  weighted by their hit counts. Levels consume draws in the order of the
+  round's steps, every level with the same selection rule, so a walk
+  reproduces the round that the test suite's one-round oracle plays on
+  the same draw row.
   The draws come from a keyed counter generator: Philox keyed by the
   master seed, with every round owning a fixed block of counter
   positions. A run streams its rounds in fixed blocks, so its memory does
@@ -184,45 +187,68 @@ def binomial_ci(successes: int, trials: int, z: float = 1.96) -> tuple[float, fl
 # ---------------------------------------------------------------------------
 # branch trees
 
-# how a tree level turns a uniform u into a child index
-_BORN = "born"  # first child whose cumulative probability exceeds u
-_THIRDS = "thirds"  # int(u * 3) % 3, the Cao engine's basis choice
-
-
 class _Level(NamedTuple):
     """One draw of a round: the children of every node at one depth, in
     (parent, outcome) order."""
 
-    rule: str
     nodes: int  # nodes at the depth above
     parent: np.ndarray  # per child, the index of its parent node
     prob: np.ndarray  # per child, its branch probability
 
 
-def _walk_tables(levels: list[_Level]) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The tables that walk a tree, with nodes numbered root first, depth
-    by depth: ``thresholds[k, n]``, node ``n``'s cumulative probability up
-    to its child ``k`` (+inf past its last child); ``successor[n, s]``
-    (flattened), the number of node ``n``'s child ``s``, or of its last
-    child for ``s`` beyond it; and per level, the most children a node
-    has."""
-    # the children of all depths, in node order, are nodes 1, 2, ...
+def _walk_tables(trees) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The tables that walk ``trees`` as one, tree ``t``'s root being node
+    ``t``: nodes are numbered roots first, depth by depth, and at every
+    depth the first tree's nodes come first. A tree that ends above the
+    deepest level gets one pass-through child (probability 1) per leaf
+    and level, so its leaves stay leaves, and the leaves of all trees, in
+    tree order, are the deepest nodes. The tables are
+    ``thresholds[k, n]``, node ``n``'s cumulative probability up to its
+    child ``k``, for every child but its last (+inf from there on);
+    ``successor[n, s]`` (flattened), the number of node ``n``'s child
+    ``s``; and per depth, the most children a node has."""
+    levels = [
+        tree.levels[depth] if depth < len(tree.levels)
+        else _Level(len(tree.leaves), np.arange(len(tree.leaves)), np.ones(len(tree.leaves)))
+        for depth in range(max(len(tree.levels) for tree in trees))
+        for tree in trees
+    ]
     offsets = np.cumsum([0] + [level.nodes for level in levels])
     parent = np.concatenate([start + level.parent for start, level in zip(offsets, levels)])
     count = np.bincount(parent, minlength=offsets[-1])
-    first = 1 + np.cumsum(count) - count
+    # the children of all levels, in this order, follow the roots; node
+    # n's first child is the child first[n] among them
+    first = np.cumsum(count) - count
     table = np.zeros((offsets[-1], count.max()))
-    table[parent, np.arange(1, len(parent) + 1) - first[parent]] = np.concatenate(
+    table[parent, np.arange(len(parent)) - first[parent]] = np.concatenate(
         [level.prob for level in levels]
     )
     # zeros pad each row after its children, so a row's sums up to its
-    # last child are those of its children alone
-    thresholds = np.cumsum(table, axis=1)
-    slots = np.arange(table.shape[1] + 1)
-    thresholds[slots[:-1] >= count[:, None]] = np.inf
-    successor = first[:, None] + np.minimum(slots, count[:, None] - 1)
-    widths = [int(count[lo:hi].max()) for lo, hi in zip(offsets[:-1], offsets[1:])]
+    # next to last child are those of its children alone
+    thresholds = np.cumsum(table[:, :-1], axis=1)
+    thresholds[np.arange(table.shape[1] - 1) >= count[:, None] - 1] = np.inf
+    successor = len(trees) + first[:, None] + np.arange(table.shape[1])
+    depths = offsets[:: len(trees)]
+    widths = [int(count[lo:hi].max()) for lo, hi in zip(depths[:-1], depths[1:])]
     return thresholds.T.copy(), successor.ravel(), widths
+
+
+def _walk(tables, roots: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Leaf index reached by each row of ``draws``, row ``i`` walked from
+    root ``roots[i]`` down :func:`_walk_tables`'s ``tables``. Every level
+    picks by the Born rule, as qstate.sample_index does: the first child
+    whose cumulative probability exceeds ``draws[i, level]``, or the last
+    child if none does."""
+    thresholds, successor, widths = tables
+    stride = len(thresholds) + 1
+    node = roots.astype(np.int64)
+    for column, width in enumerate(widths):
+        u = draws[:, column]
+        pick = node * stride
+        for child_thresholds in thresholds[: width - 1]:
+            pick += child_thresholds[node] <= u
+        node = successor[pick]
+    return node - len(successor) // stride
 
 
 class _Leaf(NamedTuple):
@@ -281,7 +307,8 @@ class _BranchTree:
     :class:`_Leaf` values. ``masses[i]`` is the probability of the path to
     node (finally leaf) ``i``: the product of its branch probabilities,
     root first. :meth:`first_branch` reads a subtree off a tree as it
-    grows. The walk's tables are compiled on the first :meth:`walk`.
+    grows. A run walks its trees down the tables that :func:`_walk_tables`
+    compiles from their levels, once per run.
     """
 
     def __init__(self, **root) -> None:
@@ -290,7 +317,6 @@ class _BranchTree:
         self.masses = np.ones(1)
         self.leaves: list[_Leaf] = []
         self._states = None  # the stack, or a function that computes it
-        self._tables = None
 
     @property
     def states(self) -> np.ndarray:
@@ -299,21 +325,21 @@ class _BranchTree:
             self._states = self._states()
         return self._states
 
-    def _grow(self, rule: str, parent: np.ndarray, prob: np.ndarray, children: list, states):
-        self.levels.append(_Level(rule, len(self.nodes), parent, prob))
+    def _grow(self, parent: np.ndarray, prob: np.ndarray, children: list, states):
+        self.levels.append(_Level(len(self.nodes), parent, prob))
         self.masses = self.masses[parent] * prob
         self.nodes = children
         self._states = states
 
-    def choose(self, key: str, values: tuple, rule: str = _BORN) -> None:
+    def choose(self, key: str, values: tuple) -> None:
         """A fair choice of ``key`` among ``values``: one child per value
         under every node, each of probability ``1 / len(values)``. By the
-        Born rule a coin picks ``values[0]`` iff ``u < 0.5``; the thirds
-        rule picks ``values[int(u * 3) % 3]``."""
+        Born rule a coin picks ``values[0]`` iff ``u < 0.5``, and a choice
+        of three picks ``values[int(u * 3) % 3]``."""
         parent = np.arange(len(self.nodes)).repeat(len(values))
         children = [{**node, key: v} for node in self.nodes for v in values]
         states = None if self._states is None else self.states[parent]
-        self._grow(rule, parent, np.full(len(parent), 1.0 / len(values)), children, states)
+        self._grow(parent, np.full(len(parent), 1.0 / len(values)), children, states)
 
     def _branch(self, found: Branches, key: str, values: list) -> None:
         """Add the level of ``found``; a child's ``key`` is
@@ -322,7 +348,7 @@ class _BranchTree:
             {**self.nodes[p], key: values[p][i]}
             for p, i in zip(found.parent.tolist(), found.outcome.tolist())
         ]
-        self._grow(_BORN, found.parent, found.prob, children, found.states)
+        self._grow(found.parent, found.prob, children, found.states)
 
     def step(self, update) -> None:
         """Apply a draw-free transition; ``update(node)`` returns new items."""
@@ -382,7 +408,7 @@ class _BranchTree:
         for level in self.levels[1:]:
             above, count = count, bisect_left(level.parent.tolist(), count)
             parent, prob = level.parent[:count], level.prob[:count]
-            tree.levels.append(_Level(level.rule, above, parent, prob))
+            tree.levels.append(_Level(above, parent, prob))
             tree.masses = tree.masses[parent] * prob
         tree.nodes = self.nodes[:count]
         return tree
@@ -392,27 +418,6 @@ class _BranchTree:
         self.masses = self.masses.tolist()
         self._states = None
         return self
-
-    def walk(self, draws: np.ndarray) -> np.ndarray:
-        """Leaf index reached by each row of ``draws``."""
-        if self._tables is None:
-            self._tables = _walk_tables(self.levels)
-        thresholds, successor, widths = self._tables
-        stride = len(thresholds) + 1
-        node = np.zeros(len(draws), dtype=np.int64)
-        for column, (level, width) in enumerate(zip(self.levels, widths)):
-            u = draws[:, column]
-            pick = node * stride
-            if level.rule == _THIRDS:
-                pick += (u * 3.0).astype(np.int64) % 3
-            else:
-                # searchsorted(cumsum, u, side="right"), node by node; a u
-                # beyond the last cumulative sum falls to the last child,
-                # as in qstate.sample_index
-                for child_thresholds in thresholds[:width]:
-                    pick += child_thresholds[node] <= u
-            node = successor[pick]
-        return node - (len(successor) // stride)
 
 
 def _present_trees(model: AttackModel, init_policy: str) -> tuple[_BranchTree, _BranchTree]:
@@ -469,7 +474,7 @@ def _cao_check_tree(model: AttackModel, basis_policy: str) -> _BranchTree:
     tree.prepare(lambda node: build(StateLabel.W4))
     tree.attack(model, (3, 4))
     if basis_policy == "random":
-        tree.choose("basis", CHECK_BASES, _THIRDS)
+        tree.choose("basis", CHECK_BASES)
     tree.measure("alice", lambda node: _pair_basis(node["basis"], 1, 2))
     tree.measure("bob", lambda node: _pair_basis(node["basis"], 3, 4))
     return _cao_finish_check(tree)
@@ -533,11 +538,11 @@ _COUNTS = (
 )
 
 
-def _leaf_totals(tree: _BranchTree, weights) -> dict:
-    """The run counts of ``tree``'s rounds, leaf ``i`` weighted by
-    ``weights[i]``: its hit count (Monte Carlo) or its mass (exact)."""
+def _leaf_totals(leaves: list[_Leaf], weights) -> dict:
+    """The run counts of rounds ending at ``leaves``, leaf ``i`` weighted
+    by ``weights[i]``: its hit count (Monte Carlo) or its mass (exact)."""
     totals = dict.fromkeys(_COUNTS, 0)
-    for leaf, w in zip(tree.leaves, weights):
+    for leaf, w in zip(leaves, weights):
         if leaf.check_pass is not None:
             totals["check_rounds"] += w
             totals["check_errors"] += 0 if leaf.check_pass else w
@@ -595,13 +600,13 @@ def exact_analyze(
     total_error = 0.0
     for group, tree in check_trees.items():
         # float(): the count is the int 0 when no leaf fails
-        conditional_error[group] = float(_leaf_totals(tree, tree.masses)["check_errors"])
+        conditional_error[group] = float(_leaf_totals(tree.leaves, tree.masses)["check_errors"])
         total_error += (1.0 / len(check_trees)) * conditional_error[group]
 
     conditional_leak = {}
     message = dict.fromkeys(_COUNTS, 0.0)
     for group, tree in message_trees.items():
-        totals = _leaf_totals(tree, tree.masses)
+        totals = _leaf_totals(tree.leaves, tree.masses)
         known = totals["guesses_known"]
         conditional_leak[group] = totals["guesses_correct"] / known if known > 0.0 else 0.0
         for key in _COUNTS:
@@ -662,20 +667,19 @@ def _check_flags(config: RunConfig, start: int, count: int) -> np.ndarray:
 
 def _run_counts(config: RunConfig) -> dict[str, int]:
     """The run's counts: its rounds, ``_BLOCK_ROUNDS`` at a time, walked
-    down the trees, and each tree's leaf hits summed over the blocks."""
+    down one table of both trees, a check round from the check tree's
+    root (node 0) and a message round from the message tree's (node 1),
+    and the leaf hits summed over the blocks."""
     trees = _round_trees(config)
-    hits = [np.zeros(len(tree.leaves), dtype=np.int64) for tree in trees]
+    tables = _walk_tables(trees)
+    leaves = [leaf for tree in trees for leaf in tree.leaves]
+    hits = np.zeros(len(leaves), dtype=np.int64)
     for start in range(0, config.rounds, _BLOCK_ROUNDS):
         count = min(_BLOCK_ROUNDS, config.rounds - start)
-        flags = _check_flags(config, start, count)
+        roots = ~_check_flags(config, start, count)
         draws = _draw_block(config.master_seed, start, count)
-        for tree, total, rows in zip(trees, hits, (draws[flags], draws[~flags])):
-            total += np.bincount(tree.walk(rows), minlength=len(total))
-    counts = dict.fromkeys(_COUNTS, 0)
-    for tree, total in zip(trees, hits):
-        for key, n in _leaf_totals(tree, total.tolist()).items():
-            counts[key] += n
-    return counts
+        hits += np.bincount(_walk(tables, roots, draws), minlength=len(leaves))
+    return _leaf_totals(leaves, hits.tolist())
 
 
 def run_monte_carlo(config: RunConfig, workers: int = 1) -> RunStats:

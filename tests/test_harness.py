@@ -12,10 +12,13 @@ from oracle_tools import scalar_round_outcomes
 from wqsc import _kernels, errors, harness
 from wqsc.harness import (
     RunConfig,
+    _BranchTree,
     _check_flags,
     _draw_block,
     _round_trees,
     _run_counts,
+    _walk,
+    _walk_tables,
     binomial_ci,
     exact_analyze,
     exact_result_to_dict,
@@ -25,6 +28,7 @@ from wqsc.harness import (
     to_csv,
     to_json,
 )
+from wqsc.protocol import CHECK_BASES
 from wqsc.states import verify_identities
 
 ATOL = 1e-12
@@ -248,15 +252,13 @@ class TestDeterminism:
 class TestTreeWalk:
     @staticmethod
     def _walk(config, flags, draws):
-        """Per-round outcomes of the tree walk, and the leaves it reached."""
-        outcomes = [None] * len(flags)
-        reached = set()
-        for which, (tree, mask) in enumerate(zip(_round_trees(config), (flags, ~flags))):
-            rows = np.flatnonzero(mask)
-            for row, leaf in zip(rows, tree.walk(draws[rows]).tolist()):
-                outcomes[row] = tuple(tree.leaves[leaf])
-                reached.add((which, leaf))
-        return outcomes, reached
+        """Per-round outcomes of the run's walk, down the one table of both
+        trees from each round's root as ``_run_counts`` walks them, and the
+        joint leaves it reached."""
+        trees = _round_trees(config)
+        leaves = [leaf for tree in trees for leaf in tree.leaves]
+        reached = _walk(_walk_tables(trees), ~flags, draws).tolist()
+        return [tuple(leaves[leaf]) for leaf in reached], set(reached)
 
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
     def test_walk_replays_scalar_rounds(self, scheme, attack, init, basis):
@@ -272,9 +274,27 @@ class TestTreeWalk:
                 walked, hit = self._walk(config, flags, draws)
                 assert walked == scalar_round_outcomes(config, flags, draws), (seed, fraction)
                 reached |= hit
-        # the replay compared every path of both trees
+        # the replay compared every path of both trees: the joint leaves are
+        # the check leaves, then the message leaves
         check_tree, message_tree = _round_trees(config)
         assert len(reached) == len(check_tree.leaves) + len(message_tree.leaves)
+
+    def test_three_way_choice_picks_as_int_u_times_3(self):
+        # every u = k * 2**-53 within 2**17 steps of 1/3 and of 2/3, and
+        # both ends of [0, 1): the Born thresholds of a fair three-way
+        # choice, also as a walked tree level, pick int(u * 3) % 3, the
+        # oracle's check basis
+        steps = np.arange(-(2**17), 2**17 + 1)
+        k = np.concatenate([round(2**53 / 3) + steps, round(2**54 / 3) + steps, [0, 2**53 - 1]])
+        u = k * 2.0**-53
+        thirds = (u * 3).astype(np.int64) % 3
+        born = (np.cumsum(np.full(3, 1 / 3))[:, None] <= u).sum(axis=0)
+        assert np.array_equal(born, thirds)
+        tree = _BranchTree()
+        tree.choose("basis", CHECK_BASES)
+        tree.finish(lambda node: node["basis"])
+        walked = _walk(_walk_tables([tree]), np.zeros(len(u), dtype=np.int64), u[:, None])
+        assert np.array_equal(walked, thirds)
 
     @pytest.mark.parametrize(
         "scheme,attack,init,basis",
