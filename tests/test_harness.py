@@ -251,7 +251,7 @@ class TestDeterminism:
 
 class TestTreeWalk:
     @staticmethod
-    def _walk(config, flags, draws):
+    def _replay(config, flags, draws):
         """Per-round outcomes of the run's walk, down the one table of both
         trees from each round's root as ``_run_counts`` walks them, and the
         joint leaves it reached."""
@@ -271,7 +271,7 @@ class TestTreeWalk:
                 )
                 flags = _check_flags(config, 0, config.rounds)
                 draws = _draw_block(seed, 0, config.rounds)
-                walked, hit = self._walk(config, flags, draws)
+                walked, hit = self._replay(config, flags, draws)
                 assert walked == scalar_round_outcomes(config, flags, draws), (seed, fraction)
                 reached |= hit
         # the replay compared every path of both trees: the joint leaves are
