@@ -1,6 +1,8 @@
 """Exit codes and output formats of the command line interface."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,19 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# sha256 of stdout for `exact` and `run --rounds 3001 --seed 5 --threshold
+# 0.1` over every valid (scheme, attack, init, check basis) config, and for
+# `identities`, each as JSON and as CSV
+CLI_OUTPUTS = json.loads((Path(__file__).parent / "cli_outputs.json").read_text())
+
+
+def test_every_stdout_pinned(capsys):
+    for case in CLI_OUTPUTS:
+        code, out, _ = run_cli(capsys, *case["argv"])
+        assert code == 0, case["argv"]
+        assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"], case["argv"]
 
 
 class TestExact:
