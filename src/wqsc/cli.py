@@ -18,6 +18,10 @@ import sys
 
 from .errors import InvalidConfig, WqscError
 from .harness import (
+    ATTACKS,
+    CHECK_BASIS_POLICIES,
+    INIT_POLICIES,
+    SCHEMES,
     RunConfig,
     exact_analyze,
     exact_result_to_dict,
@@ -29,8 +33,6 @@ from .harness import (
 )
 from .states import verify_identities
 
-_ATTACK_CHOICES = ("none", "ir-z", "ir-x", "cnot", "cao-ir-z")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; this tool reserves 2 for
@@ -41,19 +43,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags that pick a (scheme, attack, policy) config."""
+    parser.add_argument("--scheme", required=True, choices=SCHEMES)
+    parser.add_argument("--attack", default="none", choices=ATTACKS)
+    parser.add_argument("--init", default="random", choices=INIT_POLICIES)
+    parser.add_argument("--check-basis", default="random", choices=CHECK_BASIS_POLICIES)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wqsc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     run = sub.add_parser("run", help="Monte Carlo simulation")
-    run.add_argument("--scheme", required=True, choices=("present", "cao"))
-    run.add_argument("--attack", default="none", choices=_ATTACK_CHOICES)
+    _add_config_flags(run)
     run.add_argument("--rounds", type=int, default=100_000)
     run.add_argument("--check-fraction", type=float, default=0.5)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--init", default="random", choices=("random", "phi1", "phi2"))
-    run.add_argument("--check-basis", default="random", choices=("random", "z", "x", "bell"))
-    run.add_argument("--format", default="json", choices=("json", "csv"))
     run.add_argument(
         "--threshold",
         type=float,
@@ -62,22 +68,12 @@ def _build_parser() -> _Parser:
     )
 
     exact = sub.add_parser("exact", help="exact branch-enumeration analysis")
-    exact.add_argument("--scheme", required=True, choices=("present", "cao"))
-    exact.add_argument("--attack", default="none", choices=_ATTACK_CHOICES)
-    exact.add_argument("--init", default="random", choices=("random", "phi1", "phi2"))
-    exact.add_argument("--check-basis", default="random", choices=("random", "z", "x", "bell"))
-    exact.add_argument("--format", default="json", choices=("json", "csv"))
+    _add_config_flags(exact)
 
     identities = sub.add_parser("identities", help="verify state decomposition identities")
-    identities.add_argument("--format", default="json", choices=("json", "csv"))
+    for command in (run, exact, identities):
+        command.add_argument("--format", default="json", choices=("json", "csv"))
     return parser
-
-
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(to_json(payload))
-    else:
-        sys.stdout.write(to_csv(payload))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -94,29 +90,27 @@ def main(argv: list[str] | None = None) -> int:
                 master_seed=args.seed,
                 init_policy=args.init,
                 check_basis_policy=args.check_basis,
-                output_format=args.format,
             )
             payload = run_stats_to_dict(run_monte_carlo(config))
             if args.threshold is not None:
                 payload["threshold"] = args.threshold
                 payload["threshold_exceeded"] = payload["error_rate"] > args.threshold
-            _emit(payload, args.format)
-            return 0
-        if args.command == "exact":
+        elif args.command == "exact":
             result = exact_analyze(
-                args.scheme,
-                args.attack,
-                init_policy=args.init,
-                check_basis_policy=args.check_basis,
+                args.scheme, args.attack, init_policy=args.init, check_basis_policy=args.check_basis
             )
-            _emit(exact_result_to_dict(result), args.format)
-            return 0
-        payload = identity_reports_to_dict(verify_identities())
-        _emit(payload, args.format)
-        return 0 if payload["all_passed"] else 2
+            payload = exact_result_to_dict(result)
+        else:
+            payload = identity_reports_to_dict(verify_identities())
     except WqscError as exc:
         print(f"wqsc: error: {exc}", file=sys.stderr)
         return 1
+    if args.format == "json":
+        print(to_json(payload))
+    else:
+        sys.stdout.write(to_csv(payload))
+    # only an identity report can fail
+    return 0 if payload.get("all_passed", True) else 2
 
 
 if __name__ == "__main__":

@@ -40,9 +40,10 @@ and denominator by default and reports the abstention fraction
 separately; set ``unknown_as_half`` to score abstentions as coin flips
 instead.
 
-Serialization: every public result type has a ``*_to_dict`` companion,
-numbers are emitted with 12 significant digits, and ``to_json``/``to_csv``
-render those dicts.
+Serialization: a result is output as its fields in order, floats cut to
+12 significant digits and tuples as lists (``_rounded``); every public
+result type has a ``*_to_dict`` companion that applies this one rule, and
+``to_json``/``to_csv`` render those dicts.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +89,9 @@ from .qstate import (
 from .states import IdentityReport, StateLabel, build
 
 SCHEMES = ("present", "cao")
+ATTACKS = tuple(kind.value for kind in AttackKind)
+INIT_POLICIES = ("random", "phi1", "phi2")  # present scheme
+CHECK_BASIS_POLICIES = ("random", *CHECK_BASES)  # cao scheme
 
 _MODE_STREAM_TAG = 0xFFFFFFFFFFFFFFFF
 _DRAW_STREAM_TAG = 0xFFFFFFFFFFFFFFFE
@@ -104,13 +108,12 @@ class RunConfig:
     rounds: int = 100_000
     check_fraction: float = 0.5
     master_seed: int = 0
-    init_policy: str = "random"  # present scheme: "random", "phi1", "phi2"
-    check_basis_policy: str = "random"  # cao scheme: "random", "z", "x", "bell"
-    output_format: str = "json"
+    init_policy: str = "random"  # one of INIT_POLICIES
+    check_basis_policy: str = "random"  # one of CHECK_BASIS_POLICIES
     unknown_as_half: bool = False
 
     def __post_init__(self) -> None:
-        _validate_pair(self.scheme, self.attack)
+        _validate(self.scheme, self.attack, self.init_policy, self.check_basis_policy)
         if not 1 <= self.rounds <= _MAX_ROUNDS:
             raise InvalidConfig(f"rounds must lie in 1..{_MAX_ROUNDS}, got {self.rounds}")
         if not 0.0 < self.check_fraction < 1.0:
@@ -121,12 +124,6 @@ class RunConfig:
             raise InvalidConfig("check_fraction must yield at least one check round")
         if not 0 <= self.master_seed < 2**64:
             raise InvalidConfig("master_seed must fit in 64 bits")
-        if self.init_policy not in ("random", "phi1", "phi2"):
-            raise InvalidConfig(f"init_policy {self.init_policy!r} invalid")
-        if self.check_basis_policy not in ("random", *CHECK_BASES):
-            raise InvalidConfig(f"check_basis_policy {self.check_basis_policy!r} invalid")
-        if self.output_format not in ("json", "csv"):
-            raise InvalidConfig(f"output_format {self.output_format!r} invalid")
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,7 @@ class ExactResult:
     recovery_accuracy: float
 
 
-def _validate_pair(scheme: str, attack: str) -> AttackModel:
+def _validate(scheme: str, attack: str, init_policy: str, check_basis_policy: str) -> AttackModel:
     if scheme not in SCHEMES:
         raise UnsupportedPair(f"unknown scheme {scheme!r}")
     try:
@@ -170,6 +167,10 @@ def _validate_pair(scheme: str, attack: str) -> AttackModel:
     allowed = PRESENT_ATTACKS if scheme == "present" else CAO_ATTACKS
     if kind not in allowed:
         raise UnsupportedPair(f"attack {attack!r} does not apply to scheme {scheme!r}")
+    if init_policy not in INIT_POLICIES:
+        raise InvalidConfig(f"init_policy {init_policy!r} invalid")
+    if check_basis_policy not in CHECK_BASIS_POLICIES:
+        raise InvalidConfig(f"check_basis_policy {check_basis_policy!r} invalid")
     return AttackModel(kind)
 
 
@@ -430,7 +431,7 @@ def _present_trees(model: AttackModel, init_policy: str) -> tuple[_BranchTree, _
     tree = _BranchTree(initial=init_policy)
     tree.choose("bit", (0, 1))
     if init_policy == "random":
-        tree.choose("initial", (StateLabel.PHI1.value, StateLabel.PHI2.value))
+        tree.choose("initial", INIT_POLICIES[1:])
     tree.prepare(lambda node: build(node["initial"]))
     tree.gate(3, FLIP, lambda node: node["bit"] == 1)
     tree.attack(model, (3,))
@@ -557,6 +558,17 @@ def _leaf_totals(leaves: list[_Leaf], weights) -> dict:
     return totals
 
 
+def _message_rates(totals: dict) -> tuple[float, float, float]:
+    """(recovery accuracy, leak rate, unknown fraction) of the message
+    rounds in ``totals``; the leak rate counts only the rounds in which
+    Eve guesses."""
+    total, known = totals["message_rounds"], totals["guesses_known"]
+    recovery = totals["recovered_correct"] / total if total else 1.0
+    leak = totals["guesses_correct"] / known if known else 0.0
+    unknown_fraction = 1.0 - known / total if total else 1.0
+    return recovery, leak, unknown_fraction
+
+
 # ---------------------------------------------------------------------------
 # exact analyzer
 
@@ -574,21 +586,13 @@ def exact_analyze(
     ``phi2``, or the three check bases) and the groups are weighted
     equally, which yields the per-group conditional rates.
     """
-    model = _validate_pair(scheme, attack)
+    model = _validate(scheme, attack, init_policy, check_basis_policy)
     if scheme == "present":
-        if init_policy not in ("random", "phi1", "phi2"):
-            raise InvalidConfig(f"init_policy {init_policy!r} invalid")
-        groups = (
-            (StateLabel.PHI1.value, StateLabel.PHI2.value)
-            if init_policy == "random"
-            else (init_policy,)
-        )
+        groups = INIT_POLICIES[1:] if init_policy == "random" else (init_policy,)
         trees = {g: _present_trees(model, g) for g in groups}
         check_trees = {g: check for g, (check, _) in trees.items()}
         message_trees = {g: message for g, (_, message) in trees.items()}
     else:
-        if check_basis_policy not in ("random", *CHECK_BASES):
-            raise InvalidConfig(f"check_basis_policy {check_basis_policy!r} invalid")
         groups = CHECK_BASES if check_basis_policy == "random" else (check_basis_policy,)
         bell_check, message = _cao_trees(model, "bell")
         check_trees = {
@@ -607,21 +611,20 @@ def exact_analyze(
     message = dict.fromkeys(_COUNTS, 0.0)
     for group, tree in message_trees.items():
         totals = _leaf_totals(tree.leaves, tree.masses)
-        known = totals["guesses_known"]
-        conditional_leak[group] = totals["guesses_correct"] / known if known > 0.0 else 0.0
+        conditional_leak[group] = _message_rates(totals)[1]
         for key in _COUNTS:
             message[key] += (1.0 / len(message_trees)) * totals[key]
 
-    known, total = message["guesses_known"], message["message_rounds"]
+    recovery, leak, unknown_fraction = _message_rates(message)
     return ExactResult(
         scheme=scheme,
         attack=model.kind.value,
         total_error_rate=total_error,
         conditional_error_rates=conditional_error,
-        leak_rate=message["guesses_correct"] / known if known > 0.0 else 0.0,
-        unknown_fraction=1.0 - known / total if total > 0.0 else 1.0,
+        leak_rate=leak,
+        unknown_fraction=unknown_fraction,
         conditional_leak_rates=conditional_leak,
-        recovery_accuracy=message["recovered_correct"] / total if total > 0.0 else 1.0,
+        recovery_accuracy=recovery,
     )
 
 
@@ -698,13 +701,10 @@ def run_monte_carlo(config: RunConfig, workers: int = 1) -> RunStats:
     message_rounds = counts["message_rounds"]
     error_rate = counts["check_errors"] / check_rounds if check_rounds else 0.0
     ci = binomial_ci(counts["check_errors"], check_rounds) if check_rounds else (0.0, 0.0)
-    recovery = counts["recovered_correct"] / message_rounds if message_rounds else 1.0
-    known = counts["guesses_known"]
+    recovery, leak, unknown_fraction = _message_rates(counts)
     if config.unknown_as_half and message_rounds:
-        leak = (counts["guesses_correct"] + 0.5 * (message_rounds - known)) / message_rounds
-    else:
-        leak = counts["guesses_correct"] / known if known else 0.0
-    unknown_fraction = 1.0 - known / message_rounds if message_rounds else 1.0
+        unknown = message_rounds - counts["guesses_known"]
+        leak = (counts["guesses_correct"] + 0.5 * unknown) / message_rounds
 
     return RunStats(
         scheme=config.scheme,
@@ -725,59 +725,31 @@ def run_monte_carlo(config: RunConfig, workers: int = 1) -> RunStats:
 # serialization
 
 
-def _sig12(value):
+def _rounded(value):
+    """``value`` as output: a float cut to 12 significant digits, a tuple
+    as a list, a dataclass as the dict of its fields in order (its
+    ``vars``: ``__init__`` sets them in that order)."""
     if isinstance(value, float):
         return float(f"{value:.12g}")
+    if isinstance(value, (list, tuple)):
+        return [_rounded(inner) for inner in value]
+    if isinstance(value, dict):
+        return {key: _rounded(inner) for key, inner in value.items()}
+    if is_dataclass(value):
+        return _rounded(vars(value))
     return value
 
 
 def run_stats_to_dict(stats: RunStats) -> dict:
-    return {
-        "scheme": stats.scheme,
-        "attack": stats.attack,
-        "rounds_total": stats.rounds_total,
-        "check_rounds": stats.check_rounds,
-        "check_errors": stats.check_errors,
-        "message_rounds": stats.message_rounds,
-        "error_rate": _sig12(stats.error_rate),
-        "error_rate_ci95": [_sig12(stats.error_rate_ci95[0]), _sig12(stats.error_rate_ci95[1])],
-        "recovery_accuracy": _sig12(stats.recovery_accuracy),
-        "eve_leak_rate": _sig12(stats.eve_leak_rate),
-        "unknown_fraction": _sig12(stats.unknown_fraction),
-    }
+    return _rounded(stats)
 
 
 def exact_result_to_dict(result: ExactResult) -> dict:
-    return {
-        "scheme": result.scheme,
-        "attack": result.attack,
-        "total_error_rate": _sig12(result.total_error_rate),
-        "conditional_error_rates": {
-            k: _sig12(v) for k, v in result.conditional_error_rates.items()
-        },
-        "leak_rate": _sig12(result.leak_rate),
-        "unknown_fraction": _sig12(result.unknown_fraction),
-        "conditional_leak_rates": {
-            k: _sig12(v) for k, v in result.conditional_leak_rates.items()
-        },
-        "recovery_accuracy": _sig12(result.recovery_accuracy),
-    }
+    return _rounded(result)
 
 
 def identity_reports_to_dict(reports: list[IdentityReport]) -> dict:
-    return {
-        "reports": [
-            {
-                "identity_id": r.identity_id,
-                "description": r.description,
-                "deviation": _sig12(r.deviation),
-                "passed": r.passed,
-                "expect": r.expect,
-            }
-            for r in reports
-        ],
-        "all_passed": all(r.passed for r in reports),
-    }
+    return {"reports": _rounded(reports), "all_passed": all(r.passed for r in reports)}
 
 
 def to_json(payload: dict) -> str:

@@ -57,34 +57,27 @@ _BOB_KEY = {BellLabel.PHI_PLUS.value: 0, BellLabel.PHI_MINUS.value: 0, BellLabel
 
 
 def _require_z(outcome: Outcome, width: int, who: str) -> str:
-    if outcome.kind is not BasisKind.Z or len(outcome.value) != width:
+    value = outcome.value
+    if outcome.kind is not BasisKind.Z or len(value) != width or value.strip("01"):
         raise InvalidOutcome(f"{who} outcome must be a {width}-bit Z result, got {outcome}")
-    return outcome.value
+    return value
 
 
 def check_consistent(alice_outcome: Outcome, bob_outcome: Outcome) -> bool:
     """Ideal-channel correlation: sender 10/01 pairs with receiver 0,
-    sender 00 with receiver 1."""
-    alice = _require_z(alice_outcome, 2, "alice")
-    bob = _require_z(bob_outcome, 1, "bob")
-    if alice == "11":
-        # zero amplitude under every modeled evolution; reaching it means
-        # the simulator itself is broken
-        raise InvalidOutcome("alice outcome 11 is impossible in a valid run")
-    if alice not in ("10", "01", "00"):
-        raise InvalidOutcome(f"alice outcome {alice!r} invalid")
-    return bob == ("0" if alice in ("10", "01") else "1")
+    sender 00 with receiver 1. A check round carries no encoding, so it
+    is consistent iff it reads as message bit 0."""
+    return recover_bit(alice_outcome, bob_outcome) == 0
 
 
 def recover_bit(alice_outcome: Outcome, bob_outcome: Outcome) -> int:
     """Receiver's message bit from the published sender result."""
     alice = _require_z(alice_outcome, 2, "alice")
-    bob = _require_z(bob_outcome, 1, "bob")
+    bob_bit = int(_require_z(bob_outcome, 1, "bob"))
     if alice == "11":
+        # zero amplitude under every modeled evolution; reaching it means
+        # the simulator itself is broken
         raise InvalidOutcome("alice outcome 11 is impossible in a valid run")
-    if alice not in ("10", "01", "00"):
-        raise InvalidOutcome(f"alice outcome {alice!r} invalid")
-    bob_bit = int(bob)
     return bob_bit if alice in ("10", "01") else 1 - bob_bit
 
 

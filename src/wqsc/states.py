@@ -109,86 +109,64 @@ def _compare(identity_id: str, description: str, forms: list[StateVector]) -> Id
     return IdentityReport(identity_id, description, deviation, deviation <= ATOL)
 
 
+# the pieces of the expansions below: the single excitation of a pair in
+# Z, in the Bell basis (psi+ against phi+ + phi-) and in X (|++>, ...)
+_PAIR_SUM = _ket("10") + _ket("01")
+_PSI_PLUS = build(StateLabel.BELL_PSI_PLUS).amplitudes
+_PHI_SUM = (
+    build(StateLabel.BELL_PHI_PLUS).amplitudes + build(StateLabel.BELL_PHI_MINUS).amplitudes
+)
+_PP, _PM, _MP, _MM = (np.kron(a, b) for a in (_PLUS, _MINUS) for b in (_PLUS, _MINUS))
+
+
 def _w4_z_form() -> StateVector:
-    pair_sum = _ket("10") + _ket("01")
-    return make_state(4, np.kron(pair_sum, _ket("00")) + np.kron(_ket("00"), pair_sum))
+    return make_state(4, np.kron(_PAIR_SUM, _ket("00")) + np.kron(_ket("00"), _PAIR_SUM))
 
 
 def _w4_bell_form() -> StateVector:
-    psi_p = build(StateLabel.BELL_PSI_PLUS).amplitudes
-    phi_sum = (
-        build(StateLabel.BELL_PHI_PLUS).amplitudes
-        + build(StateLabel.BELL_PHI_MINUS).amplitudes
-    )
-    return make_state(4, np.kron(psi_p, phi_sum) + np.kron(phi_sum, psi_p))
+    return make_state(4, np.kron(_PSI_PLUS, _PHI_SUM) + np.kron(_PHI_SUM, _PSI_PLUS))
 
 
 def _w4_x_form() -> StateVector:
-    pp = np.kron(_PLUS, _PLUS)
-    pm = np.kron(_PLUS, _MINUS)
-    mp = np.kron(_MINUS, _PLUS)
-    mm = np.kron(_MINUS, _MINUS)
     vec = (
-        np.kron(pp, 2 * pp + pm + mp)
-        - np.kron(mm, 2 * mm + pm + mp)
-        + np.kron(pm, pp - mm)
-        + np.kron(mp, pp - mm)
+        np.kron(_PP, 2 * _PP + _PM + _MP)
+        - np.kron(_MM, 2 * _MM + _PM + _MP)
+        + np.kron(_PM, _PP - _MM)
+        + np.kron(_MP, _PP - _MM)
     )
     return make_state(4, vec)
 
 
-def _collapsed_zero_forms() -> list[StateVector]:
-    """Post-attack state with the excitation on the first pair, three ways."""
-    pair_sum = _ket("10") + _ket("01")
-    direct = make_state(4, np.kron(pair_sum, _ket("00")))
-    psi_p = build(StateLabel.BELL_PSI_PLUS).amplitudes
-    phi_sum = (
-        build(StateLabel.BELL_PHI_PLUS).amplitudes
-        + build(StateLabel.BELL_PHI_MINUS).amplitudes
-    )
-    bell = make_state(4, np.kron(psi_p, phi_sum))
-    pp = np.kron(_PLUS, _PLUS)
-    pm = np.kron(_PLUS, _MINUS)
-    mp = np.kron(_MINUS, _PLUS)
-    mm = np.kron(_MINUS, _MINUS)
-    hadamard = make_state(4, np.kron(pp - mm, pp + pm + mp + mm))
-    return [direct, bell, hadamard]
+def _collapsed_forms(excited_pair: int) -> list[StateVector]:
+    """Post-attack state with the excitation on pair ``excited_pair`` (0
+    the first, 1 the second), three ways: in Z, Bell and Hadamard bases."""
 
+    def form(excited: np.ndarray, empty: np.ndarray) -> StateVector:
+        pairs = (excited, empty) if excited_pair == 0 else (empty, excited)
+        return make_state(4, np.kron(*pairs))
 
-def _collapsed_one_forms() -> list[StateVector]:
-    """Same with the excitation on the second pair."""
-    pair_sum = _ket("10") + _ket("01")
-    direct = make_state(4, np.kron(_ket("00"), pair_sum))
-    psi_p = build(StateLabel.BELL_PSI_PLUS).amplitudes
-    phi_sum = (
-        build(StateLabel.BELL_PHI_PLUS).amplitudes
-        + build(StateLabel.BELL_PHI_MINUS).amplitudes
-    )
-    bell = make_state(4, np.kron(phi_sum, psi_p))
-    pp = np.kron(_PLUS, _PLUS)
-    pm = np.kron(_PLUS, _MINUS)
-    mp = np.kron(_MINUS, _PLUS)
-    mm = np.kron(_MINUS, _MINUS)
-    hadamard = make_state(4, np.kron(pp + pm + mp + mm, pp - mm))
-    return [direct, bell, hadamard]
+    return [
+        form(_PAIR_SUM, _ket("00")),
+        form(_PSI_PLUS, _PHI_SUM),
+        form(_PP - _MM, _PP + _PM + _MP + _MM),
+    ]
 
 
 def _entangled_ancilla_form() -> StateVector:
     """Literal form of phi2 with a fourth qubit copying qubit 3 in Z."""
-    pair_sum = _ket("10") + _ket("01")
-    vec = np.kron(pair_sum, _ket("00") + _ket("11")) + np.kron(
+    vec = np.kron(_PAIR_SUM, _ket("00") + _ket("11")) + np.kron(
         _ket("00"), _ket("00") - _ket("11")
     )
     return make_state(4, vec)
 
 
 def _phi1_split_form() -> StateVector:
-    vec = np.kron(_ket("10") + _ket("01"), _ket("0")) + np.kron(_ket("00"), _ket("1"))
+    vec = np.kron(_PAIR_SUM, _ket("0")) + np.kron(_ket("00"), _ket("1"))
     return make_state(3, vec)
 
 
 def _phi2_split_form() -> StateVector:
-    vec = np.kron(_ket("10") + _ket("01"), _PLUS) + np.kron(_ket("00"), _MINUS)
+    vec = np.kron(_PAIR_SUM, _PLUS) + np.kron(_ket("00"), _MINUS)
     return make_state(3, vec)
 
 
@@ -210,13 +188,13 @@ def verify_identities() -> list[IdentityReport]:
             "collapse_excitation_first_pair",
             "post-measurement branch psi+ x |00>: direct, Bell and Hadamard "
             "expansions agree (normalized)",
-            _collapsed_zero_forms(),
+            _collapsed_forms(0),
         ),
         _compare(
             "collapse_excitation_second_pair",
             "post-measurement branch |00> x psi+: direct, Bell and Hadamard "
             "expansions agree (normalized)",
-            _collapsed_one_forms(),
+            _collapsed_forms(1),
         ),
         _compare(
             "entangling_probe_output",

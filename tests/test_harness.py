@@ -158,6 +158,15 @@ class TestExactAnalyze:
         with pytest.raises(errors.UnsupportedPair):
             exact_analyze("present", "pns")
 
+    def test_policies_checked_as_run_config_checks_them(self):
+        # each scheme reads one policy, yet both must be valid, as in RunConfig
+        for scheme, attack in (("present", "none"), ("cao", "none")):
+            for policies in ({"init_policy": "bogus"}, {"check_basis_policy": "bogus"}):
+                with pytest.raises(errors.InvalidConfig):
+                    RunConfig(scheme=scheme, attack=attack, **policies)
+                with pytest.raises(errors.InvalidConfig):
+                    exact_analyze(scheme, attack, **policies)
+
     def test_branch_tree_mass_sums_to_one(self):
         # path probabilities through attack x sender x receiver multiply
         # and exhaust the distribution

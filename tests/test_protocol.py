@@ -62,6 +62,13 @@ class TestCorrelationRules:
         with pytest.raises(errors.InvalidOutcome):
             check_consistent(Outcome(BasisKind.X, "10"), z_out("0"))
 
+    @pytest.mark.parametrize("rule", [check_consistent, recover_bit])
+    def test_receiver_value_must_be_a_bit(self, rule):
+        for alice in ("10", "01", "00"):
+            for bob in ("2", "x", "-"):
+                with pytest.raises(errors.InvalidOutcome):
+                    rule(z_out(alice), z_out(bob))
+
 
 class TestPresentRound:
     @pytest.mark.parametrize("initial", ["phi1", "phi2"])
