@@ -13,9 +13,7 @@ from .attacks import (
     AttackModel,
     EveNote,
     NO_ATTACK,
-    PublicTranscript,
     attack_branches,
-    eve_guess,
 )
 from .errors import WqscError
 from .harness import (
@@ -61,7 +59,6 @@ __all__ = [
     "MeasurementBasis",
     "NO_ATTACK",
     "Outcome",
-    "PublicTranscript",
     "RunConfig",
     "RunStats",
     "StateLabel",
@@ -76,7 +73,6 @@ __all__ = [
     "cao_check_error",
     "check_consistent",
     "distribution",
-    "eve_guess",
     "exact_analyze",
     "make_state",
     "measure",

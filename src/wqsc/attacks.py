@@ -23,6 +23,12 @@ The entangling probe ("cnot") appends an ancilla qubit in ``|0>`` and
 copies the transit qubit onto it in the computational basis; the ancilla
 stays entangled with the global state and is measured only when Eve forms
 her guess.
+
+This module does not say how Eve guesses the message bit. The branch
+trees of :mod:`wqsc.harness` read her guess off their leaves: her view
+of a round is her note plus the public announcements (never the
+receiver's outcome), and she guesses the bit of larger mass among the
+leaves that show her that view, abstaining at a tie.
 """
 
 from __future__ import annotations
@@ -32,12 +38,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ArityMismatch, CapacityExceeded, IndexOutOfRange, MissingTranscript
-from .protocol import recover_bit
+from .errors import ArityMismatch, CapacityExceeded, IndexOutOfRange
 from .qstate import (
     QUBIT_CAPACITY,
     BasisKind,
-    Outcome,
     StateVector,
     _pair_rest_indices,
     _qubit_count,
@@ -102,18 +106,6 @@ class EveNote:
     observed: str | None = None
     ancilla_qubit: int | None = None
     ancilla_outcome: int | None = None
-
-
-@dataclass(frozen=True)
-class PublicTranscript:
-    """Everything announced on the classical channel during one round."""
-
-    scheme: str
-    mode: str
-    initial_label: str | None = None
-    alice_published: Outcome | None = None
-    bob_announced: Outcome | None = None
-    ciphertext: int | None = None
 
 
 Branch = tuple[StateVector, EveNote | None, float]
@@ -213,55 +205,3 @@ def attack_branches(
         (_wrap(_qubit_count(amps), amps), attack_note(model, i, state.num_qubits), p)
         for i, amps, p in zip(found.outcome.tolist(), found.states(), found.prob.tolist())
     ]
-
-
-def eve_guess(
-    model: AttackModel, note: EveNote | None, transcript: PublicTranscript
-) -> int | None:
-    """Eve's message-bit estimate from her note plus the public transcript.
-
-    Returns 0 or 1 when her side information pins the bit down, None
-    (unknown) otherwise. She guesses only after every announcement of the
-    round is available.
-    """
-    if model.kind is AttackKind.NONE or note is None:
-        return None
-
-    if model.kind is AttackKind.CAO_INTERCEPT_RESEND_Z:
-        if transcript.ciphertext is None:
-            raise MissingTranscript("ciphertext not announced yet")
-        # pair outcome 00 means the key pair stayed with the sender (key 0);
-        # any excitation means the sender's Bell outcome encodes key 1
-        inferred_key = 0 if note.observed == "00" else 1
-        return transcript.ciphertext ^ inferred_key
-
-    if transcript.initial_label is None:
-        raise MissingTranscript("initial state not announced yet")
-    if transcript.alice_published is None:
-        raise MissingTranscript("sender's measurement result not published")
-
-    if model.kind is AttackKind.INTERCEPT_RESEND_Z:
-        # her resent Z eigenstate survives only when no decoding happens,
-        # so her bit equals the receiver's result exactly for phi1 rounds
-        if transcript.initial_label == StateLabel.PHI1.value:
-            bob_equiv = Outcome(BasisKind.Z, note.observed)
-            return recover_bit(transcript.alice_published, bob_equiv)
-        return None
-
-    if model.kind is AttackKind.INTERCEPT_RESEND_X:
-        # for phi2 rounds the receiver Hadamards her resent |+/-> back to
-        # the computational basis, so her X bit predicts his result
-        if transcript.initial_label == StateLabel.PHI2.value:
-            bob_equiv = Outcome(BasisKind.Z, note.observed)
-            return recover_bit(transcript.alice_published, bob_equiv)
-        return None
-
-    # cnot ancilla: in phi1 rounds the ancilla is a classical copy of the
-    # transit qubit, hence of the receiver's measured value
-    if note.ancilla_outcome is None:
-        return None
-    if transcript.initial_label == StateLabel.PHI1.value:
-        bob_equiv = Outcome(BasisKind.Z, str(note.ancilla_outcome))
-        return recover_bit(transcript.alice_published, bob_equiv)
-    return None
-

@@ -53,10 +53,6 @@ class ArityMismatch(WqscError):
     """Attack applied to the wrong number of transit qubits."""
 
 
-class MissingTranscript(WqscError):
-    """Eve's guess requested before the needed public announcements exist."""
-
-
 class UnsupportedPair(WqscError):
     """No analyzer for the requested (scheme, attack) combination."""
 

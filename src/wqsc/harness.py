@@ -33,12 +33,22 @@ analyses read the same trees:
   not grow with the round count, and its results are bit-identical for a
   given config whatever the block size.
 
+Eve's guess is read off a message tree, one rule for every attack. Her
+view of a round is what she sees of it: for the present scheme the
+announced initial state, the sender's published outcome and her note;
+for the cao scheme the ciphertext and her note. Neither view holds the
+receiver's outcome or the sender's Bell label. Among the leaves that
+show her the same view she guesses the message bit of larger mass (the
+Bayes-optimal guess), and abstains where the two masses tie within
+``_TIE_TOLERANCE`` of the view's mass.
+
 Rate conventions: ``error_rate`` is a check-round statistic;
 ``recovery_accuracy`` and ``eve_leak_rate`` are message-round statistics.
 Leak excludes rounds where Eve abstains ("unknown") from both numerator
-and denominator by default and reports the abstention fraction
-separately; set ``unknown_as_half`` to score abstentions as coin flips
-instead.
+and denominator and reports the abstention fraction separately. An
+abstention is a view whose posterior is exactly 1/2, so scoring it as a
+coin flip instead gives ``eve_leak_rate * (1 - unknown_fraction) +
+unknown_fraction / 2``.
 
 Serialization: a result is output as its fields in order, floats cut to
 12 significant digits and tuples as lists (``_rounded``); every public
@@ -51,7 +61,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -61,10 +71,8 @@ from .attacks import (
     AttackModel,
     CAO_ATTACKS,
     PRESENT_ATTACKS,
-    PublicTranscript,
     attack_note,
     attack_rows,
-    eve_guess,
 )
 from .errors import InvalidConfig, InvalidCounts, UnsupportedPair
 from .protocol import (
@@ -96,6 +104,11 @@ CHECK_BASIS_POLICIES = ("random", *CHECK_BASES)  # cao scheme
 _MODE_STREAM_TAG = 0xFFFFFFFFFFFFFFFF
 _DRAW_STREAM_TAG = 0xFFFFFFFFFFFFFFFE
 
+# Eve abstains when her view's two message-bit masses differ by at most
+# this share of the view's mass; every posterior of the modelled attacks
+# is exactly 0, 1/2 or 1, so a tie is a posterior of 1/2
+_TIE_TOLERANCE = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # configuration and results
@@ -110,7 +123,6 @@ class RunConfig:
     master_seed: int = 0
     init_policy: str = "random"  # one of INIT_POLICIES
     check_basis_policy: str = "random"  # one of CHECK_BASIS_POLICIES
-    unknown_as_half: bool = False
 
     def __post_init__(self) -> None:
         _validate(self.scheme, self.attack, self.init_policy, self.check_basis_policy)
@@ -304,7 +316,8 @@ class _BranchTree:
     every run and every exact analysis builds its own trees.
 
     A node's classical values (message bit, outcomes, Eve's note) are a
-    dict per node; :meth:`finish` turns the last level's nodes into
+    dict per node; :meth:`guess` adds Eve's guess to a message tree's
+    nodes, and :meth:`finish` turns the last level's nodes into
     :class:`_Leaf` values. ``masses[i]`` is the probability of the path to
     node (finally leaf) ``i``: the product of its branch probabilities,
     root first. :meth:`first_branch` reads a subtree off a tree as it
@@ -414,6 +427,19 @@ class _BranchTree:
         tree.nodes = self.nodes[:count]
         return tree
 
+    def guess(self, view: tuple[str, ...]) -> None:
+        """Give every node of a message tree Eve's guess: the message bit
+        of larger mass among the nodes whose values of the keys ``view``
+        equal its own, or None (she abstains) where the two masses tie."""
+        masses: dict = {}
+        for node, mass in zip(self.nodes, self.masses.tolist()):
+            masses.setdefault(tuple(node[key] for key in view), [0.0, 0.0])[node["bit"]] += mass
+        guesses = {
+            seen: None if abs(m1 - m0) <= _TIE_TOLERANCE * (m0 + m1) else int(m1 > m0)
+            for seen, (m0, m1) in masses.items()
+        }
+        self.step(lambda node: {"guess": guesses[tuple(node[key] for key in view)]})
+
     def finish(self, leaf) -> "_BranchTree":
         self.leaves = [leaf(node) for node in self.nodes]
         self.masses = self.masses.tolist()
@@ -453,20 +479,12 @@ def _present_trees(model: AttackModel, init_policy: str) -> tuple[_BranchTree, _
         }
         tree.step(lambda node: {"note": notes[node["ancilla"]]})
 
-    def leaf(node):
-        guess = None
-        if node["note"] is not None:
-            transcript = PublicTranscript(
-                scheme="present",
-                mode="message",
-                initial_label=node["initial"],
-                alice_published=node["alice"],
-                bob_announced=node["bob"],
-            )
-            guess = eve_guess(model, node["note"], transcript)
-        return _Leaf(node["bit"], None, recover_bit(node["alice"], node["bob"]), guess)
-
-    return check, tree.finish(leaf)
+    tree.guess(("initial", "alice", "note"))
+    return check, tree.finish(
+        lambda node: _Leaf(
+            node["bit"], None, recover_bit(node["alice"], node["bob"]), node["guess"]
+        )
+    )
 
 
 def _cao_check_tree(model: AttackModel, basis_policy: str) -> _BranchTree:
@@ -509,16 +527,12 @@ def _cao_trees(model: AttackModel, basis_policy: str) -> tuple[_BranchTree, _Bra
     else:
         check = _cao_check_tree(model, basis_policy)
 
-    def leaf(node):
-        alice_key, bob_key = cao_keys(node["alice"], node["bob"])
-        ciphertext = alice_key ^ node["bit"]
-        guess = None
-        if node["note"] is not None:
-            transcript = PublicTranscript(scheme="cao", mode="key", ciphertext=ciphertext)
-            guess = eve_guess(model, node["note"], transcript)
-        return _Leaf(node["bit"], None, bob_key ^ ciphertext, guess)
-
-    return check, tree.finish(leaf)
+    tree.step(lambda node: {"keys": cao_keys(node["alice"], node["bob"])})
+    tree.step(lambda node: {"ciphertext": node["keys"][0] ^ node["bit"]})
+    tree.guess(("ciphertext", "note"))
+    return check, tree.finish(
+        lambda node: _Leaf(node["bit"], None, node["keys"][1] ^ node["ciphertext"], node["guess"])
+    )
 
 
 def _round_trees(config: RunConfig) -> tuple[_BranchTree, _BranchTree]:
@@ -702,9 +716,6 @@ def run_monte_carlo(config: RunConfig, workers: int = 1) -> RunStats:
     error_rate = counts["check_errors"] / check_rounds if check_rounds else 0.0
     ci = binomial_ci(counts["check_errors"], check_rounds) if check_rounds else (0.0, 0.0)
     recovery, leak, unknown_fraction = _message_rates(counts)
-    if config.unknown_as_half and message_rounds:
-        unknown = message_rounds - counts["guesses_known"]
-        leak = (counts["guesses_correct"] + 0.5 * unknown) / message_rounds
 
     return RunStats(
         scheme=config.scheme,
@@ -774,13 +785,12 @@ def _flatten(payload: dict) -> dict:
 def to_csv(payload: dict) -> str:
     """Single-object payloads become header+row; report lists become rows."""
     if "reports" in payload:
-        lines = ["identity_id,description,deviation,passed,expect"]
+        lines = [",".join(field.name for field in fields(IdentityReport))]
         for report in payload["reports"]:
-            desc = '"%s"' % report["description"].replace('"', '""')
-            lines.append(
-                f"{report['identity_id']},{desc},{report['deviation']},"
-                f"{report['passed']},{report['expect']}"
-            )
+            lines.append(",".join(
+                '"%s"' % value.replace('"', '""') if key == "description" else str(value)
+                for key, value in report.items()
+            ))
         return "\n".join(lines) + "\n"
     flat = _flatten(payload)
     header = ",".join(flat)

@@ -10,7 +10,9 @@ The scalar round reference plays a run's rounds one at a time, one
 state vector per round, each round consuming its draw row in order: the
 sampling the Monte Carlo runner's branch-tree walk must reproduce. Its
 rounds use the package's rules and single-state operations, not the
-branch trees.
+branch trees. Eve's guess in these rounds comes from
+:func:`reference_guess`, a rule written by hand per attack, where the
+package reads it off the trees.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from wqsc.attacks import (
-    AttackKind,
-    AttackModel,
-    PublicTranscript,
-    attack_note,
-    attack_rows,
-    eve_guess,
-)
+from wqsc.attacks import AttackKind, AttackModel, attack_note, attack_rows
 from wqsc.protocol import (
     CHECK_BASES,
     _pair_basis,
@@ -38,6 +33,8 @@ from wqsc.protocol import (
 from wqsc.qstate import (
     FLIP,
     HADAMARD,
+    BasisKind,
+    Outcome,
     _qubit_count,
     _wrap,
     apply_1q,
@@ -178,6 +175,33 @@ def sample_attack(model: AttackModel, state, transit_qubits: tuple[int, ...], rn
     return _wrap(_qubit_count(amps), amps), attack_note(model, i, state.num_qubits)
 
 
+def reference_guess(model: AttackModel, note, initial=None, alice=None, ciphertext=None):
+    """Eve's message-bit guess, by hand for each attack, from her note
+    and the round's announcements: the initial state and the sender's
+    published outcome (present scheme) or the ciphertext (cao scheme).
+    Returns None (unknown) where her side information says nothing."""
+    if model.kind is AttackKind.NONE:
+        return None
+    if model.kind is AttackKind.CAO_INTERCEPT_RESEND_Z:
+        # pair outcome 00 means the key pair stayed with the sender (key 0);
+        # any excitation means the sender's Bell outcome encodes key 1
+        return ciphertext ^ (0 if note.observed == "00" else 1)
+    # her resent Z eigenstate survives decoding only in phi1 rounds, her
+    # resent X eigenstate only in phi2 rounds (the receiver's Hadamard
+    # turns it back into a Z eigenstate), and the probe's ancilla is a
+    # copy of the receiver's qubit only in phi1 rounds; there her bit is
+    # the receiver's result
+    if model.kind is AttackKind.CNOT_ANCILLA:
+        readable, bob_value = "phi1", str(note.ancilla_outcome)
+    elif model.kind is AttackKind.INTERCEPT_RESEND_Z:
+        readable, bob_value = "phi1", note.observed
+    else:
+        readable, bob_value = "phi2", note.observed
+    if initial != readable:
+        return None
+    return recover_bit(alice, Outcome(BasisKind.Z, bob_value))
+
+
 def present_round(model: AttackModel, init_policy: str, bit: int | None, rng) -> tuple:
     """``(message_bit, check_pass, recovered_bit, eve_guess)`` of one
     round of the three-qubit scheme; ``bit`` None plays a check round."""
@@ -198,14 +222,8 @@ def present_round(model: AttackModel, init_policy: str, bit: int | None, rng) ->
         # Eve measures her ancilla only now, at guess time
         ancilla, state, _ = measure(state, z_basis(note.ancilla_qubit), rng)
         note = replace(note, ancilla_outcome=int(ancilla.value))
-    transcript = PublicTranscript(
-        scheme="present",
-        mode="message",
-        initial_label=initial,
-        alice_published=alice,
-        bob_announced=bob,
-    )
-    return (bit, None, recover_bit(alice, bob), eve_guess(model, note, transcript))
+    guess = reference_guess(model, note, initial=initial, alice=alice)
+    return (bit, None, recover_bit(alice, bob), guess)
 
 
 def cao_round(model: AttackModel, basis_policy: str, bit: int | None, rng) -> tuple:
@@ -223,8 +241,8 @@ def cao_round(model: AttackModel, basis_policy: str, bit: int | None, rng) -> tu
     bob, _, _ = measure(state, bell_basis(3, 4), rng)
     alice_key, bob_key = cao_keys(alice, bob)
     ciphertext = alice_key ^ bit
-    transcript = PublicTranscript(scheme="cao", mode="key", ciphertext=ciphertext)
-    return (bit, None, bob_key ^ ciphertext, eve_guess(model, note, transcript))
+    guess = reference_guess(model, note, ciphertext=ciphertext)
+    return (bit, None, bob_key ^ ciphertext, guess)
 
 
 def scalar_round_outcomes(config, flags: np.ndarray, draws: np.ndarray) -> list[tuple]:

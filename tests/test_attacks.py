@@ -15,13 +15,11 @@ from wqsc import errors
 from wqsc.attacks import (
     AttackKind,
     AttackModel,
-    EveNote,
     NO_ATTACK,
-    PublicTranscript,
     attack_branches,
-    eve_guess,
 )
-from wqsc.harness import exact_analyze
+from wqsc.harness import RunConfig, _round_trees, exact_analyze
+from wqsc.protocol import cao_keys, recover_bit
 from wqsc.qstate import (
     ATOL,
     BasisKind,
@@ -155,59 +153,50 @@ class TestInvisibility:
             assert attacked[key] == pytest.approx(p, abs=ATOL)
 
 
+def _message_leaves(scheme: str, attack: str, **policy):
+    """(node, leaf) pairs of the message tree of a config."""
+    _, tree = _round_trees(RunConfig(scheme=scheme, attack=attack, **policy))
+    return list(zip(tree.nodes, tree.leaves, strict=True))
+
+
 class TestEveGuess:
     def test_cao_guess_from_pair_outcome(self):
-        note = EveNote(basis="z", observed="00")
-        transcript = PublicTranscript(scheme="cao", mode="key", ciphertext=1)
-        assert eve_guess(CAO_IR, note, transcript) == 1  # 1 xor key 0
+        # pair outcome 00 leaves the sender key 0, so the ciphertext is
+        # the bit; any excitation means key 1
+        for node, leaf in _message_leaves("cao", "cao-ir-z"):
+            ciphertext = cao_keys(node["alice"], node["bob"])[0] ^ leaf.message_bit
+            key = 0 if node["note"].observed == "00" else 1
+            assert leaf.eve_guess == ciphertext ^ key
 
     def test_no_attack_unknown(self):
-        transcript = PublicTranscript(
-            scheme="present",
-            mode="message",
-            initial_label="phi1",
-            alice_published=Outcome(BasisKind.Z, "10"),
-        )
-        assert eve_guess(NO_ATTACK, None, transcript) is None
+        for scheme in ("present", "cao"):
+            for _, leaf in _message_leaves(scheme, "none"):
+                assert leaf.eve_guess is None
 
     def test_ir_z_phi1_guess_follows_recovery_table(self):
-        note = EveNote(basis="z", observed="0")
-        transcript = PublicTranscript(
-            scheme="present",
-            mode="message",
-            initial_label="phi1",
-            alice_published=Outcome(BasisKind.Z, "10"),
-        )
-        assert eve_guess(IR_Z, note, transcript) == 0
+        # her resent Z eigenstate is the receiver's result in phi1 rounds
+        leaves = _message_leaves("present", "ir-z", init_policy="phi1")
+        for node, leaf in leaves:
+            eve_as_bob = Outcome(BasisKind.Z, node["note"].observed)
+            assert leaf.eve_guess == recover_bit(node["alice"], eve_as_bob)
+        assert {leaf.eve_guess for _, leaf in leaves} == {0, 1}
 
     def test_ir_z_phi2_round_unknown(self):
-        note = EveNote(basis="z", observed="0")
-        transcript = PublicTranscript(
-            scheme="present",
-            mode="message",
-            initial_label="phi2",
-            alice_published=Outcome(BasisKind.Z, "10"),
-        )
-        assert eve_guess(IR_Z, note, transcript) is None
-
-    def test_missing_transcript(self):
-        with pytest.raises(errors.MissingTranscript):
-            eve_guess(CAO_IR, EveNote(basis="z", observed="00"),
-                      PublicTranscript(scheme="cao", mode="key"))
-        with pytest.raises(errors.MissingTranscript):
-            eve_guess(IR_Z, EveNote(basis="z", observed="0"),
-                      PublicTranscript(scheme="present", mode="message", initial_label="phi1"))
+        for _, leaf in _message_leaves("present", "ir-z", init_policy="phi2"):
+            assert leaf.eve_guess is None
 
     def test_cao_guess_always_correct_by_enumeration(self):
-        # every attack branch x Alice Bell outcome x message bit
-        for forwarded, note, _ in attack_branches(CAO_IR, build("w4"), (3, 4)):
-            for alice_out, _, _ in branches(forwarded, bell_basis(1, 2)):
-                alice_key = 0 if alice_out.value == "psi+" else 1
-                for bit in (0, 1):
-                    transcript = PublicTranscript(
-                        scheme="cao", mode="key", ciphertext=alice_key ^ bit
-                    )
-                    assert eve_guess(CAO_IR, note, transcript) == bit
+        # every attack branch x sender Bell outcome x message bit
+        seen = set()
+        for node, leaf in _message_leaves("cao", "cao-ir-z"):
+            assert leaf.eve_guess == leaf.message_bit
+            seen.add((node["note"].observed, node["alice"].value, leaf.message_bit))
+        alice_outcomes = {
+            (note.observed, alice_out.value)
+            for forwarded, note, _ in attack_branches(CAO_IR, build("w4"), (3, 4))
+            for alice_out, _, _ in branches(forwarded, bell_basis(1, 2))
+        }
+        assert seen == {(*pair, bit) for pair in alice_outcomes for bit in (0, 1)}
 
     def test_phi2_side_information_is_message_independent(self):
         # joint law of (Eve's bit, Alice's outcome) under ir-z on phi2 is
