@@ -13,7 +13,6 @@ from .attacks import (
     AttackModel,
     EveNote,
     NO_ATTACK,
-    attack_branches,
 )
 from .errors import WqscError
 from .harness import (
@@ -35,9 +34,7 @@ from .qstate import (
     apply_1q,
     apply_cnot,
     bell_basis,
-    distribution,
     make_state,
-    measure,
     states_equal,
     tensor,
     x_basis,
@@ -66,16 +63,13 @@ __all__ = [
     "WqscError",
     "apply_1q",
     "apply_cnot",
-    "attack_branches",
     "bell_basis",
     "binomial_ci",
     "build",
     "cao_check_error",
     "check_consistent",
-    "distribution",
     "exact_analyze",
     "make_state",
-    "measure",
     "recover_bit",
     "run_monte_carlo",
     "states_equal",

@@ -5,10 +5,9 @@ the forwarded state plus Eve's classical side information (:class:`EveNote`).
 :func:`attack_rows` applies the attack to a stack of states at once (one
 row per node of a branch-tree level) and yields every outcome's exact
 probability. The branch trees of :mod:`wqsc.harness` call it once per
-tree level, and :func:`attack_branches`, which enumerates the branches
-of one state, is a one-row call of it; the test suite's one-round
-oracle samples a branch from the same call, so sampled rounds and exact
-analysis can never drift apart.
+tree level, and the test suite's one-round oracle samples a branch from
+the same call on a one-row stack, so sampled rounds and exact analysis
+can never drift apart.
 
 Intercept-resend attacks are realized as measurement collapse: for a
 single-qubit Z or X interception the collapsed state IS the state after
@@ -45,11 +44,9 @@ from .qstate import (
     StateVector,
     _pair_rest_indices,
     _qubit_count,
-    _wrap,
     apply_cnot_rows,
     basis_ket,
     measurement_rows,
-    nonzero_branches,
     tensor_rows,
     x_basis,
     z_basis,
@@ -107,8 +104,6 @@ class EveNote:
     ancilla_qubit: int | None = None
     ancilla_outcome: int | None = None
 
-
-Branch = tuple[StateVector, EveNote | None, float]
 
 _KET0 = basis_ket("0").amplitudes
 
@@ -193,15 +188,3 @@ def _replace_pair(
     # rest_amps and replacement are each unit vectors, so out already is
     return out
 
-
-def attack_branches(
-    model: AttackModel, state: StateVector, transit_qubits: tuple[int, ...]
-) -> list[Branch]:
-    """Enumerate the attack's outcome branches with exact probabilities."""
-    if model.kind is AttackKind.NONE:
-        return [(state, None, 1.0)]
-    found = nonzero_branches(*attack_rows(model, state.amplitudes[None], transit_qubits))
-    return [
-        (_wrap(_qubit_count(amps), amps), attack_note(model, i, state.num_qubits), p)
-        for i, amps, p in zip(found.outcome.tolist(), found.states(), found.prob.tolist())
-    ]

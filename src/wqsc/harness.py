@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import NamedTuple
@@ -126,6 +127,12 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         _validate(self.scheme, self.attack, self.init_policy, self.check_basis_policy)
+        for name in ("rounds", "master_seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}") from None
         if not 1 <= self.rounds <= _MAX_ROUNDS:
             raise InvalidConfig(f"rounds must lie in 1..{_MAX_ROUNDS}, got {self.rounds}")
         if not 0.0 < self.check_fraction < 1.0:
@@ -249,9 +256,8 @@ def _walk_tables(trees) -> tuple[np.ndarray, np.ndarray, list[int]]:
 def _walk(tables, roots: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Leaf index reached by each row of ``draws``, row ``i`` walked from
     root ``roots[i]`` down :func:`_walk_tables`'s ``tables``. Every level
-    picks by the Born rule, as qstate.sample_index does: the first child
-    whose cumulative probability exceeds ``draws[i, level]``, or the last
-    child if none does."""
+    picks by the Born rule: the first child whose cumulative probability
+    exceeds ``draws[i, level]``, or the last child if none does."""
     thresholds, successor, widths = tables
     stride = len(thresholds) + 1
     node = roots.astype(np.int64)
@@ -306,11 +312,10 @@ class _BranchTree:
     is one stacked call for the whole level: a gate on the rows it applies
     to, the attack (:func:`~wqsc.attacks.attack_rows`), or a measurement
     (:func:`~wqsc.qstate.branch_rows`, once per distinct basis). These
-    compute every node's outcome probabilities, ``ZERO_PROB`` pruning and
-    collapse with the code that :func:`~wqsc.qstate.measure` and
-    :func:`~wqsc.attacks.attack_branches` run on one row, so a walk
-    reaches the leaf that a round played one state at a time (the test
-    suite's oracle) reaches on the same draw row. A level's collapsed
+    calls give a row the same outcome probabilities, ``ZERO_PROB`` pruning
+    and collapse whether it is alone or one of many, so a walk reaches the
+    leaf that a round played one state at a time on one-row stacks (the
+    test suite's oracle) reaches on the same draw row. A level's collapsed
     states are computed only when a later operation reads them, so the
     last measurement of a round collapses nothing. Nothing is cached:
     every run and every exact analysis builds its own trees.

@@ -36,10 +36,9 @@ from .qstate import (
     BellLabel,
     MeasurementBasis,
     Outcome,
-    ZERO_PROB,
+    _basis_tables,
     bell_basis,
-    branches,
-    distribution,
+    branch_rows,
     x_basis,
     z_basis,
 )
@@ -97,19 +96,19 @@ def _pair_basis(kind: str, qa: int, qb: int) -> MeasurementBasis:
 def _allowed_joint_outcomes(kind: str) -> frozenset[tuple[str, str]]:
     """Joint (sender pair, receiver pair) outcomes of nonzero probability
     for the ideal four-qubit state, derived from the exact distribution."""
-    ideal = build(StateLabel.W4)
-    allowed: set[tuple[str, str]] = set()
+    ideal = build(StateLabel.W4).amplitudes[None]
     if kind in ("z", "x"):
         basis = z_basis(1, 2, 3, 4) if kind == "z" else x_basis(1, 2, 3, 4)
-        for outcome, prob in distribution(ideal, basis).items():
-            if prob > ZERO_PROB:
-                allowed.add((outcome.value[:2], outcome.value[2:]))
-    else:
-        for alice_out, collapsed, _ in branches(ideal, bell_basis(1, 2)):
-            for bob_out, prob in distribution(collapsed, bell_basis(3, 4)).items():
-                if prob > ZERO_PROB:
-                    allowed.add((alice_out.value, bob_out.value))
-    return frozenset(allowed)
+        labels = [outcome.value for outcome in _basis_tables(basis, 4).labels]
+        found = branch_rows(ideal, basis)
+        return frozenset((labels[i][:2], labels[i][2:]) for i in found.outcome.tolist())
+    alice = branch_rows(ideal, bell_basis(1, 2))
+    bob = branch_rows(alice.states(), bell_basis(3, 4))
+    labels = [outcome.value for outcome in _basis_tables(bell_basis(1, 2), 4).labels]
+    return frozenset(
+        (labels[a], labels[b])
+        for a, b in zip(alice.outcome[bob.parent].tolist(), bob.outcome.tolist())
+    )
 
 
 def cao_check_error(basis: str, alice_outcome: Outcome, bob_outcome: Outcome) -> bool:

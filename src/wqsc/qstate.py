@@ -10,15 +10,16 @@ Measurements are supported in the computational (Z) basis, the Hadamard
 (X) basis with outcomes encoded as bits (0 for ``|+>``, 1 for ``|->``),
 and the Bell basis on an ordered qubit pair. Bell measurement is done by
 direct projection onto the four Bell states, which keeps branch
-probabilities exact. ``distribution`` returns the full exact outcome
-distribution (zero-probability outcomes included); ``measure`` samples one
-branch and returns the collapsed state together with the exact branch
-probability.
+probabilities exact.
 
-Every operation also exists for a *stack*, a ``(rows, 2**n)`` array of
-states (the ``*_rows`` functions and :func:`branch_rows`), which is how
-the branch trees of ``harness`` process a whole level at once. The
-single-state operations are one-row calls of the stack operations.
+Measurement works on a *stack*, a ``(rows, 2**n)`` array of states, one
+per row: :func:`measurement_rows` gives every row's exact outcome
+probabilities (zero-probability outcomes included) and collapses rows on
+demand, and :func:`branch_rows` gives the nonzero-probability branches.
+The branch trees of ``harness`` measure a whole level with one such call
+and sample rounds by walking the finished trees, so this module draws no
+random numbers. Gates have stack forms too (the ``*_rows`` functions),
+of which the single-state gates are one-row calls.
 """
 
 from __future__ import annotations
@@ -299,12 +300,10 @@ def outcome_at(basis: MeasurementBasis, i: int) -> Outcome:
 #
 # A stack is a ``(rows, 2**n)`` amplitude array that holds one n-qubit
 # state per row. Each stack operation is one kernel call per step for all
-# rows, and the StateVector operations above and below are one-row calls
-# of the same code, so a state gets bit-identical results whether it is
-# measured alone or as a row of a stack. Qubit numbers are not checked
-# here; the StateVector operations check them.
-
-_ROW0 = np.zeros(1, dtype=np.int64)
+# rows, and a row gets bit-identical results whether it is a one-row
+# stack (as in the StateVector gates above) or a row of a larger stack.
+# Measurements check their basis (``_basis_tables``); the qubit numbers of
+# gates are checked only by the StateVector operations.
 
 
 def _qubit_count(amps: np.ndarray) -> int:
@@ -384,86 +383,6 @@ def nonzero_branches(probs: np.ndarray, collapse) -> Branches:
 def branch_rows(amps: np.ndarray, basis: MeasurementBasis) -> Branches:
     """The nonzero-probability branches of measuring every row."""
     return nonzero_branches(*measurement_rows(amps, basis))
-
-
-def collapse_one(collapse, i: int) -> np.ndarray:
-    """The state after outcome ``i``, from the ``collapse`` of a
-    one-row stack."""
-    return collapse(_ROW0, np.array([i]))[0]
-
-
-# ---------------------------------------------------------------------------
-# measurement of one state
-
-
-def distribution(state: StateVector, basis: MeasurementBasis) -> dict[Outcome, float]:
-    """Exact outcome distribution, zero-probability outcomes included."""
-    probs, _ = measurement_rows(state.amplitudes[None], basis)
-    return {outcome_at(basis, i): float(p) for i, p in enumerate(probs[0])}
-
-
-def project(
-    state: StateVector, basis: MeasurementBasis, outcome: Outcome
-) -> tuple[float, StateVector | None]:
-    """Exact probability of one outcome and the collapsed state (None if 0)."""
-    _basis_tables(basis, state.num_qubits)
-    if outcome.kind is not basis.kind:
-        raise InvalidBasis(
-            f"outcome kind {outcome.kind} does not match basis {basis.kind}"
-        )
-    if basis.kind is BasisKind.BELL:
-        i = BELL_ORDER.index(BellLabel(outcome.value))
-    elif len(outcome.value) != len(basis.qubits) or set(outcome.value) - {"0", "1"}:
-        raise InvalidBasis(
-            f"outcome {outcome.value!r} is not a {len(basis.qubits)}-bit string"
-        )
-    else:
-        i = int(outcome.value, 2)
-    probs, collapse = measurement_rows(state.amplitudes[None], basis)
-    prob = float(probs[0, i])
-    if prob <= ZERO_PROB:
-        return 0.0, None
-    return prob, _wrap(state.num_qubits, collapse_one(collapse, i))
-
-
-def branches(
-    state: StateVector, basis: MeasurementBasis
-) -> list[tuple[Outcome, StateVector, float]]:
-    """All nonzero-probability branches as (outcome, collapsed, probability)."""
-    found = branch_rows(state.amplitudes[None], basis)
-    return [
-        (outcome_at(basis, i), _wrap(state.num_qubits, amps), p)
-        for i, amps, p in zip(found.outcome.tolist(), found.states(), found.prob.tolist())
-    ]
-
-
-def sample_index(probs: np.ndarray, u: float) -> int:
-    """Index drawn from ``probs``; zero-probability entries are unreachable."""
-    acc = 0.0
-    last_positive = -1
-    for i, p in enumerate(probs):
-        if p <= ZERO_PROB:
-            continue
-        acc += p
-        last_positive = i
-        if u < acc:
-            return i
-    return last_positive
-
-
-def measure(
-    state: StateVector, basis: MeasurementBasis, rng
-) -> tuple[Outcome, StateVector, float]:
-    """Sample one branch: (outcome, collapsed state, exact branch probability).
-
-    ``rng`` needs only a ``random()`` method (``numpy.random.Generator``
-    works). Outcomes with exactly zero probability are never returned.
-    """
-    probs, collapse = measurement_rows(state.amplitudes[None], basis)
-    u = float(rng.random())
-    i = sample_index(probs[0], u)
-    collapsed = _wrap(state.num_qubits, collapse_one(collapse, i))
-    return outcome_at(basis, i), collapsed, float(probs[0, i])
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ package convention.
 The scalar round reference plays a run's rounds one at a time, one
 state vector per round, each round consuming its draw row in order: the
 sampling the Monte Carlo runner's branch-tree walk must reproduce. Its
-rounds use the package's rules and single-state operations, not the
-branch trees. Eve's guess in these rounds comes from
-:func:`reference_guess`, a rule written by hand per attack, where the
-package reads it off the trees.
+rounds use the package's rules and its stacked measurement and attack
+calls on one-row stacks, not the branch trees, and pick each outcome
+with :func:`sample_index`, a scalar Born-rule loop. Eve's guess in these
+rounds comes from :func:`reference_guess`, a rule written by hand per
+attack, where the package reads it off the trees.
 """
 
 from __future__ import annotations
@@ -34,14 +35,14 @@ from wqsc.qstate import (
     FLIP,
     HADAMARD,
     BasisKind,
+    ZERO_PROB,
     Outcome,
     _qubit_count,
     _wrap,
     apply_1q,
     bell_basis,
-    collapse_one,
-    measure,
-    sample_index,
+    measurement_rows,
+    outcome_at,
     z_basis,
 )
 from wqsc.states import build
@@ -164,6 +165,34 @@ class RoundStream:
         return float(value)
 
 
+_ROW0 = np.zeros(1, dtype=np.int64)
+
+
+def sample_index(probs: np.ndarray, u: float) -> int:
+    """Index drawn from ``probs`` by ``u``: the first index whose running
+    sum exceeds ``u``, or the last if none does. Zero-probability entries
+    are unreachable."""
+    acc = 0.0
+    last_positive = -1
+    for i, p in enumerate(probs):
+        if p <= ZERO_PROB:
+            continue
+        acc += p
+        last_positive = i
+        if u < acc:
+            return i
+    return last_positive
+
+
+def sample_measurement(state, basis, rng):
+    """One sampled outcome of measuring ``state`` in ``basis``: the
+    outcome and the collapsed state."""
+    probs, collapse = measurement_rows(state.amplitudes[None], basis)
+    i = sample_index(probs[0], float(rng.random()))
+    collapsed = collapse(_ROW0, np.array([i]))[0]
+    return outcome_at(basis, i), _wrap(state.num_qubits, collapsed)
+
+
 def sample_attack(model: AttackModel, state, transit_qubits: tuple[int, ...], rng):
     """One sampled branch of the attack channel: the forwarded state and
     Eve's note. Only an attack that measures draws from ``rng``."""
@@ -171,7 +200,7 @@ def sample_attack(model: AttackModel, state, transit_qubits: tuple[int, ...], rn
         return state, None
     probs, forward = attack_rows(model, state.amplitudes[None], transit_qubits)
     i = sample_index(probs[0], float(rng.random())) if model.samples else 0
-    amps = collapse_one(forward, i)
+    amps = forward(_ROW0, np.array([i]))[0]
     return _wrap(_qubit_count(amps), amps), attack_note(model, i, state.num_qubits)
 
 
@@ -214,13 +243,13 @@ def present_round(model: AttackModel, init_policy: str, bit: int | None, rng) ->
     state, note = sample_attack(model, state, (3,), rng)
     if initial == "phi2":
         state = apply_1q(state, 3, HADAMARD)
-    alice, state, _ = measure(state, z_basis(1, 2), rng)
-    bob, state, _ = measure(state, z_basis(3), rng)
+    alice, state = sample_measurement(state, z_basis(1, 2), rng)
+    bob, state = sample_measurement(state, z_basis(3), rng)
     if bit is None:
         return (None, check_consistent(alice, bob), None, None)
     if note is not None and note.ancilla_qubit is not None:
         # Eve measures her ancilla only now, at guess time
-        ancilla, state, _ = measure(state, z_basis(note.ancilla_qubit), rng)
+        ancilla, state = sample_measurement(state, z_basis(note.ancilla_qubit), rng)
         note = replace(note, ancilla_outcome=int(ancilla.value))
     guess = reference_guess(model, note, initial=initial, alice=alice)
     return (bit, None, recover_bit(alice, bob), guess)
@@ -234,11 +263,11 @@ def cao_round(model: AttackModel, basis_policy: str, bit: int | None, rng) -> tu
         basis = basis_policy
         if basis == "random":
             basis = CHECK_BASES[int(rng.random() * 3.0) % 3]
-        alice, state, _ = measure(state, _pair_basis(basis, 1, 2), rng)
-        bob, _, _ = measure(state, _pair_basis(basis, 3, 4), rng)
+        alice, state = sample_measurement(state, _pair_basis(basis, 1, 2), rng)
+        bob, _ = sample_measurement(state, _pair_basis(basis, 3, 4), rng)
         return (None, not cao_check_error(basis, alice, bob), None, None)
-    alice, state, _ = measure(state, bell_basis(1, 2), rng)
-    bob, _, _ = measure(state, bell_basis(3, 4), rng)
+    alice, state = sample_measurement(state, bell_basis(1, 2), rng)
+    bob, _ = sample_measurement(state, bell_basis(3, 4), rng)
     alice_key, bob_key = cao_keys(alice, bob)
     ciphertext = alice_key ^ bit
     guess = reference_guess(model, note, ciphertext=ciphertext)

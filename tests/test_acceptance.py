@@ -12,10 +12,18 @@ import time
 
 import numpy as np
 
-from oracle_tools import ket
+from oracle_tools import ket, project, z_projector
 from wqsc import cli
-from wqsc.attacks import AttackKind, AttackModel, attack_branches
-from wqsc.harness import RunConfig, _round_trees, exact_analyze, run_monte_carlo
+from wqsc.attacks import AttackKind, AttackModel, attack_rows
+from wqsc.harness import (
+    RunConfig,
+    _BranchTree,
+    _round_trees,
+    _walk,
+    _walk_tables,
+    exact_analyze,
+    run_monte_carlo,
+)
 from wqsc.qstate import (
     FLIP,
     Gate1Q,
@@ -66,12 +74,13 @@ def test_criterion_3_entangling_probe_rate_and_intermediate_state():
     rate_ok = abs(result.total_error_rate - 0.25) <= TOL
 
     model = AttackModel(AttackKind.CNOT_ANCILLA)
-    [(probed, _, _)] = attack_branches(model, build("phi2"), (3,))
+    _, forward = attack_rows(model, build("phi2").amplitudes[None], (3,))
+    probed = forward(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))[0]
     expected = (
         np.kron(ket("10") + ket("01"), ket("00") + ket("11"))
         + np.kron(ket("00"), ket("00") - ket("11"))
     ) / np.sqrt(6)
-    state_ok = float(np.max(np.abs(probed.amplitudes - expected))) <= TOL
+    state_ok = float(np.max(np.abs(probed - expected))) <= TOL
     _criterion(
         3,
         "exact(present, cnot) total 0.25 and probe output matches the "
@@ -194,17 +203,19 @@ def test_criterion_9_property_battery():
             double_excitations += sum(node["alice"].value == "11" for node in tree.nodes)
     ok &= double_excitations == 0
 
-    # sampled frequencies against the exact law at 5 sigma
-    from wqsc.qstate import distribution, measure
-
+    # frequencies sampled by walking a one-level branch tree of the
+    # measurement, against the dense-projector law at 5 sigma
     state = build("phi2")
-    exact = {o.value: p for o, p in distribution(state, z_basis(3)).items()}
+    exact = {bits: project(state.amplitudes, z_projector(3, (3,), bits))[0] for bits in "01"}
+    tree = _BranchTree()
+    tree.prepare(lambda node: state)
+    tree.measure("outcome", lambda node: z_basis(3))
     n = 100_000
-    counts = {value: 0 for value in exact}
     freq_rng = np.random.default_rng(2024)
-    for _ in range(n):
-        outcome, _, _ = measure(state, z_basis(3), freq_rng)
-        counts[outcome.value] += 1
+    leaves = _walk(_walk_tables([tree]), np.zeros(n, dtype=np.int64), freq_rng.random((n, 1)))
+    counts = dict.fromkeys(exact, 0)
+    for node, hits in zip(tree.nodes, np.bincount(leaves, minlength=len(tree.nodes)).tolist()):
+        counts[node["outcome"].value] = hits
     for value, p in exact.items():
         if p == 0.0:
             ok &= counts[value] == 0

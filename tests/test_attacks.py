@@ -6,6 +6,7 @@ import pytest
 from oracle_tools import (
     FixedUniform,
     ket,
+    max_dev_up_to_phase,
     sample_attack,
     x_projector,
     z_projector,
@@ -16,7 +17,8 @@ from wqsc.attacks import (
     AttackKind,
     AttackModel,
     NO_ATTACK,
-    attack_branches,
+    attack_note,
+    attack_rows,
 )
 from wqsc.harness import RunConfig, _round_trees, exact_analyze
 from wqsc.protocol import cao_keys, recover_bit
@@ -25,10 +27,10 @@ from wqsc.qstate import (
     BasisKind,
     Outcome,
     bell_basis,
-    branches,
+    branch_rows,
     make_state,
-    states_equal,
-    z_basis,
+    nonzero_branches,
+    outcome_at,
 )
 from wqsc.states import build
 
@@ -38,57 +40,57 @@ CNOT_PROBE = AttackModel(AttackKind.CNOT_ANCILLA)
 CAO_IR = AttackModel(AttackKind.CAO_INTERCEPT_RESEND_Z)
 
 
+_ROW0 = np.zeros(1, dtype=np.int64)
+
+
 class TestBranches:
     def test_no_attack_transparent(self):
         state = build("phi1")
-        options = attack_branches(NO_ATTACK, state, (3,))
-        assert options == [(state, None, 1.0)]
+        probs, forward = attack_rows(NO_ATTACK, state.amplitudes[None], (3,))
+        assert np.array_equal(probs, [[1.0]])
+        assert np.array_equal(forward(_ROW0, _ROW0), state.amplitudes[None])
+        assert attack_note(NO_ATTACK, 0, 3) is None
         forwarded, note = sample_attack(NO_ATTACK, state, (3,), FixedUniform(0.5))
         assert forwarded is state and note is None
 
     def test_ir_z_on_phi2(self):
-        options = attack_branches(IR_Z, build("phi2"), (3,))
-        assert len(options) == 2
-        by_bit = {note.observed: (state, prob) for state, note, prob in options}
-        assert by_bit["0"][1] == pytest.approx(0.5, abs=ATOL)
-        assert by_bit["1"][1] == pytest.approx(0.5, abs=ATOL)
+        probs, forward = attack_rows(IR_Z, build("phi2").amplitudes[None], (3,))
+        assert probs[0] == pytest.approx([0.5, 0.5], abs=ATOL)
+        assert [attack_note(IR_Z, i, 3).observed for i in (0, 1)] == ["0", "1"]
+        forwarded = forward(np.zeros(2, dtype=np.int64), np.arange(2))
         expected0 = make_state(3, np.kron(ket("10") + ket("01") + ket("00"), ket("0")))
         expected1 = make_state(3, np.kron(ket("10") + ket("01") - ket("00"), ket("1")))
-        assert states_equal(by_bit["0"][0], expected0)
-        assert states_equal(by_bit["1"][0], expected1)
+        assert max_dev_up_to_phase(forwarded[0], expected0.amplitudes) <= ATOL
+        assert max_dev_up_to_phase(forwarded[1], expected1.amplitudes) <= ATOL
 
     def test_cao_branch_structure(self):
-        options = attack_branches(CAO_IR, build("w4"), (3, 4))
-        by_bits = {note.observed: (state, prob) for state, note, prob in options}
-        assert set(by_bits) == {"00", "10", "01"}
-        assert by_bits["00"][1] == pytest.approx(0.5, abs=ATOL)
-        assert by_bits["10"][1] == pytest.approx(0.25, abs=ATOL)
-        assert by_bits["01"][1] == pytest.approx(0.25, abs=ATOL)
+        found = nonzero_branches(*attack_rows(CAO_IR, build("w4").amplitudes[None], (3, 4)))
+        assert [attack_note(CAO_IR, i, 4).observed for i in found.outcome] == ["00", "01", "10"]
+        assert found.prob == pytest.approx([0.5, 0.25, 0.25], abs=ATOL)
         # forwarded states: psi+ x |00> after outcome 00, |00> x psi+ otherwise
         kept = make_state(4, np.kron(ket("10") + ket("01"), ket("00")))
         swapped = make_state(4, np.kron(ket("00"), ket("10") + ket("01")))
-        assert states_equal(by_bits["00"][0], kept)
-        assert states_equal(by_bits["10"][0], swapped)
-        assert states_equal(by_bits["01"][0], swapped)
+        forwarded = found.states()
+        assert max_dev_up_to_phase(forwarded[0], kept.amplitudes) <= ATOL
+        assert max_dev_up_to_phase(forwarded[1], swapped.amplitudes) <= ATOL
+        assert max_dev_up_to_phase(forwarded[2], swapped.amplitudes) <= ATOL
 
     def test_probe_extends_register(self):
-        options = attack_branches(CNOT_PROBE, build("phi2"), (3,))
-        assert len(options) == 1
-        state, note, prob = options[0]
-        assert prob == 1.0
-        assert state.num_qubits == 4
-        assert note.ancilla_qubit == 4
+        probs, forward = attack_rows(CNOT_PROBE, build("phi2").amplitudes[None], (3,))
+        assert np.array_equal(probs, [[1.0]])
+        assert attack_note(CNOT_PROBE, 0, 3).ancilla_qubit == 4
+        probed = forward(_ROW0, _ROW0)[0]
         expected = (
             np.kron(ket("10") + ket("01"), ket("00") + ket("11"))
             + np.kron(ket("00"), ket("00") - ket("11"))
         ) / np.sqrt(6)
-        assert np.max(np.abs(state.amplitudes - expected)) <= ATOL
+        assert np.max(np.abs(probed - expected)) <= ATOL
 
     def test_arity_checks(self):
         with pytest.raises(errors.ArityMismatch):
-            attack_branches(IR_Z, build("w4"), (3, 4))
+            attack_rows(IR_Z, build("w4").amplitudes[None], (3, 4))
         with pytest.raises(errors.ArityMismatch):
-            attack_branches(CAO_IR, build("phi1"), (3,))
+            attack_rows(CAO_IR, build("phi1").amplitudes[None], (3,))
         with pytest.raises(errors.ArityMismatch):
             sample_attack(CAO_IR, build("phi1"), (3,), FixedUniform(0.1))
 
@@ -106,26 +108,26 @@ class TestResendEquivalence:
     ])
     def test_branch_states_match_discard_and_replace(self, initial, model, projector, fresh):
         state = build(initial)
-        for forwarded, note, prob in attack_branches(model, state, (3,)):
-            proj = projector(3, (3,), note.observed)
+        found = nonzero_branches(*attack_rows(model, state.amplitudes[None], (3,)))
+        for i, forwarded, prob in zip(found.outcome, found.states(), found.prob):
+            observed = attack_note(model, i, 3).observed
+            proj = projector(3, (3,), observed)
             dense_prob, collapsed = dense_project(state.amplitudes, proj)
             assert prob == pytest.approx(dense_prob, abs=ATOL)
             # discard qubit 3 (contract against the observed state) and
             # append a fresh copy of it
-            kept = collapsed.reshape(4, 2) @ fresh[note.observed].conj()
+            kept = collapsed.reshape(4, 2) @ fresh[observed].conj()
             kept = kept / np.linalg.norm(kept)
-            replaced = np.kron(kept, fresh[note.observed])
-            assert np.max(np.abs(forwarded.amplitudes - replaced)) <= ATOL
+            replaced = np.kron(kept, fresh[observed])
+            assert np.max(np.abs(forwarded - replaced)) <= ATOL
 
     def test_sampling_agrees_with_enumeration(self):
         state = build("phi2")
-        options = attack_branches(IR_Z, state, (3,))
-        sampled0, note0 = sample_attack(IR_Z, state, (3,), FixedUniform(0.2))
-        sampled1, note1 = sample_attack(IR_Z, state, (3,), FixedUniform(0.9))
-        assert note0 == options[0][1]
-        assert states_equal(sampled0, options[0][0])
-        assert note1 == options[1][1]
-        assert states_equal(sampled1, options[1][0])
+        found = nonzero_branches(*attack_rows(IR_Z, state.amplitudes[None], (3,)))
+        for u, i, forwarded in zip((0.2, 0.9), found.outcome, found.states()):
+            sampled, note = sample_attack(IR_Z, state, (3,), FixedUniform(u))
+            assert note == attack_note(IR_Z, i, 3)
+            assert np.array_equal(sampled.amplitudes, forwarded)
 
 
 class TestInvisibility:
@@ -137,17 +139,17 @@ class TestInvisibility:
         assert exact_analyze("present", "ir-x").conditional_error_rates["phi2"] == 0.0
 
     def test_ir_z_leaves_phi1_z_statistics_intact(self):
-        ideal = {
-            (a.value, b.value): pa * pb
-            for a, s, pa in branches(build("phi1"), z_basis(1, 2))
-            for b, _, pb in branches(s, z_basis(3))
-        }
-        attacked: dict[tuple[str, str], float] = {}
-        for forwarded, _, p_attack in attack_branches(IR_Z, build("phi1"), (3,)):
-            for a, s, pa in branches(forwarded, z_basis(1, 2)):
-                for b, _, pb in branches(s, z_basis(3)):
-                    key = (a.value, b.value)
-                    attacked[key] = attacked.get(key, 0.0) + p_attack * pa * pb
+        # the joint law of both check outcomes, over every branch of the
+        # check tree with and without the interception
+        laws = []
+        for attack in ("none", "ir-z"):
+            check, _ = _round_trees(RunConfig(scheme="present", attack=attack, init_policy="phi1"))
+            law: dict[tuple[str, str], float] = {}
+            for node, mass in zip(check.nodes, check.masses, strict=True):
+                key = (node["alice"].value, node["bob"].value)
+                law[key] = law.get(key, 0.0) + mass
+            laws.append(law)
+        ideal, attacked = laws
         assert set(ideal) == set(attacked)
         for key, p in ideal.items():
             assert attacked[key] == pytest.approx(p, abs=ATOL)
@@ -191,29 +193,23 @@ class TestEveGuess:
         for node, leaf in _message_leaves("cao", "cao-ir-z"):
             assert leaf.eve_guess == leaf.message_bit
             seen.add((node["note"].observed, node["alice"].value, leaf.message_bit))
+        attacked = nonzero_branches(*attack_rows(CAO_IR, build("w4").amplitudes[None], (3, 4)))
+        alice = branch_rows(attacked.states(), bell_basis(1, 2))
         alice_outcomes = {
-            (note.observed, alice_out.value)
-            for forwarded, note, _ in attack_branches(CAO_IR, build("w4"), (3, 4))
-            for alice_out, _, _ in branches(forwarded, bell_basis(1, 2))
+            (attack_note(CAO_IR, note, 4).observed, outcome_at(bell_basis(1, 2), out).value)
+            for note, out in zip(attacked.outcome[alice.parent].tolist(), alice.outcome.tolist())
         }
         assert seen == {(*pair, bit) for pair in alice_outcomes for bit in (0, 1)}
 
     def test_phi2_side_information_is_message_independent(self):
         # joint law of (Eve's bit, Alice's outcome) under ir-z on phi2 is
         # identical for both message bits, so "unknown" is forced
-        from wqsc.qstate import FLIP, apply_1q
-
-        laws = []
-        for bit in (0, 1):
-            state = build("phi2")
-            if bit:
-                state = apply_1q(state, 3, FLIP)
-            law: dict[tuple[str, str], float] = {}
-            for forwarded, note, p_attack in attack_branches(IR_Z, state, (3,)):
-                for a, _, pa in branches(forwarded, z_basis(1, 2)):
-                    key = (note.observed, a.value)
-                    law[key] = law.get(key, 0.0) + p_attack * pa
-            laws.append(law)
+        _, tree = _round_trees(RunConfig(scheme="present", attack="ir-z", init_policy="phi2"))
+        laws: list[dict[tuple[str, str], float]] = [{}, {}]
+        for node, mass in zip(tree.nodes, tree.masses, strict=True):
+            key = (node["note"].observed, node["alice"].value)
+            law = laws[node["bit"]]
+            law[key] = law.get(key, 0.0) + mass
         assert set(laws[0]) == set(laws[1])
         for key in laws[0]:
             assert laws[0][key] == pytest.approx(laws[1][key], abs=ATOL)

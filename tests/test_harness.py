@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracle_tools import reference_guess, scalar_round_outcomes
+from oracle_tools import reference_guess, sample_index, scalar_round_outcomes
 from wqsc import _kernels, errors, harness
 from wqsc.attacks import AttackKind, AttackModel
 from wqsc.harness import (
@@ -180,24 +180,21 @@ class TestExactAnalyze:
     def test_branch_tree_mass_sums_to_one(self):
         # path probabilities through attack x sender x receiver multiply
         # and exhaust the distribution
-        from wqsc.attacks import AttackKind, AttackModel, attack_branches
-        from wqsc.qstate import HADAMARD, apply_1q, branches, z_basis
+        from wqsc.attacks import attack_rows
+        from wqsc.qstate import HADAMARD, apply_1q_rows, branch_rows, nonzero_branches, z_basis
         from wqsc.states import build
 
         for initial in ("phi1", "phi2"):
             for kind in (AttackKind.INTERCEPT_RESEND_Z, AttackKind.CNOT_ANCILLA):
-                total = 0.0
-                state = build(initial)
-                for forwarded, _, p_attack in attack_branches(
-                    AttackModel(kind), state, (3,)
-                ):
-                    decoded = (
-                        apply_1q(forwarded, 3, HADAMARD) if initial == "phi2" else forwarded
-                    )
-                    for _, after, p_a in branches(decoded, z_basis(1, 2)):
-                        for _, _, p_b in branches(after, z_basis(3)):
-                            total += p_attack * p_a * p_b
-                assert total == pytest.approx(1.0, abs=ATOL)
+                amps = build(initial).amplitudes[None]
+                attacked = nonzero_branches(*attack_rows(AttackModel(kind), amps, (3,)))
+                decoded = attacked.states()
+                if initial == "phi2":
+                    decoded = apply_1q_rows(decoded, 3, HADAMARD)
+                alice = branch_rows(decoded, z_basis(1, 2))
+                bob = branch_rows(alice.states(), z_basis(3))
+                masses = attacked.prob[alice.parent][bob.parent] * alice.prob[bob.parent] * bob.prob
+                assert math.fsum(masses) == pytest.approx(1.0, abs=ATOL)
 
 
 class TestRoundTrees:
@@ -264,6 +261,19 @@ class TestRunConfig:
             RunConfig(scheme="present", rounds=2, check_fraction=0.1)
         with pytest.raises(errors.UnsupportedPair):
             RunConfig(scheme="present", attack="cao-ir-z")
+
+    @pytest.mark.parametrize(
+        "field,value", [("rounds", 1000.0), ("master_seed", 1.5), ("master_seed", "7")]
+    )
+    def test_non_integer_rejected(self, field, value):
+        # int(1.5) would run seed 1's stream under another seed's name
+        with pytest.raises(errors.InvalidConfig, match=f"{field} must be an integer"):
+            RunConfig(scheme="present", **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        as_int = RunConfig(scheme="present", rounds=500, master_seed=3)
+        as_numpy = RunConfig(scheme="present", rounds=np.int64(500), master_seed=np.uint64(3))
+        assert _run_counts(as_numpy) == _run_counts(as_int)
 
     def test_at_least_one_check_round_forced(self, monkeypatch):
         # fraction small enough that some seeds draw no check round
@@ -346,6 +356,40 @@ class TestTreeWalk:
         tree.finish(lambda node: node["basis"])
         walked = _walk(_walk_tables([tree]), np.zeros(len(u), dtype=np.int64), u[:, None])
         assert np.array_equal(walked, thirds)
+
+    def test_walk_table_picks_as_reference(self):
+        # at every node of every config's walk table, for draws at both
+        # ends of [0, 1) and at and beside each cumulative threshold, the
+        # walk's pick equals the scalar Born-rule reference on the node's
+        # child probabilities
+        mismatches = []
+        for scheme, attack, init, basis in VALID_CONFIGS:
+            trees = _round_trees(RunConfig(
+                scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
+            ))
+            thresholds, successor, _ = _walk_tables(trees)
+            stride = len(thresholds) + 1
+            # node probabilities in the tables' numbering, roots excluded:
+            # depth by depth, each tree's children in tree order, and one
+            # pass-through child per leaf of a tree that ended above
+            probs = np.concatenate([
+                tree.levels[depth].prob if depth < len(tree.levels) else np.ones(len(tree.leaves))
+                for depth in range(max(len(tree.levels) for tree in trees))
+                for tree in trees
+            ])
+            for node in range(len(trees) + len(probs) - sum(len(tree.leaves) for tree in trees)):
+                finite = thresholds[np.isfinite(thresholds[:, node]), node]
+                children = successor[node * stride + np.arange(len(finite) + 1)]
+                child_probs = probs[children - len(trees)]
+                us = [0.0, np.nextafter(1.0, 0.0)]
+                for t in finite.tolist():
+                    us += [np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)]
+                mismatches += [
+                    (scheme, attack, init, basis, node, u)
+                    for u in us
+                    if (thresholds[:, node] <= u).sum() != sample_index(child_probs, u)
+                ]
+        assert mismatches == []
 
     @pytest.mark.parametrize(
         "scheme,attack,init,basis",

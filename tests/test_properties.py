@@ -5,26 +5,22 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracle_tools import z_projector, x_projector, project as dense_project
-from wqsc.attacks import AttackKind, AttackModel, attack_branches, attack_note, attack_rows
+from wqsc.attacks import AttackKind, AttackModel, attack_rows
+from wqsc.harness import _BranchTree, _walk, _walk_tables
 from wqsc.qstate import (
     ATOL,
     FLIP,
     Gate1Q,
     HADAMARD,
-    Outcome,
     apply_1q,
     apply_1q_rows,
     apply_cnot,
     bell_basis,
     branch_rows,
-    branches,
-    distribution,
     make_state,
-    measure,
     measurement_rows,
     nonzero_branches,
     outcome_at,
-    project,
     states_equal,
     x_basis,
     z_basis,
@@ -55,10 +51,8 @@ def test_norm_preserved_by_all_operations(seed, n, data):
     if n >= 2:
         target = data.draw(st.integers(1, n).filter(lambda q: q != qubit))
         assert apply_cnot(state, qubit, target).norm() == pytest.approx(1.0, abs=ATOL)
-    outcome, collapsed, _ = measure(
-        state, z_basis(qubit), np.random.default_rng(seed)
-    )
-    assert collapsed.norm() == pytest.approx(1.0, abs=ATOL)
+    collapsed = branch_rows(state.amplitudes[None], z_basis(qubit)).states()
+    assert np.linalg.norm(collapsed, axis=1) == pytest.approx(1.0, abs=ATOL)
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,8 +89,8 @@ def test_bell_completeness(seed, n, data):
     state = random_state(seed, n)
     qa = data.draw(st.integers(1, n))
     qb = data.draw(st.integers(1, n).filter(lambda q: q != qa))
-    total = sum(distribution(state, bell_basis(qa, qb)).values())
-    assert total == pytest.approx(1.0, abs=ATOL)
+    probs, _ = measurement_rows(state.amplitudes[None], bell_basis(qa, qb))
+    assert probs.sum() == pytest.approx(1.0, abs=ATOL)
 
 
 @settings(max_examples=30, deadline=None)
@@ -112,19 +106,20 @@ def test_measurement_branches_match_dense_projectors(seed, data):
     kind = data.draw(st.sampled_from(["z", "x"]))
     basis = z_basis(*qubits) if kind == "z" else x_basis(*qubits)
     projector_fn = z_projector if kind == "z" else x_projector
-    for outcome, prob in distribution(state, basis).items():
+    probs, collapse = measurement_rows(state.amplitudes[None], basis)
+    found = nonzero_branches(probs, collapse)
+    collapsed = dict(zip(found.outcome.tolist(), found.states()))
+    for i, prob in enumerate(probs[0]):
         dense_prob, dense_state = dense_project(
-            state.amplitudes, projector_fn(n, qubits, outcome.value)
+            state.amplitudes, projector_fn(n, qubits, outcome_at(basis, i).value)
         )
         assert prob == pytest.approx(dense_prob, abs=ATOL)
-        got_prob, collapsed = project(state, basis, outcome)
         if dense_state is None:
-            assert collapsed is None
+            assert i not in collapsed
         else:
-            assert got_prob == pytest.approx(dense_prob, abs=ATOL)
-            inner = np.vdot(dense_state, collapsed.amplitudes)
+            inner = np.vdot(dense_state, collapsed[i])
             phase = inner / abs(inner)
-            assert np.max(np.abs(collapsed.amplitudes - phase * dense_state)) <= ATOL
+            assert np.max(np.abs(collapsed[i] - phase * dense_state)) <= ATOL
 
 
 @settings(max_examples=30, deadline=None)
@@ -132,29 +127,30 @@ def test_measurement_branches_match_dense_projectors(seed, data):
 def test_collapse_average_reconstructs_distribution(seed):
     """Mixing the collapsed branches with their probabilities reproduces
     the original Z statistics on the untouched qubits."""
-    state = random_state(seed, 3)
-    before = distribution(state, z_basis(1, 2))
-    mixed: dict[Outcome, float] = {o: 0.0 for o in before}
-    for outcome, prob in distribution(state, z_basis(3)).items():
-        if prob <= 1e-15:
-            continue
-        _, collapsed = project(state, z_basis(3), outcome)
-        for pair_outcome, pair_prob in distribution(collapsed, z_basis(1, 2)).items():
-            mixed[pair_outcome] += prob * pair_prob
-    for outcome in before:
-        assert mixed[outcome] == pytest.approx(before[outcome], abs=ATOL)
+    amps = random_state(seed, 3).amplitudes[None]
+    before, _ = measurement_rows(amps, z_basis(1, 2))
+    found = branch_rows(amps, z_basis(3))
+    after, _ = measurement_rows(found.states(), z_basis(1, 2))
+    assert found.prob @ after == pytest.approx(before[0], abs=ATOL)
 
 
 def test_empirical_frequencies_match_exact_distribution():
-    """1e5 samples of the three-outcome sender distribution, 5-sigma gate."""
+    """1e5 sender outcomes of phi1, sampled by walking a one-level branch
+    tree of the measurement, against the dense-projector law at 5 sigma."""
     state = build("phi1")
-    exact = {o.value: p for o, p in distribution(state, z_basis(1, 2)).items()}
+    exact = {
+        bits: dense_project(state.amplitudes, z_projector(3, (1, 2), bits))[0]
+        for bits in ("00", "01", "10", "11")
+    }
+    tree = _BranchTree()
+    tree.prepare(lambda node: state)
+    tree.measure("outcome", lambda node: z_basis(1, 2))
     rng = np.random.default_rng(123)
     n = 100_000
-    counts = {value: 0 for value in exact}
-    for _ in range(n):
-        outcome, _, _ = measure(state, z_basis(1, 2), rng)
-        counts[outcome.value] += 1
+    leaves = _walk(_walk_tables([tree]), np.zeros(n, dtype=np.int64), rng.random((n, 1)))
+    counts = dict.fromkeys(exact, 0)
+    for node, hits in zip(tree.nodes, np.bincount(leaves, minlength=len(tree.nodes)).tolist()):
+        counts[node["outcome"].value] = hits
     for value, p in exact.items():
         if p == 0.0:
             assert counts[value] == 0
@@ -186,19 +182,18 @@ def sparse_states(seed: int, n: int, m: int) -> list:
     return states
 
 
-def _same_branches(stacked, per_row, label) -> None:
-    """A stacked result equals the one-row results, bit for bit: the
-    per-row branches in (row, outcome) order with their outcomes (as
-    ``label`` names them), probabilities and post-measurement states."""
-    parent = [row for row, found in enumerate(per_row) for _ in found]
-    assert np.array_equal(stacked.parent, parent)
-    assert [label(i) for i in stacked.outcome.tolist()] == [
-        branch[1] for found in per_row for branch in found
-    ]
-    assert np.array_equal(stacked.prob, [p for found in per_row for *_, p in found])
+def _same_branches(stacked, per_row) -> None:
+    """A stacked result equals the results of its rows alone, bit for bit:
+    the branches in (row, outcome) order, with their outcomes,
+    probabilities and post-measurement states."""
     assert np.array_equal(
-        stacked.states(), [branch[0].amplitudes for found in per_row for branch in found]
+        stacked.parent, [row for row, found in enumerate(per_row) for _ in found.outcome]
     )
+    for field in ("outcome", "prob"):
+        assert np.array_equal(
+            getattr(stacked, field), np.concatenate([getattr(found, field) for found in per_row])
+        )
+    assert np.array_equal(stacked.states(), np.concatenate([found.states() for found in per_row]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -206,8 +201,7 @@ def _same_branches(stacked, per_row, label) -> None:
     seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 6), data=st.data()
 )
 def test_stacked_measurement_equals_one_row(seed, n, m, data):
-    states = sparse_states(seed, n, m)
-    stack = np.stack([state.amplitudes for state in states])
+    stack = np.stack([state.amplitudes for state in sparse_states(seed, n, m)])
     qubits = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
     bases = [z_basis(*qubits), x_basis(*qubits)]
     if n >= 2:
@@ -215,18 +209,15 @@ def test_stacked_measurement_equals_one_row(seed, n, m, data):
         bases.append(bell_basis(qa, qb))
     for basis in bases:
         probs, _ = measurement_rows(stack, basis)
-        for row, state in enumerate(states):
-            assert np.array_equal(probs[row], list(distribution(state, basis).values()))
-        per_row = [
-            [(collapsed, outcome, p) for outcome, collapsed, p in branches(state, basis)]
-            for state in states
-        ]
-        _same_branches(branch_rows(stack, basis), per_row, lambda i: outcome_at(basis, i))
+        for row, amps in enumerate(stack):
+            assert np.array_equal(probs[row], measurement_rows(amps[None], basis)[0][0])
+        per_row = [branch_rows(amps[None], basis) for amps in stack]
+        _same_branches(branch_rows(stack, basis), per_row)
     gate = random_gate(seed)
     qubit = data.draw(st.integers(1, n))
     assert np.array_equal(
         apply_1q_rows(stack, qubit, gate),
-        [apply_1q(state, qubit, gate).amplitudes for state in states],
+        [apply_1q_rows(amps[None], qubit, gate)[0] for amps in stack],
     )
 
 
@@ -241,14 +232,9 @@ def test_stacked_measurement_equals_one_row(seed, n, m, data):
 def test_stacked_attack_equals_one_row(seed, n, m, kind, data):
     model = AttackModel(kind)
     assume((model.arity or 1) <= n)
-    states = sparse_states(seed, n, m)
-    stack = np.stack([state.amplitudes for state in states])
+    stack = np.stack([state.amplitudes for state in sparse_states(seed, n, m)])
     transit = tuple(data.draw(st.permutations(range(1, n + 1)))[: model.arity or 1])
     if kind is AttackKind.CAO_INTERCEPT_RESEND_Z:
         transit = tuple(sorted(transit))
-    per_row = [attack_branches(model, state, transit) for state in states]
-    _same_branches(
-        nonzero_branches(*attack_rows(model, stack, transit)),
-        per_row,
-        lambda i: attack_note(model, i, n),
-    )
+    per_row = [nonzero_branches(*attack_rows(model, amps[None], transit)) for amps in stack]
+    _same_branches(nonzero_branches(*attack_rows(model, stack, transit)), per_row)

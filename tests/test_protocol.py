@@ -27,7 +27,7 @@ from wqsc.protocol import (
     check_consistent,
     recover_bit,
 )
-from wqsc.qstate import ATOL, BasisKind, FLIP, Outcome, branches, z_basis
+from wqsc.qstate import ATOL, BasisKind, FLIP, Outcome, branch_rows, outcome_at, z_basis
 from wqsc.states import build
 
 
@@ -97,13 +97,15 @@ class TestPresentRound:
         from wqsc.qstate import apply_1q
 
         encoded = apply_1q(build("phi1"), 3, FLIP)
+        alice = branch_rows(encoded.amplitudes[None], z_basis(1, 2))
+        bob = branch_rows(alice.states(), z_basis(3))
         seen_00 = False
-        for alice_out, after, _ in branches(encoded, z_basis(1, 2)):
-            for bob_out, _, _ in branches(after, z_basis(3)):
-                assert recover_bit(alice_out, bob_out) == 1
-                if alice_out.value == "00":
-                    seen_00 = True
-                    assert bob_out.value == "0"
+        for a, b in zip(alice.outcome[bob.parent].tolist(), bob.outcome.tolist()):
+            alice_out, bob_out = outcome_at(z_basis(1, 2), a), outcome_at(z_basis(3), b)
+            assert recover_bit(alice_out, bob_out) == 1
+            if alice_out.value == "00":
+                seen_00 = True
+                assert bob_out.value == "0"
         assert seen_00
 
     def test_phi2_check_error_under_interception_is_half(self):
@@ -122,11 +124,13 @@ class TestCaoRound:
         # only (psi+, phi+/-) and (phi+/-, psi+) carry probability
         from wqsc.qstate import bell_basis
 
-        seen = set()
-        for alice_out, after, pa in branches(build("w4"), bell_basis(1, 2)):
-            for bob_out, _, pb in branches(after, bell_basis(3, 4)):
-                seen.add((alice_out.value, bob_out.value))
-                assert pa * pb == pytest.approx(0.25, abs=ATOL)
+        alice = branch_rows(build("w4").amplitudes[None], bell_basis(1, 2))
+        bob = branch_rows(alice.states(), bell_basis(3, 4))
+        assert alice.prob[bob.parent] * bob.prob == pytest.approx([0.25] * 4, abs=ATOL)
+        seen = {
+            (outcome_at(bell_basis(1, 2), a).value, outcome_at(bell_basis(3, 4), b).value)
+            for a, b in zip(alice.outcome[bob.parent].tolist(), bob.outcome.tolist())
+        }
         assert seen == {
             ("psi+", "phi+"), ("psi+", "phi-"), ("phi+", "psi+"), ("phi-", "psi+"),
         }

@@ -1,10 +1,9 @@
-"""State-vector core: construction, gates, measurement, comparison."""
+"""State-vector core: construction, gates, stacked measurement, comparison."""
 
 import numpy as np
 import pytest
 
 from oracle_tools import (
-    FixedUniform,
     H,
     U_FLIP,
     ket,
@@ -12,22 +11,20 @@ from oracle_tools import (
     op_full,
 )
 from wqsc import errors
+from wqsc.harness import _BranchTree, _walk, _walk_tables
 from wqsc.qstate import (
     ATOL,
     FLIP,
     Gate1Q,
     HADAMARD,
     IDENTITY,
-    Outcome,
-    BasisKind,
     apply_1q,
     apply_cnot,
     basis_ket,
     bell_basis,
-    distribution,
+    branch_rows,
     make_state,
-    measure,
-    project,
+    measurement_rows,
     states_equal,
     tensor,
     x_basis,
@@ -153,24 +150,26 @@ class TestApplyCnot:
             apply_cnot(basis_ket("00"), 1, 3)
 
 
+# outcome probabilities come in kernel order: bit strings in binary
+# order, Bell labels as psi+, psi-, phi+, phi-
+_ROW0 = np.zeros(1, dtype=np.int64)
+
+
 class TestDistribution:
     def test_phi1_first_pair(self):
-        dist = {o.value: p for o, p in distribution(build("phi1"), z_basis(1, 2)).items()}
-        assert dist == pytest.approx(
-            {"10": 1 / 3, "01": 1 / 3, "00": 1 / 3, "11": 0.0}, abs=ATOL
-        )
+        # outcomes 00, 01, 10, 11
+        probs, _ = measurement_rows(build("phi1").amplitudes[None], z_basis(1, 2))
+        assert probs[0] == pytest.approx([1 / 3, 1 / 3, 1 / 3, 0.0], abs=ATOL)
 
     def test_w4_second_pair(self):
-        dist = {o.value: p for o, p in distribution(build("w4"), z_basis(3, 4)).items()}
-        assert dist == pytest.approx(
-            {"00": 0.5, "10": 0.25, "01": 0.25, "11": 0.0}, abs=ATOL
-        )
+        probs, _ = measurement_rows(build("w4").amplitudes[None], z_basis(3, 4))
+        assert probs[0] == pytest.approx([0.5, 0.25, 0.25, 0.0], abs=ATOL)
 
     def test_w4_all_plus(self):
-        # the Hadamard-basis expansion carries amplitude 2/4 on |++++>
-        dist = distribution(build("w4"), x_basis(1, 2, 3, 4))
-        all_plus = Outcome(BasisKind.X, "0000")
-        assert dist[all_plus] == pytest.approx(0.25, abs=ATOL)
+        # the Hadamard-basis expansion carries amplitude 2/4 on |++++>,
+        # outcome 0000
+        probs, _ = measurement_rows(build("w4").amplitudes[None], x_basis(1, 2, 3, 4))
+        assert probs[0, 0] == pytest.approx(0.25, abs=ATOL)
 
     def test_probabilities_sum_to_one(self):
         for state, basis in [
@@ -178,67 +177,68 @@ class TestDistribution:
             (build("w4"), x_basis(1, 2)),
             (build("w4"), bell_basis(3, 4)),
         ]:
-            assert sum(distribution(state, basis).values()) == pytest.approx(1.0, abs=ATOL)
+            probs, _ = measurement_rows(state.amplitudes[None], basis)
+            assert probs.sum() == pytest.approx(1.0, abs=ATOL)
 
     def test_zero_outcomes_included(self):
-        dist = distribution(basis_ket("00"), z_basis(1, 2))
-        assert len(dist) == 4
-        assert dist[Outcome(BasisKind.Z, "11")] == 0.0
+        probs, _ = measurement_rows(basis_ket("00").amplitudes[None], z_basis(1, 2))
+        assert probs.shape == (1, 4)
+        assert probs[0, 3] == 0.0
 
     def test_duplicate_qubit_rejected(self):
         with pytest.raises(errors.InvalidBasis):
-            distribution(build("phi1"), z_basis(1, 1))
+            measurement_rows(build("phi1").amplitudes[None], z_basis(1, 1))
 
 
 class TestMeasure:
     def test_bell_eigenstate(self):
         psi_plus = build("psi+")
-        outcome, collapsed, prob = measure(psi_plus, bell_basis(1, 2), FixedUniform(0.7))
-        assert outcome.value == "psi+"
-        assert prob == pytest.approx(1.0, abs=ATOL)
-        assert states_equal(collapsed, psi_plus)
+        probs, collapse = measurement_rows(psi_plus.amplitudes[None], bell_basis(1, 2))
+        assert probs[0] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=ATOL)
+        collapsed = collapse(_ROW0, np.array([0]))[0]
+        assert max_dev_up_to_phase(collapsed, psi_plus.amplitudes) <= ATOL
 
     def test_phi2_transit_zero_branch(self):
-        # forcing the 0 branch of a Z measurement on qubit 3
-        outcome, collapsed, prob = measure(build("phi2"), z_basis(3), FixedUniform(0.0))
-        assert outcome.value == "0"
-        assert prob == pytest.approx(0.5, abs=ATOL)
+        probs, collapse = measurement_rows(build("phi2").amplitudes[None], z_basis(3))
+        assert probs[0, 0] == pytest.approx(0.5, abs=ATOL)
         expected = make_state(
             3, np.kron(ket("10") + ket("01") + ket("00"), ket("0"))
         )
-        assert states_equal(collapsed, expected)
+        collapsed = collapse(_ROW0, np.array([0]))[0]
+        assert max_dev_up_to_phase(collapsed, expected.amplitudes) <= ATOL
 
     def test_phi1_transit_plus_branch(self):
-        outcome, collapsed, prob = measure(build("phi1"), x_basis(3), FixedUniform(0.0))
-        assert outcome.value == "0"  # 0 encodes |+>
-        assert prob == pytest.approx(0.5, abs=ATOL)
+        # outcome 0 encodes |+>
+        probs, collapse = measurement_rows(build("phi1").amplitudes[None], x_basis(3))
+        assert probs[0, 0] == pytest.approx(0.5, abs=ATOL)
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
         expected = make_state(3, np.kron(ket("10") + ket("01") + ket("00"), plus))
-        assert states_equal(collapsed, expected)
+        collapsed = collapse(_ROW0, np.array([0]))[0]
+        assert max_dev_up_to_phase(collapsed, expected.amplitudes) <= ATOL
 
     def test_zero_probability_branch_unreachable(self):
-        # |00> measured in Z: only outcome 00 may ever be drawn
-        state = basis_ket("00")
-        for u in np.linspace(0.0, 0.999999, 23):
-            outcome, _, prob = measure(state, z_basis(1, 2), FixedUniform(float(u)))
-            assert outcome.value == "00"
-            assert prob == pytest.approx(1.0, abs=ATOL)
+        # |00> measured in Z: a walk of the measurement reaches only 00
+        tree = _BranchTree()
+        tree.prepare(lambda node: basis_ket("00"))
+        tree.measure("outcome", lambda node: z_basis(1, 2))
+        assert [node["outcome"].value for node in tree.nodes] == ["00"]
+        u = np.linspace(0.0, 0.999999, 23)
+        walked = _walk(_walk_tables([tree]), np.zeros(len(u), dtype=np.int64), u[:, None])
+        assert np.array_equal(walked, np.zeros(len(u)))
 
     def test_branch_probability_matches_distribution(self):
-        state = build("phi2")
-        dist = distribution(state, z_basis(1, 2))
-        outcome, _, prob = measure(state, z_basis(1, 2), FixedUniform(0.9))
-        assert prob == dist[outcome]
+        amps = build("phi2").amplitudes[None]
+        probs, _ = measurement_rows(amps, z_basis(1, 2))
+        found = branch_rows(amps, z_basis(1, 2))
+        assert np.array_equal(found.prob, probs[0, found.outcome])
 
 
 class TestProject:
     def test_zero_branch_is_none(self):
-        prob, collapsed = project(basis_ket("00"), z_basis(1, 2), Outcome(BasisKind.Z, "11"))
-        assert prob == 0.0 and collapsed is None
-
-    def test_kind_mismatch(self):
-        with pytest.raises(errors.InvalidBasis):
-            project(basis_ket("00"), z_basis(1, 2), Outcome(BasisKind.X, "00"))
+        amps = basis_ket("00").amplitudes[None]
+        probs, _ = measurement_rows(amps, z_basis(1, 2))
+        assert probs[0, 3] == 0.0
+        assert 3 not in branch_rows(amps, z_basis(1, 2)).outcome
 
 
 class TestStatesEqual:

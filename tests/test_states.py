@@ -5,7 +5,7 @@ import pytest
 
 from oracle_tools import BELL_VECTORS, ket
 from wqsc import errors
-from wqsc.qstate import ATOL, distribution, z_basis
+from wqsc.qstate import ATOL, measurement_rows, z_basis
 from wqsc.states import StateLabel, build, verify_identities
 
 SQRT3 = np.sqrt(3.0)
@@ -100,9 +100,9 @@ class TestVerifyIdentities:
 def test_pair_entanglement_survives_transit_qubit_loss():
     # measuring qubit 3 of phi1 in Z leaves the kept pair correlated:
     # the 0 branch still holds both |10> and |01>
-    from wqsc.qstate import Outcome, BasisKind, project
-
-    prob, collapsed = project(build("phi1"), z_basis(3), Outcome(BasisKind.Z, "0"))
-    assert prob == pytest.approx(2 / 3, abs=ATOL)
-    pair = {o.value: p for o, p in distribution(collapsed, z_basis(1, 2)).items()}
-    assert pair["10"] > 0 and pair["01"] > 0
+    probs, collapse = measurement_rows(build("phi1").amplitudes[None], z_basis(3))
+    assert probs[0, 0] == pytest.approx(2 / 3, abs=ATOL)
+    collapsed = collapse(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+    # outcomes 00, 01, 10, 11 of the pair
+    pair, _ = measurement_rows(collapsed, z_basis(1, 2))
+    assert pair[0, 2] > 0 and pair[0, 1] > 0
