@@ -8,12 +8,7 @@ behavior both by exact probability enumeration and by Monte Carlo
 sampling.
 """
 
-from .attacks import (
-    AttackKind,
-    AttackModel,
-    EveNote,
-    NO_ATTACK,
-)
+from .attacks import AttackKind, EveNote
 from .errors import WqscError
 from .harness import (
     ExactResult,
@@ -46,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackKind",
-    "AttackModel",
     "BasisKind",
     "BellLabel",
     "EveNote",
@@ -54,7 +48,6 @@ __all__ = [
     "Gate1Q",
     "IdentityReport",
     "MeasurementBasis",
-    "NO_ATTACK",
     "Outcome",
     "RunConfig",
     "RunStats",

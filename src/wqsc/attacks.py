@@ -1,13 +1,14 @@
 """Adversary channels applied to in-transit qubits.
 
-Each attack consumes the qubits a sender puts on the channel and yields
-the forwarded state plus Eve's classical side information (:class:`EveNote`).
-:func:`attack_rows` applies the attack to a stack of states at once (one
-row per node of a branch-tree level) and yields every outcome's exact
-probability. The branch trees of :mod:`wqsc.harness` call it once per
-tree level, and the test suite's one-round oracle samples a branch from
-the same call on a one-row stack, so sampled rounds and exact analysis
-can never drift apart.
+:func:`attack_rows` is the one description of an attack. It applies the
+attack to a stack of states at once (one row per node of a branch-tree
+level) and yields every outcome's exact probability, the state Eve
+forwards after it and her classical side information after it (one
+:class:`EveNote` per outcome). An attack with one outcome draws nothing;
+one with more outcomes takes a draw of the round. The branch trees of
+:mod:`wqsc.harness` call it once per tree, and the test suite's
+one-round oracle samples a branch from the same call on a one-row stack,
+so sampled rounds and exact analysis can never drift apart.
 
 Intercept-resend attacks are realized as measurement collapse: for a
 single-qubit Z or X interception the collapsed state IS the state after
@@ -40,7 +41,6 @@ import numpy as np
 from .errors import ArityMismatch, CapacityExceeded, IndexOutOfRange
 from .qstate import (
     QUBIT_CAPACITY,
-    BasisKind,
     StateVector,
     _pair_rest_indices,
     _qubit_count,
@@ -64,28 +64,6 @@ class AttackKind(str, Enum):
     CAO_INTERCEPT_RESEND_Z = "cao-ir-z"
 
 
-@dataclass(frozen=True)
-class AttackModel:
-    kind: AttackKind
-
-    @property
-    def arity(self) -> int | None:
-        """Number of transit qubits the attack expects (None = any)."""
-        if self.kind is AttackKind.NONE:
-            return None
-        if self.kind is AttackKind.CAO_INTERCEPT_RESEND_Z:
-            return 2
-        return 1
-
-    @property
-    def samples(self) -> bool:
-        """True iff the attack measures the transit qubits, so that a
-        round spends one uniform of its draw row on Eve's outcome."""
-        return self.kind not in (AttackKind.NONE, AttackKind.CNOT_ANCILLA)
-
-
-NO_ATTACK = AttackModel(AttackKind.NONE)
-
 PRESENT_ATTACKS = (
     AttackKind.NONE,
     AttackKind.INTERCEPT_RESEND_Z,
@@ -108,27 +86,23 @@ class EveNote:
 _KET0 = basis_ket("0").amplitudes
 
 
-def attack_rows(model: AttackModel, amps: np.ndarray, transit_qubits: tuple[int, ...]):
-    """The attack on every row of a stack of states: the ``(rows,
-    outcomes)`` array of Eve's outcome probabilities, and
+def attack_rows(kind: AttackKind, amps: np.ndarray, transit_qubits: tuple[int, ...]):
+    """Eve's attack ``kind`` on every row of a stack of states: the
+    ``(rows, outcomes)`` array of her outcome probabilities;
     ``forward(rows, outcomes)``, the stack of the states she forwards from
-    row ``rows[i]`` after outcome ``outcomes[i]``.
+    row ``rows[i]`` after outcome ``outcomes[i]``; and ``notes[i]``, her
+    note after outcome ``i`` (``[None]`` for no attack).
 
-    A draw-free attack has the single outcome 0, of probability 1. The
-    entangling probe's forwarded states carry her ancilla as an extra,
-    last qubit.
+    An attack with one outcome (no attack, the entangling probe) measures
+    nothing, so a round draws nothing for it. The probe's forwarded states
+    carry her ancilla as an extra, last qubit, which her note names.
     """
-    arity = model.arity
-    if arity is not None and len(transit_qubits) != arity:
-        raise ArityMismatch(
-            f"{model.kind.value} expects {arity} transit qubit(s), "
-            f"got {len(transit_qubits)}"
-        )
-    if model.kind is AttackKind.NONE:
-        return np.ones((len(amps), 1)), lambda rows, _: amps[rows]
+    if kind is AttackKind.NONE:
+        return np.ones((len(amps), 1)), lambda rows, _: amps[rows], [None]
 
-    if model.kind is AttackKind.CNOT_ANCILLA:
-        q, ancilla = transit_qubits[0], _qubit_count(amps) + 1
+    if kind is AttackKind.CNOT_ANCILLA:
+        (q,) = _transit(kind, transit_qubits, 1)
+        ancilla = _qubit_count(amps) + 1
         if ancilla > QUBIT_CAPACITY:
             raise CapacityExceeded(
                 f"{ancilla} qubits exceed the {QUBIT_CAPACITY}-qubit capacity"
@@ -136,41 +110,41 @@ def attack_rows(model: AttackModel, amps: np.ndarray, transit_qubits: tuple[int,
         if not 1 <= q < ancilla:
             raise IndexOutOfRange(f"qubit {q} outside 1..{ancilla - 1}")
         probed = apply_cnot_rows(tensor_rows(amps, _KET0), q, ancilla)
-        return np.ones((len(amps), 1)), lambda rows, _: probed[rows]
+        note = EveNote(ancilla_qubit=ancilla)
+        return np.ones((len(amps), 1)), lambda rows, _: probed[rows], [note]
 
-    if model.kind in (AttackKind.INTERCEPT_RESEND_Z, AttackKind.INTERCEPT_RESEND_X):
-        q = transit_qubits[0]
-        basis = z_basis(q) if model.kind is AttackKind.INTERCEPT_RESEND_Z else x_basis(q)
-        return measurement_rows(amps, basis)
+    if kind is AttackKind.CAO_INTERCEPT_RESEND_Z:
+        # Z measurement of the transit pair, then forward |00> for outcome
+        # 00 and a fresh psi+ pair for a single-excitation outcome
+        qa, qb = _transit(kind, transit_qubits, 2)
+        probs, collapse = measurement_rows(amps, z_basis(qa, qb))
 
-    # cao-ir-z: Z measurement of the transit pair, then forward |00> for
-    # outcome 00 and a fresh psi+ pair for a single-excitation outcome
-    qa, qb = transit_qubits
-    probs, collapse = measurement_rows(amps, z_basis(qa, qb))
+        def forward(rows: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+            out = collapse(rows, outcomes)
+            excited = np.flatnonzero(outcomes != 0)
+            if len(excited):
+                out[excited] = _replace_pair(
+                    out[excited], qa, qb, outcomes[excited], build(StateLabel.BELL_PSI_PLUS)
+                )
+            return out
 
-    def forward(rows: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-        out = collapse(rows, outcomes)
-        excited = np.flatnonzero(outcomes != 0)
-        if len(excited):
-            out[excited] = _replace_pair(
-                out[excited], qa, qb, outcomes[excited], build(StateLabel.BELL_PSI_PLUS)
-            )
-        return out
+        notes = [EveNote(basis="z", observed=format(i, "02b")) for i in range(probs.shape[1])]
+        return probs, forward, notes
 
-    return probs, forward
+    # ir-z, ir-x: measuring the transit qubit is the resend
+    (q,) = _transit(kind, transit_qubits, 1)
+    basis = z_basis(q) if kind is AttackKind.INTERCEPT_RESEND_Z else x_basis(q)
+    probs, collapse = measurement_rows(amps, basis)
+    return probs, collapse, [EveNote(basis=basis.kind.value, observed=str(i)) for i in (0, 1)]
 
 
-def attack_note(model: AttackModel, outcome: int, num_qubits: int) -> EveNote | None:
-    """Eve's note after outcome ``outcome`` of :func:`attack_rows` on
-    states of ``num_qubits`` qubits."""
-    if model.kind is AttackKind.NONE:
-        return None
-    if model.kind is AttackKind.CNOT_ANCILLA:
-        return EveNote(ancilla_qubit=num_qubits + 1)
-    if model.kind is AttackKind.CAO_INTERCEPT_RESEND_Z:
-        return EveNote(basis="z", observed=format(outcome, "02b"))
-    basis = BasisKind.Z if model.kind is AttackKind.INTERCEPT_RESEND_Z else BasisKind.X
-    return EveNote(basis=basis.value, observed=str(outcome))
+def _transit(kind: AttackKind, transit_qubits: tuple[int, ...], arity: int) -> tuple[int, ...]:
+    """``transit_qubits``, which must be the ``arity`` qubits ``kind`` takes."""
+    if len(transit_qubits) != arity:
+        raise ArityMismatch(
+            f"{kind.value} expects {arity} transit qubit(s), got {len(transit_qubits)}"
+        )
+    return transit_qubits
 
 
 def _replace_pair(

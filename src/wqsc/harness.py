@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -67,14 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attacks import (
-    AttackKind,
-    AttackModel,
-    CAO_ATTACKS,
-    PRESENT_ATTACKS,
-    attack_note,
-    attack_rows,
-)
+from .attacks import AttackKind, CAO_ATTACKS, PRESENT_ATTACKS, attack_rows
 from .errors import InvalidConfig, InvalidCounts, UnsupportedPair
 from .protocol import (
     CHECK_BASES,
@@ -133,6 +127,10 @@ class RunConfig:
                 operator.index(value)
             except TypeError:
                 raise InvalidConfig(f"{name} must be an integer, got {value!r}") from None
+        if not isinstance(self.check_fraction, numbers.Real):
+            raise InvalidConfig(
+                f"check_fraction must be a real number, got {self.check_fraction!r}"
+            )
         if not 1 <= self.rounds <= _MAX_ROUNDS:
             raise InvalidConfig(f"rounds must lie in 1..{_MAX_ROUNDS}, got {self.rounds}")
         if not 0.0 < self.check_fraction < 1.0:
@@ -176,7 +174,7 @@ class ExactResult:
     recovery_accuracy: float
 
 
-def _validate(scheme: str, attack: str, init_policy: str, check_basis_policy: str) -> AttackModel:
+def _validate(scheme: str, attack: str, init_policy: str, check_basis_policy: str) -> AttackKind:
     if scheme not in SCHEMES:
         raise UnsupportedPair(f"unknown scheme {scheme!r}")
     try:
@@ -190,7 +188,7 @@ def _validate(scheme: str, attack: str, init_policy: str, check_basis_policy: st
         raise InvalidConfig(f"init_policy {init_policy!r} invalid")
     if check_basis_policy not in CHECK_BASIS_POLICIES:
         raise InvalidConfig(f"check_basis_policy {check_basis_policy!r} invalid")
-    return AttackModel(kind)
+    return kind
 
 
 def binomial_ci(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -305,7 +303,8 @@ class _BranchTree:
     are added in the order in which a round takes its random steps (a
     present message round: its bit, its initial state, Eve's outcome,
     the sender's and the receiver's measurements); a step that draws
-    nothing (preparing states, a gate, a draw-free attack) adds no level.
+    nothing (preparing states, a gate, an attack that
+    :func:`~wqsc.attacks.attack_rows` gives one outcome) adds no level.
 
     The nodes of the deepest level are built together. Their states are
     the rows of one ``(nodes, 2**n)`` amplitude stack, and each operation
@@ -401,18 +400,12 @@ class _BranchTree:
                 labels[row] = outcomes
         self._branch(_branch_rows_by_basis(self.states, groups), key, labels)
 
-    def attack(self, model: AttackModel, transit: tuple[int, ...]) -> None:
-        if model.kind is AttackKind.NONE:
-            # no attack leaves the states as they are
-            self.nodes = [{**node, "note": None} for node in self.nodes]
-            return
-        num_qubits = self.states.shape[1].bit_length() - 1
-        probs, forward = attack_rows(model, self.states, transit)
-        notes = [attack_note(model, i, num_qubits) for i in range(probs.shape[1])]
-        if model.samples:
+    def attack(self, kind: AttackKind, transit: tuple[int, ...]) -> None:
+        """Eve's attack ``kind`` on the qubits ``transit``, her note under ``note``."""
+        probs, forward, notes = attack_rows(kind, self.states, transit)
+        if len(notes) > 1:
             self._branch(nonzero_branches(probs, forward), "note", [notes] * len(self.nodes))
             return
-        # a draw-free attack has a single branch, of probability 1
         rows = np.arange(len(self.nodes))
         self._states = forward(rows, np.zeros_like(rows))
         self.nodes = [{**node, "note": notes[0]} for node in self.nodes]
@@ -452,7 +445,7 @@ class _BranchTree:
         return self
 
 
-def _present_trees(model: AttackModel, init_policy: str) -> tuple[_BranchTree, _BranchTree]:
+def _present_trees(kind: AttackKind, init_policy: str) -> tuple[_BranchTree, _BranchTree]:
     """(check-round tree, message-round tree) of the present scheme.
 
     A check round is a message round of bit 0 (whose encoding is the
@@ -465,7 +458,7 @@ def _present_trees(model: AttackModel, init_policy: str) -> tuple[_BranchTree, _
         tree.choose("initial", INIT_POLICIES[1:])
     tree.prepare(lambda node: build(node["initial"]))
     tree.gate(3, FLIP, lambda node: node["bit"] == 1)
-    tree.attack(model, (3,))
+    tree.attack(kind, (3,))
     tree.gate(3, HADAMARD, lambda node: node["initial"] == StateLabel.PHI2.value)
     tree.measure("alice", lambda node: z_basis(1, 2))
     tree.measure("bob", lambda node: z_basis(3))
@@ -473,16 +466,13 @@ def _present_trees(model: AttackModel, init_policy: str) -> tuple[_BranchTree, _
         lambda node: _Leaf(None, check_consistent(node["alice"], node["bob"]), None, None)
     )
 
-    if model.kind is AttackKind.CNOT_ANCILLA:
-        # Eve measures her ancilla only at guess time; every node holds
-        # the probe's one note, which gets one update per ancilla outcome
-        (note,) = {node["note"] for node in tree.nodes}
+    if kind is AttackKind.CNOT_ANCILLA:
+        # Eve measures her ancilla only at guess time; every node holds the
+        # probe's one note
+        note = tree.nodes[0]["note"]
         tree.measure("ancilla", lambda node: z_basis(note.ancilla_qubit))
-        notes = {
-            outcome: replace(note, ancilla_outcome=int(outcome.value))
-            for outcome in {node["ancilla"] for node in tree.nodes}
-        }
-        tree.step(lambda node: {"note": notes[node["ancilla"]]})
+        notes = [replace(note, ancilla_outcome=outcome) for outcome in (0, 1)]
+        tree.step(lambda node: {"note": notes[int(node["ancilla"].value)]})
 
     tree.guess(("initial", "alice", "note"))
     return check, tree.finish(
@@ -492,11 +482,11 @@ def _present_trees(model: AttackModel, init_policy: str) -> tuple[_BranchTree, _
     )
 
 
-def _cao_check_tree(model: AttackModel, basis_policy: str) -> _BranchTree:
+def _cao_check_tree(kind: AttackKind, basis_policy: str) -> _BranchTree:
     """Check-round tree of the cao scheme."""
     tree = _BranchTree(basis=basis_policy)
     tree.prepare(lambda node: build(StateLabel.W4))
-    tree.attack(model, (3, 4))
+    tree.attack(kind, (3, 4))
     if basis_policy == "random":
         tree.choose("basis", CHECK_BASES)
     tree.measure("alice", lambda node: _pair_basis(node["basis"], 1, 2))
@@ -513,7 +503,7 @@ def _cao_finish_check(tree: _BranchTree) -> _BranchTree:
     )
 
 
-def _cao_trees(model: AttackModel, basis_policy: str) -> tuple[_BranchTree, _BranchTree]:
+def _cao_trees(kind: AttackKind, basis_policy: str) -> tuple[_BranchTree, _BranchTree]:
     """(check-round tree, message-round tree) of the cao scheme.
 
     The message bit of a key round enters only its ciphertext, so the
@@ -524,13 +514,13 @@ def _cao_trees(model: AttackModel, basis_policy: str) -> tuple[_BranchTree, _Bra
     tree = _BranchTree(basis="bell")
     tree.choose("bit", (0, 1))
     tree.prepare(lambda node: build(StateLabel.W4))
-    tree.attack(model, (3, 4))
+    tree.attack(kind, (3, 4))
     tree.measure("alice", lambda node: bell_basis(1, 2))
     tree.measure("bob", lambda node: bell_basis(3, 4))
     if basis_policy == "bell":
         check = _cao_finish_check(tree.first_branch())
     else:
-        check = _cao_check_tree(model, basis_policy)
+        check = _cao_check_tree(kind, basis_policy)
 
     tree.step(lambda node: {"keys": cao_keys(node["alice"], node["bob"])})
     tree.step(lambda node: {"ciphertext": node["keys"][0] ^ node["bit"]})
@@ -542,10 +532,10 @@ def _cao_trees(model: AttackModel, basis_policy: str) -> tuple[_BranchTree, _Bra
 
 def _round_trees(config: RunConfig) -> tuple[_BranchTree, _BranchTree]:
     """(check-round tree, message-round tree) of a run's config."""
-    model = AttackModel(AttackKind(config.attack))
+    kind = AttackKind(config.attack)
     if config.scheme == "present":
-        return _present_trees(model, config.init_policy)
-    return _cao_trees(model, config.check_basis_policy)
+        return _present_trees(kind, config.init_policy)
+    return _cao_trees(kind, config.check_basis_policy)
 
 
 _COUNTS = (
@@ -605,17 +595,17 @@ def exact_analyze(
     ``phi2``, or the three check bases) and the groups are weighted
     equally, which yields the per-group conditional rates.
     """
-    model = _validate(scheme, attack, init_policy, check_basis_policy)
+    kind = _validate(scheme, attack, init_policy, check_basis_policy)
     if scheme == "present":
         groups = INIT_POLICIES[1:] if init_policy == "random" else (init_policy,)
-        trees = {g: _present_trees(model, g) for g in groups}
+        trees = {g: _present_trees(kind, g) for g in groups}
         check_trees = {g: check for g, (check, _) in trees.items()}
         message_trees = {g: message for g, (_, message) in trees.items()}
     else:
         groups = CHECK_BASES if check_basis_policy == "random" else (check_basis_policy,)
-        bell_check, message = _cao_trees(model, "bell")
+        bell_check, message = _cao_trees(kind, "bell")
         check_trees = {
-            b: bell_check if b == "bell" else _cao_check_tree(model, b) for b in groups
+            b: bell_check if b == "bell" else _cao_check_tree(kind, b) for b in groups
         }
         message_trees = {"w4": message}
 
@@ -637,7 +627,7 @@ def exact_analyze(
     recovery, leak, unknown_fraction = _message_rates(message)
     return ExactResult(
         scheme=scheme,
-        attack=model.kind.value,
+        attack=kind.value,
         total_error_rate=total_error,
         conditional_error_rates=conditional_error,
         leak_rate=leak,

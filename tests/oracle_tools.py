@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from wqsc.attacks import AttackKind, AttackModel, attack_note, attack_rows
+from wqsc.attacks import AttackKind, attack_rows
 from wqsc.protocol import (
     CHECK_BASES,
     _pair_basis,
@@ -186,32 +186,44 @@ def sample_index(probs: np.ndarray, u: float) -> int:
 
 def sample_measurement(state, basis, rng):
     """One sampled outcome of measuring ``state`` in ``basis``: the
-    outcome and the collapsed state."""
+    outcome, and a function that returns the collapsed state, so that a
+    measurement whose state is never read collapses nothing."""
     probs, collapse = measurement_rows(state.amplitudes[None], basis)
     i = sample_index(probs[0], float(rng.random()))
-    collapsed = collapse(_ROW0, np.array([i]))[0]
-    return outcome_at(basis, i), _wrap(state.num_qubits, collapsed)
+    return outcome_at(basis, i), lambda: _wrap(
+        state.num_qubits, collapse(_ROW0, np.array([i]))[0]
+    )
 
 
-def sample_attack(model: AttackModel, state, transit_qubits: tuple[int, ...], rng):
+# the attacks that measure the transit qubits, so that a round spends one
+# uniform of its draw row on Eve's outcome; written here by hand, as the
+# reference the package's attacks must agree with
+MEASURING_ATTACKS = frozenset({
+    AttackKind.INTERCEPT_RESEND_Z,
+    AttackKind.INTERCEPT_RESEND_X,
+    AttackKind.CAO_INTERCEPT_RESEND_Z,
+})
+
+
+def sample_attack(kind: AttackKind, state, transit_qubits: tuple[int, ...], rng):
     """One sampled branch of the attack channel: the forwarded state and
     Eve's note. Only an attack that measures draws from ``rng``."""
-    if model.kind is AttackKind.NONE:
+    if kind is AttackKind.NONE:
         return state, None
-    probs, forward = attack_rows(model, state.amplitudes[None], transit_qubits)
-    i = sample_index(probs[0], float(rng.random())) if model.samples else 0
+    probs, forward, notes = attack_rows(kind, state.amplitudes[None], transit_qubits)
+    i = sample_index(probs[0], float(rng.random())) if kind in MEASURING_ATTACKS else 0
     amps = forward(_ROW0, np.array([i]))[0]
-    return _wrap(_qubit_count(amps), amps), attack_note(model, i, state.num_qubits)
+    return _wrap(_qubit_count(amps), amps), notes[i]
 
 
-def reference_guess(model: AttackModel, note, initial=None, alice=None, ciphertext=None):
+def reference_guess(kind: AttackKind, note, initial=None, alice=None, ciphertext=None):
     """Eve's message-bit guess, by hand for each attack, from her note
     and the round's announcements: the initial state and the sender's
     published outcome (present scheme) or the ciphertext (cao scheme).
     Returns None (unknown) where her side information says nothing."""
-    if model.kind is AttackKind.NONE:
+    if kind is AttackKind.NONE:
         return None
-    if model.kind is AttackKind.CAO_INTERCEPT_RESEND_Z:
+    if kind is AttackKind.CAO_INTERCEPT_RESEND_Z:
         # pair outcome 00 means the key pair stayed with the sender (key 0);
         # any excitation means the sender's Bell outcome encodes key 1
         return ciphertext ^ (0 if note.observed == "00" else 1)
@@ -220,9 +232,9 @@ def reference_guess(model: AttackModel, note, initial=None, alice=None, cipherte
     # turns it back into a Z eigenstate), and the probe's ancilla is a
     # copy of the receiver's qubit only in phi1 rounds; there her bit is
     # the receiver's result
-    if model.kind is AttackKind.CNOT_ANCILLA:
+    if kind is AttackKind.CNOT_ANCILLA:
         readable, bob_value = "phi1", str(note.ancilla_outcome)
-    elif model.kind is AttackKind.INTERCEPT_RESEND_Z:
+    elif kind is AttackKind.INTERCEPT_RESEND_Z:
         readable, bob_value = "phi1", note.observed
     else:
         readable, bob_value = "phi2", note.observed
@@ -231,7 +243,7 @@ def reference_guess(model: AttackModel, note, initial=None, alice=None, cipherte
     return recover_bit(alice, Outcome(BasisKind.Z, bob_value))
 
 
-def present_round(model: AttackModel, init_policy: str, bit: int | None, rng) -> tuple:
+def present_round(kind: AttackKind, init_policy: str, bit: int | None, rng) -> tuple:
     """``(message_bit, check_pass, recovered_bit, eve_guess)`` of one
     round of the three-qubit scheme; ``bit`` None plays a check round."""
     initial = init_policy
@@ -240,37 +252,37 @@ def present_round(model: AttackModel, init_policy: str, bit: int | None, rng) ->
     state = build(initial)
     if bit == 1:
         state = apply_1q(state, 3, FLIP)
-    state, note = sample_attack(model, state, (3,), rng)
+    state, note = sample_attack(kind, state, (3,), rng)
     if initial == "phi2":
         state = apply_1q(state, 3, HADAMARD)
-    alice, state = sample_measurement(state, z_basis(1, 2), rng)
-    bob, state = sample_measurement(state, z_basis(3), rng)
+    alice, after = sample_measurement(state, z_basis(1, 2), rng)
+    bob, after = sample_measurement(after(), z_basis(3), rng)
     if bit is None:
         return (None, check_consistent(alice, bob), None, None)
     if note is not None and note.ancilla_qubit is not None:
         # Eve measures her ancilla only now, at guess time
-        ancilla, state = sample_measurement(state, z_basis(note.ancilla_qubit), rng)
+        ancilla, _ = sample_measurement(after(), z_basis(note.ancilla_qubit), rng)
         note = replace(note, ancilla_outcome=int(ancilla.value))
-    guess = reference_guess(model, note, initial=initial, alice=alice)
+    guess = reference_guess(kind, note, initial=initial, alice=alice)
     return (bit, None, recover_bit(alice, bob), guess)
 
 
-def cao_round(model: AttackModel, basis_policy: str, bit: int | None, rng) -> tuple:
+def cao_round(kind: AttackKind, basis_policy: str, bit: int | None, rng) -> tuple:
     """``(message_bit, check_pass, recovered_bit, eve_guess)`` of one
     round of the four-qubit scheme; ``bit`` None plays a check round."""
-    state, note = sample_attack(model, build("w4"), (3, 4), rng)
+    state, note = sample_attack(kind, build("w4"), (3, 4), rng)
     if bit is None:
         basis = basis_policy
         if basis == "random":
             basis = CHECK_BASES[int(rng.random() * 3.0) % 3]
-        alice, state = sample_measurement(state, _pair_basis(basis, 1, 2), rng)
-        bob, _ = sample_measurement(state, _pair_basis(basis, 3, 4), rng)
+        alice, after = sample_measurement(state, _pair_basis(basis, 1, 2), rng)
+        bob, _ = sample_measurement(after(), _pair_basis(basis, 3, 4), rng)
         return (None, not cao_check_error(basis, alice, bob), None, None)
-    alice, state = sample_measurement(state, bell_basis(1, 2), rng)
-    bob, _ = sample_measurement(state, bell_basis(3, 4), rng)
+    alice, after = sample_measurement(state, bell_basis(1, 2), rng)
+    bob, _ = sample_measurement(after(), bell_basis(3, 4), rng)
     alice_key, bob_key = cao_keys(alice, bob)
     ciphertext = alice_key ^ bit
-    guess = reference_guess(model, note, ciphertext=ciphertext)
+    guess = reference_guess(kind, note, ciphertext=ciphertext)
     return (bit, None, bob_key ^ ciphertext, guess)
 
 
@@ -278,7 +290,7 @@ def scalar_round_outcomes(config, flags: np.ndarray, draws: np.ndarray) -> list[
     """Per round ``(message_bit, check_pass, recovered_bit, eve_guess)``
     from the one-round engines, round ``i`` consuming ``draws[i]`` in
     order: a message round's first draw picks its bit (0 iff ``u < 0.5``)."""
-    model = AttackModel(AttackKind(config.attack))
+    kind = AttackKind(config.attack)
     if config.scheme == "present":
         play, policy = present_round, config.init_policy
     else:
@@ -287,5 +299,5 @@ def scalar_round_outcomes(config, flags: np.ndarray, draws: np.ndarray) -> list[
     for is_check, row in zip(flags, draws):
         rng = RoundStream(row)
         bit = None if is_check else (0 if rng.random() < 0.5 else 1)
-        outcomes.append(play(model, policy, bit, rng))
+        outcomes.append(play(kind, policy, bit, rng))
     return outcomes

@@ -14,7 +14,7 @@ import numpy as np
 
 from oracle_tools import ket, project, z_projector
 from wqsc import cli
-from wqsc.attacks import AttackKind, AttackModel, attack_rows
+from wqsc.attacks import AttackKind, attack_rows
 from wqsc.harness import (
     RunConfig,
     _BranchTree,
@@ -73,8 +73,7 @@ def test_criterion_3_entangling_probe_rate_and_intermediate_state():
     result = exact_analyze("present", "cnot")
     rate_ok = abs(result.total_error_rate - 0.25) <= TOL
 
-    model = AttackModel(AttackKind.CNOT_ANCILLA)
-    _, forward = attack_rows(model, build("phi2").amplitudes[None], (3,))
+    _, forward, _ = attack_rows(AttackKind.CNOT_ANCILLA, build("phi2").amplitudes[None], (3,))
     probed = forward(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))[0]
     expected = (
         np.kron(ket("10") + ket("01"), ket("00") + ket("11"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracle_tools import (
+    MEASURING_ATTACKS,
     FixedUniform,
     ket,
     max_dev_up_to_phase,
@@ -13,13 +14,7 @@ from oracle_tools import (
     project as dense_project,
 )
 from wqsc import errors
-from wqsc.attacks import (
-    AttackKind,
-    AttackModel,
-    NO_ATTACK,
-    attack_note,
-    attack_rows,
-)
+from wqsc.attacks import CAO_ATTACKS, PRESENT_ATTACKS, AttackKind, attack_rows
 from wqsc.harness import RunConfig, _round_trees, exact_analyze
 from wqsc.protocol import cao_keys, recover_bit
 from wqsc.qstate import (
@@ -34,29 +29,37 @@ from wqsc.qstate import (
 )
 from wqsc.states import build
 
-IR_Z = AttackModel(AttackKind.INTERCEPT_RESEND_Z)
-IR_X = AttackModel(AttackKind.INTERCEPT_RESEND_X)
-CNOT_PROBE = AttackModel(AttackKind.CNOT_ANCILLA)
-CAO_IR = AttackModel(AttackKind.CAO_INTERCEPT_RESEND_Z)
+NONE = AttackKind.NONE
+IR_Z = AttackKind.INTERCEPT_RESEND_Z
+IR_X = AttackKind.INTERCEPT_RESEND_X
+CNOT_PROBE = AttackKind.CNOT_ANCILLA
+CAO_IR = AttackKind.CAO_INTERCEPT_RESEND_Z
 
 
 _ROW0 = np.zeros(1, dtype=np.int64)
 
 
+def _attack_branches(kind, state, transit):
+    """The nonzero-probability branches of ``kind`` on ``state``, and
+    Eve's notes per outcome."""
+    probs, forward, notes = attack_rows(kind, state.amplitudes[None], transit)
+    return nonzero_branches(probs, forward), notes
+
+
 class TestBranches:
     def test_no_attack_transparent(self):
         state = build("phi1")
-        probs, forward = attack_rows(NO_ATTACK, state.amplitudes[None], (3,))
+        probs, forward, notes = attack_rows(NONE, state.amplitudes[None], (3,))
         assert np.array_equal(probs, [[1.0]])
         assert np.array_equal(forward(_ROW0, _ROW0), state.amplitudes[None])
-        assert attack_note(NO_ATTACK, 0, 3) is None
-        forwarded, note = sample_attack(NO_ATTACK, state, (3,), FixedUniform(0.5))
+        assert notes == [None]
+        forwarded, note = sample_attack(NONE, state, (3,), FixedUniform(0.5))
         assert forwarded is state and note is None
 
     def test_ir_z_on_phi2(self):
-        probs, forward = attack_rows(IR_Z, build("phi2").amplitudes[None], (3,))
+        probs, forward, notes = attack_rows(IR_Z, build("phi2").amplitudes[None], (3,))
         assert probs[0] == pytest.approx([0.5, 0.5], abs=ATOL)
-        assert [attack_note(IR_Z, i, 3).observed for i in (0, 1)] == ["0", "1"]
+        assert [(note.basis, note.observed) for note in notes] == [("z", "0"), ("z", "1")]
         forwarded = forward(np.zeros(2, dtype=np.int64), np.arange(2))
         expected0 = make_state(3, np.kron(ket("10") + ket("01") + ket("00"), ket("0")))
         expected1 = make_state(3, np.kron(ket("10") + ket("01") - ket("00"), ket("1")))
@@ -64,8 +67,8 @@ class TestBranches:
         assert max_dev_up_to_phase(forwarded[1], expected1.amplitudes) <= ATOL
 
     def test_cao_branch_structure(self):
-        found = nonzero_branches(*attack_rows(CAO_IR, build("w4").amplitudes[None], (3, 4)))
-        assert [attack_note(CAO_IR, i, 4).observed for i in found.outcome] == ["00", "01", "10"]
+        found, notes = _attack_branches(CAO_IR, build("w4"), (3, 4))
+        assert [notes[i].observed for i in found.outcome] == ["00", "01", "10"]
         assert found.prob == pytest.approx([0.5, 0.25, 0.25], abs=ATOL)
         # forwarded states: psi+ x |00> after outcome 00, |00> x psi+ otherwise
         kept = make_state(4, np.kron(ket("10") + ket("01"), ket("00")))
@@ -76,15 +79,28 @@ class TestBranches:
         assert max_dev_up_to_phase(forwarded[2], swapped.amplitudes) <= ATOL
 
     def test_probe_extends_register(self):
-        probs, forward = attack_rows(CNOT_PROBE, build("phi2").amplitudes[None], (3,))
+        probs, forward, notes = attack_rows(CNOT_PROBE, build("phi2").amplitudes[None], (3,))
         assert np.array_equal(probs, [[1.0]])
-        assert attack_note(CNOT_PROBE, 0, 3).ancilla_qubit == 4
+        assert [note.ancilla_qubit for note in notes] == [4]
         probed = forward(_ROW0, _ROW0)[0]
         expected = (
             np.kron(ket("10") + ket("01"), ket("00") + ket("11"))
             + np.kron(ket("00"), ket("00") - ket("11"))
         ) / np.sqrt(6)
         assert np.max(np.abs(probed - expected)) <= ATOL
+
+    def test_draw_rule_read_off_the_outcomes(self):
+        # one note per outcome, and more than one outcome (a draw of the
+        # round) exactly for the attacks the oracle lists as measuring
+        cases = [
+            *((kind, initial, (3,)) for kind in PRESENT_ATTACKS for initial in ("phi1", "phi2")),
+            *((kind, "w4", (3, 4)) for kind in CAO_ATTACKS),
+        ]
+        assert {kind for kind, _, _ in cases} == set(AttackKind)
+        for kind, initial, transit in cases:
+            probs, _, notes = attack_rows(kind, build(initial).amplitudes[None], transit)
+            assert len(notes) == probs.shape[1], (kind, initial)
+            assert (len(notes) > 1) == (kind in MEASURING_ATTACKS), (kind, initial)
 
     def test_arity_checks(self):
         with pytest.raises(errors.ArityMismatch):
@@ -99,18 +115,18 @@ class TestResendEquivalence:
     """Collapse-in-place must equal explicit discard-and-replace."""
 
     @pytest.mark.parametrize("initial", ["phi1", "phi2"])
-    @pytest.mark.parametrize("model,projector,fresh", [
+    @pytest.mark.parametrize("kind,projector,fresh", [
         (IR_Z, z_projector, {"0": ket("0"), "1": ket("1")}),
         (IR_X, x_projector, {
             "0": np.array([1, 1], dtype=complex) / np.sqrt(2),
             "1": np.array([1, -1], dtype=complex) / np.sqrt(2),
         }),
-    ])
-    def test_branch_states_match_discard_and_replace(self, initial, model, projector, fresh):
+    ], ids=["model0-z_projector-fresh0", "model1-x_projector-fresh1"])  # stable test ids
+    def test_branch_states_match_discard_and_replace(self, initial, kind, projector, fresh):
         state = build(initial)
-        found = nonzero_branches(*attack_rows(model, state.amplitudes[None], (3,)))
+        found, notes = _attack_branches(kind, state, (3,))
         for i, forwarded, prob in zip(found.outcome, found.states(), found.prob):
-            observed = attack_note(model, i, 3).observed
+            observed = notes[i].observed
             proj = projector(3, (3,), observed)
             dense_prob, collapsed = dense_project(state.amplitudes, proj)
             assert prob == pytest.approx(dense_prob, abs=ATOL)
@@ -123,10 +139,10 @@ class TestResendEquivalence:
 
     def test_sampling_agrees_with_enumeration(self):
         state = build("phi2")
-        found = nonzero_branches(*attack_rows(IR_Z, state.amplitudes[None], (3,)))
+        found, notes = _attack_branches(IR_Z, state, (3,))
         for u, i, forwarded in zip((0.2, 0.9), found.outcome, found.states()):
             sampled, note = sample_attack(IR_Z, state, (3,), FixedUniform(u))
-            assert note == attack_note(IR_Z, i, 3)
+            assert note == notes[i]
             assert np.array_equal(sampled.amplitudes, forwarded)
 
 
@@ -193,10 +209,10 @@ class TestEveGuess:
         for node, leaf in _message_leaves("cao", "cao-ir-z"):
             assert leaf.eve_guess == leaf.message_bit
             seen.add((node["note"].observed, node["alice"].value, leaf.message_bit))
-        attacked = nonzero_branches(*attack_rows(CAO_IR, build("w4").amplitudes[None], (3, 4)))
+        attacked, notes = _attack_branches(CAO_IR, build("w4"), (3, 4))
         alice = branch_rows(attacked.states(), bell_basis(1, 2))
         alice_outcomes = {
-            (attack_note(CAO_IR, note, 4).observed, outcome_at(bell_basis(1, 2), out).value)
+            (notes[note].observed, outcome_at(bell_basis(1, 2), out).value)
             for note, out in zip(attacked.outcome[alice.parent].tolist(), alice.outcome.tolist())
         }
         assert seen == {(*pair, bit) for pair in alice_outcomes for bit in (0, 1)}

@@ -10,7 +10,7 @@ import pytest
 
 from oracle_tools import reference_guess, sample_index, scalar_round_outcomes
 from wqsc import _kernels, errors, harness
-from wqsc.attacks import AttackKind, AttackModel
+from wqsc.attacks import AttackKind
 from wqsc.harness import (
     RunConfig,
     _BranchTree,
@@ -187,7 +187,7 @@ class TestExactAnalyze:
         for initial in ("phi1", "phi2"):
             for kind in (AttackKind.INTERCEPT_RESEND_Z, AttackKind.CNOT_ANCILLA):
                 amps = build(initial).amplitudes[None]
-                attacked = nonzero_branches(*attack_rows(AttackModel(kind), amps, (3,)))
+                attacked = nonzero_branches(*attack_rows(kind, amps, (3,))[:2])
                 decoded = attacked.states()
                 if initial == "phi2":
                     decoded = apply_1q_rows(decoded, 3, HADAMARD)
@@ -223,12 +223,12 @@ class TestRoundTrees:
         config = RunConfig(
             scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
         )
-        model = AttackModel(AttackKind(attack))
+        kind = AttackKind(attack)
         _, message = _round_trees(config)
         mismatches = [
             (node, leaf.eve_guess)
             for node, leaf in zip(message.nodes, message.leaves, strict=True)
-            if leaf.eve_guess != reference_guess(model, node["note"], **_announced(scheme, node))
+            if leaf.eve_guess != reference_guess(kind, node["note"], **_announced(scheme, node))
         ]
         assert message.leaves and mismatches == []
 
@@ -269,6 +269,16 @@ class TestRunConfig:
         # int(1.5) would run seed 1's stream under another seed's name
         with pytest.raises(errors.InvalidConfig, match=f"{field} must be an integer"):
             RunConfig(scheme="present", **{field: value})
+
+    def test_non_real_check_fraction_rejected(self):
+        # a string or None would fail the range comparison with a TypeError
+        for value in ("0.5", None, 0.5j):
+            with pytest.raises(errors.InvalidConfig, match="check_fraction must be a real"):
+                RunConfig(scheme="present", check_fraction=value)
+        as_float = RunConfig(scheme="present", rounds=500, check_fraction=0.25)
+        for as_numpy in (np.float64(0.25), np.float32(0.25)):
+            config = RunConfig(scheme="present", rounds=500, check_fraction=as_numpy)
+            assert _run_counts(config) == _run_counts(as_float)
 
     def test_numpy_integers_accepted(self):
         as_int = RunConfig(scheme="present", rounds=500, master_seed=3)

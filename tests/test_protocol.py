@@ -1,4 +1,4 @@
-"""Correlation rules, derived check tables, the rules module's imports."""
+"""Correlation rules, derived check tables, the modules' imports and exports."""
 
 import ast
 from pathlib import Path
@@ -19,7 +19,8 @@ from oracle_tools import (
     x_projector,
     z_projector,
 )
-from wqsc import attacks, errors, protocol
+import wqsc
+from wqsc import attacks, errors, harness, protocol
 from wqsc.harness import RunConfig, _round_trees, exact_analyze
 from wqsc.protocol import (
     _allowed_joint_outcomes,
@@ -208,3 +209,35 @@ def test_rules_import_neither_attacks_nor_harness():
             elif isinstance(node, ast.Import):
                 imported |= {alias.name for alias in node.names}
         assert not imported & forbidden, module.__name__
+
+    # the trees know an attack only through attack_rows: harness names one
+    # attack kind, the probe whose ancilla Eve measures at guess time, and
+    # beyond that only RunConfig's default
+    tree = ast.parse(Path(harness.__file__).read_text())
+    (default,) = (
+        stmt.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "RunConfig"
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.target.id == "attack"
+    )
+    in_default = {id(node) for node in ast.walk(default)}
+    members = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "AttackKind"
+        and id(node) not in in_default
+    }
+    assert members == {"CNOT_ANCILLA"}
+    attack_names = {kind.value for kind in attacks.AttackKind}
+    assert not any(
+        isinstance(node, ast.Constant) and node.value in attack_names for node in ast.walk(tree)
+    )
+
+
+def test_package_exports_resolve():
+    # a name removed from the package must leave __all__ too
+    missing = [name for name in wqsc.__all__ if not hasattr(wqsc, name)]
+    assert missing == []
