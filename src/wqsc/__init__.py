@@ -25,13 +25,7 @@ from .qstate import (
     Gate1Q,
     MeasurementBasis,
     Outcome,
-    StateVector,
-    apply_1q,
-    apply_cnot,
     bell_basis,
-    make_state,
-    states_equal,
-    tensor,
     x_basis,
     z_basis,
 )
@@ -52,21 +46,15 @@ __all__ = [
     "RunConfig",
     "RunStats",
     "StateLabel",
-    "StateVector",
     "WqscError",
-    "apply_1q",
-    "apply_cnot",
     "bell_basis",
     "binomial_ci",
     "build",
     "cao_check_error",
     "check_consistent",
     "exact_analyze",
-    "make_state",
     "recover_bit",
     "run_monte_carlo",
-    "states_equal",
-    "tensor",
     "verify_identities",
     "x_basis",
     "z_basis",

@@ -1,4 +1,4 @@
-"""Amplitude-array kernels behind the state-vector operations.
+"""Amplitude-array kernels behind the stack calls of ``qstate``.
 
 Every kernel is plain numpy and takes a stack of states: a complex128
 amplitude array of shape ``(..., dim)``, one state per row (a flat array

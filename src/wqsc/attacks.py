@@ -41,11 +41,9 @@ import numpy as np
 from .errors import ArityMismatch, CapacityExceeded, IndexOutOfRange
 from .qstate import (
     QUBIT_CAPACITY,
-    StateVector,
     _pair_rest_indices,
     _qubit_count,
     apply_cnot_rows,
-    basis_ket,
     measurement_rows,
     tensor_rows,
     x_basis,
@@ -83,7 +81,7 @@ class EveNote:
     ancilla_outcome: int | None = None
 
 
-_KET0 = basis_ket("0").amplitudes
+_KET0 = np.array([1.0, 0.0], dtype=np.complex128)
 
 
 def attack_rows(kind: AttackKind, amps: np.ndarray, transit_qubits: tuple[int, ...]):
@@ -148,17 +146,16 @@ def _transit(kind: AttackKind, transit_qubits: tuple[int, ...], arity: int) -> t
 
 
 def _replace_pair(
-    amps: np.ndarray, qa: int, qb: int, outcomes: np.ndarray, replacement: StateVector
+    amps: np.ndarray, qa: int, qb: int, outcomes: np.ndarray, replacement: np.ndarray
 ) -> np.ndarray:
     """Swap the collapsed product pair (qa, qb) of every row, whose bits
     are the row's two-bit Z outcome, for a fresh two-qubit state."""
     idx = _pair_rest_indices(_qubit_count(amps), qa, qb)
     rest_amps = amps[np.arange(len(amps))[:, None], idx[outcomes >> 1, outcomes & 1]]
     out = np.zeros_like(amps)
-    repl = replacement.amplitudes
     for pa in (0, 1):
         for pb in (0, 1):
-            out[..., idx[pa, pb]] = rest_amps * repl[(pa << 1) | pb]
+            out[..., idx[pa, pb]] = rest_amps * replacement[(pa << 1) | pb]
     # rest_amps and replacement are each unit vectors, so out already is
     return out
 

@@ -6,11 +6,7 @@ class WqscError(Exception):
 
 
 class DimensionMismatch(WqscError):
-    """Amplitude count or qubit count does not match the declared shape."""
-
-
-class ZeroVector(WqscError):
-    """Input amplitudes have (near-)zero norm and cannot be normalized."""
+    """An amplitude array or gate matrix has the wrong shape."""
 
 
 class CapacityExceeded(WqscError):
@@ -19,10 +15,6 @@ class CapacityExceeded(WqscError):
 
 class IndexOutOfRange(WqscError):
     """Qubit index outside the 1..num_qubits range."""
-
-
-class SameQubit(WqscError):
-    """Two-qubit operation given identical control and target."""
 
 
 class NonUnitaryGate(WqscError):

@@ -124,6 +124,8 @@ class RunConfig:
         for name in ("rounds", "master_seed"):
             value = getattr(self, name)
             try:
+                if isinstance(value, bool):  # an int subclass, but no count or seed
+                    raise TypeError
                 operator.index(value)
             except TypeError:
                 raise InvalidConfig(f"{name} must be an integer, got {value!r}") from None
@@ -374,7 +376,7 @@ class _BranchTree:
 
     def prepare(self, state_of) -> None:
         """Give every node the state ``state_of(node)``."""
-        self._states = np.array([state_of(node).amplitudes for node in self.nodes])
+        self._states = np.array([state_of(node) for node in self.nodes])
 
     def gate(self, qubit: int, gate, where) -> None:
         """Apply ``gate`` to ``qubit`` of every node where ``where(node)``."""

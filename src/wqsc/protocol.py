@@ -96,7 +96,7 @@ def _pair_basis(kind: str, qa: int, qb: int) -> MeasurementBasis:
 def _allowed_joint_outcomes(kind: str) -> frozenset[tuple[str, str]]:
     """Joint (sender pair, receiver pair) outcomes of nonzero probability
     for the ideal four-qubit state, derived from the exact distribution."""
-    ideal = build(StateLabel.W4).amplitudes[None]
+    ideal = build(StateLabel.W4)[None]
     if kind in ("z", "x"):
         basis = z_basis(1, 2, 3, 4) if kind == "z" else x_basis(1, 2, 3, 4)
         labels = [outcome.value for outcome in _basis_tables(basis, 4).labels]

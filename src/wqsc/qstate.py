@@ -1,25 +1,25 @@
 """Dense state-vector core for small qubit registers.
 
-Representation: a register of ``n`` qubits (n <= 8) is a normalized
-complex128 array of length ``2**n``. Qubits are numbered 1..n and qubit 1
-is the MOST significant bit of the basis-state index, so kets read
-left-to-right: ``|100>`` on three qubits is index 4. States are immutable;
-every operation returns a new value.
+Representation: a state of ``n`` qubits (n <= 8) is a normalized
+complex128 numpy array of length ``2**n``; its length gives its qubit
+count. Qubits are numbered 1..n and qubit 1 is the MOST significant bit of
+the basis-state index, so kets read left-to-right: ``|100>`` on three
+qubits is index 4. No function here writes into an array it is given.
+
+Everything works on a *stack*, a ``(rows, 2**n)`` array of states, one
+per row (a flat array is one state): the gates are the ``*_rows``
+functions, :func:`measurement_rows` gives every row's exact outcome
+probabilities (zero-probability outcomes included) and collapses rows on
+demand, and :func:`branch_rows` gives the nonzero-probability branches.
+The branch trees of ``harness`` measure a whole level with one such call
+and sample rounds by walking the finished trees, so this module draws no
+random numbers.
 
 Measurements are supported in the computational (Z) basis, the Hadamard
 (X) basis with outcomes encoded as bits (0 for ``|+>``, 1 for ``|->``),
 and the Bell basis on an ordered qubit pair. Bell measurement is done by
 direct projection onto the four Bell states, which keeps branch
 probabilities exact.
-
-Measurement works on a *stack*, a ``(rows, 2**n)`` array of states, one
-per row: :func:`measurement_rows` gives every row's exact outcome
-probabilities (zero-probability outcomes included) and collapses rows on
-demand, and :func:`branch_rows` gives the nonzero-probability branches.
-The branch trees of ``harness`` measure a whole level with one such call
-and sample rounds by walking the finished trees, so this module draws no
-random numbers. Gates have stack forms too (the ``*_rows`` functions),
-of which the single-state gates are one-row calls.
 """
 
 from __future__ import annotations
@@ -27,20 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    CapacityExceeded,
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvalidBasis,
-    NonUnitaryGate,
-    SameQubit,
-    ZeroVector,
-)
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidBasis, NonUnitaryGate
 
 QUBIT_CAPACITY = 8
 
@@ -48,72 +40,8 @@ QUBIT_CAPACITY = 8
 # sqrt(2), sqrt(3), sqrt(6), so double precision holds them to ~1e-16)
 ATOL = 1e-12
 
-# inputs with norm below this are rejected rather than renormalized
-MIN_NORM = 1e-9
-
 # branch probabilities below this are treated as exact zeros
 ZERO_PROB = 1e-15
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Immutable normalized amplitude vector over ``num_qubits`` qubits."""
-
-    num_qubits: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def bit_position(self, qubit: int) -> int:
-        """Index-bit position of a 1-based qubit (qubit 1 = MSB)."""
-        if not 1 <= qubit <= self.num_qubits:
-            raise IndexOutOfRange(
-                f"qubit {qubit} outside 1..{self.num_qubits}"
-            )
-        return self.num_qubits - qubit
-
-
-def _wrap(num_qubits: int, amplitudes: np.ndarray) -> StateVector:
-    """Package an already-normalized array without copying or checking."""
-    amplitudes.setflags(write=False)
-    return StateVector(num_qubits=num_qubits, amplitudes=amplitudes)
-
-
-def make_state(num_qubits: int, amplitudes: Sequence[complex]) -> StateVector:
-    """Validate, normalize and freeze an amplitude sequence.
-
-    Rejects length mismatches and vectors of norm below ``MIN_NORM``;
-    anything else is scaled to unit norm.
-    """
-    if not 1 <= num_qubits <= QUBIT_CAPACITY:
-        raise CapacityExceeded(
-            f"num_qubits must be in 1..{QUBIT_CAPACITY}, got {num_qubits}"
-        )
-    arr = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
-    if arr.shape[0] != 1 << num_qubits:
-        raise DimensionMismatch(
-            f"expected {1 << num_qubits} amplitudes for {num_qubits} qubits, "
-            f"got {arr.shape[0]}"
-        )
-    norm = np.linalg.norm(arr)
-    if norm < MIN_NORM:
-        raise ZeroVector("amplitude vector has (near-)zero norm")
-    return _wrap(num_qubits, arr / norm)
-
-
-def basis_ket(bits: str) -> StateVector:
-    """Computational basis state from a bit string, e.g. ``'010'``."""
-    n = len(bits)
-    if not 1 <= n <= QUBIT_CAPACITY:
-        raise CapacityExceeded(f"ket width must be in 1..{QUBIT_CAPACITY}, got {n}")
-    arr = np.zeros(1 << n, dtype=np.complex128)
-    arr[int(bits, 2)] = 1.0
-    return _wrap(n, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +70,6 @@ class Gate1Q:
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
-IDENTITY = Gate1Q(np.array([[1, 0], [0, 1]], dtype=complex), name="I")
 # flips both the computational and the Hadamard basis (up to sign):
 # |0> -> -|1>, |1> -> |0>, |+> -> |->, |-> -> -|+>
 FLIP = Gate1Q(np.array([[0, 1], [-1, 0]], dtype=complex), name="U")
@@ -211,32 +138,7 @@ class Outcome:
 
 
 # ---------------------------------------------------------------------------
-# state operations
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; ``a``'s qubits become the high-order qubits."""
-    total = a.num_qubits + b.num_qubits
-    if total > QUBIT_CAPACITY:
-        raise CapacityExceeded(
-            f"{total} qubits exceed the {QUBIT_CAPACITY}-qubit capacity"
-        )
-    return _wrap(total, tensor_rows(a.amplitudes, b.amplitudes))
-
-
-def apply_1q(state: StateVector, qubit: int, gate: Gate1Q) -> StateVector:
-    """Apply a single-qubit unitary to one tensor factor."""
-    state.bit_position(qubit)
-    return _wrap(state.num_qubits, apply_1q_rows(state.amplitudes, qubit, gate))
-
-
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    """Flip the target bit on every basis state whose control bit is 1."""
-    if control == target:
-        raise SameQubit("control and target must differ")
-    state.bit_position(control)
-    state.bit_position(target)
-    return _wrap(state.num_qubits, apply_cnot_rows(state.amplitudes, control, target))
+# basis tables
 
 
 class _BasisTables(NamedTuple):
@@ -301,9 +203,9 @@ def outcome_at(basis: MeasurementBasis, i: int) -> Outcome:
 # A stack is a ``(rows, 2**n)`` amplitude array that holds one n-qubit
 # state per row. Each stack operation is one kernel call per step for all
 # rows, and a row gets bit-identical results whether it is a one-row
-# stack (as in the StateVector gates above) or a row of a larger stack.
-# Measurements check their basis (``_basis_tables``); the qubit numbers of
-# gates are checked only by the StateVector operations.
+# stack or a row of a larger stack. Measurements check their basis
+# (``_basis_tables``); gates trust their qubit numbers, which come from
+# the fixed round layouts of ``harness`` and ``attacks``.
 
 
 def _qubit_count(amps: np.ndarray) -> int:
@@ -389,18 +291,12 @@ def branch_rows(amps: np.ndarray, basis: MeasurementBasis) -> Branches:
 # comparison
 
 
-def phase_deviation(a: StateVector, b: StateVector) -> float:
-    """Max amplitude deviation after aligning the best global phase."""
-    if a.num_qubits != b.num_qubits:
-        raise DimensionMismatch(
-            f"cannot compare {a.num_qubits}- and {b.num_qubits}-qubit states"
-        )
-    inner = np.vdot(b.amplitudes, a.amplitudes)
+def phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """Max amplitude deviation between two states after aligning the
+    best global phase."""
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"cannot compare states of shapes {a.shape} and {b.shape}")
+    inner = np.vdot(b, a)
     mag = abs(inner)
     phase = inner / mag if mag > 0.0 else 1.0
-    return float(np.max(np.abs(a.amplitudes - phase * b.amplitudes)))
-
-
-def states_equal(a: StateVector, b: StateVector, tol: float = ATOL) -> bool:
-    """True iff ``a`` equals ``b`` up to a global phase, within ``tol``."""
-    return phase_deviation(a, b) <= tol
+    return float(np.max(np.abs(a - phase * b)))

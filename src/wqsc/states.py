@@ -21,15 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnknownLabel
-from .qstate import (
-    ATOL,
-    StateVector,
-    apply_cnot,
-    basis_ket,
-    make_state,
-    phase_deviation,
-    tensor,
-)
+from .qstate import ATOL, apply_cnot_rows, phase_deviation, tensor_rows
 
 
 class StateLabel(str, Enum):
@@ -45,6 +37,13 @@ class StateLabel(str, Enum):
 _SQRT2 = np.sqrt(2.0)
 
 
+def _normalized(vec: np.ndarray) -> np.ndarray:
+    """``vec`` scaled to unit norm, as a new read-only array."""
+    state = vec / np.linalg.norm(vec)
+    state.setflags(write=False)
+    return state
+
+
 def _ket(bits: str) -> np.ndarray:
     arr = np.zeros(1 << len(bits), dtype=np.complex128)
     arr[int(bits, 2)] = 1.0
@@ -56,16 +55,17 @@ _MINUS = np.array([1.0, -1.0], dtype=np.complex128) / _SQRT2
 
 
 @lru_cache(maxsize=None)
-def build(label: StateLabel | str) -> StateVector:
+def build(label: StateLabel | str) -> np.ndarray:
     """Canonical normalized state for a label (exact amplitudes, not
-    merely up to phase). Values are cached; states are immutable."""
+    merely up to phase), as a read-only complex128 array. Values are
+    cached and shared by every caller, so they are frozen against writes."""
     try:
         label = StateLabel(label)
     except ValueError:
         raise UnknownLabel(f"no state named {label!r}") from None
     if label is StateLabel.PHI1:
         # (|100> + |010> + |001>) / sqrt(3)
-        return make_state(3, _ket("100") + _ket("010") + _ket("001"))
+        return _normalized(_ket("100") + _ket("010") + _ket("001"))
     if label is StateLabel.PHI2:
         # (|10+> + |01+> + |00->) / sqrt(3), |+-> expanded literally
         vec = (
@@ -73,18 +73,16 @@ def build(label: StateLabel | str) -> StateVector:
             + np.kron(_ket("01"), _PLUS)
             + np.kron(_ket("00"), _MINUS)
         )
-        return make_state(3, vec)
+        return _normalized(vec)
     if label is StateLabel.W4:
-        return make_state(
-            4, _ket("1000") + _ket("0100") + _ket("0010") + _ket("0001")
-        )
+        return _normalized(_ket("1000") + _ket("0100") + _ket("0010") + _ket("0001"))
     if label is StateLabel.BELL_PSI_PLUS:
-        return make_state(2, _ket("10") + _ket("01"))
+        return _normalized(_ket("10") + _ket("01"))
     if label is StateLabel.BELL_PSI_MINUS:
-        return make_state(2, _ket("10") - _ket("01"))
+        return _normalized(_ket("10") - _ket("01"))
     if label is StateLabel.BELL_PHI_PLUS:
-        return make_state(2, _ket("00") + _ket("11"))
-    return make_state(2, _ket("00") - _ket("11"))
+        return _normalized(_ket("00") + _ket("11"))
+    return _normalized(_ket("00") - _ket("11"))
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ class IdentityReport:
 _DISTINCT_MARGIN = 0.3
 
 
-def _compare(identity_id: str, description: str, forms: list[StateVector]) -> IdentityReport:
+def _compare(identity_id: str, description: str, forms: list[np.ndarray]) -> IdentityReport:
     deviation = max(
         phase_deviation(forms[0], other) for other in forms[1:]
     )
@@ -112,38 +110,36 @@ def _compare(identity_id: str, description: str, forms: list[StateVector]) -> Id
 # the pieces of the expansions below: the single excitation of a pair in
 # Z, in the Bell basis (psi+ against phi+ + phi-) and in X (|++>, ...)
 _PAIR_SUM = _ket("10") + _ket("01")
-_PSI_PLUS = build(StateLabel.BELL_PSI_PLUS).amplitudes
-_PHI_SUM = (
-    build(StateLabel.BELL_PHI_PLUS).amplitudes + build(StateLabel.BELL_PHI_MINUS).amplitudes
-)
+_PSI_PLUS = build(StateLabel.BELL_PSI_PLUS)
+_PHI_SUM = build(StateLabel.BELL_PHI_PLUS) + build(StateLabel.BELL_PHI_MINUS)
 _PP, _PM, _MP, _MM = (np.kron(a, b) for a in (_PLUS, _MINUS) for b in (_PLUS, _MINUS))
 
 
-def _w4_z_form() -> StateVector:
-    return make_state(4, np.kron(_PAIR_SUM, _ket("00")) + np.kron(_ket("00"), _PAIR_SUM))
+def _w4_z_form() -> np.ndarray:
+    return _normalized(np.kron(_PAIR_SUM, _ket("00")) + np.kron(_ket("00"), _PAIR_SUM))
 
 
-def _w4_bell_form() -> StateVector:
-    return make_state(4, np.kron(_PSI_PLUS, _PHI_SUM) + np.kron(_PHI_SUM, _PSI_PLUS))
+def _w4_bell_form() -> np.ndarray:
+    return _normalized(np.kron(_PSI_PLUS, _PHI_SUM) + np.kron(_PHI_SUM, _PSI_PLUS))
 
 
-def _w4_x_form() -> StateVector:
+def _w4_x_form() -> np.ndarray:
     vec = (
         np.kron(_PP, 2 * _PP + _PM + _MP)
         - np.kron(_MM, 2 * _MM + _PM + _MP)
         + np.kron(_PM, _PP - _MM)
         + np.kron(_MP, _PP - _MM)
     )
-    return make_state(4, vec)
+    return _normalized(vec)
 
 
-def _collapsed_forms(excited_pair: int) -> list[StateVector]:
+def _collapsed_forms(excited_pair: int) -> list[np.ndarray]:
     """Post-attack state with the excitation on pair ``excited_pair`` (0
     the first, 1 the second), three ways: in Z, Bell and Hadamard bases."""
 
-    def form(excited: np.ndarray, empty: np.ndarray) -> StateVector:
+    def form(excited: np.ndarray, empty: np.ndarray) -> np.ndarray:
         pairs = (excited, empty) if excited_pair == 0 else (empty, excited)
-        return make_state(4, np.kron(*pairs))
+        return _normalized(np.kron(*pairs))
 
     return [
         form(_PAIR_SUM, _ket("00")),
@@ -152,22 +148,22 @@ def _collapsed_forms(excited_pair: int) -> list[StateVector]:
     ]
 
 
-def _entangled_ancilla_form() -> StateVector:
+def _entangled_ancilla_form() -> np.ndarray:
     """Literal form of phi2 with a fourth qubit copying qubit 3 in Z."""
     vec = np.kron(_PAIR_SUM, _ket("00") + _ket("11")) + np.kron(
         _ket("00"), _ket("00") - _ket("11")
     )
-    return make_state(4, vec)
+    return _normalized(vec)
 
 
-def _phi1_split_form() -> StateVector:
+def _phi1_split_form() -> np.ndarray:
     vec = np.kron(_PAIR_SUM, _ket("0")) + np.kron(_ket("00"), _ket("1"))
-    return make_state(3, vec)
+    return _normalized(vec)
 
 
-def _phi2_split_form() -> StateVector:
+def _phi2_split_form() -> np.ndarray:
     vec = np.kron(_PAIR_SUM, _PLUS) + np.kron(_ket("00"), _MINUS)
-    return make_state(3, vec)
+    return _normalized(vec)
 
 
 def verify_identities() -> list[IdentityReport]:
@@ -202,7 +198,7 @@ def verify_identities() -> list[IdentityReport]:
             "the literal four-qubit expansion",
             [
                 _entangled_ancilla_form(),
-                apply_cnot(tensor(build(StateLabel.PHI2), basis_ket("0")), 3, 4),
+                apply_cnot_rows(tensor_rows(build(StateLabel.PHI2), _ket("0")), 3, 4),
             ],
         ),
         _compare(

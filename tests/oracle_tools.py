@@ -37,9 +37,7 @@ from wqsc.qstate import (
     BasisKind,
     ZERO_PROB,
     Outcome,
-    _qubit_count,
-    _wrap,
-    apply_1q,
+    apply_1q_rows,
     bell_basis,
     measurement_rows,
     outcome_at,
@@ -65,6 +63,12 @@ BELL_VECTORS = {
     "phi-": np.kron(KET0, KET0) - np.kron(KET1, KET1),
 }
 BELL_VECTORS = {k: v / np.sqrt(2) for k, v in BELL_VECTORS.items()}
+
+
+def unit(vec) -> np.ndarray:
+    """``vec`` as a complex array scaled to unit norm."""
+    vec = np.asarray(vec, dtype=complex)
+    return vec / np.linalg.norm(vec)
 
 
 def ket(bits: str) -> np.ndarray:
@@ -188,11 +192,9 @@ def sample_measurement(state, basis, rng):
     """One sampled outcome of measuring ``state`` in ``basis``: the
     outcome, and a function that returns the collapsed state, so that a
     measurement whose state is never read collapses nothing."""
-    probs, collapse = measurement_rows(state.amplitudes[None], basis)
+    probs, collapse = measurement_rows(state[None], basis)
     i = sample_index(probs[0], float(rng.random()))
-    return outcome_at(basis, i), lambda: _wrap(
-        state.num_qubits, collapse(_ROW0, np.array([i]))[0]
-    )
+    return outcome_at(basis, i), lambda: collapse(_ROW0, np.array([i]))[0]
 
 
 # the attacks that measure the transit qubits, so that a round spends one
@@ -210,10 +212,9 @@ def sample_attack(kind: AttackKind, state, transit_qubits: tuple[int, ...], rng)
     Eve's note. Only an attack that measures draws from ``rng``."""
     if kind is AttackKind.NONE:
         return state, None
-    probs, forward, notes = attack_rows(kind, state.amplitudes[None], transit_qubits)
+    probs, forward, notes = attack_rows(kind, state[None], transit_qubits)
     i = sample_index(probs[0], float(rng.random())) if kind in MEASURING_ATTACKS else 0
-    amps = forward(_ROW0, np.array([i]))[0]
-    return _wrap(_qubit_count(amps), amps), notes[i]
+    return forward(_ROW0, np.array([i]))[0], notes[i]
 
 
 def reference_guess(kind: AttackKind, note, initial=None, alice=None, ciphertext=None):
@@ -251,10 +252,10 @@ def present_round(kind: AttackKind, init_policy: str, bit: int | None, rng) -> t
         initial = "phi1" if rng.random() < 0.5 else "phi2"
     state = build(initial)
     if bit == 1:
-        state = apply_1q(state, 3, FLIP)
+        state = apply_1q_rows(state, 3, FLIP)
     state, note = sample_attack(kind, state, (3,), rng)
     if initial == "phi2":
-        state = apply_1q(state, 3, HADAMARD)
+        state = apply_1q_rows(state, 3, HADAMARD)
     alice, after = sample_measurement(state, z_basis(1, 2), rng)
     bob, after = sample_measurement(after(), z_basis(3), rng)
     if bit is None:

@@ -9,6 +9,7 @@ from oracle_tools import (
     ket,
     max_dev_up_to_phase,
     sample_attack,
+    unit,
     x_projector,
     z_projector,
     project as dense_project,
@@ -23,7 +24,6 @@ from wqsc.qstate import (
     Outcome,
     bell_basis,
     branch_rows,
-    make_state,
     nonzero_branches,
     outcome_at,
 )
@@ -42,44 +42,44 @@ _ROW0 = np.zeros(1, dtype=np.int64)
 def _attack_branches(kind, state, transit):
     """The nonzero-probability branches of ``kind`` on ``state``, and
     Eve's notes per outcome."""
-    probs, forward, notes = attack_rows(kind, state.amplitudes[None], transit)
+    probs, forward, notes = attack_rows(kind, state[None], transit)
     return nonzero_branches(probs, forward), notes
 
 
 class TestBranches:
     def test_no_attack_transparent(self):
         state = build("phi1")
-        probs, forward, notes = attack_rows(NONE, state.amplitudes[None], (3,))
+        probs, forward, notes = attack_rows(NONE, state[None], (3,))
         assert np.array_equal(probs, [[1.0]])
-        assert np.array_equal(forward(_ROW0, _ROW0), state.amplitudes[None])
+        assert np.array_equal(forward(_ROW0, _ROW0), state[None])
         assert notes == [None]
         forwarded, note = sample_attack(NONE, state, (3,), FixedUniform(0.5))
         assert forwarded is state and note is None
 
     def test_ir_z_on_phi2(self):
-        probs, forward, notes = attack_rows(IR_Z, build("phi2").amplitudes[None], (3,))
+        probs, forward, notes = attack_rows(IR_Z, build("phi2")[None], (3,))
         assert probs[0] == pytest.approx([0.5, 0.5], abs=ATOL)
         assert [(note.basis, note.observed) for note in notes] == [("z", "0"), ("z", "1")]
         forwarded = forward(np.zeros(2, dtype=np.int64), np.arange(2))
-        expected0 = make_state(3, np.kron(ket("10") + ket("01") + ket("00"), ket("0")))
-        expected1 = make_state(3, np.kron(ket("10") + ket("01") - ket("00"), ket("1")))
-        assert max_dev_up_to_phase(forwarded[0], expected0.amplitudes) <= ATOL
-        assert max_dev_up_to_phase(forwarded[1], expected1.amplitudes) <= ATOL
+        expected0 = unit(np.kron(ket("10") + ket("01") + ket("00"), ket("0")))
+        expected1 = unit(np.kron(ket("10") + ket("01") - ket("00"), ket("1")))
+        assert max_dev_up_to_phase(forwarded[0], expected0) <= ATOL
+        assert max_dev_up_to_phase(forwarded[1], expected1) <= ATOL
 
     def test_cao_branch_structure(self):
         found, notes = _attack_branches(CAO_IR, build("w4"), (3, 4))
         assert [notes[i].observed for i in found.outcome] == ["00", "01", "10"]
         assert found.prob == pytest.approx([0.5, 0.25, 0.25], abs=ATOL)
         # forwarded states: psi+ x |00> after outcome 00, |00> x psi+ otherwise
-        kept = make_state(4, np.kron(ket("10") + ket("01"), ket("00")))
-        swapped = make_state(4, np.kron(ket("00"), ket("10") + ket("01")))
+        kept = unit(np.kron(ket("10") + ket("01"), ket("00")))
+        swapped = unit(np.kron(ket("00"), ket("10") + ket("01")))
         forwarded = found.states()
-        assert max_dev_up_to_phase(forwarded[0], kept.amplitudes) <= ATOL
-        assert max_dev_up_to_phase(forwarded[1], swapped.amplitudes) <= ATOL
-        assert max_dev_up_to_phase(forwarded[2], swapped.amplitudes) <= ATOL
+        assert max_dev_up_to_phase(forwarded[0], kept) <= ATOL
+        assert max_dev_up_to_phase(forwarded[1], swapped) <= ATOL
+        assert max_dev_up_to_phase(forwarded[2], swapped) <= ATOL
 
     def test_probe_extends_register(self):
-        probs, forward, notes = attack_rows(CNOT_PROBE, build("phi2").amplitudes[None], (3,))
+        probs, forward, notes = attack_rows(CNOT_PROBE, build("phi2")[None], (3,))
         assert np.array_equal(probs, [[1.0]])
         assert [note.ancilla_qubit for note in notes] == [4]
         probed = forward(_ROW0, _ROW0)[0]
@@ -98,15 +98,15 @@ class TestBranches:
         ]
         assert {kind for kind, _, _ in cases} == set(AttackKind)
         for kind, initial, transit in cases:
-            probs, _, notes = attack_rows(kind, build(initial).amplitudes[None], transit)
+            probs, _, notes = attack_rows(kind, build(initial)[None], transit)
             assert len(notes) == probs.shape[1], (kind, initial)
             assert (len(notes) > 1) == (kind in MEASURING_ATTACKS), (kind, initial)
 
     def test_arity_checks(self):
         with pytest.raises(errors.ArityMismatch):
-            attack_rows(IR_Z, build("w4").amplitudes[None], (3, 4))
+            attack_rows(IR_Z, build("w4")[None], (3, 4))
         with pytest.raises(errors.ArityMismatch):
-            attack_rows(CAO_IR, build("phi1").amplitudes[None], (3,))
+            attack_rows(CAO_IR, build("phi1")[None], (3,))
         with pytest.raises(errors.ArityMismatch):
             sample_attack(CAO_IR, build("phi1"), (3,), FixedUniform(0.1))
 
@@ -128,7 +128,7 @@ class TestResendEquivalence:
         for i, forwarded, prob in zip(found.outcome, found.states(), found.prob):
             observed = notes[i].observed
             proj = projector(3, (3,), observed)
-            dense_prob, collapsed = dense_project(state.amplitudes, proj)
+            dense_prob, collapsed = dense_project(state, proj)
             assert prob == pytest.approx(dense_prob, abs=ATOL)
             # discard qubit 3 (contract against the observed state) and
             # append a fresh copy of it
@@ -143,7 +143,7 @@ class TestResendEquivalence:
         for u, i, forwarded in zip((0.2, 0.9), found.outcome, found.states()):
             sampled, note = sample_attack(IR_Z, state, (3,), FixedUniform(u))
             assert note == notes[i]
-            assert np.array_equal(sampled.amplitudes, forwarded)
+            assert np.array_equal(sampled, forwarded)
 
 
 class TestInvisibility:

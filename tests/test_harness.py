@@ -186,7 +186,7 @@ class TestExactAnalyze:
 
         for initial in ("phi1", "phi2"):
             for kind in (AttackKind.INTERCEPT_RESEND_Z, AttackKind.CNOT_ANCILLA):
-                amps = build(initial).amplitudes[None]
+                amps = build(initial)[None]
                 attacked = nonzero_branches(*attack_rows(kind, amps, (3,))[:2])
                 decoded = attacked.states()
                 if initial == "phi2":
@@ -269,6 +269,14 @@ class TestRunConfig:
         # int(1.5) would run seed 1's stream under another seed's name
         with pytest.raises(errors.InvalidConfig, match=f"{field} must be an integer"):
             RunConfig(scheme="present", **{field: value})
+
+    @pytest.mark.parametrize("field", ["rounds", "master_seed"])
+    def test_bool_rejected(self, field):
+        # bool is an int subclass: True would run as 1 (rounds then fails
+        # the check-round rule with a misleading message)
+        for value in (True, False, np.True_):
+            with pytest.raises(errors.InvalidConfig, match=f"{field} must be an integer"):
+                RunConfig(scheme="present", **{field: value})
 
     def test_non_real_check_fraction_rejected(self):
         # a string or None would fail the range comparison with a TypeError

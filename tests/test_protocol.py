@@ -20,7 +20,7 @@ from oracle_tools import (
     z_projector,
 )
 import wqsc
-from wqsc import attacks, errors, harness, protocol
+from wqsc import attacks, errors, harness, protocol, qstate
 from wqsc.harness import RunConfig, _round_trees, exact_analyze
 from wqsc.protocol import (
     _allowed_joint_outcomes,
@@ -95,10 +95,10 @@ class TestPresentRound:
     def test_flip_encoding_branch_enumeration(self):
         # encoded bit 1 on phi1: whenever the sender reads 00 the receiver
         # must read 0, and the table recovers 1
-        from wqsc.qstate import apply_1q
+        from wqsc.qstate import apply_1q_rows
 
-        encoded = apply_1q(build("phi1"), 3, FLIP)
-        alice = branch_rows(encoded.amplitudes[None], z_basis(1, 2))
+        encoded = apply_1q_rows(build("phi1"), 3, FLIP)
+        alice = branch_rows(encoded[None], z_basis(1, 2))
         bob = branch_rows(alice.states(), z_basis(3))
         seen_00 = False
         for a, b in zip(alice.outcome[bob.parent].tolist(), bob.outcome.tolist()):
@@ -125,7 +125,7 @@ class TestCaoRound:
         # only (psi+, phi+/-) and (phi+/-, psi+) carry probability
         from wqsc.qstate import bell_basis
 
-        alice = branch_rows(build("w4").amplitudes[None], bell_basis(1, 2))
+        alice = branch_rows(build("w4")[None], bell_basis(1, 2))
         bob = branch_rows(alice.states(), bell_basis(3, 4))
         assert alice.prob[bob.parent] * bob.prob == pytest.approx([0.25] * 4, abs=ATOL)
         seen = {
@@ -152,7 +152,7 @@ class TestCaoCheckError:
             cao_check_error("z", Outcome(BasisKind.X, "10"), z_out("00"))
 
     def test_derived_tables_match_dense_projector_oracle(self):
-        w4 = build("w4").amplitudes
+        w4 = build("w4")
         # Z and X: all sixteen joint outcomes via explicit projectors
         for kind, projector in (("z", z_projector), ("x", x_projector)):
             expected = set()
@@ -184,7 +184,7 @@ class TestCaoCheckError:
 
     def test_bell_forbidden_joint_probability_is_zero(self):
         # P(psi+ on 1,2 AND psi+ on 3,4) computed densely
-        w4 = build("w4").amplitudes
+        w4 = build("w4")
         prob_a, collapsed = dense_project(w4, bell_projector_first_pair("psi+", 2))
         prob_b, _ = dense_project(collapsed, bell_projector_second_pair("psi+", 2))
         assert prob_a == pytest.approx(0.5, abs=ATOL)
@@ -241,3 +241,7 @@ def test_package_exports_resolve():
     # a name removed from the package must leave __all__ too
     missing = [name for name in wqsc.__all__ if not hasattr(wqsc, name)]
     assert missing == []
+    # a state is a plain array and the ``*_rows`` calls are the only gates:
+    # the one-state wrapper and its gate API stay gone
+    retired = ("StateVector", "make_state", "tensor", "apply_1q", "apply_cnot", "states_equal")
+    assert [name for name in retired if hasattr(wqsc, name) or hasattr(qstate, name)] == []
