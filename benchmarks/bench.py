@@ -3,7 +3,7 @@ exact analysis) and the cost of one long cold run.
 
 Usage (from the root of a checkout):
 
-    python benchmarks/bench.py --label NAME [--src DIR]
+    python benchmarks/bench.py --label NAME [--src DIR] [--parent-src DIR]
 
 For each of the 20 valid (scheme, attack, init policy, check-basis
 policy) configs, the script times on one CPU (the last one the process
@@ -27,21 +27,34 @@ normalized as the end-to-end benchmark does it: scaled by
 ``REF_NOMINAL_S`` over the mean of the reference bursts of
 ``perfbench/calibrate.py`` timed just before and just after it.
 
+``--parent-src`` compares two versions in one process: the ``wqsc``
+package of another checkout (its ``src`` directory, say a parent commit
+exported next to this one) is imported under the package name
+``wqsc_parent``, and every call of the change is timed right next to the
+same call of the parent, the order of the two alternating from repeat to
+repeat. Per config and per layer, the report then holds the parent's
+medians and the ratio change / parent of each repeat's pair of calls,
+as the median with its quartiles over the repeats; ``totals_ratio`` is
+the same for each repeat's sum over the 20 configs. Two calls timed side
+by side see the same host speed, so these ratios hold steady where the
+ratio of two separate runs does not.
+
 The script then runs ``wqsc run --scheme cao --attack cao-ir-z --rounds
-10000000`` once, as a cold subprocess on the same CPU, and records its
-wall seconds (not normalized) and the child's own peak RSS
-(``ru_maxrss`` of that child alone, from ``os.wait4``) as ``cold_run``.
+10000000`` once per version, as a cold subprocess on the same CPU, and
+records its wall seconds (not normalized) and the child's own peak RSS
+(``ru_maxrss`` of that child alone, from ``os.wait4``) as ``cold_run``
+(and ``parent_cold_run``).
 
 The result, with the machine's core count and the python and numpy versions,
 is written to ``benchmarks/BENCH_<label>.json``. ``--src`` measures the
-``wqsc`` package of another checkout (its ``src`` directory), so a parent
-commit exported next to this one can be measured with the same script.
+``wqsc`` package of another checkout instead of this one.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -55,6 +68,7 @@ HERE = Path(__file__).resolve().parent
 ROUNDS = 2000
 REPEATS = 31
 COLD_RUN = ("run", "--scheme", "cao", "--attack", "cao-ir-z", "--rounds", "10000000")
+LAYERS = ("build_ms", "run_ms", "exact_ms")
 
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 from calibrate import REF_NOMINAL_S, burst  # noqa: E402
@@ -90,55 +104,70 @@ def _commit(src: Path) -> str | None:
     return out.stdout.strip() or None
 
 
+def _harness(src: Path, name: str):
+    """The ``harness`` module of the ``wqsc`` package in ``src``, imported
+    as the package ``name``; its own imports are relative, so they stay
+    inside that package."""
+    init = src / "wqsc" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return sys.modules[f"{name}.harness"]
+
+
 def _timed(call) -> float:
     start = time.perf_counter()
     call()
     return (time.perf_counter() - start) * 1e3
 
 
-def measure() -> tuple[list[dict], float]:
-    """Per config, the normalized median times; and the median wall time
-    of a reference burst, in ms."""
-    from wqsc.harness import RunConfig, _round_trees, _run_counts, exact_analyze
+def _calls(harness, spec: tuple[str, str, str, str]) -> dict:
+    """Per layer, the call that times it for one config."""
+    scheme, attack, init, basis = spec
+    config = harness.RunConfig(
+        scheme=scheme, attack=attack, rounds=ROUNDS, check_fraction=0.5,
+        init_policy=init, check_basis_policy=basis,
+    )
+    return {
+        "build_ms": lambda: harness._round_trees(config),
+        "run_ms": lambda: harness._run_counts(config),
+        "exact_ms": lambda: harness.exact_analyze(scheme, attack, init, basis),
+    }
 
-    cases = [
-        (
-            RunConfig(
-                scheme=scheme, attack=attack, rounds=ROUNDS, check_fraction=0.5,
-                init_policy=init, check_basis_policy=basis,
-            ),
-            {"build_ms": [], "run_ms": [], "exact_ms": []},
-        )
-        for scheme, attack, init, basis in CONFIGS
-    ]
 
+def measure(versions: list) -> tuple[list[list[dict]], float]:
+    """Per version and config, the normalized times of every repeat, by
+    layer; and the median wall time of a reference burst, in ms. Within a
+    repeat the versions take turns per config, in an order that
+    alternates from repeat to repeat."""
+    calls = [[_calls(harness, spec) for spec in CONFIGS] for harness in versions]
+    times = [[{layer: [] for layer in LAYERS} for _ in CONFIGS] for _ in versions]
     refs = [burst()]
-    for _ in range(REPEATS):
-        for config, times in cases:
-            build = _timed(lambda: _round_trees(config))
-            run = _timed(lambda: _run_counts(config))
-            exact = _timed(
-                lambda: exact_analyze(
-                    config.scheme, config.attack, config.init_policy, config.check_basis_policy
-                )
-            )
+    for repeat in range(REPEATS):
+        order = list(range(len(versions)))
+        if repeat % 2:
+            order.reverse()
+        for case in range(len(CONFIGS)):
+            walls = {v: {layer: _timed(calls[v][case][layer]) for layer in LAYERS} for v in order}
             refs.append(burst())
             scale = REF_NOMINAL_S / ((refs[-2] + refs[-1]) / 2.0)
-            times["build_ms"].append(build * scale)
-            times["run_ms"].append(run * scale)
-            times["exact_ms"].append(exact * scale)
+            for v, wall in walls.items():
+                for layer in LAYERS:
+                    times[v][case][layer].append(wall[layer] * scale)
+    return times, statistics.median(refs) * 1e3
 
-    configs = [
-        {
-            "scheme": config.scheme,
-            "attack": config.attack,
-            "init": config.init_policy,
-            "check_basis": config.check_basis_policy,
-            **{key: statistics.median(values) for key, values in times.items()},
-        }
-        for config, times in cases
-    ]
-    return configs, statistics.median(refs) * 1e3
+
+def _spread(values: list[float]) -> dict:
+    """Median and quartiles."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def _medians(cases: list[dict]) -> list[dict]:
+    return [{layer: statistics.median(case[layer]) for layer in LAYERS} for case in cases]
 
 
 def cold_run(src: Path) -> dict:
@@ -159,11 +188,17 @@ def cold_run(src: Path) -> dict:
     return {"argv": ["wqsc", *COLD_RUN], "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
 
 
+def _checkout(src: Path) -> dict:
+    return {"src": str(src), "commit": _commit(src), "src_sha256": _src_digest(src)}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     parser.add_argument("--src", type=Path, default=HERE.parent / "src",
                         help="directory that holds the wqsc package to measure")
+    parser.add_argument("--parent-src", type=Path,
+                        help="directory that holds a wqsc package to time interleaved with it")
     args = parser.parse_args(argv)
 
     cpu = max(os.sched_getaffinity(0))
@@ -171,16 +206,19 @@ def main(argv: list[str] | None = None) -> int:
     src = args.src.resolve()
     sys.path.insert(0, str(src))
     import numpy as np
+    from wqsc import harness
 
-    configs, ref_burst_ms = measure()
-    cold = cold_run(src)
-    totals = {
-        key: sum(case[key] for case in configs) for key in ("build_ms", "run_ms", "exact_ms")
-    }
+    parent = args.parent_src.resolve() if args.parent_src else None
+    versions = [harness] + ([_harness(parent, "wqsc_parent")] if parent else [])
+    times, ref_burst_ms = measure(versions)
+    configs = [
+        {"scheme": scheme, "attack": attack, "init": init, "check_basis": basis, **medians}
+        for (scheme, attack, init, basis), medians in zip(CONFIGS, _medians(times[0]))
+    ]
+    totals = {layer: sum(case[layer] for case in configs) for layer in LAYERS}
     report = {
         "label": args.label,
-        "commit": _commit(src),
-        "src_sha256": _src_digest(src),
+        **_checkout(src),
         "machine": {
             "nproc": os.cpu_count(),
             "pinned_cpu": cpu,
@@ -197,18 +235,51 @@ def main(argv: list[str] | None = None) -> int:
         "ref_burst_ms": ref_burst_ms,
         "totals_ms": totals,
         "configs": configs,
-        "cold_run": cold,
     }
+    if parent:
+        ratios = [
+            {layer: [a / b for a, b in zip(mine[layer], theirs[layer])] for layer in LAYERS}
+            for mine, theirs in zip(times[0], times[1])
+        ]
+        sums = [{layer: list(map(sum, zip(*(case[layer] for case in cases)))) for layer in LAYERS}
+                for cases in times]
+        for case, medians, ratio in zip(configs, _medians(times[1]), ratios):
+            case["parent"] = medians
+            case["ratio"] = {layer: _spread(ratio[layer]) for layer in LAYERS}
+        report["parent"] = _checkout(parent)
+        report["parent_totals_ms"] = {
+            layer: sum(case["parent"][layer] for case in configs) for layer in LAYERS
+        }
+        report["totals_ratio"] = {
+            layer: _spread([a / b for a, b in zip(sums[0][layer], sums[1][layer])])
+            for layer in LAYERS
+        }
+    report["cold_run"] = cold_run(src)
+    if parent:
+        report["parent_cold_run"] = cold_run(parent)
+
     path = HERE / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     for case in configs:
-        print(
-            f"{case['scheme']:8}{case['attack']:10}{case['init']:8}{case['check_basis']:8}"
-            f" build {case['build_ms']:7.3f}  run {case['run_ms']:7.3f}"
-            f"  exact {case['exact_ms']:7.3f} ms"
-        )
+        line = f"{case['scheme']:8}{case['attack']:10}{case['init']:8}{case['check_basis']:8}"
+        for layer in LAYERS:
+            line += f" {layer[:-3]} {case[layer]:7.3f}"
+            if parent:
+                line += f" (x{case['ratio'][layer]['median']:.2f})"
+        print(line + " ms")
     print("totals (ms): " + ", ".join(f"{k} {v:.2f}" for k, v in totals.items()))
-    print(f"cold {' '.join(cold['argv'])}: {cold['wall_s']:.2f} s, {cold['peak_rss_mb']:.1f} MB")
+    if parent:
+        print("parent totals (ms): "
+              + ", ".join(f"{k} {v:.2f}" for k, v in report["parent_totals_ms"].items()))
+        print("change / parent per repeat, median [q1, q3]: " + ", ".join(
+            f"{k} {r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}]"
+            for k, r in report["totals_ratio"].items()
+        ))
+    for key in ("cold_run", "parent_cold_run"):
+        if key in report:
+            cold = report[key]
+            print(f"{key} {' '.join(cold['argv'])}: {cold['wall_s']:.2f} s, "
+                  f"{cold['peak_rss_mb']:.1f} MB")
     print(f"wrote {path}")
     return 0
 

@@ -38,9 +38,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ArityMismatch, CapacityExceeded, IndexOutOfRange
+from .errors import ArityMismatch
 from .qstate import (
-    QUBIT_CAPACITY,
     _pair_rest_indices,
     _qubit_count,
     apply_cnot_rows,
@@ -88,8 +87,9 @@ def attack_rows(kind: AttackKind, amps: np.ndarray, transit_qubits: tuple[int, .
     """Eve's attack ``kind`` on every row of a stack of states: the
     ``(rows, outcomes)`` array of her outcome probabilities;
     ``forward(rows, outcomes)``, the stack of the states she forwards from
-    row ``rows[i]`` after outcome ``outcomes[i]``; and ``notes[i]``, her
-    note after outcome ``i`` (``[None]`` for no attack).
+    row ``rows[i]`` after outcome ``outcomes[i]`` (``rows`` may be any
+    index of the stack, a slice too); and ``notes[i]``, her note after
+    outcome ``i`` (``[None]`` for no attack).
 
     An attack with one outcome (no attack, the entangling probe) measures
     nothing, so a round draws nothing for it. The probe's forwarded states
@@ -101,12 +101,6 @@ def attack_rows(kind: AttackKind, amps: np.ndarray, transit_qubits: tuple[int, .
     if kind is AttackKind.CNOT_ANCILLA:
         (q,) = _transit(kind, transit_qubits, 1)
         ancilla = _qubit_count(amps) + 1
-        if ancilla > QUBIT_CAPACITY:
-            raise CapacityExceeded(
-                f"{ancilla} qubits exceed the {QUBIT_CAPACITY}-qubit capacity"
-            )
-        if not 1 <= q < ancilla:
-            raise IndexOutOfRange(f"qubit {q} outside 1..{ancilla - 1}")
         probed = apply_cnot_rows(tensor_rows(amps, _KET0), q, ancilla)
         note = EveNote(ancilla_qubit=ancilla)
         return np.ones((len(amps), 1)), lambda rows, _: probed[rows], [note]

@@ -9,12 +9,8 @@ class DimensionMismatch(WqscError):
     """An amplitude array or gate matrix has the wrong shape."""
 
 
-class CapacityExceeded(WqscError):
-    """Operation would produce a register larger than the supported maximum."""
-
-
 class IndexOutOfRange(WqscError):
-    """Qubit index outside the 1..num_qubits range."""
+    """Qubit index outside the 1..num_qubits range, or a gate's two qubits equal."""
 
 
 class NonUnitaryGate(WqscError):

@@ -5,33 +5,27 @@ a check round and of a message round (message bit x initial state or
 check basis x attack outcome x both parties' measurement outcomes x, for
 the entangling probe, the ancilla outcome). Every leaf carries its
 outcome and its mass, the product of the branch probabilities on its
-path. A tree is built one level at a time: the states of a level's nodes
-are the rows of one amplitude array, and each gate, attack or
-measurement is one stacked call for the whole level, so the kernel calls
-of a build grow with the trees' depth, not with their node count. A
-check tree whose rounds are message rounds of bit 0 cut short (every
-present round, and cao rounds checked in the Bell basis) is read off the
-message tree instead of being built again. No tree or result is cached;
-every run and every exact analysis builds the trees it reads. Both
-analyses read the same trees:
+path. A tree is built level by level with stacked calls, and its nodes'
+values are columns of codes (:class:`_BranchTree`), so neither the
+kernel calls nor the Python code of a build grow with its node count.
+The protocol rules classify the leaves through tables that hold each
+public rule's value for every outcome pair, computed once per process.
+No tree or result is cached; every run and every exact analysis builds
+the trees it reads. Both analyses read the same trees:
 
 * the exact analyzer sums the leaves' outcomes weighted by their masses,
   so its check-error and leak rates carry no sampling error;
 * the Monte Carlo runner compiles the check and message trees into one
-  walk table with two roots and walks each block of rounds down it once,
-  a check round from the check tree's root and a message round from the
-  message tree's, with numpy array operations: each level matches one
+  walk table with two roots and walks each block of rounds down it with
+  numpy array operations, a check round from the check tree's root and
+  a message round from the message tree's: each level matches one
   column of the rounds' draw rows against its nodes' cumulative
-  probabilities, so no Python code runs per round, and the leaves are
-  weighted by their hit counts. Levels consume draws in the order of the
-  round's steps, every level with the same selection rule, so a walk
-  reproduces the round that the test suite's one-round oracle plays on
-  the same draw row.
-  The draws come from a keyed counter generator: Philox keyed by the
-  master seed, with every round owning a fixed block of counter
-  positions. A run streams its rounds in fixed blocks, so its memory does
-  not grow with the round count, and its results are bit-identical for a
-  given config whatever the block size.
+  probabilities, in the order of the round's steps, so a walk reproduces
+  the round that the test suite's one-round oracle plays on the same
+  draw row. The draws come from Philox keyed by the master seed, every
+  round owning a fixed block of counter positions, and a run streams its
+  rounds in fixed blocks: its memory does not grow with the round count,
+  and its results are the same whatever the block size.
 
 Eve's guess is read off a message tree, one rule for every attack. Her
 view of a round is what she sees of it: for the present scheme the
@@ -58,18 +52,21 @@ result type has a ``*_to_dict`` companion that applies this one rule, and
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import numbers
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .attacks import AttackKind, CAO_ATTACKS, PRESENT_ATTACKS, attack_rows
-from .errors import InvalidConfig, InvalidCounts, UnsupportedPair
+from .errors import InvalidConfig, InvalidCounts, InvalidOutcome, UnsupportedPair
 from .protocol import (
     CHECK_BASES,
     _pair_basis,
@@ -82,6 +79,7 @@ from .qstate import (
     FLIP,
     HADAMARD,
     Branches,
+    MeasurementBasis,
     _basis_tables,
     apply_1q_rows,
     bell_basis,
@@ -229,7 +227,7 @@ def _walk_tables(trees) -> tuple[np.ndarray, np.ndarray, list[int]]:
     ``s``; and per depth, the most children a node has."""
     levels = [
         tree.levels[depth] if depth < len(tree.levels)
-        else _Level(len(tree.leaves), np.arange(len(tree.leaves)), np.ones(len(tree.leaves)))
+        else _Level(len(tree.masses), np.arange(len(tree.masses)), np.ones(len(tree.masses)))
         for depth in range(max(len(tree.levels) for tree in trees))
         for tree in trees
     ]
@@ -270,32 +268,38 @@ def _walk(tables, roots: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return node - len(successor) // stride
 
 
-class _Leaf(NamedTuple):
-    """Outcome of one round; None where the round's mode has no such field."""
-
-    message_bit: int | None
-    check_pass: bool | None
-    recovered_bit: int | None
-    eve_guess: int | None
+_ZERO = np.zeros(1, dtype=np.intp)  # the code of a value that every node shares
 
 
-def _branch_rows_by_basis(amps: np.ndarray, groups: dict) -> Branches:
-    """:func:`~wqsc.qstate.branch_rows` with the rows ``groups[basis]`` of
-    ``amps`` measured in ``basis``: one stacked measurement per basis,
-    branches in (row, outcome) order."""
-    if len(groups) == 1:
-        (basis,) = groups
-        return branch_rows(amps, basis)
-    parts = [(np.array(rows), branch_rows(amps[rows], basis)) for basis, rows in groups.items()]
-    parent = np.concatenate([rows[found.parent] for rows, found in parts])
-    outcome = np.concatenate([found.outcome for _, found in parts])
-    order = np.lexsort((outcome, parent))
-    return Branches(
-        parent[order],
-        outcome[order],
-        np.concatenate([found.prob for _, found in parts])[order],
-        lambda: np.concatenate([found.states() for _, found in parts])[order],
-    )
+def _tabulate(rule, first: MeasurementBasis, second: MeasurementBasis) -> np.ndarray:
+    """``rule`` at ``[a, b]`` for outcome ``a`` of ``first`` and ``b`` of
+    ``second``, or -1 where the rule rejects them: outcomes that no
+    modelled round reaches, as the test suite checks for every config."""
+    alice, bob = (_basis_tables(basis, 4).labels for basis in (first, second))
+    table = np.full((len(alice), len(bob)), -1)
+    for (a, x), (b, y) in itertools.product(enumerate(alice), enumerate(bob)):
+        with contextlib.suppress(InvalidOutcome):
+            table[a, b] = rule(x, y)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _rule_tables() -> dict[str, np.ndarray]:
+    """The rules that classify leaves, once per process, by outcome index:
+    ``consistent``, ``recovered`` [sender Z pair, receiver Z bit],
+    ``check_error`` [check basis, sender pair, receiver pair] and ``keys``
+    [sender Bell pair, receiver Bell pair, key side]."""
+    pair, bit, bell = z_basis(1, 2), z_basis(3), (bell_basis(1, 2), bell_basis(3, 4))
+    return {
+        "consistent": _tabulate(check_consistent, pair, bit),
+        "recovered": _tabulate(recover_bit, pair, bit),
+        "check_error": np.array([
+            _tabulate(partial(cao_check_error, b), _pair_basis(b, 1, 2), _pair_basis(b, 3, 4))
+            for b in CHECK_BASES
+        ]),
+        "keys": np.stack(
+            [_tabulate(lambda a, b, s=s: cao_keys(a, b)[s], *bell) for s in (0, 1)], axis=-1),
+    }
 
 
 class _BranchTree:
@@ -318,24 +322,23 @@ class _BranchTree:
     leaf that a round played one state at a time on one-row stacks (the
     test suite's oracle) reaches on the same draw row. A level's collapsed
     states are computed only when a later operation reads them, so the
-    last measurement of a round collapses nothing. Nothing is cached:
-    every run and every exact analysis builds its own trees.
+    last measurement of a round collapses nothing.
 
-    A node's classical values (message bit, outcomes, Eve's note) are a
-    dict per node; :meth:`guess` adds Eve's guess to a message tree's
-    nodes, and :meth:`finish` turns the last level's nodes into
-    :class:`_Leaf` values. ``masses[i]`` is the probability of the path to
-    node (finally leaf) ``i``: the product of its branch probabilities,
-    root first. :meth:`first_branch` reads a subtree off a tree as it
-    grows. A run walks its trees down the tables that :func:`_walk_tables`
-    compiles from their levels, once per run.
+    A node's classical values are integer codes per key: a level's
+    outcome indices, a value every node shares (at the root), or a value
+    computed at some depth. :meth:`column` gathers a key's codes down the
+    levels' ``parent`` arrays, and :meth:`values` decodes them.
+    ``masses[i]`` is the probability of the path to node (finally leaf)
+    ``i``: the product of its branch probabilities, root first.
     """
 
-    def __init__(self, **root) -> None:
+    def __init__(self) -> None:
         self.levels: list[_Level] = []
-        self.nodes: list[dict] = [root]
         self.masses = np.ones(1)
-        self.leaves: list[_Leaf] = []
+        self.leaf_columns: tuple[np.ndarray, ...] = ()
+        # key -> (depth, codes, labels, by): node i at depth ``depth`` (0:
+        # the root) has labels[codes[i]], or labels[g][codes[i]], g its code of ``by``
+        self._columns: dict[str, tuple] = {}
         self._states = None  # the stack, or a function that computes it
 
     @property
@@ -345,104 +348,125 @@ class _BranchTree:
             self._states = self._states()
         return self._states
 
-    def _grow(self, parent: np.ndarray, prob: np.ndarray, children: list, states):
-        self.levels.append(_Level(len(self.nodes), parent, prob))
+    def column(self, key: str) -> np.ndarray:
+        """The codes of ``key`` at the deepest level's nodes."""
+        depth, codes = self._columns[key][:2]
+        for level in self.levels[depth:]:
+            codes = codes[level.parent]
+        return codes
+
+    def values(self, key: str) -> list:
+        """The values of ``key`` at the deepest level's nodes."""
+        _, _, labels, by = self._columns[key]
+        codes = self.column(key).tolist()
+        if by:
+            return [labels[group][code] for group, code in zip(self.column(by).tolist(), codes)]
+        return [labels[code] for code in codes]
+
+    def assign(self, key: str, codes: np.ndarray, labels: tuple) -> None:
+        """Give the deepest level's node ``i`` the value ``labels[codes[i]]``."""
+        self._columns[key] = (len(self.levels), codes, labels, None)
+
+    def _grow(self, key, parent, outcome, prob, states, labels, by=None) -> None:
+        """Add a level: child ``i`` is outcome ``outcome[i]`` of ``parent[i]``."""
+        self.levels.append(_Level(len(self.masses), parent, prob))
         self.masses = self.masses[parent] * prob
-        self.nodes = children
         self._states = states
+        self._columns[key] = (len(self.levels), outcome, labels, by)
 
-    def choose(self, key: str, values: tuple) -> None:
-        """A fair choice of ``key`` among ``values``: one child per value
-        under every node, each of probability ``1 / len(values)``. By the
-        Born rule a coin picks ``values[0]`` iff ``u < 0.5``, and a choice
-        of three picks ``values[int(u * 3) % 3]``."""
-        parent = np.arange(len(self.nodes)).repeat(len(values))
-        children = [{**node, key: v} for node in self.nodes for v in values]
-        states = None if self._states is None else self.states[parent]
-        self._grow(parent, np.full(len(parent), 1.0 / len(values)), children, states)
-
-    def _branch(self, found: Branches, key: str, values: list) -> None:
-        """Add the level of ``found``; a child's ``key`` is
-        ``values[parent][outcome]``."""
-        children = [
-            {**self.nodes[p], key: values[p][i]}
-            for p, i in zip(found.parent.tolist(), found.outcome.tolist())
-        ]
-        self._grow(found.parent, found.prob, children, found.states)
-
-    def step(self, update) -> None:
-        """Apply a draw-free transition; ``update(node)`` returns new items."""
-        self.nodes = [{**node, **update(node)} for node in self.nodes]
-
-    def prepare(self, state_of) -> None:
-        """Give every node the state ``state_of(node)``."""
-        self._states = np.array([state_of(node) for node in self.nodes])
-
-    def gate(self, qubit: int, gate, where) -> None:
-        """Apply ``gate`` to ``qubit`` of every node where ``where(node)``."""
-        rows = [i for i, node in enumerate(self.nodes) if where(node)]
-        if not rows:
+    def choose(self, key: str, values: tuple, policy="random") -> None:
+        """``key`` is ``policy`` if that is one of ``values``; else a fair
+        choice: one child per value under every node, each of probability
+        ``1 / len(values)``. By the Born rule a coin picks ``values[0]``
+        iff ``u < 0.5``, and a choice of three ``values[int(u * 3) % 3]``."""
+        if policy in values:
+            self._columns[key] = (0, np.array([values.index(policy)]), values, None)
             return
-        if rows[-1] - rows[0] == len(rows) - 1:
-            rows = slice(rows[0], rows[-1] + 1)
+        parent = np.arange(len(self.masses)).repeat(len(values))
+        states = None if self._states is None else self.states[parent]
+        prob = np.full(len(parent), 1.0 / len(values))
+        self._grow(key, parent, np.arange(len(parent)) % len(values), prob, states, values)
+
+    def prepare(self, states: list, by: str | None = None) -> None:
+        """Give each node the state ``states[g]``, ``g`` its code of ``by``
+        (0 without ``by``)."""
+        self._states = np.asarray(states)[self.column(by) if by else _ZERO.repeat(len(self.masses))]
+
+    def gate(self, qubit: int, gate, where: np.ndarray) -> None:
+        """Apply ``gate`` to ``qubit`` of every node where ``where`` holds."""
+        rows = where.nonzero()[0]
+        if not len(rows):
+            return
         # the stack belongs to this tree alone, so it is updated in place
         self.states[rows] = apply_1q_rows(self.states[rows], qubit, gate)
 
-    def measure(self, key: str, basis_of) -> None:
-        """Measure every node's state in ``basis_of(node)``, with one
-        stacked measurement per distinct basis."""
-        groups: dict = {}
-        for row, node in enumerate(self.nodes):
-            groups.setdefault(basis_of(node), []).append(row)
+    def measure(self, key: str, bases: tuple, by: str | None = None) -> None:
+        """Measure each node's state in ``bases[g]``, ``g`` its code of
+        ``by`` (0 without ``by``), one stacked call per distinct basis."""
         num_qubits = self.states.shape[1].bit_length() - 1
-        labels = [None] * len(self.nodes)
-        for basis, rows in groups.items():
-            outcomes = _basis_tables(basis, num_qubits).labels
-            for row in rows:
-                labels[row] = outcomes
-        self._branch(_branch_rows_by_basis(self.states, groups), key, labels)
+        labels = tuple(_basis_tables(basis, num_qubits).labels for basis in bases)
+        depth, codes = self._columns[by][:2] if by else (0, _ZERO)
+        if depth == 0:  # a value at the root: every node shares one basis
+            found = branch_rows(self.states, bases[codes[0]])
+        else:
+            which = self.column(by)
+            groups = np.bincount(which).nonzero()[0].tolist()
+            rows = [(which == group).nonzero()[0] for group in groups]
+            parts = [branch_rows(self.states[at], bases[g]) for at, g in zip(rows, groups)]
+            parent = np.concatenate([at[part.parent] for at, part in zip(rows, parts)])
+            outcome = np.concatenate([part.outcome for part in parts])
+            order = np.lexsort((outcome, parent))  # (node, outcome) order
+            prob = np.concatenate([part.prob for part in parts])
+            found = Branches(parent[order], outcome[order], prob[order],
+                             lambda: np.concatenate([part.states() for part in parts])[order])
+        self._grow(key, *found, labels if by else labels[0], by)
 
     def attack(self, kind: AttackKind, transit: tuple[int, ...]) -> None:
-        """Eve's attack ``kind`` on the qubits ``transit``, her note under ``note``."""
+        """Eve's attack ``kind`` on the qubits ``transit``, her note under
+        ``note``. One with a single outcome adds no level: each node
+        forwards its whole row, under the one note at the root."""
         probs, forward, notes = attack_rows(kind, self.states, transit)
         if len(notes) > 1:
-            self._branch(nonzero_branches(probs, forward), "note", [notes] * len(self.nodes))
+            self._grow("note", *nonzero_branches(probs, forward), notes)
             return
-        rows = np.arange(len(self.nodes))
-        self._states = forward(rows, np.zeros_like(rows))
-        self.nodes = [{**node, "note": notes[0]} for node in self.nodes]
+        self._states = forward(slice(None), _ZERO)
+        self._columns["note"] = (0, _ZERO, notes, None)
 
     def first_branch(self) -> "_BranchTree":
-        """The subtree under the root's first child, down to the deepest
-        level: its levels, nodes and masses (from 1 at the new root). At
-        every depth that child's descendants are the first nodes, since
-        children come in (parent, outcome) order."""
+        """The subtree under the root's first child, masses from 1 at its
+        root: at every depth its nodes come first, in (parent, outcome) order."""
         tree = _BranchTree()
-        count = 1  # the subtree's nodes at the depth above
+        counts = [1]  # the subtree's nodes at each depth
         for level in self.levels[1:]:
-            above, count = count, bisect_left(level.parent.tolist(), count)
-            parent, prob = level.parent[:count], level.prob[:count]
-            tree.levels.append(_Level(above, parent, prob))
+            counts.append(bisect_left(level.parent.tolist(), counts[-1]))
+            parent, prob = level.parent[: counts[-1]], level.prob[: counts[-1]]
+            tree.levels.append(_Level(counts[-2], parent, prob))
             tree.masses = tree.masses[parent] * prob
-        tree.nodes = self.nodes[:count]
+        for key, (depth, codes, labels, by) in self._columns.items():
+            depth = max(depth - 1, 0)
+            tree._columns[key] = (depth, codes[: counts[depth]], labels, by)
         return tree
 
-    def guess(self, view: tuple[str, ...]) -> None:
-        """Give every node of a message tree Eve's guess: the message bit
-        of larger mass among the nodes whose values of the keys ``view``
-        equal its own, or None (she abstains) where the two masses tie."""
-        masses: dict = {}
-        for node, mass in zip(self.nodes, self.masses.tolist()):
-            masses.setdefault(tuple(node[key] for key in view), [0.0, 0.0])[node["bit"]] += mass
-        guesses = {
-            seen: None if abs(m1 - m0) <= _TIE_TOLERANCE * (m0 + m1) else int(m1 > m0)
-            for seen, (m0, m1) in masses.items()
-        }
-        self.step(lambda node: {"guess": guesses[tuple(node[key] for key in view)]})
+    def guess(self, view: tuple[str, ...]) -> np.ndarray:
+        """Eve's guess at each node of a message tree: the message bit of
+        larger mass among the nodes whose codes of the keys ``view`` (read
+        as one number in mixed radix) equal its own, or -1 (she abstains)
+        where the two masses tie."""
+        seen, views = 0, 1
+        for key in view:
+            radix = len(self._columns[key][2])
+            seen, views = seen * radix + self.column(key), views * radix
+        # bincount adds each view's masses in node order, one by one
+        m0, m1 = np.bincount(2 * seen + self.column("bit"), self.masses, 2 * views).reshape(-1, 2).T
+        guesses = np.where(np.abs(m1 - m0) <= _TIE_TOLERANCE * (m0 + m1), -1, m1 > m0)
+        return guesses[seen]
 
-    def finish(self, leaf) -> "_BranchTree":
-        self.leaves = [leaf(node) for node in self.nodes]
-        self.masses = self.masses.tolist()
+    def finish(self, message_bit=None, check_pass=None, recovered_bit=None, eve_guess=None):
+        """Set the leaves' outcome columns, -1 for a field that the round's
+        mode lacks (or where Eve abstains), and drop the states."""
+        absent = np.full(len(self.masses), -1)
+        columns = (message_bit, check_pass, recovered_bit, eve_guess)
+        self.leaf_columns = tuple(absent if column is None else column for column in columns)
         self._states = None
         return self
 
@@ -454,55 +478,54 @@ def _present_trees(kind: AttackKind, init_policy: str) -> tuple[_BranchTree, _Br
     identity) that ends at Bob's measurement, so the check tree is the
     message tree's bit-0 branch down to that level.
     """
-    tree = _BranchTree(initial=init_policy)
+    rules = _rule_tables()
+    initials = INIT_POLICIES[1:]
+    tree = _BranchTree()
     tree.choose("bit", (0, 1))
-    if init_policy == "random":
-        tree.choose("initial", INIT_POLICIES[1:])
-    tree.prepare(lambda node: build(node["initial"]))
-    tree.gate(3, FLIP, lambda node: node["bit"] == 1)
+    tree.choose("initial", initials, init_policy)
+    tree.prepare([build(label) for label in initials], by="initial")
+    tree.gate(3, FLIP, tree.column("bit") == 1)
     tree.attack(kind, (3,))
-    tree.gate(3, HADAMARD, lambda node: node["initial"] == StateLabel.PHI2.value)
-    tree.measure("alice", lambda node: z_basis(1, 2))
-    tree.measure("bob", lambda node: z_basis(3))
-    check = tree.first_branch().finish(
-        lambda node: _Leaf(None, check_consistent(node["alice"], node["bob"]), None, None)
-    )
+    tree.gate(3, HADAMARD, tree.column("initial") == initials.index(StateLabel.PHI2.value))
+    tree.measure("alice", (z_basis(1, 2),))
+    tree.measure("bob", (z_basis(3),))
+    check = tree.first_branch()
+    check.finish(check_pass=rules["consistent"][check.column("alice"), check.column("bob")])
 
     if kind is AttackKind.CNOT_ANCILLA:
         # Eve measures her ancilla only at guess time; every node holds the
-        # probe's one note
-        note = tree.nodes[0]["note"]
-        tree.measure("ancilla", lambda node: z_basis(note.ancilla_qubit))
-        notes = [replace(note, ancilla_outcome=outcome) for outcome in (0, 1)]
-        tree.step(lambda node: {"note": notes[int(node["ancilla"].value)]})
+        # probe's one note until then
+        note = tree.values("note")[0]
+        tree.measure("ancilla", (z_basis(note.ancilla_qubit),))
+        notes = tuple(replace(note, ancilla_outcome=outcome) for outcome in (0, 1))
+        tree.assign("note", tree.column("ancilla"), notes)
 
-    tree.guess(("initial", "alice", "note"))
     return check, tree.finish(
-        lambda node: _Leaf(
-            node["bit"], None, recover_bit(node["alice"], node["bob"]), node["guess"]
-        )
+        message_bit=tree.column("bit"),
+        recovered_bit=rules["recovered"][tree.column("alice"), tree.column("bob")],
+        eve_guess=tree.guess(("initial", "alice", "note")),
     )
 
 
-def _cao_check_tree(kind: AttackKind, basis_policy: str) -> _BranchTree:
-    """Check-round tree of the cao scheme."""
-    tree = _BranchTree(basis=basis_policy)
-    tree.prepare(lambda node: build(StateLabel.W4))
+def _cao_tree(kind: AttackKind, basis_policy: str, message: bool = False) -> _BranchTree:
+    """A cao round's tree down to both parties' measurements: a message
+    round's bit, the w4 state, the attack, the check basis of
+    ``basis_policy``, and each party's measurement of its pair in it."""
+    tree = _BranchTree()
+    if message:
+        tree.choose("bit", (0, 1))
+    tree.prepare([build(StateLabel.W4)])
     tree.attack(kind, (3, 4))
-    if basis_policy == "random":
-        tree.choose("basis", CHECK_BASES)
-    tree.measure("alice", lambda node: _pair_basis(node["basis"], 1, 2))
-    tree.measure("bob", lambda node: _pair_basis(node["basis"], 3, 4))
-    return _cao_finish_check(tree)
+    tree.choose("basis", CHECK_BASES, basis_policy)
+    for key, pair in (("alice", (1, 2)), ("bob", (3, 4))):
+        tree.measure(key, tuple(_pair_basis(basis, *pair) for basis in CHECK_BASES), by="basis")
+    return tree
 
 
 def _cao_finish_check(tree: _BranchTree) -> _BranchTree:
     """Classify the leaves of a cao check-round tree."""
-    return tree.finish(
-        lambda node: _Leaf(
-            None, not cao_check_error(node["basis"], node["alice"], node["bob"]), None, None
-        )
-    )
+    columns = tuple(tree.column(key) for key in ("basis", "alice", "bob"))
+    return tree.finish(check_pass=1 - _rule_tables()["check_error"][columns])
 
 
 def _cao_trees(kind: AttackKind, basis_policy: str) -> tuple[_BranchTree, _BranchTree]:
@@ -513,22 +536,19 @@ def _cao_trees(kind: AttackKind, basis_policy: str) -> tuple[_BranchTree, _Branc
     for the Bell check-basis policy the check tree is the message tree's
     bit-0 branch.
     """
-    tree = _BranchTree(basis="bell")
-    tree.choose("bit", (0, 1))
-    tree.prepare(lambda node: build(StateLabel.W4))
-    tree.attack(kind, (3, 4))
-    tree.measure("alice", lambda node: bell_basis(1, 2))
-    tree.measure("bob", lambda node: bell_basis(3, 4))
+    tree = _cao_tree(kind, "bell", message=True)
     if basis_policy == "bell":
         check = _cao_finish_check(tree.first_branch())
     else:
-        check = _cao_check_tree(kind, basis_policy)
+        check = _cao_finish_check(_cao_tree(kind, basis_policy))
 
-    tree.step(lambda node: {"keys": cao_keys(node["alice"], node["bob"])})
-    tree.step(lambda node: {"ciphertext": node["keys"][0] ^ node["bit"]})
-    tree.guess(("ciphertext", "note"))
+    keys = _rule_tables()["keys"][tree.column("alice"), tree.column("bob")]
+    bit = tree.column("bit")
+    tree.assign("ciphertext", keys[:, 0] ^ bit, (0, 1))
     return check, tree.finish(
-        lambda node: _Leaf(node["bit"], None, node["keys"][1] ^ node["ciphertext"], node["guess"])
+        message_bit=bit,
+        recovered_bit=keys[:, 1] ^ tree.column("ciphertext"),
+        eve_guess=tree.guess(("ciphertext", "note")),
     )
 
 
@@ -540,33 +560,21 @@ def _round_trees(config: RunConfig) -> tuple[_BranchTree, _BranchTree]:
     return _cao_trees(kind, config.check_basis_policy)
 
 
-_COUNTS = (
-    "check_rounds",
-    "check_errors",
-    "message_rounds",
-    "recovered_correct",
-    "guesses_known",
-    "guesses_correct",
-)
+_COUNTS = ("check_rounds", "check_errors", "message_rounds",
+           "recovered_correct", "guesses_known", "guesses_correct")
 
 
-def _leaf_totals(leaves: list[_Leaf], weights) -> dict:
-    """The run counts of rounds ending at ``leaves``, leaf ``i`` weighted
-    by ``weights[i]``: its hit count (Monte Carlo) or its mass (exact)."""
-    totals = dict.fromkeys(_COUNTS, 0)
-    for leaf, w in zip(leaves, weights):
-        if leaf.check_pass is not None:
-            totals["check_rounds"] += w
-            totals["check_errors"] += 0 if leaf.check_pass else w
-            continue
-        totals["message_rounds"] += w
-        if leaf.recovered_bit == leaf.message_bit:
-            totals["recovered_correct"] += w
-        if leaf.eve_guess is not None:
-            totals["guesses_known"] += w
-            if leaf.eve_guess == leaf.message_bit:
-                totals["guesses_correct"] += w
-    return totals
+def _leaf_totals(leaves: tuple[np.ndarray, ...], weights: np.ndarray) -> dict:
+    """The run counts of rounds ending at the leaves of outcome columns
+    ``leaves``, leaf ``i`` weighted by ``weights[i]``: its hit count
+    (Monte Carlo) or its mass (exact). Each count is an indicator column
+    dotted with the weights as a running sum, adding masses in leaf order."""
+    bit, passed, recovered, guess = leaves
+    message = bit >= 0
+    indicators = np.array([~message, passed == 0, message, message & (recovered == bit),
+                           guess >= 0, message & (guess == bit)])
+    totals = np.add.accumulate(indicators * weights, axis=1)[:, -1]
+    return dict(zip(_COUNTS, totals.tolist()))
 
 
 def _message_rates(totals: dict) -> tuple[float, float, float]:
@@ -607,21 +615,20 @@ def exact_analyze(
         groups = CHECK_BASES if check_basis_policy == "random" else (check_basis_policy,)
         bell_check, message = _cao_trees(kind, "bell")
         check_trees = {
-            b: bell_check if b == "bell" else _cao_check_tree(kind, b) for b in groups
+            b: bell_check if b == "bell" else _cao_finish_check(_cao_tree(kind, b)) for b in groups
         }
         message_trees = {"w4": message}
 
     conditional_error = {}
     total_error = 0.0
     for group, tree in check_trees.items():
-        # float(): the count is the int 0 when no leaf fails
-        conditional_error[group] = float(_leaf_totals(tree.leaves, tree.masses)["check_errors"])
+        conditional_error[group] = _leaf_totals(tree.leaf_columns, tree.masses)["check_errors"]
         total_error += (1.0 / len(check_trees)) * conditional_error[group]
 
     conditional_leak = {}
     message = dict.fromkeys(_COUNTS, 0.0)
     for group, tree in message_trees.items():
-        totals = _leaf_totals(tree.leaves, tree.masses)
+        totals = _leaf_totals(tree.leaf_columns, tree.masses)
         conditional_leak[group] = _message_rates(totals)[1]
         for key in _COUNTS:
             message[key] += (1.0 / len(message_trees)) * totals[key]
@@ -651,8 +658,8 @@ _BLOCKS_PER_ROUND = 2
 # mode flags starts on a Philox counter step
 _BLOCK_ROUNDS = 2**16
 
-# about 48 minutes of rounds at 3.5e6 rounds/s (cao-ir-z, one core of a
-# 2-core VM); larger counts would run for hours to months
+# about 27 minutes of rounds at 6e6 rounds/s (a cold 1e8-round cao-ir-z
+# run took 16.3 s on a 2-core VM); larger counts would run for hours to months
 _MAX_ROUNDS = 10**10
 
 
@@ -686,14 +693,14 @@ def _run_counts(config: RunConfig) -> dict[str, int]:
     and the leaf hits summed over the blocks."""
     trees = _round_trees(config)
     tables = _walk_tables(trees)
-    leaves = [leaf for tree in trees for leaf in tree.leaves]
-    hits = np.zeros(len(leaves), dtype=np.int64)
+    leaves = tuple(map(np.concatenate, zip(*(tree.leaf_columns for tree in trees))))
+    hits = np.zeros(len(leaves[0]), dtype=np.int64)
     for start in range(0, config.rounds, _BLOCK_ROUNDS):
         count = min(_BLOCK_ROUNDS, config.rounds - start)
         roots = ~_check_flags(config, start, count)
         draws = _draw_block(config.master_seed, start, count)
-        hits += np.bincount(_walk(tables, roots, draws), minlength=len(leaves))
-    return _leaf_totals(leaves, hits.tolist())
+        hits += np.bincount(_walk(tables, roots, draws), minlength=len(hits))
+    return _leaf_totals(leaves, hits)
 
 
 def run_monte_carlo(config: RunConfig, workers: int = 1) -> RunStats:

@@ -1,6 +1,6 @@
 """Dense state-vector core for small qubit registers.
 
-Representation: a state of ``n`` qubits (n <= 8) is a normalized
+Representation: a state of ``n`` qubits is a normalized
 complex128 numpy array of length ``2**n``; its length gives its qubit
 count. Qubits are numbered 1..n and qubit 1 is the MOST significant bit of
 the basis-state index, so kets read left-to-right: ``|100>`` on three
@@ -33,8 +33,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidBasis, NonUnitaryGate
-
-QUBIT_CAPACITY = 8
 
 # tolerance for exact algebra (all amplitudes are small rationals over
 # sqrt(2), sqrt(3), sqrt(6), so double precision holds them to ~1e-16)
@@ -204,12 +202,15 @@ def outcome_at(basis: MeasurementBasis, i: int) -> Outcome:
 # state per row. Each stack operation is one kernel call per step for all
 # rows, and a row gets bit-identical results whether it is a one-row
 # stack or a row of a larger stack. Measurements check their basis
-# (``_basis_tables``); gates trust their qubit numbers, which come from
-# the fixed round layouts of ``harness`` and ``attacks``.
+# (``_basis_tables``), gates their qubit numbers (``_qubit_count``).
 
 
-def _qubit_count(amps: np.ndarray) -> int:
-    return amps.shape[-1].bit_length() - 1
+def _qubit_count(amps: np.ndarray, *qubits: int) -> int:
+    """The qubit count of a stack's states; ``qubits`` must be distinct ones."""
+    n = amps.shape[-1].bit_length() - 1
+    if qubits and (min(qubits) < 1 or max(qubits) > n or len(set(qubits)) < len(qubits)):
+        raise IndexOutOfRange(f"qubits {qubits} must be distinct qubits of 1..{n}")
+    return n
 
 
 def tensor_rows(amps: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -221,12 +222,12 @@ def tensor_rows(amps: np.ndarray, other: np.ndarray) -> np.ndarray:
 
 def apply_1q_rows(amps: np.ndarray, qubit: int, gate: Gate1Q) -> np.ndarray:
     """``gate`` applied to ``qubit`` of every row."""
-    return _kernels.apply_gate_1q(amps, _qubit_count(amps) - qubit, gate.entries)
+    return _kernels.apply_gate_1q(amps, _qubit_count(amps, qubit) - qubit, gate.entries)
 
 
 def apply_cnot_rows(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     """A CNOT applied to every row."""
-    n = _qubit_count(amps)
+    n = _qubit_count(amps, control, target)
     return _kernels.apply_cnot(amps, n - control, n - target)
 
 

@@ -19,6 +19,7 @@ attack, where the package reads it off the trees.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,6 +189,31 @@ def sample_index(probs: np.ndarray, u: float) -> int:
     return last_positive
 
 
+def node_values(tree, *keys) -> list[dict]:
+    """Per node of a branch tree's deepest level, the dict of its values
+    of ``keys``."""
+    return [dict(zip(keys, row)) for row in zip(*(tree.values(key) for key in keys))]
+
+
+class Leaf(NamedTuple):
+    """Outcome of one round; None where the round's mode has no such field."""
+
+    message_bit: int | None
+    check_pass: bool | None
+    recovered_bit: int | None
+    eve_guess: int | None
+
+
+def leaf_values(tree) -> list[Leaf]:
+    """A finished branch tree's leaf outcomes as a round reports them:
+    None for a code of -1, a check result as a bool."""
+    bits, passes, recovered, guesses = (
+        [None if code < 0 else code for code in column.tolist()] for column in tree.leaf_columns
+    )
+    passes = [passed if passed is None else bool(passed) for passed in passes]
+    return list(map(Leaf, bits, passes, recovered, guesses))
+
+
 def sample_measurement(state, basis, rng):
     """One sampled outcome of measuring ``state`` in ``basis``: the
     outcome, and a function that returns the collapsed state, so that a
@@ -244,9 +270,12 @@ def reference_guess(kind: AttackKind, note, initial=None, alice=None, ciphertext
     return recover_bit(alice, Outcome(BasisKind.Z, bob_value))
 
 
-def present_round(kind: AttackKind, init_policy: str, bit: int | None, rng) -> tuple:
+def present_round(kind: AttackKind, init_policy: str, bit: int | None, rng, seen=None) -> tuple:
     """``(message_bit, check_pass, recovered_bit, eve_guess)`` of one
-    round of the three-qubit scheme; ``bit`` None plays a check round."""
+    round of the three-qubit scheme; ``bit`` None plays a check round.
+    ``seen``, if given, receives the initial state, Eve's note and both
+    parties' outcomes."""
+    seen = {} if seen is None else seen
     initial = init_policy
     if initial == "random":
         initial = "phi1" if rng.random() < 0.5 else "phi2"
@@ -258,19 +287,24 @@ def present_round(kind: AttackKind, init_policy: str, bit: int | None, rng) -> t
         state = apply_1q_rows(state, 3, HADAMARD)
     alice, after = sample_measurement(state, z_basis(1, 2), rng)
     bob, after = sample_measurement(after(), z_basis(3), rng)
+    seen.update(initial=initial, note=note, alice=alice, bob=bob)
     if bit is None:
         return (None, check_consistent(alice, bob), None, None)
     if note is not None and note.ancilla_qubit is not None:
         # Eve measures her ancilla only now, at guess time
         ancilla, _ = sample_measurement(after(), z_basis(note.ancilla_qubit), rng)
         note = replace(note, ancilla_outcome=int(ancilla.value))
+        seen["note"] = note
     guess = reference_guess(kind, note, initial=initial, alice=alice)
     return (bit, None, recover_bit(alice, bob), guess)
 
 
-def cao_round(kind: AttackKind, basis_policy: str, bit: int | None, rng) -> tuple:
+def cao_round(kind: AttackKind, basis_policy: str, bit: int | None, rng, seen=None) -> tuple:
     """``(message_bit, check_pass, recovered_bit, eve_guess)`` of one
-    round of the four-qubit scheme; ``bit`` None plays a check round."""
+    round of the four-qubit scheme; ``bit`` None plays a check round.
+    ``seen``, if given, receives Eve's note, both parties' outcomes and,
+    in a check round, its basis."""
+    seen = {} if seen is None else seen
     state, note = sample_attack(kind, build("w4"), (3, 4), rng)
     if bit is None:
         basis = basis_policy
@@ -278,27 +312,30 @@ def cao_round(kind: AttackKind, basis_policy: str, bit: int | None, rng) -> tupl
             basis = CHECK_BASES[int(rng.random() * 3.0) % 3]
         alice, after = sample_measurement(state, _pair_basis(basis, 1, 2), rng)
         bob, _ = sample_measurement(after(), _pair_basis(basis, 3, 4), rng)
+        seen.update(basis=basis, note=note, alice=alice, bob=bob)
         return (None, not cao_check_error(basis, alice, bob), None, None)
     alice, after = sample_measurement(state, bell_basis(1, 2), rng)
     bob, _ = sample_measurement(after(), bell_basis(3, 4), rng)
+    seen.update(note=note, alice=alice, bob=bob)
     alice_key, bob_key = cao_keys(alice, bob)
     ciphertext = alice_key ^ bit
     guess = reference_guess(kind, note, ciphertext=ciphertext)
     return (bit, None, bob_key ^ ciphertext, guess)
 
 
-def scalar_round_outcomes(config, flags: np.ndarray, draws: np.ndarray) -> list[tuple]:
-    """Per round ``(message_bit, check_pass, recovered_bit, eve_guess)``
-    from the one-round engines, round ``i`` consuming ``draws[i]`` in
-    order: a message round's first draw picks its bit (0 iff ``u < 0.5``)."""
+def scalar_round(config, is_check: bool, row: np.ndarray, seen=None) -> tuple:
+    """``(message_bit, check_pass, recovered_bit, eve_guess)`` of one
+    round of ``config`` from the one-round engines, consuming ``row`` in
+    order: a message round's first draw picks its bit (0 iff ``u < 0.5``).
+    ``seen`` receives the values the round drew, as the engine names them."""
     kind = AttackKind(config.attack)
+    rng = RoundStream(row)
+    bit = None if is_check else (0 if rng.random() < 0.5 else 1)
     if config.scheme == "present":
-        play, policy = present_round, config.init_policy
-    else:
-        play, policy = cao_round, config.check_basis_policy
-    outcomes = []
-    for is_check, row in zip(flags, draws):
-        rng = RoundStream(row)
-        bit = None if is_check else (0 if rng.random() < 0.5 else 1)
-        outcomes.append(play(kind, policy, bit, rng))
-    return outcomes
+        return present_round(kind, config.init_policy, bit, rng, seen)
+    return cao_round(kind, config.check_basis_policy, bit, rng, seen)
+
+
+def scalar_round_outcomes(config, flags: np.ndarray, draws: np.ndarray) -> list[tuple]:
+    """Per round, :func:`scalar_round`, round ``i`` consuming ``draws[i]``."""
+    return [scalar_round(config, is_check, row) for is_check, row in zip(flags, draws)]

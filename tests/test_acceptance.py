@@ -195,7 +195,7 @@ def test_criterion_9_property_battery():
     double_excitations = 0
     for attack in ("ir-z", "ir-x", "cnot"):
         for tree in _round_trees(RunConfig(scheme="present", attack=attack)):
-            double_excitations += sum(node["alice"].value == "11" for node in tree.nodes)
+            double_excitations += sum(alice.value == "11" for alice in tree.values("alice"))
     ok &= double_excitations == 0
 
     # frequencies sampled by walking a one-level branch tree of the
@@ -203,14 +203,15 @@ def test_criterion_9_property_battery():
     state = build("phi2")
     exact = {bits: project(state, z_projector(3, (3,), bits))[0] for bits in "01"}
     tree = _BranchTree()
-    tree.prepare(lambda node: state)
-    tree.measure("outcome", lambda node: z_basis(3))
+    tree.prepare([state])
+    tree.measure("outcome", (z_basis(3),))
     n = 100_000
     freq_rng = np.random.default_rng(2024)
     leaves = _walk(_walk_tables([tree]), np.zeros(n, dtype=np.int64), freq_rng.random((n, 1)))
     counts = dict.fromkeys(exact, 0)
-    for node, hits in zip(tree.nodes, np.bincount(leaves, minlength=len(tree.nodes)).tolist()):
-        counts[node["outcome"].value] = hits
+    outcomes = tree.values("outcome")
+    for outcome, hits in zip(outcomes, np.bincount(leaves, minlength=len(outcomes)).tolist()):
+        counts[outcome.value] = hits
     for value, p in exact.items():
         if p == 0.0:
             ok &= counts[value] == 0

@@ -7,7 +7,9 @@ from oracle_tools import (
     MEASURING_ATTACKS,
     FixedUniform,
     ket,
+    leaf_values,
     max_dev_up_to_phase,
+    node_values,
     sample_attack,
     unit,
     x_projector,
@@ -161,7 +163,7 @@ class TestInvisibility:
         for attack in ("none", "ir-z"):
             check, _ = _round_trees(RunConfig(scheme="present", attack=attack, init_policy="phi1"))
             law: dict[tuple[str, str], float] = {}
-            for node, mass in zip(check.nodes, check.masses, strict=True):
+            for node, mass in zip(node_values(check, "alice", "bob"), check.masses, strict=True):
                 key = (node["alice"].value, node["bob"].value)
                 law[key] = law.get(key, 0.0) + mass
             laws.append(law)
@@ -174,7 +176,8 @@ class TestInvisibility:
 def _message_leaves(scheme: str, attack: str, **policy):
     """(node, leaf) pairs of the message tree of a config."""
     _, tree = _round_trees(RunConfig(scheme=scheme, attack=attack, **policy))
-    return list(zip(tree.nodes, tree.leaves, strict=True))
+    nodes = node_values(tree, "note", "alice", "bob")
+    return list(zip(nodes, leaf_values(tree), strict=True))
 
 
 class TestEveGuess:
@@ -222,7 +225,8 @@ class TestEveGuess:
         # identical for both message bits, so "unknown" is forced
         _, tree = _round_trees(RunConfig(scheme="present", attack="ir-z", init_policy="phi2"))
         laws: list[dict[tuple[str, str], float]] = [{}, {}]
-        for node, mass in zip(tree.nodes, tree.masses, strict=True):
+        nodes = node_values(tree, "bit", "note", "alice")
+        for node, mass in zip(nodes, tree.masses, strict=True):
             key = (node["note"].observed, node["alice"].value)
             law = laws[node["bit"]]
             law[key] = law.get(key, 0.0) + mass

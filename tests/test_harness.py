@@ -1,5 +1,6 @@
 """Exact analyzer structure, Monte Carlo determinism, statistics, formats."""
 
+import itertools
 import json
 import math
 from dataclasses import asdict
@@ -8,7 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracle_tools import reference_guess, sample_index, scalar_round_outcomes
+from oracle_tools import (
+    leaf_values,
+    node_values,
+    reference_guess,
+    sample_index,
+    scalar_round,
+    scalar_round_outcomes,
+)
 from wqsc import _kernels, errors, harness
 from wqsc.attacks import AttackKind
 from wqsc.harness import (
@@ -29,7 +37,15 @@ from wqsc.harness import (
     to_csv,
     to_json,
 )
-from wqsc.protocol import CHECK_BASES, cao_keys
+from wqsc.protocol import (
+    CHECK_BASES,
+    _pair_basis,
+    cao_check_error,
+    cao_keys,
+    check_consistent,
+    recover_bit,
+)
+from wqsc.qstate import bell_basis, outcome_at, z_basis
 from wqsc.states import verify_identities
 
 ATOL = 1e-12
@@ -52,6 +68,13 @@ KERNEL_CALLS_PER_LEVEL = 6
 # exact_analyze of every valid config, floats as float.hex, dicts as
 # ordered pairs, as the scheme-specific branch enumerators computed them
 EXACT_RESULTS = json.loads((Path(__file__).parent / "exact_results.json").read_text())
+
+
+def _nodes(scheme: str, tree) -> list[dict]:
+    """The values of a message tree's leaves that Eve's guess and
+    :func:`_announced` read."""
+    keys = ("initial", "alice") if scheme == "present" else ("bit", "alice", "bob")
+    return node_values(tree, "note", *keys)
 
 
 def _announced(scheme: str, node: dict) -> dict:
@@ -133,7 +156,7 @@ class TestExactAnalyze:
             scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
         )
         for tree in _round_trees(config):
-            assert len(tree.masses) == len(tree.leaves)
+            assert len(tree.masses) == len(leaf_values(tree))
             assert math.fsum(tree.masses) == pytest.approx(1.0, abs=ATOL)
 
     def test_total_is_weighted_sum_of_conditionals(self):
@@ -205,9 +228,17 @@ class TestRoundTrees:
             scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
         )
         for tree in _round_trees(config):
-            for node, leaf in zip(tree.nodes, tree.leaves, strict=True):
+            nodes = node_values(tree, "alice", "bob", *(("basis",) if scheme == "cao" else ()))
+            for node, leaf in zip(nodes, leaf_values(tree), strict=True):
+                # the public rules accept every leaf's outcomes, so no leaf
+                # reads an entry of a rule table where its rule rejects them
                 if scheme == "present":
                     assert node["alice"].value != "11"
+                    recover_bit(node["alice"], node["bob"])
+                elif leaf.check_pass is None:
+                    cao_keys(node["alice"], node["bob"])
+                else:
+                    cao_check_error(node["basis"], node["alice"], node["bob"])
                 if attack != "none":
                     continue
                 if leaf.check_pass is None:
@@ -227,10 +258,10 @@ class TestRoundTrees:
         _, message = _round_trees(config)
         mismatches = [
             (node, leaf.eve_guess)
-            for node, leaf in zip(message.nodes, message.leaves, strict=True)
+            for node, leaf in zip(_nodes(scheme, message), leaf_values(message), strict=True)
             if leaf.eve_guess != reference_guess(kind, node["note"], **_announced(scheme, node))
         ]
-        assert message.leaves and mismatches == []
+        assert leaf_values(message) and mismatches == []
 
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
     def test_view_posteriors_are_zero_half_or_one(self, scheme, attack, init, basis):
@@ -241,12 +272,64 @@ class TestRoundTrees:
         )
         _, message = _round_trees(config)
         masses: dict = {}
-        for node, leaf, mass in zip(message.nodes, message.leaves, message.masses, strict=True):
+        nodes = _nodes(scheme, message)
+        for node, leaf, mass in zip(nodes, leaf_values(message), message.masses, strict=True):
             view = (node["note"], *_announced(scheme, node).values())
             masses.setdefault(view, [0.0, 0.0])[leaf.message_bit] += mass
         for m0, m1 in masses.values():
             posterior = m1 / (m0 + m1)
             assert min(abs(posterior - p) for p in (0.0, 0.5, 1.0)) <= harness._TIE_TOLERANCE
+
+
+def _rule_call(rule, *args) -> int:
+    """``rule(*args)``, or -1 where the rule rejects its outcomes."""
+    try:
+        return int(rule(*args))
+    except errors.InvalidOutcome:
+        return -1
+
+
+class TestRuleTables:
+    def test_entries_equal_direct_calls(self):
+        # every outcome pair of every table against the public rule
+        tables = harness._rule_tables()
+        assert tables["consistent"].shape == tables["recovered"].shape == (4, 2)
+        assert tables["check_error"].shape == (len(CHECK_BASES), 4, 4)
+        assert tables["keys"].shape == (4, 4, 2)
+        for a, b in itertools.product(range(4), range(2)):
+            pair = (outcome_at(z_basis(1, 2), a), outcome_at(z_basis(3), b))
+            assert tables["consistent"][a, b] == _rule_call(check_consistent, *pair)
+            assert tables["recovered"][a, b] == _rule_call(recover_bit, *pair)
+        for (index, basis), a, b in itertools.product(enumerate(CHECK_BASES), range(4), range(4)):
+            pair = (outcome_at(_pair_basis(basis, 1, 2), a),
+                    outcome_at(_pair_basis(basis, 3, 4), b))
+            assert tables["check_error"][index, a, b] == _rule_call(cao_check_error, basis, *pair)
+        for a, b in itertools.product(range(4), range(4)):
+            pair = (outcome_at(bell_basis(1, 2), a), outcome_at(bell_basis(3, 4), b))
+            expected = [_rule_call(lambda *p: cao_keys(*p)[side], *pair) for side in (0, 1)]
+            assert tables["keys"][a, b].tolist() == expected
+
+    def test_rules_called_once_per_process(self, monkeypatch):
+        # a build reads the rules off their tables: once the tables exist,
+        # building the same configs again calls no rule at all
+        calls = []
+        for name in ("check_consistent", "recover_bit", "cao_check_error", "cao_keys"):
+            rule = getattr(harness, name)
+            monkeypatch.setattr(
+                harness, name, lambda *a, _rule=rule, _name=name: calls.append(_name) or _rule(*a)
+            )
+        harness._rule_tables.cache_clear()
+        configs = [
+            RunConfig(scheme="present", attack="cnot"),
+            RunConfig(scheme="cao", attack="cao-ir-z"),
+        ]
+        for config in configs:
+            _round_trees(config)
+        assert set(calls) == {"check_consistent", "recover_bit", "cao_check_error", "cao_keys"}
+        calls.clear()
+        for config in configs:
+            _round_trees(config)
+        assert calls == []
 
 
 class TestRunConfig:
@@ -335,7 +418,7 @@ class TestTreeWalk:
         trees from each round's root as ``_run_counts`` walks them, and the
         joint leaves it reached."""
         trees = _round_trees(config)
-        leaves = [leaf for tree in trees for leaf in tree.leaves]
+        leaves = [leaf for tree in trees for leaf in leaf_values(tree)]
         reached = _walk(_walk_tables(trees), ~flags, draws).tolist()
         return [tuple(leaves[leaf]) for leaf in reached], set(reached)
 
@@ -356,7 +439,44 @@ class TestTreeWalk:
         # the replay compared every path of both trees: the joint leaves are
         # the check leaves, then the message leaves
         check_tree, message_tree = _round_trees(config)
-        assert len(reached) == len(check_tree.leaves) + len(message_tree.leaves)
+        assert len(reached) == len(check_tree.masses) + len(message_tree.masses)
+
+    @staticmethod
+    def _midpoint_row(tree, leaf: int) -> np.ndarray:
+        """A draw row that follows the path to ``leaf``: at each level, the
+        midpoint of the chosen child's cumulative interval among its
+        siblings; 0.5 in the columns below the tree's deepest level."""
+        row = np.full(harness._DRAWS_PER_ROUND, 0.5)
+        node = leaf
+        for depth in reversed(range(len(tree.levels))):
+            level = tree.levels[depth]
+            siblings = np.flatnonzero(level.parent == level.parent[node])
+            before = np.cumsum(level.prob[siblings])[:node - siblings[0]]
+            row[depth] = (before[-1] if len(before) else 0.0) + level.prob[node] / 2
+            node = level.parent[node]
+        return row
+
+    @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
+    def test_midpoint_draws_reach_each_leaf(self, scheme, attack, init, basis):
+        # at leaf resolution, for every leaf of both trees: a draw row down
+        # the middle of the leaf's path walks to that leaf, and the oracle's
+        # round on the same row ends with its outcome and draws its values
+        config = RunConfig(
+            scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
+        )
+        trees = _round_trees(config)
+        tables = _walk_tables(trees)
+        keys = ("note", "alice", "bob", "initial" if scheme == "present" else "basis")
+        first = 0
+        for root, tree in enumerate(trees):
+            nodes = node_values(tree, *keys)
+            for leaf, (node, outcome) in enumerate(zip(nodes, leaf_values(tree), strict=True)):
+                row = self._midpoint_row(tree, leaf)
+                assert _walk(tables, np.array([root]), row[None]).tolist() == [first + leaf]
+                seen = {}
+                assert scalar_round(config, root == 0, row, seen) == tuple(outcome)
+                assert seen == {key: node[key] for key in seen}
+            first += len(tree.masses)
 
     def test_three_way_choice_picks_as_int_u_times_3(self):
         # every u = k * 2**-53 within 2**17 steps of 1/3 and of 2/3, and
@@ -371,7 +491,6 @@ class TestTreeWalk:
         assert np.array_equal(born, thirds)
         tree = _BranchTree()
         tree.choose("basis", CHECK_BASES)
-        tree.finish(lambda node: node["basis"])
         walked = _walk(_walk_tables([tree]), np.zeros(len(u), dtype=np.int64), u[:, None])
         assert np.array_equal(walked, thirds)
 
@@ -391,11 +510,11 @@ class TestTreeWalk:
             # depth by depth, each tree's children in tree order, and one
             # pass-through child per leaf of a tree that ended above
             probs = np.concatenate([
-                tree.levels[depth].prob if depth < len(tree.levels) else np.ones(len(tree.leaves))
+                tree.levels[depth].prob if depth < len(tree.levels) else np.ones(len(tree.masses))
                 for depth in range(max(len(tree.levels) for tree in trees))
                 for tree in trees
             ])
-            for node in range(len(trees) + len(probs) - sum(len(tree.leaves) for tree in trees)):
+            for node in range(len(trees) + len(probs) - sum(len(tree.masses) for tree in trees)):
                 finite = thresholds[np.isfinite(thresholds[:, node]), node]
                 children = successor[node * stride + np.arange(len(finite) + 1)]
                 child_probs = probs[children - len(trees)]

@@ -143,14 +143,15 @@ def test_empirical_frequencies_match_exact_distribution():
         for bits in ("00", "01", "10", "11")
     }
     tree = _BranchTree()
-    tree.prepare(lambda node: state)
-    tree.measure("outcome", lambda node: z_basis(1, 2))
+    tree.prepare([state])
+    tree.measure("outcome", (z_basis(1, 2),))
     rng = np.random.default_rng(123)
     n = 100_000
     leaves = _walk(_walk_tables([tree]), np.zeros(n, dtype=np.int64), rng.random((n, 1)))
     counts = dict.fromkeys(exact, 0)
-    for node, hits in zip(tree.nodes, np.bincount(leaves, minlength=len(tree.nodes)).tolist()):
-        counts[node["outcome"].value] = hits
+    outcomes = tree.values("outcome")
+    for outcome, hits in zip(outcomes, np.bincount(leaves, minlength=len(outcomes)).tolist()):
+        counts[outcome.value] = hits
     for value, p in exact.items():
         if p == 0.0:
             assert counts[value] == 0

@@ -14,7 +14,9 @@ from oracle_tools import (
     Z,
     bell_projector_first_pair,
     bell_projector_second_pair,
+    leaf_values,
     max_dev_up_to_phase,
+    node_values,
     project as dense_project,
     x_projector,
     z_projector,
@@ -80,9 +82,9 @@ class TestPresentRound:
         config = RunConfig(scheme="present", init_policy=initial)
         _, message_tree = _round_trees(config)
         mass = 0.0
-        for node, leaf, m in zip(
-            message_tree.nodes, message_tree.leaves, message_tree.masses, strict=True
-        ):
+        nodes = node_values(message_tree, "initial", "alice")
+        leaves = leaf_values(message_tree)
+        for node, leaf, m in zip(nodes, leaves, message_tree.masses, strict=True):
             if leaf.message_bit != bit:
                 continue
             assert node["initial"] == initial

@@ -100,6 +100,11 @@ class TestApply1Q:
         with pytest.raises(errors.NonUnitaryGate):
             Gate1Q(np.array([[1, 0], [0, 2]], dtype=complex))
 
+    @pytest.mark.parametrize("qubit", [0, 4, -1])
+    def test_qubit_outside_register_rejected(self, qubit):
+        with pytest.raises(errors.IndexOutOfRange):
+            apply_1q_rows(build("phi1")[None], qubit, HADAMARD)
+
 
 class TestApplyCnot:
     def test_flips_target(self):
@@ -119,6 +124,12 @@ class TestApplyCnot:
             + np.kron(ket("00"), ket("00") - ket("11"))
         ) / np.sqrt(6)
         assert np.max(np.abs(probed - expected)) <= ATOL
+
+    @pytest.mark.parametrize("control,target", [(1, 1), (0, 2), (2, 4), (-1, 3)])
+    def test_bad_qubits_rejected(self, control, target):
+        # control = target would write a state of norm 1.15, not a CNOT
+        with pytest.raises(errors.IndexOutOfRange):
+            apply_cnot_rows(build("phi1")[None], control, target)
 
 
 # outcome probabilities come in kernel order: bit strings in binary
@@ -188,9 +199,9 @@ class TestMeasure:
     def test_zero_probability_branch_unreachable(self):
         # |00> measured in Z: a walk of the measurement reaches only 00
         tree = _BranchTree()
-        tree.prepare(lambda node: ket("00"))
-        tree.measure("outcome", lambda node: z_basis(1, 2))
-        assert [node["outcome"].value for node in tree.nodes] == ["00"]
+        tree.prepare([ket("00")])
+        tree.measure("outcome", (z_basis(1, 2),))
+        assert [outcome.value for outcome in tree.values("outcome")] == ["00"]
         u = np.linspace(0.0, 0.999999, 23)
         walked = _walk(_walk_tables([tree]), np.zeros(len(u), dtype=np.int64), u[:, None])
         assert np.array_equal(walked, np.zeros(len(u)))
