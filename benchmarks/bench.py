@@ -1,5 +1,5 @@
 """Per-config cost of the branch-tree layers (tree build, a short run,
-exact analysis) and the cost of one long cold run.
+exact analysis) and the cost of cold ``wqsc`` processes.
 
 Usage (from the root of a checkout):
 
@@ -10,12 +10,22 @@ policy) configs, the script times on one CPU (the last one the process
 may use, to which it pins itself):
 
 * ``build_ms``: ``_round_trees(config)``, the check-round and
-  message-round trees of a run;
-* ``run_ms``: ``_run_counts(config)`` of a 2000-round run at check
-  fraction 0.5 and seed 0: the tree build, its mode flags and draws, the
-  walk (with the walk tables it compiles) and the leaf totals, so the
-  same call times the whole Monte Carlo path of any version;
-* ``exact_ms``: ``exact_analyze`` of the config.
+  message-round trees of a run, built anew by every call;
+* ``run_cold_ms`` and ``run_warm_ms``: ``_run_counts(config)`` of a
+  2000-round run at check fraction 0.5 and seed 0: its mode flags and
+  draws, the walk (with the walk tables it compiles) and the leaf totals,
+  and the trees it reads, so the same call times the whole Monte Carlo
+  path of any version;
+* ``exact_cold_ms`` and ``exact_warm_ms``: ``exact_analyze`` of the
+  config.
+
+A version that keeps each config's trees for the life of the process
+(``_config_trees``) is timed twice per call: *cold*, with that memo
+emptied just before the call (outside the timed region), which is what a
+one-config CLI process pays for its trees; and *warm*, right after the
+same call made untimed, which leaves the config's trees built. For a
+version without the memo both are the same call, which builds its trees
+every time.
 
 Each figure is the median of ``REPEATS`` (31) runs. Repeats go
 round-robin over the configs, so a slow spell of the host hits every
@@ -40,10 +50,12 @@ by side see the same host speed, so these ratios hold steady where the
 ratio of two separate runs does not.
 
 The script then runs ``wqsc run --scheme cao --attack cao-ir-z --rounds
-10000000`` once per version, as a cold subprocess on the same CPU, and
-records its wall seconds (not normalized) and the child's own peak RSS
-(``ru_maxrss`` of that child alone, from ``os.wait4``) as ``cold_run``
-(and ``parent_cold_run``).
+10000000``, and ``wqsc exact`` once per (scheme, attack), as cold
+subprocesses on the same CPU, each once per version (the change first,
+then the parent), and records each one's wall seconds (not normalized)
+and the child's own peak RSS (``ru_maxrss`` of that child alone, from
+``os.wait4``): the run as ``cold_run`` (and ``parent_cold_run``), the
+exact rows as ``cold_exact`` (and ``parent_cold_exact``).
 
 The result, with the machine's core count and the python and numpy versions,
 is written to ``benchmarks/BENCH_<label>.json``. ``--src`` measures the
@@ -68,7 +80,15 @@ HERE = Path(__file__).resolve().parent
 ROUNDS = 2000
 REPEATS = 31
 COLD_RUN = ("run", "--scheme", "cao", "--attack", "cao-ir-z", "--rounds", "10000000")
-LAYERS = ("build_ms", "run_ms", "exact_ms")
+COLD_EXACT = [
+    ("exact", "--scheme", scheme, "--attack", attack)
+    for scheme, attacks in (("present", ("none", "ir-z", "ir-x", "cnot")),
+                            ("cao", ("none", "cao-ir-z")))
+    for attack in attacks
+]
+# timed in this order: each cold call follows a call that builds trees in
+# every version, so no version's build code is colder in the CPU's caches
+LAYERS = ("build_ms", "run_cold_ms", "exact_cold_ms", "run_warm_ms", "exact_warm_ms")
 
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 from calibrate import REF_NOMINAL_S, burst  # noqa: E402
@@ -125,17 +145,34 @@ def _timed(call) -> float:
 
 
 def _calls(harness, spec: tuple[str, str, str, str]) -> dict:
-    """Per layer, the call that times it for one config."""
+    """Per layer, the function to call before it, untimed, and the call
+    that times it for one config."""
     scheme, attack, init, basis = spec
     config = harness.RunConfig(
         scheme=scheme, attack=attack, rounds=ROUNDS, check_fraction=0.5,
         init_policy=init, check_basis_policy=basis,
     )
+    memo = getattr(harness, "_config_trees", None)
+    cold = memo.cache_clear if memo else lambda: None
+    run = lambda: harness._run_counts(config)  # noqa: E731
+    exact = lambda: harness.exact_analyze(scheme, attack, init, basis)  # noqa: E731
     return {
-        "build_ms": lambda: harness._round_trees(config),
-        "run_ms": lambda: harness._run_counts(config),
-        "exact_ms": lambda: harness.exact_analyze(scheme, attack, init, basis),
+        "build_ms": (lambda: None, lambda: harness._round_trees(config)),
+        "run_cold_ms": (cold, run),
+        "exact_cold_ms": (cold, exact),
+        "run_warm_ms": (run, run),
+        "exact_warm_ms": (exact, exact),
     }
+
+
+def _timed_layers(calls: dict) -> dict:
+    """Per layer, in ``LAYERS`` order, the ms of its call."""
+    walls = {}
+    for layer in LAYERS:
+        before, call = calls[layer]
+        before()
+        walls[layer] = _timed(call)
+    return walls
 
 
 def measure(versions: list) -> tuple[list[list[dict]], float]:
@@ -151,7 +188,7 @@ def measure(versions: list) -> tuple[list[list[dict]], float]:
         if repeat % 2:
             order.reverse()
         for case in range(len(CONFIGS)):
-            walls = {v: {layer: _timed(calls[v][case][layer]) for layer in LAYERS} for v in order}
+            walls = {v: _timed_layers(calls[v][case]) for v in order}
             refs.append(burst())
             scale = REF_NOMINAL_S / ((refs[-2] + refs[-1]) / 2.0)
             for v, wall in walls.items():
@@ -170,22 +207,22 @@ def _medians(cases: list[dict]) -> list[dict]:
     return [{layer: statistics.median(case[layer]) for layer in LAYERS} for case in cases]
 
 
-def cold_run(src: Path) -> dict:
+def cold(src: Path, argv: tuple[str, ...]) -> dict:
     """Wall seconds and peak RSS of one ``wqsc`` subprocess running
-    ``COLD_RUN`` from the package in ``src``."""
+    ``argv`` from the package in ``src``."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     discard = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
     start = time.perf_counter()
     pid = os.posix_spawn(
-        sys.executable, [sys.executable, "-m", "wqsc.cli", *COLD_RUN], env,
+        sys.executable, [sys.executable, "-m", "wqsc.cli", *argv], env,
         file_actions=discard,
     )
     _, status, usage = os.wait4(pid, 0)
     wall = time.perf_counter() - start
     if os.waitstatus_to_exitcode(status) != 0:
-        raise SystemExit(f"wqsc {' '.join(COLD_RUN)} failed with status {status}")
+        raise SystemExit(f"wqsc {' '.join(argv)} failed with status {status}")
     # ru_maxrss is in KiB on Linux
-    return {"argv": ["wqsc", *COLD_RUN], "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
+    return {"argv": ["wqsc", *argv], "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
 
 
 def _checkout(src: Path) -> dict:
@@ -254,9 +291,13 @@ def main(argv: list[str] | None = None) -> int:
             layer: _spread([a / b for a, b in zip(sums[0][layer], sums[1][layer])])
             for layer in LAYERS
         }
-    report["cold_run"] = cold_run(src)
+    report["cold_run"] = cold(src, COLD_RUN)
     if parent:
-        report["parent_cold_run"] = cold_run(parent)
+        report["parent_cold_run"] = cold(parent, COLD_RUN)
+    for argv in COLD_EXACT:
+        for prefix, path in (("", src), ("parent_", parent)):
+            if path:
+                report.setdefault(f"{prefix}cold_exact", []).append(cold(path, argv))
 
     path = HERE / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
@@ -275,11 +316,11 @@ def main(argv: list[str] | None = None) -> int:
             f"{k} {r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}]"
             for k, r in report["totals_ratio"].items()
         ))
-    for key in ("cold_run", "parent_cold_run"):
-        if key in report:
-            cold = report[key]
-            print(f"{key} {' '.join(cold['argv'])}: {cold['wall_s']:.2f} s, "
-                  f"{cold['peak_rss_mb']:.1f} MB")
+    for key in ("cold_run", "parent_cold_run", "cold_exact", "parent_cold_exact"):
+        rows = report.get(key, [])
+        for row in rows if isinstance(rows, list) else [rows]:
+            print(f"{key} {' '.join(row['argv'])}: {row['wall_s']:.2f} s, "
+                  f"{row['peak_rss_mb']:.1f} MB")
     print(f"wrote {path}")
     return 0
 

@@ -10,8 +10,10 @@ values are columns of codes (:class:`_BranchTree`), so neither the
 kernel calls nor the Python code of a build grow with its node count.
 The protocol rules classify the leaves through tables that hold each
 public rule's value for every outcome pair, computed once per process.
-No tree or result is cached; every run and every exact analysis builds
-the trees it reads. Both analyses read the same trees:
+A config's two trees depend only on its scheme, attack and policy, so
+each process builds them once (:func:`_config_trees`), and every run and
+every exact analysis of that config reads the same read-only trees; no
+result is ever cached. Both analyses read them:
 
 * the exact analyzer sums the leaves' outcomes weighted by their masses,
   so its check-error and leak rates carry no sampling error;
@@ -247,7 +249,7 @@ def _walk_tables(trees) -> tuple[np.ndarray, np.ndarray, list[int]]:
     thresholds[np.arange(table.shape[1] - 1) >= count[:, None] - 1] = np.inf
     successor = len(trees) + first[:, None] + np.arange(table.shape[1])
     depths = offsets[:: len(trees)]
-    widths = [int(count[lo:hi].max()) for lo, hi in zip(depths[:-1], depths[1:])]
+    widths = np.maximum.reduceat(count, depths[:-1]).tolist()
     return thresholds.T.copy(), successor.ravel(), widths
 
 
@@ -269,6 +271,7 @@ def _walk(tables, roots: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
 
 _ZERO = np.zeros(1, dtype=np.intp)  # the code of a value that every node shares
+_ZERO.setflags(write=False)
 
 
 def _tabulate(rule, first: MeasurementBasis, second: MeasurementBasis) -> np.ndarray:
@@ -330,6 +333,10 @@ class _BranchTree:
     levels' ``parent`` arrays, and :meth:`values` decodes them.
     ``masses[i]`` is the probability of the path to node (finally leaf)
     ``i``: the product of its branch probabilities, root first.
+
+    A finished tree is frozen: every array it holds is read-only, so no
+    caller can change what later calls read off a tree that
+    :func:`_config_trees` keeps for the life of the process.
     """
 
     def __init__(self) -> None:
@@ -365,10 +372,13 @@ class _BranchTree:
 
     def assign(self, key: str, codes: np.ndarray, labels: tuple) -> None:
         """Give the deepest level's node ``i`` the value ``labels[codes[i]]``."""
+        codes.setflags(False)  # write=False, which numpy parses more slowly
         self._columns[key] = (len(self.levels), codes, labels, None)
 
     def _grow(self, key, parent, outcome, prob, states, labels, by=None) -> None:
         """Add a level: child ``i`` is outcome ``outcome[i]`` of ``parent[i]``."""
+        for array in (parent, outcome, prob):
+            array.setflags(False)
         self.levels.append(_Level(len(self.masses), parent, prob))
         self.masses = self.masses[parent] * prob
         self._states = states
@@ -380,7 +390,9 @@ class _BranchTree:
         ``1 / len(values)``. By the Born rule a coin picks ``values[0]``
         iff ``u < 0.5``, and a choice of three ``values[int(u * 3) % 3]``."""
         if policy in values:
-            self._columns[key] = (0, np.array([values.index(policy)]), values, None)
+            codes = np.array([values.index(policy)])
+            codes.setflags(False)
+            self._columns[key] = (0, codes, values, None)
             return
         parent = np.arange(len(self.masses)).repeat(len(values))
         states = None if self._states is None else self.states[parent]
@@ -463,11 +475,14 @@ class _BranchTree:
 
     def finish(self, message_bit=None, check_pass=None, recovered_bit=None, eve_guess=None):
         """Set the leaves' outcome columns, -1 for a field that the round's
-        mode lacks (or where Eve abstains), and drop the states."""
+        mode lacks (or where Eve abstains), drop the states, and make the
+        masses and those columns read-only, as the levels and codes are."""
         absent = np.full(len(self.masses), -1)
         columns = (message_bit, check_pass, recovered_bit, eve_guess)
         self.leaf_columns = tuple(absent if column is None else column for column in columns)
         self._states = None
+        for array in (self.masses, *self.leaf_columns):
+            array.setflags(False)
         return self
 
 
@@ -522,34 +537,33 @@ def _cao_tree(kind: AttackKind, basis_policy: str, message: bool = False) -> _Br
     return tree
 
 
-def _cao_finish_check(tree: _BranchTree) -> _BranchTree:
-    """Classify the leaves of a cao check-round tree."""
+def _cao_check_tree(kind: AttackKind, basis_policy: str, message: _BranchTree) -> _BranchTree:
+    """The cao check-round tree of ``basis_policy``, leaves classified. The
+    quantum part of a key round is that of a Bell-basis check round (its
+    message bit enters only the ciphertext), so for the Bell policy this is
+    the bit-0 branch of the message tree ``message``."""
+    tree = message.first_branch() if basis_policy == "bell" else _cao_tree(kind, basis_policy)
     columns = tuple(tree.column(key) for key in ("basis", "alice", "bob"))
     return tree.finish(check_pass=1 - _rule_tables()["check_error"][columns])
 
 
-def _cao_trees(kind: AttackKind, basis_policy: str) -> tuple[_BranchTree, _BranchTree]:
-    """(check-round tree, message-round tree) of the cao scheme.
-
-    The message bit of a key round enters only its ciphertext, so the
-    quantum part of a key round is that of a Bell-basis check round, and
-    for the Bell check-basis policy the check tree is the message tree's
-    bit-0 branch.
-    """
+def _cao_message_tree(kind: AttackKind) -> _BranchTree:
+    """The cao message-round tree, the same for every check-basis policy."""
     tree = _cao_tree(kind, "bell", message=True)
-    if basis_policy == "bell":
-        check = _cao_finish_check(tree.first_branch())
-    else:
-        check = _cao_finish_check(_cao_tree(kind, basis_policy))
-
     keys = _rule_tables()["keys"][tree.column("alice"), tree.column("bob")]
     bit = tree.column("bit")
     tree.assign("ciphertext", keys[:, 0] ^ bit, (0, 1))
-    return check, tree.finish(
+    return tree.finish(
         message_bit=bit,
         recovered_bit=keys[:, 1] ^ tree.column("ciphertext"),
         eve_guess=tree.guess(("ciphertext", "note")),
     )
+
+
+def _cao_trees(kind: AttackKind, basis_policy: str) -> tuple[_BranchTree, _BranchTree]:
+    """(check-round tree, message-round tree) of the cao scheme."""
+    message = _cao_message_tree(kind)
+    return _cao_check_tree(kind, basis_policy, message), message
 
 
 def _round_trees(config: RunConfig) -> tuple[_BranchTree, _BranchTree]:
@@ -558,6 +572,22 @@ def _round_trees(config: RunConfig) -> tuple[_BranchTree, _BranchTree]:
     if config.scheme == "present":
         return _present_trees(kind, config.init_policy)
     return _cao_trees(kind, config.check_basis_policy)
+
+
+@lru_cache(maxsize=None)
+def _config_trees(scheme: str, kind: AttackKind, policy: str | None) -> tuple:
+    """(check-round tree, message-round tree) of ``scheme`` under attack
+    ``kind`` and the scheme's init or check-basis ``policy``, built once per
+    process. The keys are the 20 valid configs and, with ``policy`` None
+    (no check tree), the cao message tree of each attack, which every
+    check-basis policy shares; not a :class:`RunConfig`, whose seed and
+    round count would grow the memo without bound."""
+    if scheme == "present":
+        return _present_trees(kind, policy)
+    if policy is None:
+        return None, _cao_message_tree(kind)
+    message = _config_trees(scheme, kind, None)[1]
+    return _cao_check_tree(kind, policy, message), message
 
 
 _COUNTS = ("check_rounds", "check_errors", "message_rounds",
@@ -608,16 +638,13 @@ def exact_analyze(
     kind = _validate(scheme, attack, init_policy, check_basis_policy)
     if scheme == "present":
         groups = INIT_POLICIES[1:] if init_policy == "random" else (init_policy,)
-        trees = {g: _present_trees(kind, g) for g in groups}
-        check_trees = {g: check for g, (check, _) in trees.items()}
-        message_trees = {g: message for g, (_, message) in trees.items()}
     else:
         groups = CHECK_BASES if check_basis_policy == "random" else (check_basis_policy,)
-        bell_check, message = _cao_trees(kind, "bell")
-        check_trees = {
-            b: bell_check if b == "bell" else _cao_finish_check(_cao_tree(kind, b)) for b in groups
-        }
-        message_trees = {"w4": message}
+    trees = {g: _config_trees(scheme, kind, g) for g in groups}
+    check_trees = {g: check for g, (check, _) in trees.items()}
+    message_trees = {g: message for g, (_, message) in trees.items()}
+    if scheme == "cao":  # one message tree, whatever the check basis
+        message_trees = {"w4": message_trees[groups[0]]}
 
     conditional_error = {}
     total_error = 0.0
@@ -691,7 +718,8 @@ def _run_counts(config: RunConfig) -> dict[str, int]:
     down one table of both trees, a check round from the check tree's
     root (node 0) and a message round from the message tree's (node 1),
     and the leaf hits summed over the blocks."""
-    trees = _round_trees(config)
+    policy = config.init_policy if config.scheme == "present" else config.check_basis_policy
+    trees = _config_trees(config.scheme, AttackKind(config.attack), policy)
     tables = _walk_tables(trees)
     leaves = tuple(map(np.concatenate, zip(*(tree.leaf_columns for tree in trees))))
     hits = np.zeros(len(leaves[0]), dtype=np.int64)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wqsc import cli
+from wqsc import cli, harness
 from wqsc.states import IdentityReport
 
 
@@ -22,11 +22,23 @@ def run_cli(capsys, *argv):
 CLI_OUTPUTS = json.loads((Path(__file__).parent / "cli_outputs.json").read_text())
 
 
-def test_every_stdout_pinned(capsys):
-    for case in CLI_OUTPUTS:
+def _assert_pinned(capsys, cases):
+    for case in cases:
         code, out, _ = run_cli(capsys, *case["argv"])
         assert code == 0, case["argv"]
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"], case["argv"]
+
+
+def test_every_stdout_pinned(capsys):
+    _assert_pinned(capsys, CLI_OUTPUTS)
+
+
+def test_every_stdout_pinned_in_reverse_order(capsys):
+    # a config's trees are built by the first call that needs them and then
+    # shared: from an empty memo and in the other order, every call that
+    # built them before now reads them, and the other way round
+    harness._config_trees.cache_clear()
+    _assert_pinned(capsys, CLI_OUTPUTS[::-1])
 
 
 class TestExact:

@@ -3,7 +3,7 @@
 import itertools
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,9 @@ VALID_CONFIGS = [
     for attack in ("none", "cao-ir-z")
     for basis in ("random", "z", "x", "bell")
 ]
+
+# the public protocol rules that classify a tree's leaves
+RULES = ("check_consistent", "recover_bit", "cao_check_error", "cao_keys")
 
 # the most kernel calls that building one level of a branch tree may make
 # (a measurement in three bases, each rotated and collapsed, takes most)
@@ -313,7 +316,7 @@ class TestRuleTables:
         # a build reads the rules off their tables: once the tables exist,
         # building the same configs again calls no rule at all
         calls = []
-        for name in ("check_consistent", "recover_bit", "cao_check_error", "cao_keys"):
+        for name in RULES:
             rule = getattr(harness, name)
             monkeypatch.setattr(
                 harness, name, lambda *a, _rule=rule, _name=name: calls.append(_name) or _rule(*a)
@@ -325,11 +328,78 @@ class TestRuleTables:
         ]
         for config in configs:
             _round_trees(config)
-        assert set(calls) == {"check_consistent", "recover_bit", "cao_check_error", "cao_keys"}
+        assert set(calls) == set(RULES)
         calls.clear()
         for config in configs:
             _round_trees(config)
         assert calls == []
+
+
+def _policy(scheme: str, init: str, basis: str) -> str:
+    return init if scheme == "present" else basis
+
+
+class TestConfigTrees:
+    @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
+    def test_second_run_and_analysis_build_nothing(
+        self, monkeypatch, scheme, attack, init, basis
+    ):
+        # after a config's first run and analysis, another run at another
+        # seed and round count, and another analysis, read the trees that
+        # the first ones built: no kernel and no rule is called again
+        calls = []
+        for module, names in ((_kernels, _kernels.__all__), (harness, RULES)):
+            for name in names:
+                function = getattr(module, name)
+                monkeypatch.setattr(
+                    module, name, lambda *a, _f=function, _n=name: calls.append(_n) or _f(*a)
+                )
+        harness._config_trees.cache_clear()
+        harness._rule_tables.cache_clear()
+        config = RunConfig(
+            scheme=scheme, attack=attack, rounds=500, master_seed=3,
+            init_policy=init, check_basis_policy=basis,
+        )
+        run_monte_carlo(config)
+        expected = exact_analyze(scheme, attack, init, basis)
+        assert set(calls) >= set(RULES) and set(calls) & set(_kernels.__all__)
+        calls.clear()
+        run_monte_carlo(replace(config, rounds=777, master_seed=4))
+        assert exact_analyze(scheme, attack, init, basis) == expected
+        assert calls == []
+
+    @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
+    def test_memoized_trees_are_read_only(self, scheme, attack, init, basis):
+        key = (scheme, AttackKind(attack), _policy(scheme, init, basis))
+        trees = harness._config_trees(*key)
+        assert harness._config_trees(*key) is trees
+        for tree in trees:
+            levels = [array for level in tree.levels for array in (level.parent, level.prob)]
+            codes = [entry[1] for entry in tree._columns.values()]
+            for array in (tree.masses, *tree.leaf_columns, *levels, *codes):
+                with pytest.raises(ValueError):
+                    array[...] = 0
+
+    def test_seed_sweep_keeps_one_entry(self):
+        harness._config_trees.cache_clear()
+        for seed, rounds in itertools.product(range(50), (10, 100, 1000)):
+            run_monte_carlo(RunConfig(scheme="present", attack="cnot", rounds=rounds,
+                                      master_seed=seed))
+        assert harness._config_trees.cache_info().currsize == 1
+
+    def test_entries_are_the_configs_keys(self):
+        # exact analysis of a random policy reads the trees of the policy's
+        # groups, each of which is a config of its own; the cao configs of
+        # one attack share one message tree, kept under the policy None
+        harness._config_trees.cache_clear()
+        keys = set()
+        for scheme, attack, init, basis in VALID_CONFIGS:
+            run_monte_carlo(RunConfig(scheme=scheme, attack=attack, rounds=100,
+                                      init_policy=init, check_basis_policy=basis))
+            exact_analyze(scheme, attack, init, basis)
+            keys.add((scheme, attack, _policy(scheme, init, basis)))
+        keys |= {("cao", attack, None) for attack in ("none", "cao-ir-z")}
+        assert harness._config_trees.cache_info().currsize <= len(keys) == len(VALID_CONFIGS) + 2
 
 
 class TestRunConfig:
