@@ -10,7 +10,8 @@ policy) configs, the script times on one CPU (the last one the process
 may use, to which it pins itself):
 
 * ``build_ms``: ``_round_trees(config)``, the check-round and
-  message-round trees of a run, built anew by every call;
+  message-round trees of a run, timed cold (see below), so that every
+  call builds them;
 * ``run_cold_ms`` and ``run_warm_ms``: ``_run_counts(config)`` of a
   2000-round run at check fraction 0.5 and seed 0: its mode flags and
   draws, the walk (with the walk tables it compiles) and the leaf totals,
@@ -157,7 +158,7 @@ def _calls(harness, spec: tuple[str, str, str, str]) -> dict:
     run = lambda: harness._run_counts(config)  # noqa: E731
     exact = lambda: harness.exact_analyze(scheme, attack, init, basis)  # noqa: E731
     return {
-        "build_ms": (lambda: None, lambda: harness._round_trees(config)),
+        "build_ms": (cold, lambda: harness._round_trees(config)),
         "run_cold_ms": (cold, run),
         "exact_cold_ms": (cold, exact),
         "run_warm_ms": (run, run),

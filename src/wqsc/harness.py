@@ -11,16 +11,18 @@ kernel calls nor the Python code of a build grow with its node count.
 The protocol rules classify the leaves through tables that hold each
 public rule's value for every outcome pair, computed once per process.
 A config's two trees depend only on its scheme, attack and policy, so
-each process builds them once (:func:`_config_trees`), and every run and
-every exact analysis of that config reads the same read-only trees; no
-result is ever cached. Both analyses read them:
+each process builds them once (:func:`_config_trees`, the one way to a
+config's trees), and every run and every exact analysis of that config
+reads the same read-only trees; no result is ever cached. Both analyses
+sum the trees' joined leaves with one function (:func:`_leaf_totals`):
 
-* the exact analyzer sums the leaves' outcomes weighted by their masses,
-  so its check-error and leak rates carry no sampling error;
-* the Monte Carlo runner compiles the check and message trees into one
-  walk table with two roots and walks each block of rounds down it with
-  numpy array operations, a check round from the check tree's root and
-  a message round from the message tree's: each level matches one
+* the exact analyzer weights each leaf by its mass, so its check-error
+  and leak rates carry no sampling error;
+* the Monte Carlo runner weights each leaf by the rounds that reach it.
+  It compiles the check and message trees into one walk table with two
+  roots and walks each block of rounds down it with numpy array
+  operations, a check round from the check tree's root and a message
+  round from the message tree's: each level matches one
   column of the rounds' draw rows against its nodes' cumulative
   probabilities, in the order of the round's steps, so a walk reproduces
   the round that the test suite's one-round oracle plays on the same
@@ -417,20 +419,16 @@ class _BranchTree:
         ``by`` (0 without ``by``), one stacked call per distinct basis."""
         num_qubits = self.states.shape[1].bit_length() - 1
         labels = tuple(_basis_tables(basis, num_qubits).labels for basis in bases)
-        depth, codes = self._columns[by][:2] if by else (0, _ZERO)
-        if depth == 0:  # a value at the root: every node shares one basis
-            found = branch_rows(self.states, bases[codes[0]])
-        else:
-            which = self.column(by)
-            groups = np.bincount(which).nonzero()[0].tolist()
-            rows = [(which == group).nonzero()[0] for group in groups]
-            parts = [branch_rows(self.states[at], bases[g]) for at, g in zip(rows, groups)]
-            parent = np.concatenate([at[part.parent] for at, part in zip(rows, parts)])
-            outcome = np.concatenate([part.outcome for part in parts])
-            order = np.lexsort((outcome, parent))  # (node, outcome) order
-            prob = np.concatenate([part.prob for part in parts])
-            found = Branches(parent[order], outcome[order], prob[order],
-                             lambda: np.concatenate([part.states() for part in parts])[order])
+        which = self.column(by) if by else _ZERO.repeat(len(self.masses))
+        groups = np.bincount(which).nonzero()[0].tolist()
+        rows = [(which == group).nonzero()[0] for group in groups]
+        parts = [branch_rows(self.states[at], bases[g]) for at, g in zip(rows, groups)]
+        parent = np.concatenate([at[part.parent] for at, part in zip(rows, parts)])
+        outcome = np.concatenate([part.outcome for part in parts])
+        order = np.lexsort((outcome, parent))  # (node, outcome) order
+        prob = np.concatenate([part.prob for part in parts])
+        found = Branches(parent[order], outcome[order], prob[order],
+                         lambda: np.concatenate([part.states() for part in parts])[order])
         self._grow(key, *found, labels if by else labels[0], by)
 
     def attack(self, kind: AttackKind, transit: tuple[int, ...]) -> None:
@@ -560,20 +558,6 @@ def _cao_message_tree(kind: AttackKind) -> _BranchTree:
     )
 
 
-def _cao_trees(kind: AttackKind, basis_policy: str) -> tuple[_BranchTree, _BranchTree]:
-    """(check-round tree, message-round tree) of the cao scheme."""
-    message = _cao_message_tree(kind)
-    return _cao_check_tree(kind, basis_policy, message), message
-
-
-def _round_trees(config: RunConfig) -> tuple[_BranchTree, _BranchTree]:
-    """(check-round tree, message-round tree) of a run's config."""
-    kind = AttackKind(config.attack)
-    if config.scheme == "present":
-        return _present_trees(kind, config.init_policy)
-    return _cao_trees(kind, config.check_basis_policy)
-
-
 @lru_cache(maxsize=None)
 def _config_trees(scheme: str, kind: AttackKind, policy: str | None) -> tuple:
     """(check-round tree, message-round tree) of ``scheme`` under attack
@@ -590,16 +574,24 @@ def _config_trees(scheme: str, kind: AttackKind, policy: str | None) -> tuple:
     return _cao_check_tree(kind, policy, message), message
 
 
+def _round_trees(config: RunConfig) -> tuple[_BranchTree, _BranchTree]:
+    """(check-round tree, message-round tree) of a run's config, from the
+    memo of :func:`_config_trees`."""
+    policy = config.init_policy if config.scheme == "present" else config.check_basis_policy
+    return _config_trees(config.scheme, AttackKind(config.attack), policy)
+
+
 _COUNTS = ("check_rounds", "check_errors", "message_rounds",
            "recovered_correct", "guesses_known", "guesses_correct")
 
 
-def _leaf_totals(leaves: tuple[np.ndarray, ...], weights: np.ndarray) -> dict:
-    """The run counts of rounds ending at the leaves of outcome columns
-    ``leaves``, leaf ``i`` weighted by ``weights[i]``: its hit count
-    (Monte Carlo) or its mass (exact). Each count is an indicator column
-    dotted with the weights as a running sum, adding masses in leaf order."""
-    bit, passed, recovered, guess = leaves
+def _leaf_totals(trees: tuple[_BranchTree, _BranchTree], weights: np.ndarray) -> dict:
+    """The run counts of rounds ending at the joined leaves of a config's
+    (check, message) ``trees``, leaf ``i`` weighted by ``weights[i]``: its
+    hit count (Monte Carlo) or its mass (exact). Each count is an indicator
+    column dotted with the weights as a running sum in leaf order, to which
+    a leaf of indicator 0 adds an exact 0.0."""
+    bit, passed, recovered, guess = map(np.concatenate, zip(*(tree.leaf_columns for tree in trees)))
     message = bit >= 0
     indicators = np.array([~message, passed == 0, message, message & (recovered == bit),
                            guess >= 0, message & (guess == bit)])
@@ -640,25 +632,20 @@ def exact_analyze(
         groups = INIT_POLICIES[1:] if init_policy == "random" else (init_policy,)
     else:
         groups = CHECK_BASES if check_basis_policy == "random" else (check_basis_policy,)
-    trees = {g: _config_trees(scheme, kind, g) for g in groups}
-    check_trees = {g: check for g, (check, _) in trees.items()}
-    message_trees = {g: message for g, (_, message) in trees.items()}
-    if scheme == "cao":  # one message tree, whatever the check basis
-        message_trees = {"w4": message_trees[groups[0]]}
+    totals, total_error = {}, 0.0
+    for group in groups:
+        trees = _config_trees(scheme, kind, group)
+        totals[group] = _leaf_totals(trees, np.concatenate([tree.masses for tree in trees]))
+        total_error += (1.0 / len(groups)) * totals[group]["check_errors"]
+    conditional_error = {group: counts["check_errors"] for group, counts in totals.items()}
 
-    conditional_error = {}
-    total_error = 0.0
-    for group, tree in check_trees.items():
-        conditional_error[group] = _leaf_totals(tree.leaf_columns, tree.masses)["check_errors"]
-        total_error += (1.0 / len(check_trees)) * conditional_error[group]
-
-    conditional_leak = {}
+    # the cao scheme has one message tree, whatever the check basis
+    messages = totals if scheme == "present" else {"w4": totals[groups[0]]}
+    conditional_leak = {group: _message_rates(counts)[1] for group, counts in messages.items()}
     message = dict.fromkeys(_COUNTS, 0.0)
-    for group, tree in message_trees.items():
-        totals = _leaf_totals(tree.leaf_columns, tree.masses)
-        conditional_leak[group] = _message_rates(totals)[1]
+    for counts in messages.values():
         for key in _COUNTS:
-            message[key] += (1.0 / len(message_trees)) * totals[key]
+            message[key] += (1.0 / len(messages)) * counts[key]
 
     recovery, leak, unknown_fraction = _message_rates(message)
     return ExactResult(
@@ -718,17 +705,15 @@ def _run_counts(config: RunConfig) -> dict[str, int]:
     down one table of both trees, a check round from the check tree's
     root (node 0) and a message round from the message tree's (node 1),
     and the leaf hits summed over the blocks."""
-    policy = config.init_policy if config.scheme == "present" else config.check_basis_policy
-    trees = _config_trees(config.scheme, AttackKind(config.attack), policy)
+    trees = _round_trees(config)
     tables = _walk_tables(trees)
-    leaves = tuple(map(np.concatenate, zip(*(tree.leaf_columns for tree in trees))))
-    hits = np.zeros(len(leaves[0]), dtype=np.int64)
+    hits = np.zeros(sum(len(tree.masses) for tree in trees), dtype=np.int64)
     for start in range(0, config.rounds, _BLOCK_ROUNDS):
         count = min(_BLOCK_ROUNDS, config.rounds - start)
         roots = ~_check_flags(config, start, count)
         draws = _draw_block(config.master_seed, start, count)
         hits += np.bincount(_walk(tables, roots, draws), minlength=len(hits))
-    return _leaf_totals(leaves, hits)
+    return _leaf_totals(trees, hits)
 
 
 def run_monte_carlo(config: RunConfig, workers: int = 1) -> RunStats:

@@ -62,9 +62,6 @@ class Gate1Q:
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
-    def dagger(self) -> "Gate1Q":
-        return Gate1Q(self.entries.conj().T.copy(), name=self.name + "+")
-
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -168,24 +165,10 @@ def _basis_tables(basis: MeasurementBasis, num_qubits: int) -> _BasisTables:
     return _BasisTables(outcomes, order, tuple(outcome_at(basis, i) for i in range(count)))
 
 
-@lru_cache(maxsize=None)
 def _pair_rest_indices(num_qubits: int, qa: int, qb: int) -> np.ndarray:
     """Flat indices by (bit_a, bit_b, rest); rest bits keep qubit order."""
-    rest = [q for q in range(1, num_qubits + 1) if q not in (qa, qb)]
-    rest_positions = [num_qubits - q for q in rest]
-    m = len(rest)
-    r = np.arange(1 << m, dtype=np.int64)
-    base = np.zeros(1 << m, dtype=np.int64)
-    for j, p in enumerate(rest_positions):
-        base |= ((r >> (m - 1 - j)) & 1) << p
-    pos_a = num_qubits - qa
-    pos_b = num_qubits - qb
-    idx = np.empty((2, 2, 1 << m), dtype=np.int64)
-    for ba in (0, 1):
-        for bb in (0, 1):
-            idx[ba, bb] = base | (ba << pos_a) | (bb << pos_b)
-    idx.setflags(write=False)
-    return idx
+    pair = MeasurementBasis(BasisKind.Z, (qa, qb))  # outcome 2 * bit_a + bit_b
+    return _basis_tables(pair, num_qubits).order.reshape(2, 2, -1)
 
 
 def outcome_at(basis: MeasurementBasis, i: int) -> Outcome:

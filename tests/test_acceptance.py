@@ -179,7 +179,7 @@ def test_criterion_9_property_battery():
     raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     gate = Gate1Q(np.linalg.qr(raw)[0])
     state = unit(rng.normal(size=8) + 1j * rng.normal(size=8))
-    back = apply_1q_rows(apply_1q_rows(state, 2, gate), 2, gate.dagger())
+    back = apply_1q_rows(apply_1q_rows(state, 2, gate), 2, Gate1Q(gate.entries.conj().T))
     ok &= float(np.max(np.abs(back - state))) <= TOL
     ok &= float(np.max(np.abs(apply_cnot_rows(apply_cnot_rows(state, 1, 3), 1, 3) - state))) <= TOL
 

@@ -314,7 +314,8 @@ class TestRuleTables:
 
     def test_rules_called_once_per_process(self, monkeypatch):
         # a build reads the rules off their tables: once the tables exist,
-        # building the same configs again calls no rule at all
+        # building the same configs again calls no rule at all. The tree
+        # memo is emptied before each build, so that each one builds
         calls = []
         for name in RULES:
             rule = getattr(harness, name)
@@ -326,12 +327,15 @@ class TestRuleTables:
             RunConfig(scheme="present", attack="cnot"),
             RunConfig(scheme="cao", attack="cao-ir-z"),
         ]
+        built = []
         for config in configs:
-            _round_trees(config)
+            harness._config_trees.cache_clear()
+            built.append(_round_trees(config))
         assert set(calls) == set(RULES)
         calls.clear()
-        for config in configs:
-            _round_trees(config)
+        for config, first in zip(configs, built):
+            harness._config_trees.cache_clear()
+            assert all(tree is not old for tree, old in zip(_round_trees(config), first))
         assert calls == []
 
 
@@ -634,10 +638,11 @@ class TestTreeWalk:
         config = RunConfig(
             scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
         )
+        harness._config_trees.cache_clear()  # so that the trees are built here
         trees = _round_trees(config)
         # outcome_index builds a basis's lookup table once (qstate caches it)
         stacked = [name for name in calls if name != "outcome_index"]
-        assert len(stacked) <= KERNEL_CALLS_PER_LEVEL * sum(len(tree.levels) for tree in trees)
+        assert 0 < len(stacked) <= KERNEL_CALLS_PER_LEVEL * sum(len(tree.levels) for tree in trees)
 
     def test_seeded_stats_of_every_config_pinned(self):
         for case in MC_COUNTS:

@@ -61,7 +61,7 @@ def test_unitary_round_trip(seed, n, data):
     state = random_state(seed, n)
     qubit = data.draw(st.integers(1, n))
     gate = random_gate(seed)
-    back = apply_1q_rows(apply_1q_rows(state, qubit, gate), qubit, gate.dagger())
+    back = apply_1q_rows(apply_1q_rows(state, qubit, gate), qubit, Gate1Q(gate.entries.conj().T))
     assert np.max(np.abs(back - state)) <= ATOL
 
 

@@ -1,0 +1,42 @@
+"""The package's source itself: no private code that only tests reach."""
+
+import ast
+from pathlib import Path
+
+import wqsc
+
+SOURCES = sorted(Path(wqsc.__file__).parent.glob("*.py"))
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """Every name that ``node`` reads, plain or as an attribute."""
+    return {
+        inner.id if isinstance(inner, ast.Name) else inner.attr
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_private_definition_is_used_in_the_package():
+    # a private function or class that only tests call is a second path
+    # the program never takes, so the tests would check code that no run
+    # or analysis uses. Its own body (say, a recursive call) does not count
+    statements = [
+        (path.stem, statement)
+        for path in SOURCES
+        for statement in ast.parse(path.read_text(), str(path)).body
+    ]
+    private = [
+        (module, statement)
+        for module, statement in statements
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+        and statement.name.startswith("_") and not statement.name.startswith("__")
+    ]
+    assert private
+    unused = [
+        f"{module}.{definition.name}"
+        for module, definition in private
+        if not any(definition.name in _read_names(statement)
+                   for _, statement in statements if statement is not definition)
+    ]
+    assert unused == []
