@@ -21,12 +21,13 @@ may use, to which it pins itself):
   config.
 
 A version that keeps each config's trees for the life of the process
-(``_config_trees``) is timed twice per call: *cold*, with that memo
-emptied just before the call (outside the timed region), which is what a
-one-config CLI process pays for its trees; and *warm*, right after the
-same call made untimed, which leaves the config's trees built. For a
-version without the memo both are the same call, which builds its trees
-every time.
+(``_config_trees``, whose entries also hold what a run compiles from the
+trees: the walk tables and the leaf indicators) is timed twice per call:
+*cold*, with that memo emptied just before the call (outside the timed
+region), which is what a one-config CLI process pays for its trees and
+tables; and *warm*, right after the same call made untimed, which leaves
+them built. For a version without the memo both are the same call, which
+builds its trees every time.
 
 Each figure is the median of ``REPEATS`` (31) runs. Repeats go
 round-robin over the configs, so a slow spell of the host hits every
@@ -51,12 +52,14 @@ by side see the same host speed, so these ratios hold steady where the
 ratio of two separate runs does not.
 
 The script then runs ``wqsc run --scheme cao --attack cao-ir-z --rounds
-10000000``, and ``wqsc exact`` once per (scheme, attack), as cold
-subprocesses on the same CPU, each once per version (the change first,
-then the parent), and records each one's wall seconds (not normalized)
-and the child's own peak RSS (``ru_maxrss`` of that child alone, from
-``os.wait4``): the run as ``cold_run`` (and ``parent_cold_run``), the
-exact rows as ``cold_exact`` (and ``parent_cold_exact``).
+10000000``, and ``wqsc exact`` and ``wqsc run --rounds 2000`` once per
+(scheme, attack), as cold subprocesses on the same CPU, each once per
+version (the change first, then the parent), and records each one's wall
+seconds (not normalized) and the child's own peak RSS (``ru_maxrss`` of
+that child alone, from ``os.wait4``): the long run as ``cold_run`` (and
+``parent_cold_run``), the exact rows as ``cold_exact`` (and
+``parent_cold_exact``), the short runs as ``cold_short_run`` (and
+``parent_cold_short_run``).
 
 The result, with the machine's core count and the python and numpy versions,
 is written to ``benchmarks/BENCH_<label>.json``. ``--src`` measures the
@@ -81,12 +84,19 @@ HERE = Path(__file__).resolve().parent
 ROUNDS = 2000
 REPEATS = 31
 COLD_RUN = ("run", "--scheme", "cao", "--attack", "cao-ir-z", "--rounds", "10000000")
-COLD_EXACT = [
-    ("exact", "--scheme", scheme, "--attack", attack)
+PAIRS = [
+    (scheme, attack)
     for scheme, attacks in (("present", ("none", "ir-z", "ir-x", "cnot")),
                             ("cao", ("none", "cao-ir-z")))
     for attack in attacks
 ]
+COLD_ROWS = {
+    "cold_exact": [("exact", "--scheme", scheme, "--attack", attack) for scheme, attack in PAIRS],
+    "cold_short_run": [
+        ("run", "--scheme", scheme, "--attack", attack, "--rounds", str(ROUNDS))
+        for scheme, attack in PAIRS
+    ],
+}
 # timed in this order: each cold call follows a call that builds trees in
 # every version, so no version's build code is colder in the CPU's caches
 LAYERS = ("build_ms", "run_cold_ms", "exact_cold_ms", "run_warm_ms", "exact_warm_ms")
@@ -295,10 +305,11 @@ def main(argv: list[str] | None = None) -> int:
     report["cold_run"] = cold(src, COLD_RUN)
     if parent:
         report["parent_cold_run"] = cold(parent, COLD_RUN)
-    for argv in COLD_EXACT:
-        for prefix, path in (("", src), ("parent_", parent)):
-            if path:
-                report.setdefault(f"{prefix}cold_exact", []).append(cold(path, argv))
+    for key, rows in COLD_ROWS.items():
+        for argv in rows:
+            for prefix, path in (("", src), ("parent_", parent)):
+                if path:
+                    report.setdefault(f"{prefix}{key}", []).append(cold(path, argv))
 
     path = HERE / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
@@ -317,11 +328,12 @@ def main(argv: list[str] | None = None) -> int:
             f"{k} {r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}]"
             for k, r in report["totals_ratio"].items()
         ))
-    for key in ("cold_run", "parent_cold_run", "cold_exact", "parent_cold_exact"):
-        rows = report.get(key, [])
-        for row in rows if isinstance(rows, list) else [rows]:
-            print(f"{key} {' '.join(row['argv'])}: {row['wall_s']:.2f} s, "
-                  f"{row['peak_rss_mb']:.1f} MB")
+    for name in ("cold_run", *COLD_ROWS):
+        for key in (name, f"parent_{name}"):
+            rows = report.get(key, [])
+            for row in rows if isinstance(rows, list) else [rows]:
+                print(f"{key} {' '.join(row['argv'])}: {row['wall_s']:.2f} s, "
+                      f"{row['peak_rss_mb']:.1f} MB")
     print(f"wrote {path}")
     return 0
 

@@ -19,17 +19,17 @@ sum the trees' joined leaves with one function (:func:`_leaf_totals`):
 * the exact analyzer weights each leaf by its mass, so its check-error
   and leak rates carry no sampling error;
 * the Monte Carlo runner weights each leaf by the rounds that reach it.
-  It compiles the check and message trees into one walk table with two
-  roots and walks each block of rounds down it with numpy array
+  The two trees are compiled once into one walk table with two roots,
+  down which a run walks each block of rounds with numpy array
   operations, a check round from the check tree's root and a message
-  round from the message tree's: each level matches one
-  column of the rounds' draw rows against its nodes' cumulative
-  probabilities, in the order of the round's steps, so a walk reproduces
-  the round that the test suite's one-round oracle plays on the same
-  draw row. The draws come from Philox keyed by the master seed, every
-  round owning a fixed block of counter positions, and a run streams its
-  rounds in fixed blocks: its memory does not grow with the round count,
-  and its results are the same whatever the block size.
+  round from the message tree's: each level matches one column of the
+  rounds' Philox words ``w = raw >> 11`` (``Generator.random``'s draw is
+  ``w * 2**-53``) against its nodes' cumulative probabilities as integer
+  cutoffs, in the order of the round's steps, so a walk reproduces the
+  round that the test suite's one-round oracle plays on the same draws.
+  Every round owns fixed counter positions of Philox keyed by the master
+  seed, and a run streams its rounds in fixed blocks: its memory does not
+  grow with the round count, nor do its results depend on the block size.
 
 Eve's guess is read off a message tree, one rule for every attack. Her
 view of a round is what she sees of it: for the present scheme the
@@ -64,7 +64,7 @@ import numbers
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, fields, is_dataclass, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -100,6 +100,7 @@ CHECK_BASIS_POLICIES = ("random", *CHECK_BASES)  # cao scheme
 
 _MODE_STREAM_TAG = 0xFFFFFFFFFFFFFFFF
 _DRAW_STREAM_TAG = 0xFFFFFFFFFFFFFFFE
+_WORD = 2**53  # Generator.random() is (raw >> 11) / _WORD of a raw Philox word
 
 # Eve abstains when her view's two message-bit masses differ by at most
 # this share of the view's mass; every posterior of the modelled attacks
@@ -218,17 +219,18 @@ class _Level(NamedTuple):
     prob: np.ndarray  # per child, its branch probability
 
 
-def _walk_tables(trees) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _walk_tables(trees) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """The tables that walk ``trees`` as one, tree ``t``'s root being node
     ``t``: nodes are numbered roots first, depth by depth, and at every
     depth the first tree's nodes come first. A tree that ends above the
     deepest level gets one pass-through child (probability 1) per leaf
     and level, so its leaves stay leaves, and the leaves of all trees, in
-    tree order, are the deepest nodes. The tables are
-    ``thresholds[k, n]``, node ``n``'s cumulative probability up to its
-    child ``k``, for every child but its last (+inf from there on);
-    ``successor[n, s]`` (flattened), the number of node ``n``'s child
-    ``s``; and per depth, the most children a node has."""
+    tree order, are the deepest nodes. The read-only tables are
+    ``thresholds[k, n]``, ``ceil(t * _WORD)`` for node ``n``'s cumulative
+    probability ``t`` up to its child ``k`` (``t <= w / _WORD`` iff ``w >=``
+    it), for every child but its last (``_WORD``, which no word reaches,
+    from there on and for ``t >= 1``); ``successor[n, s]`` (flattened), the
+    number of node ``n``'s child ``s``; and per depth, the most children."""
     levels = [
         tree.levels[depth] if depth < len(tree.levels)
         else _Level(len(tree.masses), np.arange(len(tree.masses)), np.ones(len(tree.masses)))
@@ -248,26 +250,29 @@ def _walk_tables(trees) -> tuple[np.ndarray, np.ndarray, list[int]]:
     # zeros pad each row after its children, so a row's sums up to its
     # next to last child are those of its children alone
     thresholds = np.cumsum(table[:, :-1], axis=1)
-    thresholds[np.arange(table.shape[1] - 1) >= count[:, None] - 1] = np.inf
+    thresholds[np.arange(table.shape[1] - 1) >= count[:, None] - 1] = 1.0
+    cutoffs = np.ceil(np.minimum(thresholds.T, 1.0) * _WORD).astype(np.int64, order="C")
     successor = len(trees) + first[:, None] + np.arange(table.shape[1])
     depths = offsets[:: len(trees)]
-    widths = np.maximum.reduceat(count, depths[:-1]).tolist()
-    return thresholds.T.copy(), successor.ravel(), widths
+    widths = tuple(np.maximum.reduceat(count, depths[:-1]).tolist())
+    cutoffs.setflags(write=False)
+    successor.setflags(write=False)
+    return cutoffs, successor.ravel(), widths
 
 
-def _walk(tables, roots: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Leaf index reached by each row of ``draws``, row ``i`` walked from
+def _walk(tables, roots: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Leaf index reached by each row of ``words``, row ``i`` walked from
     root ``roots[i]`` down :func:`_walk_tables`'s ``tables``. Every level
-    picks by the Born rule: the first child whose cumulative probability
-    exceeds ``draws[i, level]``, or the last child if none does."""
+    picks by the Born rule: the first child whose threshold exceeds the
+    word ``words[i, level]``, or the last child if none does."""
     thresholds, successor, widths = tables
     stride = len(thresholds) + 1
     node = roots.astype(np.int64)
     for column, width in enumerate(widths):
-        u = draws[:, column]
+        w = words[:, column]
         pick = node * stride
         for child_thresholds in thresholds[: width - 1]:
-            pick += child_thresholds[node] <= u
+            pick += child_thresholds[node] <= w
         node = successor[pick]
     return node - len(successor) // stride
 
@@ -558,8 +563,27 @@ def _cao_message_tree(kind: AttackKind) -> _BranchTree:
     )
 
 
+class _ConfigTrees(tuple):
+    """A config's (check-round tree, message-round tree), with what runs read
+    off both, compiled on first use, read-only: the walk tables, and
+    ``indicators[c, i]``, whether joined leaf ``i`` counts towards ``_COUNTS[c]``."""
+
+    @cached_property
+    def walk(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        return _walk_tables(self)
+
+    @cached_property
+    def indicators(self) -> np.ndarray:
+        bit, passed, recovered, guess = map(np.concatenate, zip(*(tree.leaf_columns for tree in self)))
+        message = bit >= 0
+        indicators = np.array([~message, passed == 0, message, message & (recovered == bit),
+                               guess >= 0, message & (guess == bit)])
+        indicators.setflags(write=False)
+        return indicators
+
+
 @lru_cache(maxsize=None)
-def _config_trees(scheme: str, kind: AttackKind, policy: str | None) -> tuple:
+def _config_trees(scheme: str, kind: AttackKind, policy: str | None) -> _ConfigTrees:
     """(check-round tree, message-round tree) of ``scheme`` under attack
     ``kind`` and the scheme's init or check-basis ``policy``, built once per
     process. The keys are the 20 valid configs and, with ``policy`` None
@@ -567,14 +591,14 @@ def _config_trees(scheme: str, kind: AttackKind, policy: str | None) -> tuple:
     check-basis policy shares; not a :class:`RunConfig`, whose seed and
     round count would grow the memo without bound."""
     if scheme == "present":
-        return _present_trees(kind, policy)
+        return _ConfigTrees(_present_trees(kind, policy))
     if policy is None:
-        return None, _cao_message_tree(kind)
+        return _ConfigTrees((None, _cao_message_tree(kind)))
     message = _config_trees(scheme, kind, None)[1]
-    return _cao_check_tree(kind, policy, message), message
+    return _ConfigTrees((_cao_check_tree(kind, policy, message), message))
 
 
-def _round_trees(config: RunConfig) -> tuple[_BranchTree, _BranchTree]:
+def _round_trees(config: RunConfig) -> _ConfigTrees:
     """(check-round tree, message-round tree) of a run's config, from the
     memo of :func:`_config_trees`."""
     policy = config.init_policy if config.scheme == "present" else config.check_basis_policy
@@ -585,17 +609,13 @@ _COUNTS = ("check_rounds", "check_errors", "message_rounds",
            "recovered_correct", "guesses_known", "guesses_correct")
 
 
-def _leaf_totals(trees: tuple[_BranchTree, _BranchTree], weights: np.ndarray) -> dict:
+def _leaf_totals(trees: _ConfigTrees, weights: np.ndarray) -> dict:
     """The run counts of rounds ending at the joined leaves of a config's
     (check, message) ``trees``, leaf ``i`` weighted by ``weights[i]``: its
     hit count (Monte Carlo) or its mass (exact). Each count is an indicator
-    column dotted with the weights as a running sum in leaf order, to which
+    row dotted with the weights as a running sum in leaf order, to which
     a leaf of indicator 0 adds an exact 0.0."""
-    bit, passed, recovered, guess = map(np.concatenate, zip(*(tree.leaf_columns for tree in trees)))
-    message = bit >= 0
-    indicators = np.array([~message, passed == 0, message, message & (recovered == bit),
-                           guess >= 0, message & (guess == bit)])
-    totals = np.add.accumulate(indicators * weights, axis=1)[:, -1]
+    totals = np.add.accumulate(trees.indicators * weights, axis=1)[:, -1]
     return dict(zip(_COUNTS, totals.tolist()))
 
 
@@ -663,39 +683,49 @@ def exact_analyze(
 # ---------------------------------------------------------------------------
 # Monte Carlo runner
 
-# each round owns a fixed block of uniforms; Philox emits 4 doubles per
+# each round owns a fixed block of draws; Philox emits 4 words per
 # 128-bit counter step, so 8 draws = 2 counter steps keeps blocks aligned
 _DRAWS_PER_ROUND = 8
 _BLOCKS_PER_ROUND = 2
 
 # rounds a run streams at a time; a multiple of 4, so that every block of
 # mode flags starts on a Philox counter step
-_BLOCK_ROUNDS = 2**16
+_BLOCK_ROUNDS = 2**13
 
-# about 27 minutes of rounds at 6e6 rounds/s (a cold 1e8-round cao-ir-z
-# run took 16.3 s on a 2-core VM); larger counts would run for hours to months
+# about 19 minutes of rounds at 8.7e6 rounds/s (a cold 1e8-round cao-ir-z
+# run took 11.3-11.6 s on a 2-core VM); larger counts would run for hours to months
 _MAX_ROUNDS = 10**10
 
 
-def _draw_block(master_seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform matrix for rounds [start, start+count): row i of the full
+def _words(bitgen: np.random.Philox, key: list[int], steps: int, count: int) -> np.ndarray:
+    """``count`` int64 words ``raw >> 11`` of Philox keyed ``key`` from counter
+    step ``steps`` on, ``bitgen`` re-keyed as ``Philox(key=key)`` starts: a
+    run keeps one, since building one draws OS entropy that a key overrides."""
+    zeros = np.zeros(4, np.uint64)
+    bitgen.state = {"bit_generator": "Philox", "buffer": zeros, "buffer_pos": 4, "has_uint32": 0,
+                    "uinteger": 0, "state": {"counter": zeros, "key": np.array(key, np.uint64)}}
+    words = bitgen.advance(steps).random_raw(count)
+    words >>= 11
+    return words.view(np.int64)
+
+
+def _draw_block(master_seed: int, start: int, count: int, bitgen) -> np.ndarray:
+    """Word matrix for rounds [start, start+count): row i of the full
     run's draw table, regardless of blocking."""
-    bitgen = np.random.Philox(key=np.array([master_seed, _DRAW_STREAM_TAG], dtype=np.uint64))
-    bitgen.advance(_BLOCKS_PER_ROUND * start)
-    return np.random.Generator(bitgen).random((count, _DRAWS_PER_ROUND))
+    key, steps = [master_seed, _DRAW_STREAM_TAG], _BLOCKS_PER_ROUND * start
+    return _words(bitgen, key, steps, count * _DRAWS_PER_ROUND).reshape(count, -1)
 
 
-def _check_flags(config: RunConfig, start: int, count: int) -> np.ndarray:
+def _check_flags(config: RunConfig, start: int, count: int, bitgen) -> np.ndarray:
     """Check/message assignment of rounds [start, start+count) from the
-    master mode stream; ``start`` is a multiple of 4. If the stream flags
-    no round of the run, round 0 is a check round: a block 0 with no check
-    flag scans later blocks for one."""
-    bitgen = np.random.Philox(key=np.array([config.master_seed, _MODE_STREAM_TAG], np.uint64))
-    bitgen.advance(start // 4)
-    flags = np.random.Generator(bitgen).random(count) < config.check_fraction
+    master mode stream (``u < f`` iff ``w < ceil(f * _WORD)``); ``start`` is
+    a multiple of 4. If the stream flags no round of the run, round 0 is a
+    check round: a block 0 with no check flag scans later blocks for one."""
+    words = _words(bitgen, [config.master_seed, _MODE_STREAM_TAG], start // 4, count)
+    flags = words < math.ceil(config.check_fraction * _WORD)
     if start == 0 and not flags.any():
-        later = range(count, config.rounds, _BLOCK_ROUNDS)
-        blocks = (_check_flags(config, lo, min(_BLOCK_ROUNDS, config.rounds - lo)) for lo in later)
+        blocks = (_check_flags(config, lo, min(_BLOCK_ROUNDS, config.rounds - lo), bitgen)
+                  for lo in range(count, config.rounds, _BLOCK_ROUNDS))
         flags[0] = not any(block.any() for block in blocks)
     return flags
 
@@ -706,13 +736,13 @@ def _run_counts(config: RunConfig) -> dict[str, int]:
     root (node 0) and a message round from the message tree's (node 1),
     and the leaf hits summed over the blocks."""
     trees = _round_trees(config)
-    tables = _walk_tables(trees)
-    hits = np.zeros(sum(len(tree.masses) for tree in trees), dtype=np.int64)
+    bitgen = np.random.Philox(0)  # every block re-keys it
+    hits = np.zeros(trees.indicators.shape[1], dtype=np.int64)
     for start in range(0, config.rounds, _BLOCK_ROUNDS):
         count = min(_BLOCK_ROUNDS, config.rounds - start)
-        roots = ~_check_flags(config, start, count)
-        draws = _draw_block(config.master_seed, start, count)
-        hits += np.bincount(_walk(tables, roots, draws), minlength=len(hits))
+        roots = ~_check_flags(config, start, count, bitgen)
+        words = _draw_block(config.master_seed, start, count, bitgen)
+        hits += np.bincount(_walk(trees.walk, roots, words), minlength=len(hits))
     return _leaf_totals(trees, hits)
 
 

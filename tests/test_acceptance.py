@@ -207,7 +207,8 @@ def test_criterion_9_property_battery():
     tree.measure("outcome", (z_basis(3),))
     n = 100_000
     freq_rng = np.random.default_rng(2024)
-    leaves = _walk(_walk_tables([tree]), np.zeros(n, dtype=np.int64), freq_rng.random((n, 1)))
+    words = (freq_rng.random((n, 1)) * 2**53).astype(np.int64)  # each draw's exact word
+    leaves = _walk(_walk_tables([tree]), np.zeros(n, dtype=np.int64), words)
     counts = dict.fromkeys(exact, 0)
     outcomes = tree.values("outcome")
     for outcome, hits in zip(outcomes, np.bincount(leaves, minlength=len(outcomes)).tolist()):

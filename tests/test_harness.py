@@ -5,6 +5,7 @@ import json
 import math
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -384,6 +385,42 @@ class TestConfigTrees:
                 with pytest.raises(ValueError):
                     array[...] = 0
 
+    @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
+    def test_walk_compiled_once_with_the_trees(self, monkeypatch, scheme, attack, init, basis):
+        # exact analysis compiles no walk; a config's first run compiles
+        # one, and later runs at other seeds and round counts (one longer
+        # than a block) compile none, until the memo is emptied
+        calls = []
+        compile_walk = harness._walk_tables
+        monkeypatch.setattr(
+            harness, "_walk_tables", lambda trees: calls.append(trees) or compile_walk(trees)
+        )
+        harness._config_trees.cache_clear()
+        config = RunConfig(scheme=scheme, attack=attack, rounds=500, master_seed=3,
+                           init_policy=init, check_basis_policy=basis)
+        exact_analyze(scheme, attack, init, basis)
+        assert calls == []
+        run_monte_carlo(config)
+        assert len(calls) == 1 and calls[0] is _round_trees(config)
+        for seed, rounds in ((4, 777), (5, harness._BLOCK_ROUNDS + 13)):
+            run_monte_carlo(replace(config, rounds=rounds, master_seed=seed))
+        assert len(calls) == 1
+        harness._config_trees.cache_clear()
+        run_monte_carlo(config)
+        assert len(calls) == 2 and calls[1] is not calls[0]
+
+    @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
+    def test_compiled_walk_and_indicators_are_read_only(self, scheme, attack, init, basis):
+        trees = harness._config_trees(scheme, AttackKind(attack), _policy(scheme, init, basis))
+        thresholds, successor, widths = trees.walk
+        assert trees.walk is trees.walk  # kept in the entry, not compiled per read
+        leaves = sum(len(tree.masses) for tree in trees)
+        assert trees.indicators.dtype == bool and trees.indicators.shape == (6, leaves)
+        assert isinstance(widths, tuple)
+        for array in (thresholds, successor, trees.indicators):
+            with pytest.raises(ValueError):
+                array[...] = 0
+
     def test_seed_sweep_keeps_one_entry(self):
         harness._config_trees.cache_clear()
         for seed, rounds in itertools.product(range(50), (10, 100, 1000)):
@@ -457,13 +494,15 @@ class TestRunConfig:
             for seed in range(30)
         ]
         for config in configs:
-            assert _check_flags(config, 0, config.rounds).sum() >= 1
+            assert _check_flags(config, 0, config.rounds, np.random.Philox()).sum() >= 1
         whole = [_run_counts(config) for config in configs]
         # in blocks of 4 the rule still looks at the whole run
         monkeypatch.setattr(harness, "_BLOCK_ROUNDS", 4)
         for config, counts in zip(configs, whole):
-            blocked = [_check_flags(config, lo, 4) for lo in range(0, 12, 4)]
-            assert np.array_equal(np.concatenate(blocked), _check_flags(config, 0, config.rounds))
+            bitgen = np.random.Philox()
+            blocked = [_check_flags(config, lo, 4, bitgen) for lo in range(0, 12, 4)]
+            whole_run = _check_flags(config, 0, config.rounds, bitgen)
+            assert np.array_equal(np.concatenate(blocked), whole_run)
             assert _run_counts(config) == counts
 
 
@@ -487,13 +526,13 @@ class TestDeterminism:
 
 class TestTreeWalk:
     @staticmethod
-    def _replay(config, flags, draws):
+    def _replay(config, flags, words):
         """Per-round outcomes of the run's walk, down the one table of both
         trees from each round's root as ``_run_counts`` walks them, and the
         joint leaves it reached."""
         trees = _round_trees(config)
         leaves = [leaf for tree in trees for leaf in leaf_values(tree)]
-        reached = _walk(_walk_tables(trees), ~flags, draws).tolist()
+        reached = _walk(_walk_tables(trees), ~flags, words).tolist()
         return [tuple(leaves[leaf]) for leaf in reached], set(reached)
 
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
@@ -505,9 +544,11 @@ class TestTreeWalk:
                     scheme=scheme, attack=attack, rounds=500, check_fraction=fraction,
                     master_seed=seed, init_policy=init, check_basis_policy=basis,
                 )
-                flags = _check_flags(config, 0, config.rounds)
-                draws = _draw_block(seed, 0, config.rounds)
-                walked, hit = self._replay(config, flags, draws)
+                bitgen = np.random.Philox()
+                flags = _check_flags(config, 0, config.rounds, bitgen)
+                words = _draw_block(seed, 0, config.rounds, bitgen)
+                walked, hit = self._replay(config, flags, words)
+                draws = words * 2.0**-53  # the doubles of Generator.random
                 assert walked == scalar_round_outcomes(config, flags, draws), (seed, fraction)
                 reached |= hit
         # the replay compared every path of both trees: the joint leaves are
@@ -545,10 +586,11 @@ class TestTreeWalk:
         for root, tree in enumerate(trees):
             nodes = node_values(tree, *keys)
             for leaf, (node, outcome) in enumerate(zip(nodes, leaf_values(tree), strict=True)):
-                row = self._midpoint_row(tree, leaf)
-                assert _walk(tables, np.array([root]), row[None]).tolist() == [first + leaf]
+                # the word of the midpoint draw, and that word's own draw
+                words = (self._midpoint_row(tree, leaf) * 2**53).astype(np.int64)
+                assert _walk(tables, np.array([root]), words[None]).tolist() == [first + leaf]
                 seen = {}
-                assert scalar_round(config, root == 0, row, seen) == tuple(outcome)
+                assert scalar_round(config, root == 0, words * 2.0**-53, seen) == tuple(outcome)
                 assert seen == {key: node[key] for key in seen}
             first += len(tree.masses)
 
@@ -565,42 +607,94 @@ class TestTreeWalk:
         assert np.array_equal(born, thirds)
         tree = _BranchTree()
         tree.choose("basis", CHECK_BASES)
-        walked = _walk(_walk_tables([tree]), np.zeros(len(u), dtype=np.int64), u[:, None])
+        walked = _walk(_walk_tables([tree]), np.zeros(len(k), dtype=np.int64), k[:, None])
         assert np.array_equal(walked, thirds)
 
     def test_walk_table_picks_as_reference(self):
-        # at every node of every config's walk table, for draws at both
-        # ends of [0, 1) and at and beside each cumulative threshold, the
-        # walk's pick equals the scalar Born-rule reference on the node's
-        # child probabilities
+        # at every node of every config's walk table, for the words at both
+        # ends of [0, 2**53) and at and beside each child's word cutoff K,
+        # the walk's pick equals the scalar Born-rule reference on the
+        # node's child probabilities at the word's draw u = w * 2**-53
         mismatches = []
         for scheme, attack, init, basis in VALID_CONFIGS:
             trees = _round_trees(RunConfig(
                 scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
             ))
             thresholds, successor, _ = _walk_tables(trees)
+            assert thresholds.dtype == np.int64
             stride = len(thresholds) + 1
-            # node probabilities in the tables' numbering, roots excluded:
-            # depth by depth, each tree's children in tree order, and one
-            # pass-through child per leaf of a tree that ended above
-            probs = np.concatenate([
-                tree.levels[depth].prob if depth < len(tree.levels) else np.ones(len(tree.masses))
+            # every level of the tables' numbering, roots excluded: depth by
+            # depth, each tree's children in tree order, and one pass-through
+            # child per leaf of a tree that ended above
+            levels = [
+                tree.levels[depth] if depth < len(tree.levels)
+                else (len(tree.masses), np.arange(len(tree.masses)), np.ones(len(tree.masses)))
                 for depth in range(max(len(tree.levels) for tree in trees))
                 for tree in trees
-            ])
-            for node in range(len(trees) + len(probs) - sum(len(tree.masses) for tree in trees)):
-                finite = thresholds[np.isfinite(thresholds[:, node]), node]
-                children = successor[node * stride + np.arange(len(finite) + 1)]
-                child_probs = probs[children - len(trees)]
-                us = [0.0, np.nextafter(1.0, 0.0)]
-                for t in finite.tolist():
-                    us += [np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)]
+            ]
+            firsts = np.cumsum([0] + [nodes for nodes, _, _ in levels])
+            parents = np.concatenate([start + parent for start, (_, parent, _) in zip(firsts, levels)])
+            probs = np.concatenate([prob for _, _, prob in levels])
+            for node in range(firsts[-1]):
+                children = np.flatnonzero(parents == node)
+                assert successor[node * stride + np.arange(len(children))].tolist() == (
+                    len(trees) + children).tolist()
+                cutoffs = thresholds[:, node]
+                assert (cutoffs[len(children) - 1:] == 2**53).all()  # no word reaches these
+                words = {0, 2**53 - 1}
+                for k in cutoffs[: len(children) - 1].tolist():
+                    words |= {w for w in (k - 1, k, k + 1) if 0 <= w < 2**53}
+                words = np.array(sorted(words), dtype=np.int64)
+                # one level of the walk from this node: the child it reaches
+                # is numbered len(trees) + its index among all children
+                step = (thresholds, successor, (stride,))
+                walked = _walk(step, np.full(len(words), node), words[:, None])
+                walked += len(successor) // stride  # _walk counts from the first leaf
+                reference = [sample_index(probs[children], w * 2.0**-53) for w in words.tolist()]
                 mismatches += [
-                    (scheme, attack, init, basis, node, u)
-                    for u in us
-                    if (thresholds[:, node] <= u).sum() != sample_index(child_probs, u)
+                    (scheme, attack, init, basis, node, w)
+                    for w, child, pick in zip(words.tolist(), walked.tolist(), reference)
+                    if child != len(trees) + children[pick]
                 ]
         assert mismatches == []
+
+    @pytest.mark.parametrize("fraction", [
+        0.09, 0.1, 0.2, 1 / 3, 0.5, 0.8, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0),
+    ])
+    def test_check_flags_cut_as_float_rule(self, monkeypatch, fraction):
+        # a round is a check round iff its word w < ceil(f * 2**53), the
+        # float rule u < f at u = w * 2**-53: at both ends of the words, at
+        # and beside the cutoff, and on whole blocks of the mode stream
+        # (runs of 4096 rounds, which no RunConfig allows at the smallest f)
+        for seed in (0, 5, 2**64 - 1):
+            run = SimpleNamespace(master_seed=seed, check_fraction=fraction, rounds=4096)
+            key = np.array([seed, harness._MODE_STREAM_TAG], np.uint64)
+            expected = np.random.Generator(np.random.Philox(key=key)).random(4096) < fraction
+            expected[0] |= not expected.any()  # the forced check round
+            assert np.array_equal(_check_flags(run, 0, 4096, np.random.Philox()), expected)
+        cutoff = math.ceil(fraction * 2**53)
+        words = [w for w in (0, cutoff - 1, cutoff, cutoff + 1, 2**53 - 1) if 0 <= w < 2**53]
+        monkeypatch.setattr(harness, "_words", lambda *_: np.array(words, dtype=np.int64))
+        run = SimpleNamespace(master_seed=0, check_fraction=fraction, rounds=len(words))
+        expected = np.array(words) * 2.0**-53 < fraction
+        expected[0] |= not expected.any()
+        assert np.array_equal(_check_flags(run, 0, len(words), None), expected), words
+
+    def test_words_are_generator_random(self):
+        # the walk's words rest on numpy's double being (raw >> 11) * 2**-53:
+        # for the same key and advance, raw words give Generator.random's
+        # doubles, and a block's words give the float draw table's rows
+        for seed, start, count in ((0, 0, 1), (7, 12, 1001), (2**64 - 1, 2**40 + 4, 64)):
+            for tag in (harness._DRAW_STREAM_TAG, harness._MODE_STREAM_TAG):
+                key = np.array([seed, tag], np.uint64)
+                raw = np.random.Philox(key=key).advance(start).random_raw(count)
+                generator = np.random.Generator(np.random.Philox(key=key).advance(start))
+                assert np.array_equal((raw >> 11) * 2.0**-53, generator.random(count))
+            key = np.array([seed, harness._DRAW_STREAM_TAG], np.uint64)
+            generator = np.random.Generator(np.random.Philox(key=key).advance(2 * start))
+            table = generator.random((count, harness._DRAWS_PER_ROUND))
+            words = _draw_block(seed, start, count, np.random.Philox())
+            assert words.dtype == np.int64 and np.array_equal(words * 2.0**-53, table)
 
     @pytest.mark.parametrize(
         "scheme,attack,init,basis",

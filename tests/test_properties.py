@@ -147,7 +147,8 @@ def test_empirical_frequencies_match_exact_distribution():
     tree.measure("outcome", (z_basis(1, 2),))
     rng = np.random.default_rng(123)
     n = 100_000
-    leaves = _walk(_walk_tables([tree]), np.zeros(n, dtype=np.int64), rng.random((n, 1)))
+    words = (rng.random((n, 1)) * 2**53).astype(np.int64)  # each draw's exact word
+    leaves = _walk(_walk_tables([tree]), np.zeros(n, dtype=np.int64), words)
     counts = dict.fromkeys(exact, 0)
     outcomes = tree.values("outcome")
     for outcome, hits in zip(outcomes, np.bincount(leaves, minlength=len(outcomes)).tolist()):

@@ -202,9 +202,9 @@ class TestMeasure:
         tree.prepare([ket("00")])
         tree.measure("outcome", (z_basis(1, 2),))
         assert [outcome.value for outcome in tree.values("outcome")] == ["00"]
-        u = np.linspace(0.0, 0.999999, 23)
-        walked = _walk(_walk_tables([tree]), np.zeros(len(u), dtype=np.int64), u[:, None])
-        assert np.array_equal(walked, np.zeros(len(u)))
+        words = np.append(np.linspace(0, 0.999999 * 2**53, 23).astype(np.int64), 2**53 - 1)
+        walked = _walk(_walk_tables([tree]), np.zeros(len(words), dtype=np.int64), words[:, None])
+        assert np.array_equal(walked, np.zeros(len(words)))
 
     def test_branch_probability_matches_distribution(self):
         amps = build("phi2")[None]
