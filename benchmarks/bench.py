@@ -55,8 +55,9 @@ The script then runs ``wqsc run --scheme cao --attack cao-ir-z --rounds
 10000000``, and ``wqsc exact`` and ``wqsc run --rounds 2000`` once per
 (scheme, attack), as cold subprocesses on the same CPU, each once per
 version (the change first, then the parent), and records each one's wall
-seconds (not normalized) and the child's own peak RSS (``ru_maxrss`` of
-that child alone, from ``os.wait4``): the long run as ``cold_run`` (and
+seconds (not normalized) and its own peak RSS (``ru_maxrss`` of that
+process alone, from ``os.wait4`` in a small launcher process, so that it
+holds none of this script's memory): the long run as ``cold_run`` (and
 ``parent_cold_run``), the exact rows as ``cold_exact`` (and
 ``parent_cold_exact``), the short runs as ``cold_short_run`` (and
 ``parent_cold_short_run``).
@@ -218,22 +219,34 @@ def _medians(cases: list[dict]) -> list[dict]:
     return [{layer: statistics.median(case[layer]) for layer in LAYERS} for case in cases]
 
 
+# A child spawned from this process shares (or copies) its memory until
+# it execs, and Linux keeps that memory's high-water mark in the child's
+# ru_maxrss, so a child of this process would report at least this
+# process's own peak. A small python process spawns each cold command
+# instead and reports its wall seconds, exit code and ru_maxrss (KiB).
+_LAUNCHER = """
+import os, sys, time
+start = time.perf_counter()
+discard = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,
+                     file_actions=discard)
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - start, os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 def cold(src: Path, argv: tuple[str, ...]) -> dict:
     """Wall seconds and peak RSS of one ``wqsc`` subprocess running
     ``argv`` from the package in ``src``."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    discard = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
-    start = time.perf_counter()
-    pid = os.posix_spawn(
-        sys.executable, [sys.executable, "-m", "wqsc.cli", *argv], env,
-        file_actions=discard,
+    launched = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, "-m", "wqsc.cli", *argv],
+        env=env, stdout=subprocess.PIPE, text=True, check=True,
     )
-    _, status, usage = os.wait4(pid, 0)
-    wall = time.perf_counter() - start
-    if os.waitstatus_to_exitcode(status) != 0:
-        raise SystemExit(f"wqsc {' '.join(argv)} failed with status {status}")
-    # ru_maxrss is in KiB on Linux
-    return {"argv": ["wqsc", *argv], "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
+    wall, code, maxrss = launched.stdout.split()
+    if int(code) != 0:
+        raise SystemExit(f"wqsc {' '.join(argv)} failed with exit code {code}")
+    return {"argv": ["wqsc", *argv], "wall_s": float(wall), "peak_rss_mb": int(maxrss) / 1024}
 
 
 def _checkout(src: Path) -> dict:

@@ -38,7 +38,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ArityMismatch
 from .qstate import (
     _pair_rest_indices,
     _qubit_count,
@@ -99,7 +98,7 @@ def attack_rows(kind: AttackKind, amps: np.ndarray, transit_qubits: tuple[int, .
         return np.ones((len(amps), 1)), lambda rows, _: amps[rows], [None]
 
     if kind is AttackKind.CNOT_ANCILLA:
-        (q,) = _transit(kind, transit_qubits, 1)
+        (q,) = transit_qubits
         ancilla = _qubit_count(amps) + 1
         probed = apply_cnot_rows(tensor_rows(amps, _KET0), q, ancilla)
         note = EveNote(ancilla_qubit=ancilla)
@@ -108,7 +107,7 @@ def attack_rows(kind: AttackKind, amps: np.ndarray, transit_qubits: tuple[int, .
     if kind is AttackKind.CAO_INTERCEPT_RESEND_Z:
         # Z measurement of the transit pair, then forward |00> for outcome
         # 00 and a fresh psi+ pair for a single-excitation outcome
-        qa, qb = _transit(kind, transit_qubits, 2)
+        qa, qb = transit_qubits
         probs, collapse = measurement_rows(amps, z_basis(qa, qb))
 
         def forward(rows: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
@@ -124,19 +123,10 @@ def attack_rows(kind: AttackKind, amps: np.ndarray, transit_qubits: tuple[int, .
         return probs, forward, notes
 
     # ir-z, ir-x: measuring the transit qubit is the resend
-    (q,) = _transit(kind, transit_qubits, 1)
+    (q,) = transit_qubits
     basis = z_basis(q) if kind is AttackKind.INTERCEPT_RESEND_Z else x_basis(q)
     probs, collapse = measurement_rows(amps, basis)
     return probs, collapse, [EveNote(basis=basis.kind.value, observed=str(i)) for i in (0, 1)]
-
-
-def _transit(kind: AttackKind, transit_qubits: tuple[int, ...], arity: int) -> tuple[int, ...]:
-    """``transit_qubits``, which must be the ``arity`` qubits ``kind`` takes."""
-    if len(transit_qubits) != arity:
-        raise ArityMismatch(
-            f"{kind.value} expects {arity} transit qubit(s), got {len(transit_qubits)}"
-        )
-    return transit_qubits
 
 
 def _replace_pair(

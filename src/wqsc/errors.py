@@ -37,10 +37,6 @@ class BasisMismatch(WqscError):
     """Outcome was produced in a different basis than the rule expects."""
 
 
-class ArityMismatch(WqscError):
-    """Attack applied to the wrong number of transit qubits."""
-
-
 class UnsupportedPair(WqscError):
     """No analyzer for the requested (scheme, attack) combination."""
 

@@ -10,11 +10,15 @@ values are columns of codes (:class:`_BranchTree`), so neither the
 kernel calls nor the Python code of a build grow with its node count.
 The protocol rules classify the leaves through tables that hold each
 public rule's value for every outcome pair, computed once per process.
-A config's two trees depend only on its scheme, attack and policy, so
-each process builds them once (:func:`_config_trees`, the one way to a
-config's trees), and every run and every exact analysis of that config
-reads the same read-only trees; no result is ever cached. Both analyses
-sum the trees' joined leaves with one function (:func:`_leaf_totals`):
+Each scheme has one builder (:func:`_present_tree`, :func:`_cao_tree`)
+that makes either tree from its root: a check round is a message round
+with its bit fixed at 0 that ends at the measurements, before the bit is
+decoded. A config's two trees depend only on its scheme, attack and
+policy, so each process builds them once (:func:`_config_trees`, the one
+way to a config's trees), and every run and every exact analysis of that
+config reads the same read-only trees; no result is ever cached. Both
+analyses sum the trees' joined leaves with one function
+(:func:`_leaf_totals`):
 
 * the exact analyzer weights each leaf by its mass, so its check-error
   and leak rates carry no sampling error;
@@ -62,7 +66,6 @@ import json
 import math
 import numbers
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
@@ -319,7 +322,8 @@ class _BranchTree:
     are added in the order in which a round takes its random steps (a
     present message round: its bit, its initial state, Eve's outcome,
     the sender's and the receiver's measurements); a step that draws
-    nothing (preparing states, a gate, an attack that
+    nothing (a choice that a policy fixes, such as a check round's bit,
+    preparing states, a gate, an attack that
     :func:`~wqsc.attacks.attack_rows` gives one outcome) adds no level.
 
     The nodes of the deepest level are built together. Their states are
@@ -447,21 +451,6 @@ class _BranchTree:
         self._states = forward(slice(None), _ZERO)
         self._columns["note"] = (0, _ZERO, notes, None)
 
-    def first_branch(self) -> "_BranchTree":
-        """The subtree under the root's first child, masses from 1 at its
-        root: at every depth its nodes come first, in (parent, outcome) order."""
-        tree = _BranchTree()
-        counts = [1]  # the subtree's nodes at each depth
-        for level in self.levels[1:]:
-            counts.append(bisect_left(level.parent.tolist(), counts[-1]))
-            parent, prob = level.parent[: counts[-1]], level.prob[: counts[-1]]
-            tree.levels.append(_Level(counts[-2], parent, prob))
-            tree.masses = tree.masses[parent] * prob
-        for key, (depth, codes, labels, by) in self._columns.items():
-            depth = max(depth - 1, 0)
-            tree._columns[key] = (depth, codes[: counts[depth]], labels, by)
-        return tree
-
     def guess(self, view: tuple[str, ...]) -> np.ndarray:
         """Eve's guess at each node of a message tree: the message bit of
         larger mass among the nodes whose codes of the keys ``view`` (read
@@ -489,17 +478,14 @@ class _BranchTree:
         return self
 
 
-def _present_trees(kind: AttackKind, init_policy: str) -> tuple[_BranchTree, _BranchTree]:
-    """(check-round tree, message-round tree) of the present scheme.
-
-    A check round is a message round of bit 0 (whose encoding is the
-    identity) that ends at Bob's measurement, so the check tree is the
-    message tree's bit-0 branch down to that level.
-    """
+def _present_tree(kind: AttackKind, init_policy: str, message: bool) -> _BranchTree:
+    """The present scheme's message-round tree, or (``message`` false) its
+    check-round tree: a message round of bit 0, whose encoding is the
+    identity, that ends at Bob's measurement."""
     rules = _rule_tables()
     initials = INIT_POLICIES[1:]
     tree = _BranchTree()
-    tree.choose("bit", (0, 1))
+    tree.choose("bit", (0, 1), "random" if message else 0)
     tree.choose("initial", initials, init_policy)
     tree.prepare([build(label) for label in initials], by="initial")
     tree.gate(3, FLIP, tree.column("bit") == 1)
@@ -507,8 +493,8 @@ def _present_trees(kind: AttackKind, init_policy: str) -> tuple[_BranchTree, _Br
     tree.gate(3, HADAMARD, tree.column("initial") == initials.index(StateLabel.PHI2.value))
     tree.measure("alice", (z_basis(1, 2),))
     tree.measure("bob", (z_basis(3),))
-    check = tree.first_branch()
-    check.finish(check_pass=rules["consistent"][check.column("alice"), check.column("bob")])
+    if not message:
+        return tree.finish(check_pass=rules["consistent"][tree.column("alice"), tree.column("bob")])
 
     if kind is AttackKind.CNOT_ANCILLA:
         # Eve measures her ancilla only at guess time; every node holds the
@@ -518,42 +504,32 @@ def _present_trees(kind: AttackKind, init_policy: str) -> tuple[_BranchTree, _Br
         notes = tuple(replace(note, ancilla_outcome=outcome) for outcome in (0, 1))
         tree.assign("note", tree.column("ancilla"), notes)
 
-    return check, tree.finish(
+    return tree.finish(
         message_bit=tree.column("bit"),
         recovered_bit=rules["recovered"][tree.column("alice"), tree.column("bob")],
         eve_guess=tree.guess(("initial", "alice", "note")),
     )
 
 
-def _cao_tree(kind: AttackKind, basis_policy: str, message: bool = False) -> _BranchTree:
-    """A cao round's tree down to both parties' measurements: a message
-    round's bit, the w4 state, the attack, the check basis of
-    ``basis_policy``, and each party's measurement of its pair in it."""
+def _cao_tree(kind: AttackKind, basis_policy: str, message: bool) -> _BranchTree:
+    """The cao scheme's check-round tree of ``basis_policy``, or (``message``
+    true) its message-round tree: the w4 state, the attack, the check basis
+    (a key round's is the Bell basis) and each party's measurement of its
+    pair in it. A message round's bit enters only the ciphertext, so its
+    quantum part is that of a Bell-basis check round."""
+    rules = _rule_tables()
     tree = _BranchTree()
-    if message:
-        tree.choose("bit", (0, 1))
+    tree.choose("bit", (0, 1), "random" if message else 0)
     tree.prepare([build(StateLabel.W4)])
     tree.attack(kind, (3, 4))
-    tree.choose("basis", CHECK_BASES, basis_policy)
+    tree.choose("basis", CHECK_BASES, "bell" if message else basis_policy)
     for key, pair in (("alice", (1, 2)), ("bob", (3, 4))):
         tree.measure(key, tuple(_pair_basis(basis, *pair) for basis in CHECK_BASES), by="basis")
-    return tree
+    if not message:
+        columns = tuple(tree.column(key) for key in ("basis", "alice", "bob"))
+        return tree.finish(check_pass=1 - rules["check_error"][columns])
 
-
-def _cao_check_tree(kind: AttackKind, basis_policy: str, message: _BranchTree) -> _BranchTree:
-    """The cao check-round tree of ``basis_policy``, leaves classified. The
-    quantum part of a key round is that of a Bell-basis check round (its
-    message bit enters only the ciphertext), so for the Bell policy this is
-    the bit-0 branch of the message tree ``message``."""
-    tree = message.first_branch() if basis_policy == "bell" else _cao_tree(kind, basis_policy)
-    columns = tuple(tree.column(key) for key in ("basis", "alice", "bob"))
-    return tree.finish(check_pass=1 - _rule_tables()["check_error"][columns])
-
-
-def _cao_message_tree(kind: AttackKind) -> _BranchTree:
-    """The cao message-round tree, the same for every check-basis policy."""
-    tree = _cao_tree(kind, "bell", message=True)
-    keys = _rule_tables()["keys"][tree.column("alice"), tree.column("bob")]
+    keys = rules["keys"][tree.column("alice"), tree.column("bob")]
     bit = tree.column("bit")
     tree.assign("ciphertext", keys[:, 0] ^ bit, (0, 1))
     return tree.finish(
@@ -583,19 +559,18 @@ class _ConfigTrees(tuple):
 
 
 @lru_cache(maxsize=None)
-def _config_trees(scheme: str, kind: AttackKind, policy: str | None) -> _ConfigTrees:
+def _config_trees(scheme: str, kind: AttackKind, policy: str) -> _ConfigTrees:
     """(check-round tree, message-round tree) of ``scheme`` under attack
     ``kind`` and the scheme's init or check-basis ``policy``, built once per
-    process. The keys are the 20 valid configs and, with ``policy`` None
-    (no check tree), the cao message tree of each attack, which every
-    check-basis policy shares; not a :class:`RunConfig`, whose seed and
-    round count would grow the memo without bound."""
-    if scheme == "present":
-        return _ConfigTrees(_present_trees(kind, policy))
-    if policy is None:
-        return _ConfigTrees((None, _cao_message_tree(kind)))
-    message = _config_trees(scheme, kind, None)[1]
-    return _ConfigTrees((_cao_check_tree(kind, policy, message), message))
+    process, each from its root. The keys are the 20 valid configs, not a
+    :class:`RunConfig`, whose seed and round count would grow the memo
+    without bound. The cao message tree is the same for every check-basis
+    policy, so each cao config reads that of its attack's Bell config."""
+    build_tree = _present_tree if scheme == "present" else _cao_tree
+    check = build_tree(kind, policy, False)
+    if scheme == "cao" and policy != "bell":
+        return _ConfigTrees((check, _config_trees(scheme, kind, "bell")[1]))
+    return _ConfigTrees((check, build_tree(kind, policy, True)))
 
 
 def _round_trees(config: RunConfig) -> _ConfigTrees:

@@ -344,6 +344,35 @@ def _policy(scheme: str, init: str, basis: str) -> str:
     return init if scheme == "present" else basis
 
 
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays are equal byte for byte, dtype and shape too."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _bit0_branch(tree, depth: int):
+    """The first ``depth`` levels, as (nodes, parent, prob), of the subtree
+    under a message tree's first root child (bit 0); that subtree's masses
+    from 1 at its root; and a function that gives a key's codes at its
+    deepest nodes. At every depth the subtree's nodes come first, in
+    (parent, outcome) order, so each of its levels is a prefix of the tree's."""
+    counts, levels, masses = [None, 1], [], np.ones(1)
+    for level in tree.levels[1 : depth + 1]:
+        count = int(np.searchsorted(level.parent, counts[-1]))
+        parent, prob = level.parent[:count], level.prob[:count]
+        levels.append((counts[-1], parent, prob))
+        masses = masses[parent] * prob
+        counts.append(count)
+
+    def codes(key: str) -> np.ndarray:
+        at, codes = tree._columns[key][:2]
+        codes = codes[: counts[at]]
+        for _, parent, _ in levels[at - 1 :]:
+            codes = codes[parent]
+        return codes
+
+    return levels, masses, codes
+
+
 class TestConfigTrees:
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
     def test_second_run_and_analysis_build_nothing(
@@ -421,6 +450,36 @@ class TestConfigTrees:
             with pytest.raises(ValueError):
                 array[...] = 0
 
+    @pytest.mark.parametrize(
+        "scheme,attack,init,basis",
+        [config for config in VALID_CONFIGS if config[0] == "present" or config[3] == "bell"],
+    )
+    def test_check_tree_is_the_message_trees_bit0_branch(self, scheme, attack, init, basis):
+        # a check round is a message round of bit 0 that ends at Bob's
+        # measurement (the present scheme), or a key round without the
+        # ciphertext (cao's Bell basis), so the check tree built from its
+        # own root is the message tree's bit-0 branch down to that level
+        check, message = harness._config_trees(
+            scheme, AttackKind(attack), _policy(scheme, init, basis)
+        )
+        assert message.levels[0].prob.tolist() == [0.5, 0.5]  # the message bit
+        assert check._columns["bob"][0] == len(check.levels) > 0  # ends at Bob
+        levels, masses, codes = _bit0_branch(message, len(check.levels))
+        assert len(levels) == len(check.levels)
+        for level, (nodes, parent, prob) in zip(check.levels, levels):
+            assert level.nodes == nodes and _same(level.parent, parent) and _same(level.prob, prob)
+        assert _same(check.masses, masses)
+        for key in ("alice", "bob"):
+            assert _same(check.column(key), codes(key)), key
+
+    @pytest.mark.parametrize(
+        "scheme,attack,init,basis", [config for config in VALID_CONFIGS if config[0] == "cao"]
+    )
+    def test_cao_configs_share_the_bell_message_tree(self, scheme, attack, init, basis):
+        kind = AttackKind(attack)
+        message = harness._config_trees(scheme, kind, basis)[1]
+        assert message is harness._config_trees(scheme, kind, "bell")[1]
+
     def test_seed_sweep_keeps_one_entry(self):
         harness._config_trees.cache_clear()
         for seed, rounds in itertools.product(range(50), (10, 100, 1000)):
@@ -430,17 +489,14 @@ class TestConfigTrees:
 
     def test_entries_are_the_configs_keys(self):
         # exact analysis of a random policy reads the trees of the policy's
-        # groups, each of which is a config of its own; the cao configs of
-        # one attack share one message tree, kept under the policy None
+        # groups, each of which is a config of its own, and every cao
+        # config reads the message tree of its attack's Bell config
         harness._config_trees.cache_clear()
-        keys = set()
         for scheme, attack, init, basis in VALID_CONFIGS:
             run_monte_carlo(RunConfig(scheme=scheme, attack=attack, rounds=100,
                                       init_policy=init, check_basis_policy=basis))
             exact_analyze(scheme, attack, init, basis)
-            keys.add((scheme, attack, _policy(scheme, init, basis)))
-        keys |= {("cao", attack, None) for attack in ("none", "cao-ir-z")}
-        assert harness._config_trees.cache_info().currsize <= len(keys) == len(VALID_CONFIGS) + 2
+        assert harness._config_trees.cache_info().currsize == len(VALID_CONFIGS) == 20
 
 
 class TestRunConfig:

@@ -1,4 +1,5 @@
-"""The package's source itself: no private code that only tests reach."""
+"""The package's source itself: no private code that only tests reach, and
+no import that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -39,4 +40,37 @@ def test_every_private_definition_is_used_in_the_package():
         if not any(definition.name in _read_names(statement)
                    for _, statement in statements if statement is not definition)
     ]
+    assert unused == []
+
+
+def _all_names(tree: ast.Module) -> set[str]:
+    """The names a module lists in its ``__all__``."""
+    return {
+        element.value
+        for statement in tree.body
+        if isinstance(statement, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__"
+                for target in statement.targets)
+        for element in ast.walk(statement.value)
+        if isinstance(element, ast.Constant) and isinstance(element.value, str)
+    }
+
+
+def test_every_import_is_read_or_exported():
+    # a name a module imports but never reads, nor lists in its __all__,
+    # is left over from code that is gone
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        read = _all_names(tree).union(*(
+            _read_names(statement) for statement in tree.body if statement not in imports
+        ))
+        unused += [
+            f"{path.stem}: {alias.name}"
+            for node in imports
+            if not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in read
+        ]
     assert unused == []
