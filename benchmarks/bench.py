@@ -52,15 +52,17 @@ by side see the same host speed, so these ratios hold steady where the
 ratio of two separate runs does not.
 
 The script then runs ``wqsc run --scheme cao --attack cao-ir-z --rounds
-10000000``, and ``wqsc exact`` and ``wqsc run --rounds 2000`` once per
-(scheme, attack), as cold subprocesses on the same CPU, each once per
-version (the change first, then the parent), and records each one's wall
-seconds (not normalized) and its own peak RSS (``ru_maxrss`` of that
-process alone, from ``os.wait4`` in a small launcher process, so that it
-holds none of this script's memory): the long run as ``cold_run`` (and
-``parent_cold_run``), the exact rows as ``cold_exact`` (and
-``parent_cold_exact``), the short runs as ``cold_short_run`` (and
-``parent_cold_short_run``).
+10000000`` and ``--rounds 100000000``, and ``wqsc exact`` and ``wqsc run
+--rounds 2000`` once per (scheme, attack), as cold subprocesses on the
+same CPU, each once per version (the change first, then the parent), and
+records each one's wall seconds (not normalized) and its own peak RSS
+(``ru_maxrss`` of that process alone, from ``os.wait4`` in a small
+launcher process, so that it holds none of this script's memory): the
+1e7-round run as ``cold_run`` (and ``parent_cold_run``), the 1e8-round
+run, which shows that memory stays bounded at the largest round counts,
+as ``cold_long_run`` (and ``parent_cold_long_run``), the exact rows as
+``cold_exact`` (and ``parent_cold_exact``), the short runs as
+``cold_short_run`` (and ``parent_cold_short_run``).
 
 The result, with the machine's core count and the python and numpy versions,
 is written to ``benchmarks/BENCH_<label>.json``. ``--src`` measures the
@@ -85,6 +87,7 @@ HERE = Path(__file__).resolve().parent
 ROUNDS = 2000
 REPEATS = 31
 COLD_RUN = ("run", "--scheme", "cao", "--attack", "cao-ir-z", "--rounds", "10000000")
+COLD_LONG_RUN = (*COLD_RUN[:-1], "100000000")
 PAIRS = [
     (scheme, attack)
     for scheme, attacks in (("present", ("none", "ir-z", "ir-x", "cnot")),
@@ -315,9 +318,10 @@ def main(argv: list[str] | None = None) -> int:
             layer: _spread([a / b for a, b in zip(sums[0][layer], sums[1][layer])])
             for layer in LAYERS
         }
-    report["cold_run"] = cold(src, COLD_RUN)
-    if parent:
-        report["parent_cold_run"] = cold(parent, COLD_RUN)
+    for key, argv in (("cold_run", COLD_RUN), ("cold_long_run", COLD_LONG_RUN)):
+        report[key] = cold(src, argv)
+        if parent:
+            report[f"parent_{key}"] = cold(parent, argv)
     for key, rows in COLD_ROWS.items():
         for argv in rows:
             for prefix, path in (("", src), ("parent_", parent)):
@@ -341,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{k} {r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}]"
             for k, r in report["totals_ratio"].items()
         ))
-    for name in ("cold_run", *COLD_ROWS):
+    for name in ("cold_run", "cold_long_run", *COLD_ROWS):
         for key in (name, f"parent_{name}"):
             rows = report.get(key, [])
             for row in rows if isinstance(rows, list) else [rows]:

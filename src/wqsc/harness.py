@@ -27,13 +27,18 @@ analyses sum the trees' joined leaves with one function
   down which a run walks each block of rounds with numpy array
   operations, a check round from the check tree's root and a message
   round from the message tree's: each level matches one column of the
-  rounds' Philox words ``w = raw >> 11`` (``Generator.random``'s draw is
-  ``w * 2**-53``) against its nodes' cumulative probabilities as integer
+  rounds' words against its nodes' cumulative probabilities as integer
   cutoffs, in the order of the round's steps, so a walk reproduces the
   round that the test suite's one-round oracle plays on the same draws.
-  Every round owns fixed counter positions of Philox keyed by the master
-  seed, and a run streams its rounds in fixed blocks: its memory does not
-  grow with the round count, nor do its results depend on the block size.
+  A run streams its rounds in fixed blocks: its memory does not grow
+  with the round count, nor do its results depend on the block size.
+
+Draw scheme ``philox4x64-10/v1``: round ``r`` draws the 4-word outputs of
+Philox4x64-10 at counters ``2r+1``, ``2r+2`` under key ``(seed, 2**64-2)``,
+and is a check round iff word ``r mod 4`` at counter ``r//4 + 1`` under key
+``(seed, 2**64-1)`` is below ``ceil(check_fraction * 2**53)`` (or no round
+is and ``r`` is 0), each word as ``raw >> 11``. A process builds one
+generator, on its first run, re-keyed in full per block; not thread-safe.
 
 Eve's guess is read off a message tree, one rule for every attack. Her
 view of a round is what she sees of it: for the present scheme the
@@ -222,18 +227,19 @@ class _Level(NamedTuple):
     prob: np.ndarray  # per child, its branch probability
 
 
-def _walk_tables(trees) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+def _walk_tables(trees) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], int]:
     """The tables that walk ``trees`` as one, tree ``t``'s root being node
     ``t``: nodes are numbered roots first, depth by depth, and at every
     depth the first tree's nodes come first. A tree that ends above the
     deepest level gets one pass-through child (probability 1) per leaf
     and level, so its leaves stay leaves, and the leaves of all trees, in
-    tree order, are the deepest nodes. The read-only tables are
-    ``thresholds[k, n]``, ``ceil(t * _WORD)`` for node ``n``'s cumulative
-    probability ``t`` up to its child ``k`` (``t <= w / _WORD`` iff ``w >=``
-    it), for every child but its last (``_WORD``, which no word reaches,
-    from there on and for ``t >= 1``); ``successor[n, s]`` (flattened), the
-    number of node ``n``'s child ``s``; and per depth, the most children."""
+    tree order, are the deepest nodes. A walk holds node ``n`` as its row
+    offset ``n * stride`` (``stride``: the most children of any node) and
+    reads child ``k`` at ``+ k`` of two flat read-only tables: ``thresholds``,
+    ``ceil(min(t, 1) * _WORD)`` for cumulative probability ``t`` up to child
+    ``k`` (``t <= w / _WORD`` iff ``w >=`` it), but ``_WORD`` (no word reaches
+    it) from the last child on; and ``successor``, child ``k``'s row offset,
+    or leaf number. Then per depth, the most children, and ``stride``."""
     levels = [
         tree.levels[depth] if depth < len(tree.levels)
         else _Level(len(tree.masses), np.arange(len(tree.masses)), np.ones(len(tree.masses)))
@@ -246,38 +252,42 @@ def _walk_tables(trees) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     # the children of all levels, in this order, follow the roots; node
     # n's first child is the child first[n] among them
     first = np.cumsum(count) - count
-    table = np.zeros((offsets[-1], count.max()))
+    stride = int(count.max())
+    table = np.zeros((offsets[-1], stride))
     table[parent, np.arange(len(parent)) - first[parent]] = np.concatenate(
         [level.prob for level in levels]
     )
     # zeros pad each row after its children, so a row's sums up to its
     # next to last child are those of its children alone
-    thresholds = np.cumsum(table[:, :-1], axis=1)
-    thresholds[np.arange(table.shape[1] - 1) >= count[:, None] - 1] = 1.0
-    cutoffs = np.ceil(np.minimum(thresholds.T, 1.0) * _WORD).astype(np.int64, order="C")
-    successor = len(trees) + first[:, None] + np.arange(table.shape[1])
+    thresholds = np.cumsum(table, axis=1)
+    thresholds[np.arange(stride) >= count[:, None] - 1] = 1.0
+    cutoffs = np.ceil(np.minimum(thresholds, 1.0) * _WORD).astype(np.int64).ravel()
+    child = len(trees) + first[:, None] + np.arange(stride)
+    successor = np.where(child < offsets[-1], child * stride, child - offsets[-1]).ravel()
     depths = offsets[:: len(trees)]
     widths = tuple(np.maximum.reduceat(count, depths[:-1]).tolist())
-    cutoffs.setflags(write=False)
-    successor.setflags(write=False)
-    return cutoffs, successor.ravel(), widths
+    for array in (cutoffs, successor):
+        array.setflags(write=False)
+    return cutoffs, successor, widths, stride
 
 
 def _walk(tables, roots: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Leaf index reached by each row of ``words``, row ``i`` walked from
     root ``roots[i]`` down :func:`_walk_tables`'s ``tables``. Every level
     picks by the Born rule: the first child whose threshold exceeds the
-    word ``words[i, level]``, or the last child if none does."""
-    thresholds, successor, widths = tables
-    stride = len(thresholds) + 1
-    node = roots.astype(np.int64)
+    word ``words[i, level]``, or the last child if none does: it adds the
+    ``uint8`` count of thresholds at or below the word to the row offset."""
+    thresholds, successor, widths, stride = tables
+    node = roots * np.int64(stride)
     for column, width in enumerate(widths):
         w = words[:, column]
-        pick = node * stride
-        for child_thresholds in thresholds[: width - 1]:
-            pick += child_thresholds[node] <= w
-        node = successor[pick]
-    return node - len(successor) // stride
+        if width > 1:
+            steps = (thresholds[node] <= w).view(np.uint8)
+            for k in range(1, width - 1):
+                steps += (thresholds[k:][node] <= w).view(np.uint8)
+            node = node + steps
+        node = successor[node]
+    return node
 
 
 _ZERO = np.zeros(1, dtype=np.intp)  # the code of a value that every node shares
@@ -545,7 +555,7 @@ class _ConfigTrees(tuple):
     ``indicators[c, i]``, whether joined leaf ``i`` counts towards ``_COUNTS[c]``."""
 
     @cached_property
-    def walk(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    def walk(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], int]:
         return _walk_tables(self)
 
     @cached_property
@@ -658,8 +668,6 @@ def exact_analyze(
 # ---------------------------------------------------------------------------
 # Monte Carlo runner
 
-# each round owns a fixed block of draws; Philox emits 4 words per
-# 128-bit counter step, so 8 draws = 2 counter steps keeps blocks aligned
 _DRAWS_PER_ROUND = 8
 _BLOCKS_PER_ROUND = 2
 
@@ -673,13 +681,11 @@ _MAX_ROUNDS = 10**10
 
 
 def _words(bitgen: np.random.Philox, key: list[int], steps: int, count: int) -> np.ndarray:
-    """``count`` int64 words ``raw >> 11`` of Philox keyed ``key`` from counter
-    step ``steps`` on, ``bitgen`` re-keyed as ``Philox(key=key)`` starts: a
-    run keeps one, since building one draws OS entropy that a key overrides."""
-    zeros = np.zeros(4, np.uint64)
-    bitgen.state = {"bit_generator": "Philox", "buffer": zeros, "buffer_pos": 4, "has_uint32": 0,
-                    "uinteger": 0, "state": {"counter": zeros, "key": np.array(key, np.uint64)}}
-    words = bitgen.advance(steps).random_raw(count)
+    """``count`` int64 words ``raw >> 11`` of ``bitgen``, its whole state first set
+    to ``Philox(key=key, counter=[steps, 0, 0, 0])``'s (as ints numpy reads)."""
+    bitgen.state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+                    "uinteger": 0, "state": {"counter": [steps, 0, 0, 0], "key": key}}
+    words = bitgen.random_raw(count)
     words >>= 11
     return words.view(np.int64)
 
@@ -692,10 +698,9 @@ def _draw_block(master_seed: int, start: int, count: int, bitgen) -> np.ndarray:
 
 
 def _check_flags(config: RunConfig, start: int, count: int, bitgen) -> np.ndarray:
-    """Check/message assignment of rounds [start, start+count) from the
-    master mode stream (``u < f`` iff ``w < ceil(f * _WORD)``); ``start`` is
-    a multiple of 4. If the stream flags no round of the run, round 0 is a
-    check round: a block 0 with no check flag scans later blocks for one."""
+    """Check/message assignment of rounds [start, start+count), ``start`` a
+    multiple of 4, by the draw scheme (``u < f`` iff ``w < ceil(f * _WORD)``);
+    a block 0 with no check flag scans later blocks for one."""
     words = _words(bitgen, [config.master_seed, _MODE_STREAM_TAG], start // 4, count)
     flags = words < math.ceil(config.check_fraction * _WORD)
     if start == 0 and not flags.any():
@@ -705,13 +710,18 @@ def _check_flags(config: RunConfig, start: int, count: int, bitgen) -> np.ndarra
     return flags
 
 
+@lru_cache(maxsize=None)
+def _philox() -> np.random.Philox:
+    """The process's one Philox, which :func:`_words` re-keys for every block."""
+    return np.random.Philox(0)
+
+
 def _run_counts(config: RunConfig) -> dict[str, int]:
     """The run's counts: its rounds, ``_BLOCK_ROUNDS`` at a time, walked
     down one table of both trees, a check round from the check tree's
     root (node 0) and a message round from the message tree's (node 1),
     and the leaf hits summed over the blocks."""
-    trees = _round_trees(config)
-    bitgen = np.random.Philox(0)  # every block re-keys it
+    trees, bitgen = _round_trees(config), _philox()
     hits = np.zeros(trees.indicators.shape[1], dtype=np.int64)
     for start in range(0, config.rounds, _BLOCK_ROUNDS):
         count = min(_BLOCK_ROUNDS, config.rounds - start)

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import wqsc
 from wqsc import cli, harness
 from wqsc.states import IdentityReport
 
@@ -162,3 +166,18 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("wqsc: error: threshold")
+
+
+def test_exact_only_process_never_imports_numpy_random():
+    # Monte Carlo builds its generator on the first run, so a process that
+    # only analyzes exactly and checks identities loads no numpy.random
+    script = (
+        "import sys; from wqsc import cli\n"
+        "assert cli.main(['exact', '--scheme', 'cao', '--attack', 'cao-ir-z']) == 0\n"
+        "assert cli.main(['identities', '--format', 'csv']) == 0\n"
+        "assert 'numpy.random' not in sys.modules"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(wqsc.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

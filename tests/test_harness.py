@@ -18,6 +18,7 @@ from oracle_tools import (
     scalar_round,
     scalar_round_outcomes,
 )
+from philox_ref import draw_words, mode_word
 from wqsc import _kernels, errors, harness
 from wqsc.attacks import AttackKind
 from wqsc.harness import (
@@ -441,11 +442,11 @@ class TestConfigTrees:
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
     def test_compiled_walk_and_indicators_are_read_only(self, scheme, attack, init, basis):
         trees = harness._config_trees(scheme, AttackKind(attack), _policy(scheme, init, basis))
-        thresholds, successor, widths = trees.walk
+        thresholds, successor, widths, stride = trees.walk
         assert trees.walk is trees.walk  # kept in the entry, not compiled per read
         leaves = sum(len(tree.masses) for tree in trees)
         assert trees.indicators.dtype == bool and trees.indicators.shape == (6, leaves)
-        assert isinstance(widths, tuple)
+        assert isinstance(widths, tuple) and isinstance(stride, int)
         for array in (thresholds, successor, trees.indicators):
             with pytest.raises(ValueError):
                 array[...] = 0
@@ -559,6 +560,7 @@ class TestRunConfig:
             blocked = [_check_flags(config, lo, 4, bitgen) for lo in range(0, 12, 4)]
             whole_run = _check_flags(config, 0, config.rounds, bitgen)
             assert np.array_equal(np.concatenate(blocked), whole_run)
+            harness._philox().random_raw(3)  # left mid-buffer, re-keyed by the rescan too
             assert _run_counts(config) == counts
 
 
@@ -676,9 +678,8 @@ class TestTreeWalk:
             trees = _round_trees(RunConfig(
                 scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
             ))
-            thresholds, successor, _ = _walk_tables(trees)
+            thresholds, successor, _, stride = _walk_tables(trees)
             assert thresholds.dtype == np.int64
-            stride = len(thresholds) + 1
             # every level of the tables' numbering, roots excluded: depth by
             # depth, each tree's children in tree order, and one pass-through
             # child per leaf of a tree that ended above
@@ -691,26 +692,30 @@ class TestTreeWalk:
             firsts = np.cumsum([0] + [nodes for nodes, _, _ in levels])
             parents = np.concatenate([start + parent for start, (_, parent, _) in zip(firsts, levels)])
             probs = np.concatenate([prob for _, _, prob in levels])
+            # a walk holds an inner node as its row offset, and a leaf (a node
+            # numbered from firsts[-1] on) as its leaf number
+            numbers = len(trees) + np.arange(len(parents))
+            held = np.where(numbers < firsts[-1], numbers * stride, numbers - firsts[-1])
+            assert len(thresholds) == len(successor) == firsts[-1] * stride
             for node in range(firsts[-1]):
+                row = node * stride
                 children = np.flatnonzero(parents == node)
-                assert successor[node * stride + np.arange(len(children))].tolist() == (
-                    len(trees) + children).tolist()
-                cutoffs = thresholds[:, node]
+                assert successor[row + np.arange(len(children))].tolist() == held[children].tolist()
+                cutoffs = thresholds[row: row + stride]
                 assert (cutoffs[len(children) - 1:] == 2**53).all()  # no word reaches these
                 words = {0, 2**53 - 1}
                 for k in cutoffs[: len(children) - 1].tolist():
                     words |= {w for w in (k - 1, k, k + 1) if 0 <= w < 2**53}
                 words = np.array(sorted(words), dtype=np.int64)
-                # one level of the walk from this node: the child it reaches
-                # is numbered len(trees) + its index among all children
-                step = (thresholds, successor, (stride,))
+                # one level of the walk from this node, comparing all its
+                # cutoffs: it reaches what the successor table holds
+                step = (thresholds, successor, (stride,), stride)
                 walked = _walk(step, np.full(len(words), node), words[:, None])
-                walked += len(successor) // stride  # _walk counts from the first leaf
                 reference = [sample_index(probs[children], w * 2.0**-53) for w in words.tolist()]
                 mismatches += [
                     (scheme, attack, init, basis, node, w)
                     for w, child, pick in zip(words.tolist(), walked.tolist(), reference)
-                    if child != len(trees) + children[pick]
+                    if child != held[children[pick]]
                 ]
         assert mismatches == []
 
@@ -751,6 +756,38 @@ class TestTreeWalk:
             table = generator.random((count, harness._DRAWS_PER_ROUND))
             words = _draw_block(seed, start, count, np.random.Philox())
             assert words.dtype == np.int64 and np.array_equal(words * 2.0**-53, table)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_draws_follow_the_stated_scheme(self, seed):
+        # philox4x64-10/v1, as a pure-Python Philox states it: round r's
+        # draw words and mode word, at the first rounds, across the edge of
+        # the first block and near the largest round count
+        for start, count in ((0, 2), (harness._BLOCK_ROUNDS - 1, 3), (harness._MAX_ROUNDS - 2, 2)):
+            words = _draw_block(seed, start, count, np.random.Philox())
+            expected = [draw_words(seed, r) for r in range(start, start + count)]
+            assert words.tolist() == expected, (seed, start)
+        for start in (0, harness._BLOCK_ROUNDS - 32, harness._MAX_ROUNDS - 64):
+            run = SimpleNamespace(master_seed=seed, check_fraction=0.5, rounds=harness._MAX_ROUNDS)
+            flags = _check_flags(run, start, 64, np.random.Philox())
+            expected = [mode_word(seed, r) < 2**52 for r in range(start, start + 64)]
+            assert flags.tolist() == expected, (seed, start)
+
+    def test_shared_generator_carries_nothing_between_runs(self):
+        # every block re-keys the process's one generator, so a run counts
+        # the same after one that left it mid-buffer or at another config's
+        # last block as it does on a new one
+        configs = [RunConfig(scheme="cao", attack="cao-ir-z", rounds=rounds, master_seed=9)
+                   for rounds in (2000, 20001)]
+        fresh = []
+        for config in configs:
+            harness._philox.cache_clear()
+            fresh.append(_run_counts(config))
+        assert harness._philox() is harness._philox()
+        other = RunConfig(scheme="present", attack="cnot", rounds=20001, master_seed=3)
+        for disturb in (lambda: harness._philox().random_raw(3), lambda: _run_counts(other)):
+            for config, counts in zip(configs, fresh):
+                disturb()
+                assert _run_counts(config) == counts
 
     @pytest.mark.parametrize(
         "scheme,attack,init,basis",
