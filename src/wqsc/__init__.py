@@ -18,7 +18,6 @@ from .harness import (
     exact_analyze,
     run_monte_carlo,
 )
-from .protocol import cao_check_error, check_consistent, recover_bit
 from .qstate import (
     BasisKind,
     BellLabel,
@@ -50,10 +49,7 @@ __all__ = [
     "bell_basis",
     "binomial_ci",
     "build",
-    "cao_check_error",
-    "check_consistent",
     "exact_analyze",
-    "recover_bit",
     "run_monte_carlo",
     "verify_identities",
     "x_basis",

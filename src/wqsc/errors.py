@@ -29,14 +29,6 @@ class InvalidConfig(WqscError):
     """Round or run configuration violates its invariants."""
 
 
-class InvalidOutcome(WqscError):
-    """Measurement outcome outside the set a protocol rule accepts."""
-
-
-class BasisMismatch(WqscError):
-    """Outcome was produced in a different basis than the rule expects."""
-
-
 class UnsupportedPair(WqscError):
     """No analyzer for the requested (scheme, attack) combination."""
 

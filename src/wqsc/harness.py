@@ -8,8 +8,8 @@ outcome and its mass, the product of the branch probabilities on its
 path. A tree is built level by level with stacked calls, and its nodes'
 values are columns of codes (:class:`_BranchTree`), so neither the
 kernel calls nor the Python code of a build grow with its node count.
-The protocol rules classify the leaves through tables that hold each
-public rule's value for every outcome pair, computed once per process.
+The protocol rules classify the leaves through their outcome-index
+tables (:func:`~wqsc.protocol._rule_tables`), built once per process.
 Each scheme has one builder (:func:`_present_tree`, :func:`_cao_tree`)
 that makes either tree from its root: a check round is a message round
 with its bit fixed at 0 that ends at the measurements, before the bit is
@@ -65,36 +65,25 @@ result type has a ``*_to_dict`` companion that applies this one rule, and
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import json
 import math
 import numbers
 import operator
 from dataclasses import dataclass, fields, is_dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .attacks import AttackKind, CAO_ATTACKS, PRESENT_ATTACKS, attack_rows
-from .errors import InvalidConfig, InvalidCounts, InvalidOutcome, UnsupportedPair
-from .protocol import (
-    CHECK_BASES,
-    _pair_basis,
-    cao_check_error,
-    cao_keys,
-    check_consistent,
-    recover_bit,
-)
+from .errors import InvalidConfig, InvalidCounts, UnsupportedPair
+from .protocol import CHECK_BASES, _pair_basis, _rule_tables
 from .qstate import (
     FLIP,
     HADAMARD,
     Branches,
-    MeasurementBasis,
     _basis_tables,
     apply_1q_rows,
-    bell_basis,
     branch_rows,
     nonzero_branches,
     z_basis,
@@ -292,37 +281,6 @@ def _walk(tables, roots: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 _ZERO = np.zeros(1, dtype=np.intp)  # the code of a value that every node shares
 _ZERO.setflags(write=False)
-
-
-def _tabulate(rule, first: MeasurementBasis, second: MeasurementBasis) -> np.ndarray:
-    """``rule`` at ``[a, b]`` for outcome ``a`` of ``first`` and ``b`` of
-    ``second``, or -1 where the rule rejects them: outcomes that no
-    modelled round reaches, as the test suite checks for every config."""
-    alice, bob = (_basis_tables(basis, 4).labels for basis in (first, second))
-    table = np.full((len(alice), len(bob)), -1)
-    for (a, x), (b, y) in itertools.product(enumerate(alice), enumerate(bob)):
-        with contextlib.suppress(InvalidOutcome):
-            table[a, b] = rule(x, y)
-    return table
-
-
-@lru_cache(maxsize=None)
-def _rule_tables() -> dict[str, np.ndarray]:
-    """The rules that classify leaves, once per process, by outcome index:
-    ``consistent``, ``recovered`` [sender Z pair, receiver Z bit],
-    ``check_error`` [check basis, sender pair, receiver pair] and ``keys``
-    [sender Bell pair, receiver Bell pair, key side]."""
-    pair, bit, bell = z_basis(1, 2), z_basis(3), (bell_basis(1, 2), bell_basis(3, 4))
-    return {
-        "consistent": _tabulate(check_consistent, pair, bit),
-        "recovered": _tabulate(recover_bit, pair, bit),
-        "check_error": np.array([
-            _tabulate(partial(cao_check_error, b), _pair_basis(b, 1, 2), _pair_basis(b, 3, 4))
-            for b in CHECK_BASES
-        ]),
-        "keys": np.stack(
-            [_tabulate(lambda a, b, s=s: cao_keys(a, b)[s], *bell) for s in (0, 1)], axis=-1),
-    }
 
 
 class _BranchTree:

@@ -6,10 +6,17 @@ code with the package's kernels, so agreement between the two routes is
 meaningful. Qubit 1 is the most significant index bit, matching the
 package convention.
 
+The protocol rules are stated here again, on outcome labels and apart
+from the package's outcome-index tables: the present scheme's
+correlation (:data:`CORRELATION`), the cao key maps (:data:`ALICE_KEY`,
+:data:`BOB_KEY`) and the cao check rule, whose allowed joint outcomes
+come from the dense projectors (:func:`allowed_joint_outcomes`). A rule
+raises ``KeyError`` on an outcome that no modelled round reaches.
+
 The scalar round reference plays a run's rounds one at a time, one
 state vector per round, each round consuming its draw row in order: the
 sampling the Monte Carlo runner's branch-tree walk must reproduce. Its
-rounds use the package's rules and its stacked measurement and attack
+rounds use these rules and the package's stacked measurement and attack
 calls on one-row stacks, not the branch trees, and pick each outcome
 with :func:`sample_index`, a scalar Born-rule loop. Eve's guess in these
 rounds comes from :func:`reference_guess`, a rule written by hand per
@@ -19,19 +26,13 @@ attack, where the package reads it off the trees.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from wqsc.attacks import AttackKind, attack_rows
-from wqsc.protocol import (
-    CHECK_BASES,
-    _pair_basis,
-    cao_check_error,
-    cao_keys,
-    check_consistent,
-    recover_bit,
-)
+from wqsc.protocol import CHECK_BASES, _pair_basis
 from wqsc.qstate import (
     FLIP,
     HADAMARD,
@@ -143,6 +144,63 @@ def max_dev_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
     inner = np.vdot(b, a)
     phase = inner / abs(inner) if abs(inner) > 0 else 1.0
     return float(np.max(np.abs(a - phase * b)))
+
+
+# the present scheme's correlation: the receiver's Z bit that goes with
+# each Z pair the sender can read in an ideal round; the sender's pair 11
+# never occurs. A message bit 1 flips the transmitted qubit, so the
+# recovered bit is whether the receiver's result departs from it
+CORRELATION = {"10": "0", "01": "0", "00": "1"}
+
+# the cao key bit of each Bell label that carries one, for either side
+ALICE_KEY = {"psi+": 0, "phi+": 1, "phi-": 1}
+BOB_KEY = {"phi+": 0, "phi-": 0, "psi+": 1}
+
+
+def check_consistent(alice: Outcome, bob: Outcome) -> bool:
+    """Whether a present check round's Z outcomes follow the correlation."""
+    return CORRELATION[alice.value] == bob.value
+
+
+def recover_bit(alice: Outcome, bob: Outcome) -> int:
+    """The message bit the receiver reads off a Z result, given the
+    sender's published Z pair."""
+    return int(CORRELATION[alice.value] != bob.value)
+
+
+def cao_keys(alice: Outcome, bob: Outcome) -> tuple[int, int]:
+    """Sender's and receiver's key bits from their Bell outcomes."""
+    return ALICE_KEY[alice.value], BOB_KEY[bob.value]
+
+
+@lru_cache(maxsize=None)
+def allowed_joint_outcomes(basis: str) -> frozenset[tuple[str, str]]:
+    """The (sender pair, receiver pair) labels of a cao check round in
+    ``basis`` that the ideal w4 state gives with nonzero probability, by
+    the dense projectors: Z and X on all four qubits at once, Bell as the
+    sender's pair projector and then the receiver's."""
+    w4 = build("w4")
+    if basis != "bell":
+        projector = z_projector if basis == "z" else x_projector
+        bits = [format(i, "04b") for i in range(16)]
+        return frozenset(
+            (b[:2], b[2:]) for b in bits if project(w4, projector(4, (1, 2, 3, 4), b))[0] > 0.0
+        )
+    allowed = set()
+    for la in BELL_VECTORS:
+        prob_a, collapsed = project(w4, bell_projector_first_pair(la, 2))
+        if prob_a > 0.0:
+            allowed |= {
+                (la, lb) for lb in BELL_VECTORS
+                if project(collapsed, bell_projector_second_pair(lb, 2))[0] > 0.0
+            }
+    return frozenset(allowed)
+
+
+def cao_check_error(basis: str, alice: Outcome, bob: Outcome) -> bool:
+    """Whether a cao check round's joint outcome is impossible for the
+    ideal state."""
+    return (alice.value, bob.value) not in allowed_joint_outcomes(basis)
 
 
 class FixedUniform:

@@ -6,6 +6,7 @@ import pytest
 from oracle_tools import (
     MEASURING_ATTACKS,
     FixedUniform,
+    cao_keys,
     ket,
     leaf_values,
     max_dev_up_to_phase,
@@ -15,10 +16,10 @@ from oracle_tools import (
     x_projector,
     z_projector,
     project as dense_project,
+    recover_bit,
 )
 from wqsc.attacks import CAO_ATTACKS, PRESENT_ATTACKS, AttackKind, attack_rows
 from wqsc.harness import RunConfig, _round_trees, exact_analyze
-from wqsc.protocol import cao_keys, recover_bit
 from wqsc.qstate import (
     ATOL,
     BasisKind,

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,15 +12,19 @@ import numpy as np
 import pytest
 
 from oracle_tools import (
+    cao_check_error,
+    cao_keys,
+    check_consistent,
     leaf_values,
     node_values,
+    recover_bit,
     reference_guess,
     sample_index,
     scalar_round,
     scalar_round_outcomes,
 )
 from philox_ref import draw_words, mode_word
-from wqsc import _kernels, errors, harness
+from wqsc import _kernels, errors, harness, protocol
 from wqsc.attacks import AttackKind
 from wqsc.harness import (
     RunConfig,
@@ -39,14 +44,7 @@ from wqsc.harness import (
     to_csv,
     to_json,
 )
-from wqsc.protocol import (
-    CHECK_BASES,
-    _pair_basis,
-    cao_check_error,
-    cao_keys,
-    check_consistent,
-    recover_bit,
-)
+from wqsc.protocol import CHECK_BASES, _pair_basis, _rule_tables
 from wqsc.qstate import bell_basis, outcome_at, z_basis
 from wqsc.states import verify_identities
 
@@ -62,9 +60,6 @@ VALID_CONFIGS = [
     for attack in ("none", "cao-ir-z")
     for basis in ("random", "z", "x", "bell")
 ]
-
-# the public protocol rules that classify a tree's leaves
-RULES = ("check_consistent", "recover_bit", "cao_check_error", "cao_keys")
 
 # the most kernel calls that building one level of a branch tree may make
 # (a measurement in three bases, each rotated and collapsed, takes most)
@@ -232,25 +227,24 @@ class TestRoundTrees:
         config = RunConfig(
             scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
         )
-        for tree in _round_trees(config):
-            nodes = node_values(tree, "alice", "bob", *(("basis",) if scheme == "cao" else ()))
-            for node, leaf in zip(nodes, leaf_values(tree), strict=True):
-                # the public rules accept every leaf's outcomes, so no leaf
-                # reads an entry of a rule table where its rule rejects them
-                if scheme == "present":
-                    assert node["alice"].value != "11"
-                    recover_bit(node["alice"], node["bob"])
-                elif leaf.check_pass is None:
-                    cao_keys(node["alice"], node["bob"])
-                else:
-                    cao_check_error(node["basis"], node["alice"], node["bob"])
-                if attack != "none":
-                    continue
-                if leaf.check_pass is None:
-                    assert leaf.recovered_bit == leaf.message_bit
-                else:
-                    assert leaf.check_pass is True
-                assert leaf.eve_guess is None
+        tables = _rule_tables()
+        check, message = _round_trees(config)
+        pair = lambda tree: (tree.column("alice"), tree.column("bob"))
+        if scheme == "present":
+            read = [tables["consistent"][pair(check)], tables["recovered"][pair(message)]]
+        else:
+            read = [tables["check_error"][(check.column("basis"), *pair(check))],
+                    tables["keys"][pair(message)]]
+        # no leaf reads an entry of -1, which marks outcomes no round reaches
+        assert all((entries >= 0).all() for entries in read)
+        if attack != "none":
+            return
+        for leaf in leaf_values(check) + leaf_values(message):
+            if leaf.check_pass is None:
+                assert leaf.recovered_bit == leaf.message_bit
+            else:
+                assert leaf.check_pass is True
+            assert leaf.eve_guess is None
 
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
     def test_guess_matches_reference_rule(self, scheme, attack, init, basis):
@@ -286,45 +280,47 @@ class TestRoundTrees:
             assert min(abs(posterior - p) for p in (0.0, 0.5, 1.0)) <= harness._TIE_TOLERANCE
 
 
-def _rule_call(rule, *args) -> int:
-    """``rule(*args)``, or -1 where the rule rejects its outcomes."""
-    try:
-        return int(rule(*args))
-    except errors.InvalidOutcome:
-        return -1
+def _oracle_table(rule, first, second, absent=-1) -> np.ndarray:
+    """The oracle's ``rule`` at ``[a, b]`` for outcome ``a`` of ``first`` and
+    ``b`` of ``second``, or ``absent`` where it finds no such round."""
+    def entry(a: int, b: int):
+        try:
+            return rule(outcome_at(first, a), outcome_at(second, b))
+        except KeyError:
+            return absent
+
+    rows, columns = (2 ** len(basis.qubits) for basis in (first, second))
+    return np.array([[entry(a, b) for b in range(columns)] for a in range(rows)], dtype=np.int64)
+
+
+# the package's rule tables as the oracle states them, on outcome labels
+ORACLE_TABLES = {
+    "consistent": lambda: _oracle_table(check_consistent, z_basis(1, 2), z_basis(3)),
+    "recovered": lambda: _oracle_table(recover_bit, z_basis(1, 2), z_basis(3)),
+    "check_error": lambda: np.array([
+        _oracle_table(partial(cao_check_error, basis), _pair_basis(basis, 1, 2), _pair_basis(basis, 3, 4))
+        for basis in CHECK_BASES
+    ]),
+    "keys": lambda: _oracle_table(cao_keys, bell_basis(1, 2), bell_basis(3, 4), (-1, -1)),
+}
 
 
 class TestRuleTables:
-    def test_entries_equal_direct_calls(self):
-        # every outcome pair of every table against the public rule
-        tables = harness._rule_tables()
-        assert tables["consistent"].shape == tables["recovered"].shape == (4, 2)
-        assert tables["check_error"].shape == (len(CHECK_BASES), 4, 4)
-        assert tables["keys"].shape == (4, 4, 2)
-        for a, b in itertools.product(range(4), range(2)):
-            pair = (outcome_at(z_basis(1, 2), a), outcome_at(z_basis(3), b))
-            assert tables["consistent"][a, b] == _rule_call(check_consistent, *pair)
-            assert tables["recovered"][a, b] == _rule_call(recover_bit, *pair)
-        for (index, basis), a, b in itertools.product(enumerate(CHECK_BASES), range(4), range(4)):
-            pair = (outcome_at(_pair_basis(basis, 1, 2), a),
-                    outcome_at(_pair_basis(basis, 3, 4), b))
-            assert tables["check_error"][index, a, b] == _rule_call(cao_check_error, basis, *pair)
-        for a, b in itertools.product(range(4), range(4)):
-            pair = (outcome_at(bell_basis(1, 2), a), outcome_at(bell_basis(3, 4), b))
-            expected = [_rule_call(lambda *p: cao_keys(*p)[side], *pair) for side in (0, 1)]
-            assert tables["keys"][a, b].tolist() == expected
+    @pytest.mark.parametrize("name", ORACLE_TABLES)
+    def test_entries_equal_oracle_rules(self, name):
+        # every outcome pair of a table, -1 entries included, against the
+        # oracle's own statement of its rule
+        assert _same(_rule_tables()[name], ORACLE_TABLES[name]())
 
-    def test_rules_called_once_per_process(self, monkeypatch):
-        # a build reads the rules off their tables: once the tables exist,
-        # building the same configs again calls no rule at all. The tree
-        # memo is emptied before each build, so that each one builds
+    def test_tables_derived_once_per_process(self, monkeypatch):
+        # the first build derives the check-error tables from the w4
+        # state's measurements; once the tables exist, building the same
+        # configs again measures nothing for them. The tree memo is emptied
+        # before each build, so that each one builds
         calls = []
-        for name in RULES:
-            rule = getattr(harness, name)
-            monkeypatch.setattr(
-                harness, name, lambda *a, _rule=rule, _name=name: calls.append(_name) or _rule(*a)
-            )
-        harness._rule_tables.cache_clear()
+        measure = protocol.measurement_rows
+        monkeypatch.setattr(protocol, "measurement_rows", lambda *a: calls.append(a) or measure(*a))
+        _rule_tables.cache_clear()
         configs = [
             RunConfig(scheme="present", attack="cnot"),
             RunConfig(scheme="cao", attack="cao-ir-z"),
@@ -333,12 +329,12 @@ class TestRuleTables:
         for config in configs:
             harness._config_trees.cache_clear()
             built.append(_round_trees(config))
-        assert set(calls) == set(RULES)
+        assert len(calls) == 2 * len(CHECK_BASES)
         calls.clear()
         for config, first in zip(configs, built):
             harness._config_trees.cache_clear()
             assert all(tree is not old for tree, old in zip(_round_trees(config), first))
-        assert calls == []
+        assert calls == [] and _rule_tables.cache_info().misses == 1
 
 
 def _policy(scheme: str, init: str, basis: str) -> str:
@@ -381,23 +377,24 @@ class TestConfigTrees:
     ):
         # after a config's first run and analysis, another run at another
         # seed and round count, and another analysis, read the trees that
-        # the first ones built: no kernel and no rule is called again
+        # the first ones built: no kernel is called again, and the rule
+        # tables are not derived again from the w4 state's measurements
         calls = []
-        for module, names in ((_kernels, _kernels.__all__), (harness, RULES)):
+        for module, names in ((_kernels, _kernels.__all__), (protocol, ["measurement_rows"])):
             for name in names:
                 function = getattr(module, name)
                 monkeypatch.setattr(
                     module, name, lambda *a, _f=function, _n=name: calls.append(_n) or _f(*a)
                 )
         harness._config_trees.cache_clear()
-        harness._rule_tables.cache_clear()
+        _rule_tables.cache_clear()
         config = RunConfig(
             scheme=scheme, attack=attack, rounds=500, master_seed=3,
             init_policy=init, check_basis_policy=basis,
         )
         run_monte_carlo(config)
         expected = exact_analyze(scheme, attack, init, basis)
-        assert set(calls) >= set(RULES) and set(calls) & set(_kernels.__all__)
+        assert "measurement_rows" in calls and set(calls) & set(_kernels.__all__)
         calls.clear()
         run_monte_carlo(replace(config, rounds=777, master_seed=4))
         assert exact_analyze(scheme, attack, init, basis) == expected

@@ -12,65 +12,60 @@ from oracle_tools import (
     U_FLIP,
     X,
     Z,
+    allowed_joint_outcomes,
     bell_projector_first_pair,
     bell_projector_second_pair,
     leaf_values,
     max_dev_up_to_phase,
     node_values,
     project as dense_project,
-    x_projector,
-    z_projector,
 )
 import wqsc
-from wqsc import attacks, errors, harness, protocol, qstate
+from wqsc import attacks, harness, protocol, qstate
 from wqsc.harness import RunConfig, _round_trees, exact_analyze
-from wqsc.protocol import (
-    _allowed_joint_outcomes,
-    cao_check_error,
-    check_consistent,
-    recover_bit,
-)
-from wqsc.qstate import ATOL, BasisKind, FLIP, Outcome, branch_rows, outcome_at, z_basis
+from wqsc.protocol import CHECK_BASES, _pair_basis, _rule_tables
+from wqsc.qstate import ATOL, FLIP, branch_rows, outcome_at, z_basis
 from wqsc.states import build
 
 
-def z_out(bits: str) -> Outcome:
-    return Outcome(BasisKind.Z, bits)
+def _entry(table: str, *labels: str, basis: str | None = None) -> int:
+    """The package's ``table`` at the outcomes ``labels``: a present table
+    at a sender Z pair and a receiver Z bit, the cao check table at the
+    sender's and the receiver's pair outcomes in ``basis``."""
+    if basis is None:
+        bases, entries = (z_basis(1, 2), z_basis(3)), _rule_tables()[table]
+    else:
+        bases = (_pair_basis(basis, 1, 2), _pair_basis(basis, 3, 4))
+        entries = _rule_tables()[table][CHECK_BASES.index(basis)]
+    index = tuple(
+        next(i for i in range(4) if outcome_at(b, i).value == label)
+        for b, label in zip(bases, labels)
+    )
+    return entries[index].tolist()
 
 
 class TestCorrelationRules:
     def test_check_consistent_table(self):
-        assert check_consistent(z_out("10"), z_out("0"))
-        assert check_consistent(z_out("01"), z_out("0"))
-        assert check_consistent(z_out("00"), z_out("1"))
-        assert not check_consistent(z_out("00"), z_out("0"))
-        assert not check_consistent(z_out("10"), z_out("1"))
-        assert not check_consistent(z_out("01"), z_out("1"))
+        assert _entry("consistent", "10", "0") == 1
+        assert _entry("consistent", "01", "0") == 1
+        assert _entry("consistent", "00", "1") == 1
+        assert _entry("consistent", "00", "0") == 0
+        assert _entry("consistent", "10", "1") == 0
+        assert _entry("consistent", "01", "1") == 0
 
     def test_recovery_table(self):
-        assert recover_bit(z_out("10"), z_out("0")) == 0
-        assert recover_bit(z_out("01"), z_out("0")) == 0
-        assert recover_bit(z_out("10"), z_out("1")) == 1
-        assert recover_bit(z_out("01"), z_out("1")) == 1
-        assert recover_bit(z_out("00"), z_out("0")) == 1
-        assert recover_bit(z_out("00"), z_out("1")) == 0
+        assert _entry("recovered", "10", "0") == 0
+        assert _entry("recovered", "01", "0") == 0
+        assert _entry("recovered", "10", "1") == 1
+        assert _entry("recovered", "01", "1") == 1
+        assert _entry("recovered", "00", "0") == 1
+        assert _entry("recovered", "00", "1") == 0
 
-    def test_impossible_alice_outcome_flags_simulator_bug(self):
-        with pytest.raises(errors.InvalidOutcome):
-            check_consistent(z_out("11"), z_out("0"))
-        with pytest.raises(errors.InvalidOutcome):
-            recover_bit(z_out("11"), z_out("1"))
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(errors.InvalidOutcome):
-            check_consistent(Outcome(BasisKind.X, "10"), z_out("0"))
-
-    @pytest.mark.parametrize("rule", [check_consistent, recover_bit])
-    def test_receiver_value_must_be_a_bit(self, rule):
-        for alice in ("10", "01", "00"):
-            for bob in ("2", "x", "-"):
-                with pytest.raises(errors.InvalidOutcome):
-                    rule(z_out(alice), z_out(bob))
+    def test_impossible_alice_outcome_has_no_entry(self):
+        # sender 11 has zero amplitude under every modelled evolution, so
+        # both tables hold -1 there, which no leaf reads
+        for bob in ("0", "1"):
+            assert _entry("consistent", "11", bob) == _entry("recovered", "11", bob) == -1
 
 
 class TestPresentRound:
@@ -105,7 +100,7 @@ class TestPresentRound:
         seen_00 = False
         for a, b in zip(alice.outcome[bob.parent].tolist(), bob.outcome.tolist()):
             alice_out, bob_out = outcome_at(z_basis(1, 2), a), outcome_at(z_basis(3), b)
-            assert recover_bit(alice_out, bob_out) == 1
+            assert _rule_tables()["recovered"][a, b] == 1
             if alice_out.value == "00":
                 seen_00 = True
                 assert bob_out.value == "0"
@@ -141,42 +136,21 @@ class TestCaoRound:
 
 class TestCaoCheckError:
     def test_allowed_and_forbidden_examples(self):
-        assert cao_check_error("z", z_out("10"), z_out("00")) is False
-        x_out = lambda bits: Outcome(BasisKind.X, bits)
-        assert cao_check_error("x", x_out("00"), x_out("11")) is True  # ++ vs --
-        bell = lambda v: Outcome(BasisKind.BELL, v)
-        assert cao_check_error("bell", bell("psi+"), bell("psi+")) is True
+        assert _entry("check_error", "10", "00", basis="z") == 0
+        assert _entry("check_error", "00", "11", basis="x") == 1  # ++ vs --
+        assert _entry("check_error", "psi+", "psi+", basis="bell") == 1
 
-    def test_basis_mismatch(self):
-        with pytest.raises(errors.BasisMismatch):
-            cao_check_error("y", z_out("10"), z_out("00"))
-        with pytest.raises(errors.BasisMismatch):
-            cao_check_error("z", Outcome(BasisKind.X, "10"), z_out("00"))
-
-    def test_derived_tables_match_dense_projector_oracle(self):
-        w4 = build("w4")
-        # Z and X: all sixteen joint outcomes via explicit projectors
-        for kind, projector in (("z", z_projector), ("x", x_projector)):
-            expected = set()
-            for a in range(4):
-                for b in range(4):
-                    bits = format(a, "02b") + format(b, "02b")
-                    prob, _ = dense_project(w4, projector(4, (1, 2, 3, 4), bits))
-                    if prob > 1e-15:
-                        expected.add((bits[:2], bits[2:]))
-            assert _allowed_joint_outcomes(kind) == expected
-        # Bell: chained pair projectors
-        expected = set()
-        for la in BELL_VECTORS:
-            proj_a = bell_projector_first_pair(la, 2)
-            prob_a, collapsed = dense_project(w4, proj_a)
-            if prob_a <= 1e-15:
-                continue
-            for lb in BELL_VECTORS:
-                prob_b, _ = dense_project(collapsed, bell_projector_second_pair(lb, 2))
-                if prob_b > 1e-15:
-                    expected.add((la, lb))
-        assert _allowed_joint_outcomes("bell") == expected
+    @pytest.mark.parametrize("basis", CHECK_BASES)
+    def test_derived_tables_match_dense_projector_oracle(self, basis):
+        # the pairs the package's w4-derived table allows are those the
+        # oracle's dense projectors give nonzero probability
+        first, second = _pair_basis(basis, 1, 2), _pair_basis(basis, 3, 4)
+        table = _rule_tables()["check_error"][CHECK_BASES.index(basis)]
+        allowed = {
+            (outcome_at(first, a).value, outcome_at(second, b).value)
+            for a, b in zip(*(table == 0).nonzero())
+        }
+        assert allowed == allowed_joint_outcomes(basis)
 
     def test_interception_error_rates_per_basis(self):
         result = exact_analyze("cao", "cao-ir-z")

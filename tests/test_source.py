@@ -1,5 +1,5 @@
-"""The package's source itself: no private code that only tests reach, and
-no import that nothing reads."""
+"""The package's source itself: no private code that only tests reach, no
+import that nothing reads, and no error class that nothing raises."""
 
 import ast
 from pathlib import Path
@@ -74,3 +74,21 @@ def test_every_import_is_read_or_exported():
             if (alias.asname or alias.name.split(".")[0]) not in read
         ]
     assert unused == []
+
+
+def test_every_error_class_is_raised():
+    # an error class that no module raises guards nothing, and a caller
+    # that catches it waits for an error that never comes
+    errors = next(path for path in SOURCES if path.stem == "errors")
+    classes = {
+        node.name
+        for node in ast.parse(errors.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name != "WqscError"
+    }
+    raised = set().union(*(
+        _read_names(node.exc)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise) and node.exc is not None
+    ))
+    assert classes and sorted(classes - raised) == []
