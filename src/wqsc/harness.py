@@ -7,7 +7,7 @@ the entangling probe, the ancilla outcome). Every leaf carries its
 outcome and its mass, the product of the branch probabilities on its
 path. A tree is built level by level with stacked calls, and its nodes'
 values are columns of codes (:class:`_BranchTree`), so neither the
-kernel calls nor the Python code of a build grow with its node count.
+stacked calls nor the Python code of a build grow with its node count.
 The protocol rules classify the leaves through their outcome-index
 tables (:func:`~wqsc.protocol._rule_tables`), built once per process.
 Each scheme has one builder (:func:`_present_tree`, :func:`_cao_tree`)

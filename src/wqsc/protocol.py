@@ -20,7 +20,7 @@ pairs, map the sender's label to a key bit (``psi+`` -> 0, ``phi+/-`` ->
 1) and the receiver's to the complementary map, then demonstrate
 one-time-pad transfer of a message bit through the announced ciphertext.
 
-Each rule is one table (:func:`_rule_tables`), indexed by the kernel
+Each rule is one table (:func:`_rule_tables`), indexed by the outcome
 indices of the outcomes it reads (:func:`~wqsc.qstate.outcome_at` gives
 their labels), with -1 at the outcomes that no modelled round reaches.
 A round itself is played only as a branch tree in :mod:`wqsc.harness`,

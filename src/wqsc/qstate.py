@@ -4,22 +4,28 @@ Representation: a state of ``n`` qubits is a normalized
 complex128 numpy array of length ``2**n``; its length gives its qubit
 count. Qubits are numbered 1..n and qubit 1 is the MOST significant bit of
 the basis-state index, so kets read left-to-right: ``|100>`` on three
-qubits is index 4. No function here writes into an array it is given.
+qubits is index 4. Internally qubit ``q`` is *bit position* ``n - q``, the
+weight-``2**(n - q)`` bit of the index. No function here writes into an
+array it is given; each returns new arrays.
 
 Everything works on a *stack*, a ``(rows, 2**n)`` array of states, one
 per row (a flat array is one state): the gates are the ``*_rows``
 functions, :func:`measurement_rows` gives every row's exact outcome
 probabilities (zero-probability outcomes included) and collapses rows on
 demand, and :func:`branch_rows` gives the nonzero-probability branches.
-The branch trees of ``harness`` measure a whole level with one such call
-and sample rounds by walking the finished trees, so this module draws no
-random numbers.
+Each is plain numpy, one stacked call for all rows, and a row of a stack
+goes through the same arithmetic, in the same order, as the row passed
+alone, so stacked and one-row calls agree bit for bit. The branch trees
+of ``harness`` measure a whole level with one such call and sample
+rounds by walking the finished trees, so this module draws no random
+numbers.
 
 Measurements are supported in the computational (Z) basis, the Hadamard
 (X) basis with outcomes encoded as bits (0 for ``|+>``, 1 for ``|->``),
-and the Bell basis on an ordered qubit pair. Bell measurement is done by
-direct projection onto the four Bell states, which keeps branch
-probabilities exact.
+and the Bell basis on an ordered qubit pair. A basis's outcomes are
+numbered by *outcome index* (:func:`outcome_at` gives their labels).
+Bell measurement is done by direct projection onto the four Bell states,
+which keeps branch probabilities exact.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import _kernels
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidBasis, NonUnitaryGate
 
 # tolerance for exact algebra (all amplitudes are small rationals over
@@ -88,13 +93,17 @@ class BellLabel(str, Enum):
     PHI_MINUS = "phi-"
 
 
-# kernel outcome order; the component table itself lives in _kernels
+# the Bell outcome indices 0..3; each Bell state is two basis components
+# of the pair weighted 1/sqrt(2): the pair bits (2 * bit_a + bit_b) of
+# each component, and its sign
 BELL_ORDER = (
     BellLabel.PSI_PLUS,
     BellLabel.PSI_MINUS,
     BellLabel.PHI_PLUS,
     BellLabel.PHI_MINUS,
 )
+_BELL_COMPONENTS = np.array([[2, 1], [2, 1], [0, 3], [0, 3]])
+_BELL_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -141,7 +150,7 @@ class _BasisTables(NamedTuple):
 
     outcomes: np.ndarray  # Z/X: the outcome of every basis state
     order: np.ndarray  # Z/X: the basis states, grouped by outcome
-    labels: tuple[Outcome, ...]  # the Outcome of every kernel index
+    labels: tuple[Outcome, ...]  # the Outcome of every outcome index
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +166,11 @@ def _basis_tables(basis: MeasurementBasis, num_qubits: int) -> _BasisTables:
     for q in basis.qubits:
         if not 1 <= q <= num_qubits:
             raise IndexOutOfRange(f"qubit {q} outside 1..{num_qubits}")
-    outcomes = _kernels.outcome_index(1 << num_qubits, [num_qubits - q for q in basis.qubits])
+    # the measured qubits' bits of every basis state, read MSB-first
+    idx = np.arange(1 << num_qubits)
+    outcomes = np.zeros(1 << num_qubits, dtype=np.int64)
+    for q in basis.qubits:
+        outcomes = (outcomes << 1) | ((idx >> (num_qubits - q)) & 1)
     order = np.argsort(outcomes, kind="stable")
     outcomes.setflags(write=False)
     order.setflags(write=False)
@@ -172,7 +185,7 @@ def _pair_rest_indices(num_qubits: int, qa: int, qb: int) -> np.ndarray:
 
 
 def outcome_at(basis: MeasurementBasis, i: int) -> Outcome:
-    """The outcome with kernel index ``i`` of a basis."""
+    """The outcome with outcome index ``i`` of a basis."""
     if basis.kind is BasisKind.BELL:
         return Outcome(BasisKind.BELL, BELL_ORDER[i].value)
     return Outcome(basis.kind, format(i, f"0{len(basis.qubits)}b"))
@@ -181,11 +194,8 @@ def outcome_at(basis: MeasurementBasis, i: int) -> Outcome:
 # ---------------------------------------------------------------------------
 # stacks
 #
-# A stack is a ``(rows, 2**n)`` amplitude array that holds one n-qubit
-# state per row. Each stack operation is one kernel call per step for all
-# rows, and a row gets bit-identical results whether it is a one-row
-# stack or a row of a larger stack. Measurements check their basis
-# (``_basis_tables``), gates their qubit numbers (``_qubit_count``).
+# Measurements check their basis (``_basis_tables``), gates their qubit
+# numbers (``_qubit_count``).
 
 
 def _qubit_count(amps: np.ndarray, *qubits: int) -> int:
@@ -205,13 +215,22 @@ def tensor_rows(amps: np.ndarray, other: np.ndarray) -> np.ndarray:
 
 def apply_1q_rows(amps: np.ndarray, qubit: int, gate: Gate1Q) -> np.ndarray:
     """``gate`` applied to ``qubit`` of every row."""
-    return _kernels.apply_gate_1q(amps, _qubit_count(amps, qubit) - qubit, gate.entries)
+    # axis -2 of the view is the qubit's bit; row r of the gate makes the
+    # amplitudes with that bit set to r
+    pos = _qubit_count(amps, qubit) - qubit
+    pairs = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << pos))
+    g = gate.entries
+    out = g[:, 0, None] * pairs[..., 0:1, :] + g[:, 1, None] * pairs[..., 1:2, :]
+    return out.reshape(amps.shape)
 
 
 def apply_cnot_rows(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     """A CNOT applied to every row."""
     n = _qubit_count(amps, control, target)
-    return _kernels.apply_cnot(amps, n - control, n - target)
+    cbit, tbit = 1 << (n - control), 1 << (n - target)
+    # a permutation of at most 2**8 indices, cheaper as a list than as
+    # the handful of array operations it would take
+    return amps[..., [i ^ tbit if i & cbit else i for i in range(amps.shape[-1])]]
 
 
 def _rotate_measured(amps: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
@@ -221,10 +240,44 @@ def _rotate_measured(amps: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
     return amps
 
 
+def _bell_probabilities(amps: np.ndarray, pair_idx: np.ndarray) -> np.ndarray:
+    """Probabilities of the four Bell outcomes on the pair that
+    ``pair_idx`` (:func:`_pair_rest_indices`) indexes, shape ``(..., 4)``."""
+    pairs = amps[..., pair_idx]
+    # (a10, a00) and (a01, a11): their sums are psi+ and phi+, their
+    # differences psi- and phi-, so c[..., i, j] is Bell state 2i + j
+    first, second = pairs[..., ::-1, 0, :], pairs[..., :, 1, :]
+    c = np.empty(pairs.shape, dtype=amps.dtype)
+    np.add(first, second, out=c[..., 0, :])
+    np.subtract(first, second, out=c[..., 1, :])
+    sums = np.add.reduce(c.real ** 2 + c.imag ** 2, axis=-1)
+    return 0.5 * sums.reshape(amps.shape[:-1] + (4,))
+
+
+def _bell_collapse(amps: np.ndarray, pair_idx: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Every row projected onto its Bell state ``which`` (one per row) of
+    the indexed pair and renormalized."""
+    flat = amps.reshape(-1, amps.shape[-1])
+    which = np.reshape(which, -1)
+    # (row, component, rest): flat indices of both components of each row
+    rows = np.arange(len(flat))[:, None, None]
+    where = pair_idx.reshape(4, -1)[_BELL_COMPONENTS[which]]
+    signs = _BELL_SIGNS[which][..., None]
+    parts = flat[rows, where]
+    s1, s2 = signs[:, 0], signs[:, 1]
+    overlap = (s1 * parts[:, 0] + s2 * parts[:, 1]) * _SQRT2_INV
+    norm2 = np.add.reduce(overlap.real ** 2 + overlap.imag ** 2, axis=-1, keepdims=True)
+    scale = _SQRT2_INV / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
+    out = np.zeros(flat.shape, dtype=flat.dtype)
+    out[rows, where] = signs * overlap[:, None] * scale[:, None]
+    return out.reshape(amps.shape)
+
+
 def measurement_rows(amps: np.ndarray, basis: MeasurementBasis):
     """Measuring every row of a stack: the ``(rows, outcomes)`` array of
     outcome probabilities, and ``collapse(rows, outcomes)``, the stack of
-    the states of row ``rows[i]`` after outcome ``outcomes[i]``.
+    the states of row ``rows[i]`` after outcome ``outcomes[i]``, projected
+    and renormalized (a row of zero norm stays zero).
 
     The probabilities are computed once, however many rows are collapsed.
     """
@@ -234,16 +287,23 @@ def measurement_rows(amps: np.ndarray, basis: MeasurementBasis):
         idx = _pair_rest_indices(n, *basis.qubits)
 
         def collapse(rows: np.ndarray, which: np.ndarray) -> np.ndarray:
-            return _kernels.bell_collapse(amps[rows], idx, which)
+            return _bell_collapse(amps[rows], idx, which)
 
-        return _kernels.bell_probabilities(amps, idx), collapse
+        return _bell_probabilities(amps, idx), collapse
     work = amps if basis.kind is BasisKind.Z else _rotate_measured(amps, basis)
 
     def collapse(rows: np.ndarray, which: np.ndarray) -> np.ndarray:
-        out = _kernels.collapse_z(work[rows], tables.outcomes, which)
+        out = np.where(tables.outcomes == which[..., None], work[rows], 0.0 + 0.0j)
+        norm2 = np.add.reduce(out.real ** 2 + out.imag ** 2, axis=-1, keepdims=True)
+        out = out / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
         return out if basis.kind is BasisKind.Z else _rotate_measured(out, basis)
 
-    return _kernels.z_probabilities(work, tables.order, len(tables.labels)), collapse
+    # ``order`` lists the basis states outcome by outcome, and a running
+    # sum adds an outcome's weights one by one in index order, as a
+    # per-outcome bincount does, so each sum has the same bits
+    weights = work.real ** 2 + work.imag ** 2
+    grouped = weights.take(tables.order, axis=-1).reshape(work.shape[:-1] + (len(tables.labels), -1))
+    return np.add.accumulate(grouped, axis=-1)[..., -1], collapse
 
 
 class Branches(NamedTuple):

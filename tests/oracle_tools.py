@@ -2,7 +2,7 @@
 
 The dense-matrix helpers are deliberately built the slow way (full
 2^n x 2^n operators via kron chains, explicit projectors) and share no
-code with the package's kernels, so agreement between the two routes is
+code with the package's stacked calls, so agreement between the two routes is
 meaningful. Qubit 1 is the most significant index bit, matching the
 package convention.
 

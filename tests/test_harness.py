@@ -24,7 +24,7 @@ from oracle_tools import (
     scalar_round_outcomes,
 )
 from philox_ref import draw_words, mode_word
-from wqsc import _kernels, errors, harness, protocol
+from wqsc import errors, harness, protocol
 from wqsc.attacks import AttackKind
 from wqsc.harness import (
     RunConfig,
@@ -61,9 +61,33 @@ VALID_CONFIGS = [
     for basis in ("random", "z", "x", "bell")
 ]
 
-# the most kernel calls that building one level of a branch tree may make
-# (a measurement in three bases, each rotated and collapsed, takes most)
-KERNEL_CALLS_PER_LEVEL = 6
+# the most stacked calls that building one level of a branch tree may
+# make, on average over a tree: a cao check tree of random basis makes the
+# most, 7 in 3 levels (the attack, which adds no level, then the basis
+# choice, and each party's measurement, one call per check basis)
+STACKED_CALLS_PER_LEVEL = 3
+
+# the bindings through which the tree builders make their stacked calls
+# (the gates and measurements inside an attack go through attack_rows)
+_STACKED_CALLS = (
+    (harness, "branch_rows"),
+    (harness, "apply_1q_rows"),
+    (harness, "attack_rows"),
+    (protocol, "measurement_rows"),
+)
+
+
+def _count_stacked_calls(monkeypatch, bindings=_STACKED_CALLS) -> list[str]:
+    """The names of the stacked calls made through ``bindings`` from now
+    on, in call order."""
+    calls = []
+    for module, name in bindings:
+        function = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, _f=function, _n=name: calls.append(_n) or _f(*a)
+        )
+    return calls
+
 
 # exact_analyze of every valid config, floats as float.hex, dicts as
 # ordered pairs, as the scheme-specific branch enumerators computed them
@@ -377,15 +401,9 @@ class TestConfigTrees:
     ):
         # after a config's first run and analysis, another run at another
         # seed and round count, and another analysis, read the trees that
-        # the first ones built: no kernel is called again, and the rule
+        # the first ones built: no stacked call is made again, and the rule
         # tables are not derived again from the w4 state's measurements
-        calls = []
-        for module, names in ((_kernels, _kernels.__all__), (protocol, ["measurement_rows"])):
-            for name in names:
-                function = getattr(module, name)
-                monkeypatch.setattr(
-                    module, name, lambda *a, _f=function, _n=name: calls.append(_n) or _f(*a)
-                )
+        calls = _count_stacked_calls(monkeypatch)
         harness._config_trees.cache_clear()
         _rule_tables.cache_clear()
         config = RunConfig(
@@ -394,7 +412,7 @@ class TestConfigTrees:
         )
         run_monte_carlo(config)
         expected = exact_analyze(scheme, attack, init, basis)
-        assert "measurement_rows" in calls and set(calls) & set(_kernels.__all__)
+        assert "measurement_rows" in calls and set(calls) - {"measurement_rows"}
         calls.clear()
         run_monte_carlo(replace(config, rounds=777, master_seed=4))
         assert exact_analyze(scheme, attack, init, basis) == expected
@@ -808,25 +826,19 @@ class TestTreeWalk:
         assert _run_counts(config) == whole
 
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
-    def test_tree_build_kernel_calls_bounded_per_level(
+    def test_tree_build_stacked_calls_bounded_per_level(
         self, monkeypatch, scheme, attack, init, basis
     ):
-        # a level's nodes are built by stacked calls, so the kernel calls
-        # grow with the levels of a tree, not with its nodes
-        calls = []
-        for name in _kernels.__all__:
-            kernel = getattr(_kernels, name)
-            monkeypatch.setattr(
-                _kernels, name, lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a)
-            )
+        # a level's nodes are built by stacked calls, so the stacked calls
+        # grow with the levels of a tree, not with its nodes. The rule
+        # tables' measurements are not counted: a process derives them once
+        calls = _count_stacked_calls(monkeypatch, _STACKED_CALLS[:3])
         config = RunConfig(
             scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
         )
         harness._config_trees.cache_clear()  # so that the trees are built here
         trees = _round_trees(config)
-        # outcome_index builds a basis's lookup table once (qstate caches it)
-        stacked = [name for name in calls if name != "outcome_index"]
-        assert 0 < len(stacked) <= KERNEL_CALLS_PER_LEVEL * sum(len(tree.levels) for tree in trees)
+        assert 0 < len(calls) <= STACKED_CALLS_PER_LEVEL * sum(len(tree.levels) for tree in trees)
 
     def test_seeded_stats_of_every_config_pinned(self):
         for case in MC_COUNTS:

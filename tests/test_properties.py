@@ -20,6 +20,7 @@ from wqsc.qstate import (
     nonzero_branches,
     outcome_at,
     phase_deviation,
+    tensor_rows,
     x_basis,
     z_basis,
 )
@@ -215,12 +216,28 @@ def test_stacked_measurement_equals_one_row(seed, n, m, data):
             assert np.array_equal(probs[row], measurement_rows(amps[None], basis)[0][0])
         per_row = [branch_rows(amps[None], basis) for amps in stack]
         _same_branches(branch_rows(stack, basis), per_row)
-    gate = random_gate(seed)
-    qubit = data.draw(st.integers(1, n))
-    assert np.array_equal(
-        apply_1q_rows(stack, qubit, gate),
-        [apply_1q_rows(amps[None], qubit, gate)[0] for amps in stack],
-    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 6), data=st.data()
+)
+def test_stacked_gates_equal_one_row(seed, n, m, data):
+    # each stacked gate gives every row the bits of a one-row call
+    stack = np.stack(sparse_states(seed, n, m))
+    gate, qubit = random_gate(seed), data.draw(st.integers(1, n))
+    other = sparse_states(seed ^ 0x5A5A, data.draw(st.integers(1, 2)), 1)[0]
+    operations = [
+        lambda amps: apply_1q_rows(amps, qubit, gate),
+        lambda amps: tensor_rows(amps, other),
+    ]
+    if n >= 2:
+        control, target = data.draw(st.permutations(range(1, n + 1)))[:2]
+        operations.append(lambda amps: apply_cnot_rows(amps, control, target))
+    for operation in operations:
+        stacked = operation(stack)
+        for row, amps in enumerate(stack):
+            assert np.array_equal(stacked[row], operation(amps[None])[0])
 
 
 # transit qubits each attack is given (no attack takes any number; one here)

@@ -132,7 +132,7 @@ class TestApplyCnot:
             apply_cnot_rows(build("phi1")[None], control, target)
 
 
-# outcome probabilities come in kernel order: bit strings in binary
+# outcome probabilities come in outcome-index order: bit strings in binary
 # order, Bell labels as psi+, psi-, phi+, phi-
 _ROW0 = np.zeros(1, dtype=np.int64)
 

@@ -1,5 +1,6 @@
 """The package's source itself: no private code that only tests reach, no
-import that nothing reads, and no error class that nothing raises."""
+private name that two modules define, no import that nothing reads, and
+no error class that nothing raises."""
 
 import ast
 from pathlib import Path
@@ -18,29 +19,59 @@ def _read_names(node: ast.AST) -> set[str]:
     }
 
 
-def test_every_private_definition_is_used_in_the_package():
-    # a private function or class that only tests call is a second path
-    # the program never takes, so the tests would check code that no run
-    # or analysis uses. Its own body (say, a recursive call) does not count
+def _defined_names(statement: ast.stmt) -> set[str]:
+    """The names a top-level statement defines: a function, a class or
+    the targets of an assignment."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = (
+        statement.targets if isinstance(statement, ast.Assign)
+        else [statement.target] if isinstance(statement, ast.AnnAssign) else []
+    )
+    return {node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)}
+
+
+def _private_definitions() -> tuple[list[tuple[str, str, int]], list[set[str]]]:
+    """Every private name a module defines at its top level, as (module,
+    name, index of the defining statement), and the names that each
+    top-level statement of every module reads, walked once per statement."""
     statements = [
         (path.stem, statement)
         for path in SOURCES
         for statement in ast.parse(path.read_text(), str(path)).body
     ]
     private = [
-        (module, statement)
-        for module, statement in statements
-        if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
-        and statement.name.startswith("_") and not statement.name.startswith("__")
+        (module, name, index)
+        for index, (module, statement) in enumerate(statements)
+        for name in sorted(_defined_names(statement))
+        if name.startswith("_") and not name.startswith("__")
     ]
-    assert private
+    return private, [_read_names(statement) for _, statement in statements]
+
+
+def test_every_private_definition_is_used_in_the_package():
+    # a private function, class or constant that only tests read is a
+    # second path the program never takes, so the tests would check code
+    # that no run or analysis uses. Its own statement (say, a recursive
+    # call) does not count
+    private, reads = _private_definitions()
+    assert any(name.isupper() for _, name, _ in private)  # constants too
     unused = [
-        f"{module}.{definition.name}"
-        for module, definition in private
-        if not any(definition.name in _read_names(statement)
-                   for _, statement in statements if statement is not definition)
+        f"{module}.{name}"
+        for module, name, index in private
+        if not any(name in read for at, read in enumerate(reads) if at != index)
     ]
     assert unused == []
+
+
+def test_no_private_name_is_defined_in_two_modules():
+    # two private definitions of one name state one thing twice, and
+    # nothing keeps the two copies equal
+    private, _ = _private_definitions()
+    modules = {}
+    for module, name, _ in private:
+        modules.setdefault(name, set()).add(module)
+    assert {name: sorted(found) for name, found in modules.items() if len(found) > 1} == {}
 
 
 def _all_names(tree: ast.Module) -> set[str]:
