@@ -54,15 +54,19 @@ ratio of two separate runs does not.
 The script then runs ``wqsc run --scheme cao --attack cao-ir-z --rounds
 10000000`` and ``--rounds 100000000``, and ``wqsc exact`` and ``wqsc run
 --rounds 2000`` once per (scheme, attack), as cold subprocesses on the
-same CPU, each once per version (the change first, then the parent), and
-records each one's wall seconds (not normalized) and its own peak RSS
-(``ru_maxrss`` of that process alone, from ``os.wait4`` in a small
-launcher process, so that it holds none of this script's memory): the
-1e7-round run as ``cold_run`` (and ``parent_cold_run``), the 1e8-round
-run, which shows that memory stays bounded at the largest round counts,
-as ``cold_long_run`` (and ``parent_cold_long_run``), the exact rows as
-``cold_exact`` (and ``parent_cold_exact``), the short runs as
-``cold_short_run`` (and ``parent_cold_short_run``).
+same CPU. Each of these rows runs ``COLD_REPEATS`` (5) times per version,
+the versions taking turns in an order that alternates from repeat to
+repeat, since one cold run on a shared host spreads more than most
+changes move it. Per row and version the report holds every run's wall
+seconds (not normalized) and its own peak RSS (``ru_maxrss`` of that
+process alone, from ``os.wait4`` in a small launcher process, so that it
+holds none of this script's memory), and the median and quartiles of
+both: the 1e7-round run as ``cold_run`` (and ``parent_cold_run``), the
+1e8-round run, which shows that memory stays bounded at the largest round
+counts, as ``cold_long_run`` (and ``parent_cold_long_run``), the exact
+rows as ``cold_exact`` (and ``parent_cold_exact``), the short runs as
+``cold_short_run`` (and ``parent_cold_short_run``); each key holds a
+list of rows.
 
 The result, with the machine's core count and the python and numpy versions,
 is written to ``benchmarks/BENCH_<label>.json``. ``--src`` measures the
@@ -86,8 +90,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROUNDS = 2000
 REPEATS = 31
+COLD_REPEATS = 5
 COLD_RUN = ("run", "--scheme", "cao", "--attack", "cao-ir-z", "--rounds", "10000000")
-COLD_LONG_RUN = (*COLD_RUN[:-1], "100000000")
 PAIRS = [
     (scheme, attack)
     for scheme, attacks in (("present", ("none", "ir-z", "ir-x", "cnot")),
@@ -95,6 +99,8 @@ PAIRS = [
     for attack in attacks
 ]
 COLD_ROWS = {
+    "cold_run": [COLD_RUN],
+    "cold_long_run": [(*COLD_RUN[:-1], "100000000")],
     "cold_exact": [("exact", "--scheme", scheme, "--attack", attack) for scheme, attack in PAIRS],
     "cold_short_run": [
         ("run", "--scheme", scheme, "--attack", attack, "--rounds", str(ROUNDS))
@@ -239,7 +245,7 @@ print(time.perf_counter() - start, os.waitstatus_to_exitcode(status), usage.ru_m
 
 
 def cold(src: Path, argv: tuple[str, ...]) -> dict:
-    """Wall seconds and peak RSS of one ``wqsc`` subprocess running
+    """Wall seconds and peak RSS (MB) of one ``wqsc`` subprocess running
     ``argv`` from the package in ``src``."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     launched = subprocess.run(
@@ -249,7 +255,26 @@ def cold(src: Path, argv: tuple[str, ...]) -> dict:
     wall, code, maxrss = launched.stdout.split()
     if int(code) != 0:
         raise SystemExit(f"wqsc {' '.join(argv)} failed with exit code {code}")
-    return {"argv": ["wqsc", *argv], "wall_s": float(wall), "peak_rss_mb": int(maxrss) / 1024}
+    return {"wall_s": float(wall), "peak_rss_mb": int(maxrss) / 1024}
+
+
+def cold_rows(srcs: list[Path], argv: tuple[str, ...]) -> list[dict]:
+    """Per package in ``srcs``, ``COLD_REPEATS`` :func:`cold` runs of
+    ``argv``, the packages taking turns in an order that alternates from
+    repeat to repeat: every run, and the median and quartiles of each
+    figure."""
+    runs = [[] for _ in srcs]
+    for repeat in range(COLD_REPEATS):
+        order = list(range(len(srcs)))
+        if repeat % 2:
+            order.reverse()
+        for v in order:
+            runs[v].append(cold(srcs[v], argv))
+    return [
+        {"argv": ["wqsc", *argv], "runs": rows,
+         **{key: _spread([row[key] for row in rows]) for key in ("wall_s", "peak_rss_mb")}}
+        for rows in runs
+    ]
 
 
 def _checkout(src: Path) -> dict:
@@ -318,15 +343,12 @@ def main(argv: list[str] | None = None) -> int:
             layer: _spread([a / b for a, b in zip(sums[0][layer], sums[1][layer])])
             for layer in LAYERS
         }
-    for key, argv in (("cold_run", COLD_RUN), ("cold_long_run", COLD_LONG_RUN)):
-        report[key] = cold(src, argv)
-        if parent:
-            report[f"parent_{key}"] = cold(parent, argv)
+    report["cold_repeats"] = COLD_REPEATS
     for key, rows in COLD_ROWS.items():
         for argv in rows:
-            for prefix, path in (("", src), ("parent_", parent)):
-                if path:
-                    report.setdefault(f"{prefix}{key}", []).append(cold(path, argv))
+            rows_by_version = cold_rows([path for path in (src, parent) if path], argv)
+            for prefix, row in zip(("", "parent_"), rows_by_version):
+                report.setdefault(f"{prefix}{key}", []).append(row)
 
     path = HERE / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
@@ -345,12 +367,12 @@ def main(argv: list[str] | None = None) -> int:
             f"{k} {r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}]"
             for k, r in report["totals_ratio"].items()
         ))
-    for name in ("cold_run", "cold_long_run", *COLD_ROWS):
+    for name in COLD_ROWS:
         for key in (name, f"parent_{name}"):
-            rows = report.get(key, [])
-            for row in rows if isinstance(rows, list) else [rows]:
-                print(f"{key} {' '.join(row['argv'])}: {row['wall_s']:.2f} s, "
-                      f"{row['peak_rss_mb']:.1f} MB")
+            for row in report.get(key, []):
+                wall, rss = row["wall_s"], row["peak_rss_mb"]
+                print(f"{key} {' '.join(row['argv'])}: {wall['median']:.2f} s "
+                      f"[{wall['q1']:.2f}, {wall['q3']:.2f}], {rss['median']:.1f} MB")
     print(f"wrote {path}")
     return 0
 

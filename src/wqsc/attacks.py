@@ -84,62 +84,43 @@ _KET0 = np.array([1.0, 0.0], dtype=np.complex128)
 
 def attack_rows(kind: AttackKind, amps: np.ndarray, transit_qubits: tuple[int, ...]):
     """Eve's attack ``kind`` on every row of a stack of states: the
-    ``(rows, outcomes)`` array of her outcome probabilities;
-    ``forward(rows, outcomes)``, the stack of the states she forwards from
-    row ``rows[i]`` after outcome ``outcomes[i]`` (``rows`` may be any
-    index of the stack, a slice too); and ``notes[i]``, her note after
-    outcome ``i`` (``[None]`` for no attack).
+    ``(rows, outcomes)`` array of her outcome probabilities; the
+    ``(rows, outcomes, 2**n)`` array of the states she forwards from each
+    row after each outcome (all zeros after an outcome of zero
+    probability; for no attack, a view of ``amps``); and ``notes[i]``,
+    her note after outcome ``i`` (``[None]`` for no attack).
 
     An attack with one outcome (no attack, the entangling probe) measures
     nothing, so a round draws nothing for it. The probe's forwarded states
     carry her ancilla as an extra, last qubit, which her note names.
     """
     if kind is AttackKind.NONE:
-        return np.ones((len(amps), 1)), lambda rows, _: amps[rows], [None]
+        return np.ones((len(amps), 1)), amps[:, None], [None]
 
     if kind is AttackKind.CNOT_ANCILLA:
         (q,) = transit_qubits
         ancilla = _qubit_count(amps) + 1
         probed = apply_cnot_rows(tensor_rows(amps, _KET0), q, ancilla)
-        note = EveNote(ancilla_qubit=ancilla)
-        return np.ones((len(amps), 1)), lambda rows, _: probed[rows], [note]
+        return np.ones((len(amps), 1)), probed[:, None], [EveNote(ancilla_qubit=ancilla)]
 
     if kind is AttackKind.CAO_INTERCEPT_RESEND_Z:
         # Z measurement of the transit pair, then forward |00> for outcome
-        # 00 and a fresh psi+ pair for a single-excitation outcome
+        # 00 and a fresh psi+ pair for a single-excitation outcome: the
+        # state after excited outcome i is the rest of the register times
+        # the pair's bits i, so the rest times psi+ replaces it (both unit)
         qa, qb = transit_qubits
-        probs, collapse = measurement_rows(amps, z_basis(qa, qb))
-
-        def forward(rows: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-            out = collapse(rows, outcomes)
-            excited = np.flatnonzero(outcomes != 0)
-            if len(excited):
-                out[excited] = _replace_pair(
-                    out[excited], qa, qb, outcomes[excited], build(StateLabel.BELL_PSI_PLUS)
-                )
-            return out
-
+        probs, states = measurement_rows(amps, z_basis(qa, qb))
+        pairs = _pair_rest_indices(_qubit_count(amps), qa, qb).reshape(4, -1)
+        fresh = build(StateLabel.BELL_PSI_PLUS)
+        for i in range(1, 4):
+            rest = states[:, i, pairs[i]]
+            for pair in range(4):
+                states[:, i, pairs[pair]] = rest * fresh[pair]
         notes = [EveNote(basis="z", observed=format(i, "02b")) for i in range(probs.shape[1])]
-        return probs, forward, notes
+        return probs, states, notes
 
     # ir-z, ir-x: measuring the transit qubit is the resend
     (q,) = transit_qubits
     basis = z_basis(q) if kind is AttackKind.INTERCEPT_RESEND_Z else x_basis(q)
-    probs, collapse = measurement_rows(amps, basis)
-    return probs, collapse, [EveNote(basis=basis.kind.value, observed=str(i)) for i in (0, 1)]
-
-
-def _replace_pair(
-    amps: np.ndarray, qa: int, qb: int, outcomes: np.ndarray, replacement: np.ndarray
-) -> np.ndarray:
-    """Swap the collapsed product pair (qa, qb) of every row, whose bits
-    are the row's two-bit Z outcome, for a fresh two-qubit state."""
-    idx = _pair_rest_indices(_qubit_count(amps), qa, qb)
-    rest_amps = amps[np.arange(len(amps))[:, None], idx[outcomes >> 1, outcomes & 1]]
-    out = np.zeros_like(amps)
-    for pa in (0, 1):
-        for pb in (0, 1):
-            out[..., idx[pa, pb]] = rest_amps * replacement[(pa << 1) | pb]
-    # rest_amps and replacement are each unit vectors, so out already is
-    return out
-
+    probs, states = measurement_rows(amps, basis)
+    return probs, states, [EveNote(basis=basis.kind.value, observed=str(i)) for i in (0, 1)]

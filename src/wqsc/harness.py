@@ -81,7 +81,6 @@ from .protocol import CHECK_BASES, _pair_basis, _rule_tables
 from .qstate import (
     FLIP,
     HADAMARD,
-    Branches,
     _basis_tables,
     apply_1q_rows,
     branch_rows,
@@ -279,10 +278,6 @@ def _walk(tables, roots: np.ndarray, words: np.ndarray) -> np.ndarray:
     return node
 
 
-_ZERO = np.zeros(1, dtype=np.intp)  # the code of a value that every node shares
-_ZERO.setflags(write=False)
-
-
 class _BranchTree:
     """Finite branch tree of one round, built one level at a time.
 
@@ -302,14 +297,13 @@ class _BranchTree:
     calls give a row the same outcome probabilities, ``ZERO_PROB`` pruning
     and collapse whether it is alone or one of many, so a walk reaches the
     leaf that a round played one state at a time on one-row stacks (the
-    test suite's oracle) reaches on the same draw row. A level's collapsed
-    states are computed only when a later operation reads them, so the
-    last measurement of a round collapses nothing.
+    test suite's oracle) reaches on the same draw row.
 
     A node's classical values are integer codes per key: a level's
-    outcome indices, a value every node shares (at the root), or a value
-    computed at some depth. :meth:`column` gathers a key's codes down the
-    levels' ``parent`` arrays, and :meth:`values` decodes them.
+    outcome indices, a value every node shares, or a value computed from
+    other keys. Each key's codes are kept for the deepest level's nodes,
+    so every new level re-indexes them by its ``parent`` array;
+    :meth:`column` reads them, and :meth:`values` decodes them.
     ``masses[i]`` is the probability of the path to node (finally leaf)
     ``i``: the product of its branch probabilities, root first.
 
@@ -322,28 +316,18 @@ class _BranchTree:
         self.levels: list[_Level] = []
         self.masses = np.ones(1)
         self.leaf_columns: tuple[np.ndarray, ...] = ()
-        # key -> (depth, codes, labels, by): node i at depth ``depth`` (0:
-        # the root) has labels[codes[i]], or labels[g][codes[i]], g its code of ``by``
+        # key -> (codes, labels, by): the deepest level's node i has
+        # labels[codes[i]], or labels[g][codes[i]], g its code of ``by``
         self._columns: dict[str, tuple] = {}
-        self._states = None  # the stack, or a function that computes it
-
-    @property
-    def states(self) -> np.ndarray:
-        """The ``(nodes, 2**n)`` stack of the deepest level's states."""
-        if callable(self._states):
-            self._states = self._states()
-        return self._states
+        self.states = None  # the (nodes, 2**n) stack of the deepest level's states
 
     def column(self, key: str) -> np.ndarray:
         """The codes of ``key`` at the deepest level's nodes."""
-        depth, codes = self._columns[key][:2]
-        for level in self.levels[depth:]:
-            codes = codes[level.parent]
-        return codes
+        return self._columns[key][0]
 
     def values(self, key: str) -> list:
         """The values of ``key`` at the deepest level's nodes."""
-        _, _, labels, by = self._columns[key]
+        _, labels, by = self._columns[key]
         codes = self.column(key).tolist()
         if by:
             return [labels[group][code] for group, code in zip(self.column(by).tolist(), codes)]
@@ -351,17 +335,18 @@ class _BranchTree:
 
     def assign(self, key: str, codes: np.ndarray, labels: tuple) -> None:
         """Give the deepest level's node ``i`` the value ``labels[codes[i]]``."""
-        codes.setflags(False)  # write=False, which numpy parses more slowly
-        self._columns[key] = (len(self.levels), codes, labels, None)
+        self._columns[key] = (codes, labels, None)
 
     def _grow(self, key, parent, outcome, prob, states, labels, by=None) -> None:
         """Add a level: child ``i`` is outcome ``outcome[i]`` of ``parent[i]``."""
-        for array in (parent, outcome, prob):
-            array.setflags(False)
+        for array in (parent, prob):
+            array.setflags(False)  # write=False, which numpy parses more slowly
         self.levels.append(_Level(len(self.masses), parent, prob))
         self.masses = self.masses[parent] * prob
-        self._states = states
-        self._columns[key] = (len(self.levels), outcome, labels, by)
+        self.states = states
+        for name, (codes, *rest) in self._columns.items():
+            self._columns[name] = (codes[parent], *rest)
+        self._columns[key] = (outcome, labels, by)
 
     def choose(self, key: str, values: tuple, policy="random") -> None:
         """``key`` is ``policy`` if that is one of ``values``; else a fair
@@ -369,19 +354,17 @@ class _BranchTree:
         ``1 / len(values)``. By the Born rule a coin picks ``values[0]``
         iff ``u < 0.5``, and a choice of three ``values[int(u * 3) % 3]``."""
         if policy in values:
-            codes = np.array([values.index(policy)])
-            codes.setflags(False)
-            self._columns[key] = (0, codes, values, None)
+            self.assign(key, np.full(len(self.masses), values.index(policy)), values)
             return
         parent = np.arange(len(self.masses)).repeat(len(values))
-        states = None if self._states is None else self.states[parent]
+        states = None if self.states is None else self.states[parent]
         prob = np.full(len(parent), 1.0 / len(values))
         self._grow(key, parent, np.arange(len(parent)) % len(values), prob, states, values)
 
     def prepare(self, states: list, by: str | None = None) -> None:
         """Give each node the state ``states[g]``, ``g`` its code of ``by``
         (0 without ``by``)."""
-        self._states = np.asarray(states)[self.column(by) if by else _ZERO.repeat(len(self.masses))]
+        self.states = np.asarray(states)[self.column(by) if by else np.zeros(len(self.masses), int)]
 
     def gate(self, qubit: int, gate, where: np.ndarray) -> None:
         """Apply ``gate`` to ``qubit`` of every node where ``where`` holds."""
@@ -396,28 +379,26 @@ class _BranchTree:
         ``by`` (0 without ``by``), one stacked call per distinct basis."""
         num_qubits = self.states.shape[1].bit_length() - 1
         labels = tuple(_basis_tables(basis, num_qubits).labels for basis in bases)
-        which = self.column(by) if by else _ZERO.repeat(len(self.masses))
+        which = self.column(by) if by else np.zeros(len(self.masses), int)
         groups = np.bincount(which).nonzero()[0].tolist()
         rows = [(which == group).nonzero()[0] for group in groups]
         parts = [branch_rows(self.states[at], bases[g]) for at, g in zip(rows, groups)]
         parent = np.concatenate([at[part.parent] for at, part in zip(rows, parts)])
-        outcome = np.concatenate([part.outcome for part in parts])
+        outcome, prob, states = map(np.concatenate, list(zip(*parts))[1:])
         order = np.lexsort((outcome, parent))  # (node, outcome) order
-        prob = np.concatenate([part.prob for part in parts])
-        found = Branches(parent[order], outcome[order], prob[order],
-                         lambda: np.concatenate([part.states() for part in parts])[order])
+        found = (array[order] for array in (parent, outcome, prob, states))
         self._grow(key, *found, labels if by else labels[0], by)
 
     def attack(self, kind: AttackKind, transit: tuple[int, ...]) -> None:
         """Eve's attack ``kind`` on the qubits ``transit``, her note under
         ``note``. One with a single outcome adds no level: each node
-        forwards its whole row, under the one note at the root."""
-        probs, forward, notes = attack_rows(kind, self.states, transit)
+        forwards its whole row, and every node holds the one note."""
+        probs, states, notes = attack_rows(kind, self.states, transit)
         if len(notes) > 1:
-            self._grow("note", *nonzero_branches(probs, forward), notes)
+            self._grow("note", *nonzero_branches(probs, states), notes)
             return
-        self._states = forward(slice(None), _ZERO)
-        self._columns["note"] = (0, _ZERO, notes, None)
+        self.states = states[:, 0]
+        self.assign("note", np.zeros(len(self.masses), int), notes)
 
     def guess(self, view: tuple[str, ...]) -> np.ndarray:
         """Eve's guess at each node of a message tree: the message bit of
@@ -426,7 +407,7 @@ class _BranchTree:
         where the two masses tie."""
         seen, views = 0, 1
         for key in view:
-            radix = len(self._columns[key][2])
+            radix = len(self._columns[key][1])
             seen, views = seen * radix + self.column(key), views * radix
         # bincount adds each view's masses in node order, one by one
         m0, m1 = np.bincount(2 * seen + self.column("bit"), self.masses, 2 * views).reshape(-1, 2).T
@@ -436,12 +417,13 @@ class _BranchTree:
     def finish(self, message_bit=None, check_pass=None, recovered_bit=None, eve_guess=None):
         """Set the leaves' outcome columns, -1 for a field that the round's
         mode lacks (or where Eve abstains), drop the states, and make the
-        masses and those columns read-only, as the levels and codes are."""
+        masses, the codes and those columns read-only, as the levels are."""
         absent = np.full(len(self.masses), -1)
         columns = (message_bit, check_pass, recovered_bit, eve_guess)
         self.leaf_columns = tuple(absent if column is None else column for column in columns)
-        self._states = None
-        for array in (self.masses, *self.leaf_columns):
+        self.states = None
+        codes = [entry[0] for entry in self._columns.values()]
+        for array in (self.masses, *self.leaf_columns, *codes):
             array.setflags(False)
         return self
 

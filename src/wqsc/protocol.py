@@ -66,9 +66,8 @@ def _check_error(basis: str) -> np.ndarray:
     joint outcome at most ``ZERO_PROB``, else 0. The sender's pair is
     measured first, and each of its outcomes collapsed, one of zero
     probability to a zero state."""
-    probs, collapse = measurement_rows(build(StateLabel.W4)[None], _pair_basis(basis, 1, 2))
-    after = collapse(np.zeros(4, dtype=np.intp), np.arange(4))
-    joint = probs.T * measurement_rows(after, _pair_basis(basis, 3, 4))[0]
+    probs, after = measurement_rows(build(StateLabel.W4)[None], _pair_basis(basis, 1, 2))
+    joint = probs.T * measurement_rows(after[0], _pair_basis(basis, 3, 4))[0]
     return (joint <= ZERO_PROB).astype(np.int64)
 
 

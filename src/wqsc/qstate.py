@@ -9,10 +9,12 @@ weight-``2**(n - q)`` bit of the index. No function here writes into an
 array it is given; each returns new arrays.
 
 Everything works on a *stack*, a ``(rows, 2**n)`` array of states, one
-per row (a flat array is one state): the gates are the ``*_rows``
-functions, :func:`measurement_rows` gives every row's exact outcome
-probabilities (zero-probability outcomes included) and collapses rows on
-demand, and :func:`branch_rows` gives the nonzero-probability branches.
+per row (the gates and :func:`measurement_rows` also take a flat array
+as one state; :func:`branch_rows` takes stacks only): the gates are the
+``*_rows`` functions, :func:`measurement_rows` gives every row's exact
+outcome probabilities and its state after every outcome (zero-probability
+outcomes included), and :func:`branch_rows` keeps the nonzero-probability
+branches.
 Each is plain numpy, one stacked call for all rows, and a row of a stack
 goes through the same arithmetic, in the same order, as the row passed
 alone, so stacked and one-row calls agree bit for bit. The branch trees
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,7 +158,7 @@ class _BasisTables(NamedTuple):
 @lru_cache(maxsize=None)
 def _basis_tables(basis: MeasurementBasis, num_qubits: int) -> _BasisTables:
     """Validated tables of a basis (for a Bell basis, only its labels),
-    cached since the same few bases are measured millions of times."""
+    cached since the same few bases are measured in every tree build."""
     if len(set(basis.qubits)) != len(basis.qubits):
         raise InvalidBasis(f"duplicate qubit in {basis.qubits}")
     if basis.kind is BasisKind.BELL and len(basis.qubits) != 2:
@@ -254,76 +256,64 @@ def _bell_probabilities(amps: np.ndarray, pair_idx: np.ndarray) -> np.ndarray:
     return 0.5 * sums.reshape(amps.shape[:-1] + (4,))
 
 
-def _bell_collapse(amps: np.ndarray, pair_idx: np.ndarray, which: np.ndarray) -> np.ndarray:
-    """Every row projected onto its Bell state ``which`` (one per row) of
-    the indexed pair and renormalized."""
-    flat = amps.reshape(-1, amps.shape[-1])
-    which = np.reshape(which, -1)
-    # (row, component, rest): flat indices of both components of each row
-    rows = np.arange(len(flat))[:, None, None]
-    where = pair_idx.reshape(4, -1)[_BELL_COMPONENTS[which]]
-    signs = _BELL_SIGNS[which][..., None]
-    parts = flat[rows, where]
+def _bell_collapse(amps: np.ndarray, pair_idx: np.ndarray) -> np.ndarray:
+    """Every row projected onto each of the four Bell states of the
+    indexed pair and renormalized, shape ``(..., 4, 2**n)``."""
+    # (outcome, component, rest): the flat indices of each Bell state's components
+    where = pair_idx.reshape(4, -1)[_BELL_COMPONENTS]
+    signs = _BELL_SIGNS[..., None]
+    parts = amps[..., where]
     s1, s2 = signs[:, 0], signs[:, 1]
-    overlap = (s1 * parts[:, 0] + s2 * parts[:, 1]) * _SQRT2_INV
+    overlap = (s1 * parts[..., 0, :] + s2 * parts[..., 1, :]) * _SQRT2_INV
     norm2 = np.add.reduce(overlap.real ** 2 + overlap.imag ** 2, axis=-1, keepdims=True)
     scale = _SQRT2_INV / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
-    out = np.zeros(flat.shape, dtype=flat.dtype)
-    out[rows, where] = signs * overlap[:, None] * scale[:, None]
-    return out.reshape(amps.shape)
+    out = np.zeros(amps.shape[:-1] + (4, amps.shape[-1]), dtype=amps.dtype)
+    collapsed = signs * overlap[..., None, :] * scale[..., None, :]
+    out[..., np.arange(4)[:, None, None], where] = collapsed
+    return out
 
 
-def measurement_rows(amps: np.ndarray, basis: MeasurementBasis):
+def measurement_rows(amps: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
     """Measuring every row of a stack: the ``(rows, outcomes)`` array of
-    outcome probabilities, and ``collapse(rows, outcomes)``, the stack of
-    the states of row ``rows[i]`` after outcome ``outcomes[i]``, projected
-    and renormalized (a row of zero norm stays zero).
-
-    The probabilities are computed once, however many rows are collapsed.
-    """
+    outcome probabilities, and the ``(rows, outcomes, 2**n)`` array of
+    each row's state after each outcome, projected and renormalized (all
+    zeros after an outcome of zero probability)."""
     n = _qubit_count(amps)
     tables = _basis_tables(basis, n)
     if basis.kind is BasisKind.BELL:
         idx = _pair_rest_indices(n, *basis.qubits)
-
-        def collapse(rows: np.ndarray, which: np.ndarray) -> np.ndarray:
-            return _bell_collapse(amps[rows], idx, which)
-
-        return _bell_probabilities(amps, idx), collapse
+        return _bell_probabilities(amps, idx), _bell_collapse(amps, idx)
     work = amps if basis.kind is BasisKind.Z else _rotate_measured(amps, basis)
-
-    def collapse(rows: np.ndarray, which: np.ndarray) -> np.ndarray:
-        out = np.where(tables.outcomes == which[..., None], work[rows], 0.0 + 0.0j)
-        norm2 = np.add.reduce(out.real ** 2 + out.imag ** 2, axis=-1, keepdims=True)
-        out = out / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
-        return out if basis.kind is BasisKind.Z else _rotate_measured(out, basis)
-
     # ``order`` lists the basis states outcome by outcome, and a running
     # sum adds an outcome's weights one by one in index order, as a
     # per-outcome bincount does, so each sum has the same bits
     weights = work.real ** 2 + work.imag ** 2
     grouped = weights.take(tables.order, axis=-1).reshape(work.shape[:-1] + (len(tables.labels), -1))
-    return np.add.accumulate(grouped, axis=-1)[..., -1], collapse
+    outcomes = np.arange(len(tables.labels))[:, None]
+    out = np.where(tables.outcomes == outcomes, work[..., None, :], 0.0 + 0.0j)
+    norm2 = np.add.reduce(out.real ** 2 + out.imag ** 2, axis=-1, keepdims=True)
+    out = out / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
+    states = out if basis.kind is BasisKind.Z else _rotate_measured(out, basis)
+    return np.add.accumulate(grouped, axis=-1)[..., -1], states
 
 
 class Branches(NamedTuple):
     """The nonzero-probability branches of every row of a stack, in
     (row, outcome) order: branch ``i`` is outcome ``outcome[i]`` of row
-    ``parent[i]``, of probability ``prob[i]``. ``states()`` computes the
-    stack of the branches' states; nothing is collapsed until it is
-    called."""
+    ``parent[i]``, of probability ``prob[i]``, and leaves the state
+    ``states[i]``."""
 
     parent: np.ndarray
     outcome: np.ndarray
     prob: np.ndarray
-    states: Callable[[], np.ndarray]
+    states: np.ndarray
 
 
-def nonzero_branches(probs: np.ndarray, collapse) -> Branches:
+def nonzero_branches(probs: np.ndarray, states: np.ndarray) -> Branches:
     """The branches of a ``measurement_rows`` result whose probability
     exceeds ``ZERO_PROB``."""
     parent, outcome = (probs > ZERO_PROB).nonzero()
-    return Branches(parent, outcome, probs[parent, outcome], lambda: collapse(parent, outcome))
+    return Branches(parent, outcome, probs[parent, outcome], states[parent, outcome])
 
 
 def branch_rows(amps: np.ndarray, basis: MeasurementBasis) -> Branches:

@@ -228,8 +228,6 @@ class RoundStream:
         return float(value)
 
 
-_ROW0 = np.zeros(1, dtype=np.int64)
-
 
 def sample_index(probs: np.ndarray, u: float) -> int:
     """Index drawn from ``probs`` by ``u``: the first index whose running
@@ -274,11 +272,10 @@ def leaf_values(tree) -> list[Leaf]:
 
 def sample_measurement(state, basis, rng):
     """One sampled outcome of measuring ``state`` in ``basis``: the
-    outcome, and a function that returns the collapsed state, so that a
-    measurement whose state is never read collapses nothing."""
-    probs, collapse = measurement_rows(state[None], basis)
+    outcome, and the state collapsed by it."""
+    probs, states = measurement_rows(state[None], basis)
     i = sample_index(probs[0], float(rng.random()))
-    return outcome_at(basis, i), lambda: collapse(_ROW0, np.array([i]))[0]
+    return outcome_at(basis, i), states[0, i]
 
 
 # the attacks that measure the transit qubits, so that a round spends one
@@ -296,9 +293,9 @@ def sample_attack(kind: AttackKind, state, transit_qubits: tuple[int, ...], rng)
     Eve's note. Only an attack that measures draws from ``rng``."""
     if kind is AttackKind.NONE:
         return state, None
-    probs, forward, notes = attack_rows(kind, state[None], transit_qubits)
+    probs, states, notes = attack_rows(kind, state[None], transit_qubits)
     i = sample_index(probs[0], float(rng.random())) if kind in MEASURING_ATTACKS else 0
-    return forward(_ROW0, np.array([i]))[0], notes[i]
+    return states[0, i], notes[i]
 
 
 def reference_guess(kind: AttackKind, note, initial=None, alice=None, ciphertext=None):
@@ -344,13 +341,13 @@ def present_round(kind: AttackKind, init_policy: str, bit: int | None, rng, seen
     if initial == "phi2":
         state = apply_1q_rows(state, 3, HADAMARD)
     alice, after = sample_measurement(state, z_basis(1, 2), rng)
-    bob, after = sample_measurement(after(), z_basis(3), rng)
+    bob, after = sample_measurement(after, z_basis(3), rng)
     seen.update(initial=initial, note=note, alice=alice, bob=bob)
     if bit is None:
         return (None, check_consistent(alice, bob), None, None)
     if note is not None and note.ancilla_qubit is not None:
         # Eve measures her ancilla only now, at guess time
-        ancilla, _ = sample_measurement(after(), z_basis(note.ancilla_qubit), rng)
+        ancilla, _ = sample_measurement(after, z_basis(note.ancilla_qubit), rng)
         note = replace(note, ancilla_outcome=int(ancilla.value))
         seen["note"] = note
     guess = reference_guess(kind, note, initial=initial, alice=alice)
@@ -369,11 +366,11 @@ def cao_round(kind: AttackKind, basis_policy: str, bit: int | None, rng, seen=No
         if basis == "random":
             basis = CHECK_BASES[int(rng.random() * 3.0) % 3]
         alice, after = sample_measurement(state, _pair_basis(basis, 1, 2), rng)
-        bob, _ = sample_measurement(after(), _pair_basis(basis, 3, 4), rng)
+        bob, _ = sample_measurement(after, _pair_basis(basis, 3, 4), rng)
         seen.update(basis=basis, note=note, alice=alice, bob=bob)
         return (None, not cao_check_error(basis, alice, bob), None, None)
     alice, after = sample_measurement(state, bell_basis(1, 2), rng)
-    bob, _ = sample_measurement(after(), bell_basis(3, 4), rng)
+    bob, _ = sample_measurement(after, bell_basis(3, 4), rng)
     seen.update(note=note, alice=alice, bob=bob)
     alice_key, bob_key = cao_keys(alice, bob)
     ciphertext = alice_key ^ bit

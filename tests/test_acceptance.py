@@ -71,8 +71,7 @@ def test_criterion_3_entangling_probe_rate_and_intermediate_state():
     result = exact_analyze("present", "cnot")
     rate_ok = abs(result.total_error_rate - 0.25) <= TOL
 
-    _, forward, _ = attack_rows(AttackKind.CNOT_ANCILLA, build("phi2")[None], (3,))
-    probed = forward(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))[0]
+    probed = attack_rows(AttackKind.CNOT_ANCILLA, build("phi2")[None], (3,))[1][0, 0]
     expected = (
         np.kron(ket("10") + ket("01"), ket("00") + ket("11"))
         + np.kron(ket("00"), ket("00") - ket("11"))

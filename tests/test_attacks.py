@@ -38,31 +38,29 @@ CNOT_PROBE = AttackKind.CNOT_ANCILLA
 CAO_IR = AttackKind.CAO_INTERCEPT_RESEND_Z
 
 
-_ROW0 = np.zeros(1, dtype=np.int64)
-
 
 def _attack_branches(kind, state, transit):
     """The nonzero-probability branches of ``kind`` on ``state``, and
     Eve's notes per outcome."""
-    probs, forward, notes = attack_rows(kind, state[None], transit)
-    return nonzero_branches(probs, forward), notes
+    probs, states, notes = attack_rows(kind, state[None], transit)
+    return nonzero_branches(probs, states), notes
 
 
 class TestBranches:
     def test_no_attack_transparent(self):
         state = build("phi1")
-        probs, forward, notes = attack_rows(NONE, state[None], (3,))
+        probs, states, notes = attack_rows(NONE, state[None], (3,))
         assert np.array_equal(probs, [[1.0]])
-        assert np.array_equal(forward(_ROW0, _ROW0), state[None])
+        assert np.array_equal(states, state[None, None])
         assert notes == [None]
         forwarded, note = sample_attack(NONE, state, (3,), FixedUniform(0.5))
         assert forwarded is state and note is None
 
     def test_ir_z_on_phi2(self):
-        probs, forward, notes = attack_rows(IR_Z, build("phi2")[None], (3,))
+        probs, states, notes = attack_rows(IR_Z, build("phi2")[None], (3,))
         assert probs[0] == pytest.approx([0.5, 0.5], abs=ATOL)
         assert [(note.basis, note.observed) for note in notes] == [("z", "0"), ("z", "1")]
-        forwarded = forward(np.zeros(2, dtype=np.int64), np.arange(2))
+        forwarded = states[0]
         expected0 = unit(np.kron(ket("10") + ket("01") + ket("00"), ket("0")))
         expected1 = unit(np.kron(ket("10") + ket("01") - ket("00"), ket("1")))
         assert max_dev_up_to_phase(forwarded[0], expected0) <= ATOL
@@ -75,16 +73,16 @@ class TestBranches:
         # forwarded states: psi+ x |00> after outcome 00, |00> x psi+ otherwise
         kept = unit(np.kron(ket("10") + ket("01"), ket("00")))
         swapped = unit(np.kron(ket("00"), ket("10") + ket("01")))
-        forwarded = found.states()
+        forwarded = found.states
         assert max_dev_up_to_phase(forwarded[0], kept) <= ATOL
         assert max_dev_up_to_phase(forwarded[1], swapped) <= ATOL
         assert max_dev_up_to_phase(forwarded[2], swapped) <= ATOL
 
     def test_probe_extends_register(self):
-        probs, forward, notes = attack_rows(CNOT_PROBE, build("phi2")[None], (3,))
+        probs, states, notes = attack_rows(CNOT_PROBE, build("phi2")[None], (3,))
         assert np.array_equal(probs, [[1.0]])
         assert [note.ancilla_qubit for note in notes] == [4]
-        probed = forward(_ROW0, _ROW0)[0]
+        probed = states[0, 0]
         expected = (
             np.kron(ket("10") + ket("01"), ket("00") + ket("11"))
             + np.kron(ket("00"), ket("00") - ket("11"))
@@ -129,7 +127,7 @@ class TestResendEquivalence:
     def test_branch_states_match_discard_and_replace(self, initial, kind, projector, fresh):
         state = build(initial)
         found, notes = _attack_branches(kind, state, (3,))
-        for i, forwarded, prob in zip(found.outcome, found.states(), found.prob):
+        for i, forwarded, prob in zip(found.outcome, found.states, found.prob):
             observed = notes[i].observed
             proj = projector(3, (3,), observed)
             dense_prob, collapsed = dense_project(state, proj)
@@ -144,7 +142,7 @@ class TestResendEquivalence:
     def test_sampling_agrees_with_enumeration(self):
         state = build("phi2")
         found, notes = _attack_branches(IR_Z, state, (3,))
-        for u, i, forwarded in zip((0.2, 0.9), found.outcome, found.states()):
+        for u, i, forwarded in zip((0.2, 0.9), found.outcome, found.states):
             sampled, note = sample_attack(IR_Z, state, (3,), FixedUniform(u))
             assert note == notes[i]
             assert np.array_equal(sampled, forwarded)
@@ -215,7 +213,7 @@ class TestEveGuess:
             assert leaf.eve_guess == leaf.message_bit
             seen.add((node["note"].observed, node["alice"].value, leaf.message_bit))
         attacked, notes = _attack_branches(CAO_IR, build("w4"), (3, 4))
-        alice = branch_rows(attacked.states(), bell_basis(1, 2))
+        alice = branch_rows(attacked.states, bell_basis(1, 2))
         alice_outcomes = {
             (notes[note].observed, outcome_at(bell_basis(1, 2), out).value)
             for note, out in zip(attacked.outcome[alice.parent].tolist(), alice.outcome.tolist())

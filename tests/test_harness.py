@@ -235,11 +235,11 @@ class TestExactAnalyze:
             for kind in (AttackKind.INTERCEPT_RESEND_Z, AttackKind.CNOT_ANCILLA):
                 amps = build(initial)[None]
                 attacked = nonzero_branches(*attack_rows(kind, amps, (3,))[:2])
-                decoded = attacked.states()
+                decoded = attacked.states
                 if initial == "phi2":
                     decoded = apply_1q_rows(decoded, 3, HADAMARD)
                 alice = branch_rows(decoded, z_basis(1, 2))
-                bob = branch_rows(alice.states(), z_basis(3))
+                bob = branch_rows(alice.states, z_basis(3))
                 masses = attacked.prob[alice.parent][bob.parent] * alice.prob[bob.parent] * bob.prob
                 assert math.fsum(masses) == pytest.approx(1.0, abs=ATOL)
 
@@ -385,11 +385,14 @@ def _bit0_branch(tree, depth: int):
         counts.append(count)
 
     def codes(key: str) -> np.ndarray:
-        at, codes = tree._columns[key][:2]
-        codes = codes[: counts[at]]
-        for _, parent, _ in levels[at - 1 :]:
-            codes = codes[parent]
-        return codes
+        # the tree keeps codes at its leaves; scattered back up through
+        # the deeper levels' parents (every measured node has a child),
+        # they are the codes of the subtree's deepest depth
+        codes = tree.column(key)
+        for level in reversed(tree.levels[depth + 1 :]):
+            codes, children = np.empty(level.nodes, codes.dtype), codes
+            codes[level.parent] = children
+        return codes[: counts[-1]]
 
     return levels, masses, codes
 
@@ -425,7 +428,7 @@ class TestConfigTrees:
         assert harness._config_trees(*key) is trees
         for tree in trees:
             levels = [array for level in tree.levels for array in (level.parent, level.prob)]
-            codes = [entry[1] for entry in tree._columns.values()]
+            codes = [entry[0] for entry in tree._columns.values()]
             for array in (tree.masses, *tree.leaf_columns, *levels, *codes):
                 with pytest.raises(ValueError):
                     array[...] = 0
@@ -479,7 +482,9 @@ class TestConfigTrees:
             scheme, AttackKind(attack), _policy(scheme, init, basis)
         )
         assert message.levels[0].prob.tolist() == [0.5, 0.5]  # the message bit
-        assert check._columns["bob"][0] == len(check.levels) > 0  # ends at Bob
+        # ends at Bob: his measurement is the last step that sets a key
+        # (``_columns`` keeps its keys in the order the build first set them)
+        assert len(check.levels) > 0 and list(check._columns)[-1] == "bob"
         levels, masses, codes = _bit0_branch(message, len(check.levels))
         assert len(levels) == len(check.levels)
         for level, (nodes, parent, prob) in zip(check.levels, levels):

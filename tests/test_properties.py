@@ -10,6 +10,7 @@ from wqsc.harness import _BranchTree, _walk, _walk_tables
 from wqsc.qstate import (
     ATOL,
     FLIP,
+    ZERO_PROB,
     Gate1Q,
     HADAMARD,
     apply_1q_rows,
@@ -52,7 +53,7 @@ def test_norm_preserved_by_all_operations(seed, n, data):
         assert np.linalg.norm(apply_cnot_rows(state, qubit, target)) == pytest.approx(
             1.0, abs=ATOL
         )
-    collapsed = branch_rows(state[None], z_basis(qubit)).states()
+    collapsed = branch_rows(state[None], z_basis(qubit)).states
     assert np.linalg.norm(collapsed, axis=1) == pytest.approx(1.0, abs=ATOL)
 
 
@@ -107,9 +108,9 @@ def test_measurement_branches_match_dense_projectors(seed, data):
     kind = data.draw(st.sampled_from(["z", "x"]))
     basis = z_basis(*qubits) if kind == "z" else x_basis(*qubits)
     projector_fn = z_projector if kind == "z" else x_projector
-    probs, collapse = measurement_rows(state[None], basis)
-    found = nonzero_branches(probs, collapse)
-    collapsed = dict(zip(found.outcome.tolist(), found.states()))
+    probs, states = measurement_rows(state[None], basis)
+    found = nonzero_branches(probs, states)
+    collapsed = dict(zip(found.outcome.tolist(), found.states))
     for i, prob in enumerate(probs[0]):
         dense_prob, dense_state = dense_project(
             state, projector_fn(n, qubits, outcome_at(basis, i).value)
@@ -131,7 +132,7 @@ def test_collapse_average_reconstructs_distribution(seed):
     amps = random_state(seed, 3)[None]
     before, _ = measurement_rows(amps, z_basis(1, 2))
     found = branch_rows(amps, z_basis(3))
-    after, _ = measurement_rows(found.states(), z_basis(1, 2))
+    after, _ = measurement_rows(found.states, z_basis(1, 2))
     assert found.prob @ after == pytest.approx(before[0], abs=ATOL)
 
 
@@ -196,7 +197,21 @@ def _same_branches(stacked, per_row) -> None:
         assert np.array_equal(
             getattr(stacked, field), np.concatenate([getattr(found, field) for found in per_row])
         )
-    assert np.array_equal(stacked.states(), np.concatenate([found.states() for found in per_row]))
+    assert np.array_equal(stacked.states, np.concatenate([found.states for found in per_row]))
+
+
+def _same_rows(stacked, per_row) -> None:
+    """A stacked ``(probs, states, ...)`` result equals the results of its
+    rows alone, bit for bit: the ``(rows, outcomes)`` probabilities and
+    the ``(rows, outcomes, 2**n)`` states of every outcome, pruned or not.
+    An outcome of probability at most ``ZERO_PROB`` leaves an all-zero,
+    finite state."""
+    probs, states = stacked[:2]
+    assert states.shape[:2] == probs.shape
+    for field, array in enumerate((probs, states)):
+        assert np.array_equal(array, np.concatenate([one[field] for one in per_row]))
+    pruned = states[probs <= ZERO_PROB]
+    assert np.isfinite(pruned).all() and not pruned.any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,9 +226,8 @@ def test_stacked_measurement_equals_one_row(seed, n, m, data):
         qa, qb = data.draw(st.permutations(range(1, n + 1)))[:2]
         bases.append(bell_basis(qa, qb))
     for basis in bases:
-        probs, _ = measurement_rows(stack, basis)
-        for row, amps in enumerate(stack):
-            assert np.array_equal(probs[row], measurement_rows(amps[None], basis)[0][0])
+        per_row = [measurement_rows(amps[None], basis) for amps in stack]
+        _same_rows(measurement_rows(stack, basis), per_row)
         per_row = [branch_rows(amps[None], basis) for amps in stack]
         _same_branches(branch_rows(stack, basis), per_row)
 
@@ -265,5 +279,7 @@ def test_stacked_attack_equals_one_row(seed, n, m, kind, data):
     transit = tuple(data.draw(st.permutations(range(1, n + 1)))[:arity])
     if kind is AttackKind.CAO_INTERCEPT_RESEND_Z:
         transit = tuple(sorted(transit))
-    per_row = [nonzero_branches(*attack_rows(kind, amps[None], transit)[:2]) for amps in stack]
-    _same_branches(nonzero_branches(*attack_rows(kind, stack, transit)[:2]), per_row)
+    per_row = [attack_rows(kind, amps[None], transit) for amps in stack]
+    stacked = attack_rows(kind, stack, transit)
+    _same_rows(stacked, per_row)
+    _same_branches(nonzero_branches(*stacked[:2]), [nonzero_branches(*one[:2]) for one in per_row])

@@ -96,7 +96,7 @@ class TestPresentRound:
 
         encoded = apply_1q_rows(build("phi1"), 3, FLIP)
         alice = branch_rows(encoded[None], z_basis(1, 2))
-        bob = branch_rows(alice.states(), z_basis(3))
+        bob = branch_rows(alice.states, z_basis(3))
         seen_00 = False
         for a, b in zip(alice.outcome[bob.parent].tolist(), bob.outcome.tolist()):
             alice_out, bob_out = outcome_at(z_basis(1, 2), a), outcome_at(z_basis(3), b)
@@ -123,7 +123,7 @@ class TestCaoRound:
         from wqsc.qstate import bell_basis
 
         alice = branch_rows(build("w4")[None], bell_basis(1, 2))
-        bob = branch_rows(alice.states(), bell_basis(3, 4))
+        bob = branch_rows(alice.states, bell_basis(3, 4))
         assert alice.prob[bob.parent] * bob.prob == pytest.approx([0.25] * 4, abs=ATOL)
         seen = {
             (outcome_at(bell_basis(1, 2), a).value, outcome_at(bell_basis(3, 4), b).value)

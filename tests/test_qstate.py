@@ -134,7 +134,6 @@ class TestApplyCnot:
 
 # outcome probabilities come in outcome-index order: bit strings in binary
 # order, Bell labels as psi+, psi-, phi+, phi-
-_ROW0 = np.zeros(1, dtype=np.int64)
 
 
 class TestDistribution:
@@ -175,25 +174,25 @@ class TestDistribution:
 class TestMeasure:
     def test_bell_eigenstate(self):
         psi_plus = build("psi+")
-        probs, collapse = measurement_rows(psi_plus[None], bell_basis(1, 2))
+        probs, states = measurement_rows(psi_plus[None], bell_basis(1, 2))
         assert probs[0] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=ATOL)
-        collapsed = collapse(_ROW0, np.array([0]))[0]
+        collapsed = states[0, 0]
         assert max_dev_up_to_phase(collapsed, psi_plus) <= ATOL
 
     def test_phi2_transit_zero_branch(self):
-        probs, collapse = measurement_rows(build("phi2")[None], z_basis(3))
+        probs, states = measurement_rows(build("phi2")[None], z_basis(3))
         assert probs[0, 0] == pytest.approx(0.5, abs=ATOL)
         expected = unit(np.kron(ket("10") + ket("01") + ket("00"), ket("0")))
-        collapsed = collapse(_ROW0, np.array([0]))[0]
+        collapsed = states[0, 0]
         assert max_dev_up_to_phase(collapsed, expected) <= ATOL
 
     def test_phi1_transit_plus_branch(self):
         # outcome 0 encodes |+>
-        probs, collapse = measurement_rows(build("phi1")[None], x_basis(3))
+        probs, states = measurement_rows(build("phi1")[None], x_basis(3))
         assert probs[0, 0] == pytest.approx(0.5, abs=ATOL)
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
         expected = unit(np.kron(ket("10") + ket("01") + ket("00"), plus))
-        collapsed = collapse(_ROW0, np.array([0]))[0]
+        collapsed = states[0, 0]
         assert max_dev_up_to_phase(collapsed, expected) <= ATOL
 
     def test_zero_probability_branch_unreachable(self):

@@ -1,6 +1,6 @@
 """The package's source itself: no private code that only tests reach, no
-private name that two modules define, no import that nothing reads, and
-no error class that nothing raises."""
+private name that two modules define, no import that nothing reads, no
+error class that nothing raises, and no function used as a value."""
 
 import ast
 from pathlib import Path
@@ -123,3 +123,35 @@ def test_every_error_class_is_raised():
         if isinstance(node, ast.Raise) and node.exc is not None
     ))
     assert classes and sorted(classes - raised) == []
+
+
+def _function_values(path: Path) -> list[str]:
+    """The lambdas of a module, and every function that some function of
+    it defines and then uses other than by calling it (returns it, passes
+    it along, stores it), as ``module:line name``."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = [
+        f"{path.stem}:{node.lineno} lambda" for node in ast.walk(tree) if isinstance(node, ast.Lambda)
+    ]
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inner = {
+            node.name for node in ast.walk(outer)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not outer
+        }
+        called = {id(node.func) for node in ast.walk(outer) if isinstance(node, ast.Call)}
+        found += [
+            f"{path.stem}:{node.lineno} {node.id}"
+            for node in ast.walk(outer)
+            if isinstance(node, ast.Name) and node.id in inner
+            and isinstance(node.ctx, ast.Load) and id(node) not in called
+        ]
+    return found
+
+
+def test_no_function_is_returned_or_passed_as_a_value():
+    # a result is plain data: a closure or thunk in a result defers work
+    # that the caller cannot see, and holds the arrays it reads alive. A
+    # nested helper that its function only calls stays
+    assert [found for path in SOURCES for found in _function_values(path)] == []

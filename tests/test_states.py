@@ -127,9 +127,8 @@ class TestVerifyIdentities:
 def test_pair_entanglement_survives_transit_qubit_loss():
     # measuring qubit 3 of phi1 in Z leaves the kept pair correlated:
     # the 0 branch still holds both |10> and |01>
-    probs, collapse = measurement_rows(build("phi1")[None], z_basis(3))
+    probs, states = measurement_rows(build("phi1")[None], z_basis(3))
     assert probs[0, 0] == pytest.approx(2 / 3, abs=ATOL)
-    collapsed = collapse(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
     # outcomes 00, 01, 10, 11 of the pair
-    pair, _ = measurement_rows(collapsed, z_basis(1, 2))
+    pair, _ = measurement_rows(states[:, 0], z_basis(1, 2))
     assert pair[0, 2] > 0 and pair[0, 1] > 0
