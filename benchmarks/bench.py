@@ -68,6 +68,13 @@ rows as ``cold_exact`` (and ``parent_cold_exact``), the short runs as
 ``cold_short_run`` (and ``parent_cold_short_run``); each key holds a
 list of rows.
 
+Last, ``tier1`` (and ``parent_tier1``) times the tier-1 suite of each
+checkout, ``COLD_REPEATS`` times per version in the same alternating
+order: ``python -m pytest -q`` on the checkout's own ``tests`` from its
+root, with its ``src`` on ``PYTHONPATH``, on the same CPU. The row holds
+every run's wall seconds and exit code, and the median and quartiles of
+the wall seconds.
+
 The result, with the machine's core count and the python and numpy versions,
 is written to ``benchmarks/BENCH_<label>.json``. ``--src`` measures the
 ``wqsc`` package of another checkout instead of this one.
@@ -258,18 +265,37 @@ def cold(src: Path, argv: tuple[str, ...]) -> dict:
     return {"wall_s": float(wall), "peak_rss_mb": int(maxrss) / 1024}
 
 
-def cold_rows(srcs: list[Path], argv: tuple[str, ...]) -> list[dict]:
-    """Per package in ``srcs``, ``COLD_REPEATS`` :func:`cold` runs of
-    ``argv``, the packages taking turns in an order that alternates from
-    repeat to repeat: every run, and the median and quartiles of each
-    figure."""
+def tier1(src: Path) -> dict:
+    """Wall seconds and exit code of one run of the tier-1 suite of the
+    checkout whose package directory is ``src``."""
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests"],
+        cwd=src.parent, env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    return {"wall_s": time.perf_counter() - start, "exit_code": done.returncode}
+
+
+def _alternating(srcs: list[Path], run) -> list[list[dict]]:
+    """Per package in ``srcs``, ``COLD_REPEATS`` results of ``run(src)``,
+    the packages taking turns in an order that alternates from repeat to
+    repeat."""
     runs = [[] for _ in srcs]
     for repeat in range(COLD_REPEATS):
         order = list(range(len(srcs)))
         if repeat % 2:
             order.reverse()
         for v in order:
-            runs[v].append(cold(srcs[v], argv))
+            runs[v].append(run(srcs[v]))
+    return runs
+
+
+def cold_rows(srcs: list[Path], argv: tuple[str, ...]) -> list[dict]:
+    """Per package in ``srcs``, ``COLD_REPEATS`` :func:`cold` runs of
+    ``argv`` (:func:`_alternating`): every run, and the median and
+    quartiles of each figure."""
+    runs = _alternating(srcs, lambda src: cold(src, argv))
     return [
         {"argv": ["wqsc", *argv], "runs": rows,
          **{key: _spread([row[key] for row in rows]) for key in ("wall_s", "peak_rss_mb")}}
@@ -349,6 +375,9 @@ def main(argv: list[str] | None = None) -> int:
             rows_by_version = cold_rows([path for path in (src, parent) if path], argv)
             for prefix, row in zip(("", "parent_"), rows_by_version):
                 report.setdefault(f"{prefix}{key}", []).append(row)
+    srcs = [path for path in (src, parent) if path]
+    for prefix, rows in zip(("", "parent_"), _alternating(srcs, tier1)):
+        report[f"{prefix}tier1"] = {"runs": rows, "wall_s": _spread([row["wall_s"] for row in rows])}
 
     path = HERE / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
@@ -373,6 +402,11 @@ def main(argv: list[str] | None = None) -> int:
                 wall, rss = row["wall_s"], row["peak_rss_mb"]
                 print(f"{key} {' '.join(row['argv'])}: {wall['median']:.2f} s "
                       f"[{wall['q1']:.2f}, {wall['q3']:.2f}], {rss['median']:.1f} MB")
+    for key in ("tier1", "parent_tier1"):
+        if key in report:
+            wall, codes = report[key]["wall_s"], [row["exit_code"] for row in report[key]["runs"]]
+            print(f"{key}: {wall['median']:.2f} s [{wall['q1']:.2f}, {wall['q3']:.2f}], "
+                  f"exit codes {codes}")
     print(f"wrote {path}")
     return 0
 

@@ -20,7 +20,6 @@ from .harness import (
 )
 from .qstate import (
     BasisKind,
-    BellLabel,
     Gate1Q,
     MeasurementBasis,
     Outcome,
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackKind",
     "BasisKind",
-    "BellLabel",
     "EveNote",
     "ExactResult",
     "Gate1Q",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .errors import InvalidConfig, WqscError
@@ -105,10 +106,14 @@ def main(argv: list[str] | None = None) -> int:
     except WqscError as exc:
         print(f"wqsc: error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        print(to_json(payload))
-    else:
-        sys.stdout.write(to_csv(payload))
+    try:
+        sys.stdout.write(to_json(payload) + "\n" if args.format == "json" else to_csv(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # interpreter's flush at exit fails no more (Python's SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     # only an identity report can fail
     return 0 if payload.get("all_passed", True) else 2
 

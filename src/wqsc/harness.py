@@ -81,10 +81,10 @@ from .protocol import CHECK_BASES, _pair_basis, _rule_tables
 from .qstate import (
     FLIP,
     HADAMARD,
+    ZERO_PROB,
     _basis_tables,
     apply_1q_rows,
-    branch_rows,
-    nonzero_branches,
+    measurement_rows,
     z_basis,
 )
 from .states import IdentityReport, StateLabel, build
@@ -293,9 +293,11 @@ class _BranchTree:
     the rows of one ``(nodes, 2**n)`` amplitude stack, and each operation
     is one stacked call for the whole level: a gate on the rows it applies
     to, the attack (:func:`~wqsc.attacks.attack_rows`), or a measurement
-    (:func:`~wqsc.qstate.branch_rows`, once per distinct basis). These
-    calls give a row the same outcome probabilities, ``ZERO_PROB`` pruning
-    and collapse whether it is alone or one of many, so a walk reaches the
+    (:func:`~wqsc.qstate.measurement_rows`, once per distinct basis). These
+    calls give a row the same outcome probabilities and collapse whether
+    it is alone or one of many, and every level grows from one table of
+    all its nodes' outcomes (:meth:`_grow`, the one place that prunes
+    outcomes of probability at most ``ZERO_PROB``), so a walk reaches the
     leaf that a round played one state at a time on one-row stacks (the
     test suite's oracle) reaches on the same draw row.
 
@@ -337,13 +339,18 @@ class _BranchTree:
         """Give the deepest level's node ``i`` the value ``labels[codes[i]]``."""
         self._columns[key] = (codes, labels, None)
 
-    def _grow(self, key, parent, outcome, prob, states, labels, by=None) -> None:
-        """Add a level: child ``i`` is outcome ``outcome[i]`` of ``parent[i]``."""
+    def _grow(self, key, probs, states, labels, by=None) -> None:
+        """Add a level from every node's ``(nodes, outcomes)`` outcome
+        probabilities and ``(nodes, outcomes, 2**n)`` states after them (or
+        None): a child per outcome of probability above ``ZERO_PROB``, in
+        (node, outcome) order, whose code of ``key`` is its outcome index."""
+        parent, outcome = (probs > ZERO_PROB).nonzero()
+        prob = probs[parent, outcome]
         for array in (parent, prob):
             array.setflags(False)  # write=False, which numpy parses more slowly
         self.levels.append(_Level(len(self.masses), parent, prob))
         self.masses = self.masses[parent] * prob
-        self.states = states
+        self.states = None if states is None else states[parent, outcome]
         for name, (codes, *rest) in self._columns.items():
             self._columns[name] = (codes[parent], *rest)
         self._columns[key] = (outcome, labels, by)
@@ -356,10 +363,9 @@ class _BranchTree:
         if policy in values:
             self.assign(key, np.full(len(self.masses), values.index(policy)), values)
             return
-        parent = np.arange(len(self.masses)).repeat(len(values))
-        states = None if self.states is None else self.states[parent]
-        prob = np.full(len(parent), 1.0 / len(values))
-        self._grow(key, parent, np.arange(len(parent)) % len(values), prob, states, values)
+        probs = np.full((len(self.masses), len(values)), 1.0 / len(values))
+        states = None if self.states is None else self.states[:, None].repeat(len(values), axis=1)
+        self._grow(key, probs, states, values)
 
     def prepare(self, states: list, by: str | None = None) -> None:
         """Give each node the state ``states[g]``, ``g`` its code of ``by``
@@ -376,18 +382,17 @@ class _BranchTree:
 
     def measure(self, key: str, bases: tuple, by: str | None = None) -> None:
         """Measure each node's state in ``bases[g]``, ``g`` its code of
-        ``by`` (0 without ``by``), one stacked call per distinct basis."""
+        ``by`` (0 without ``by``), one stacked call per distinct basis
+        filling the rows of its nodes in one table of the level."""
         num_qubits = self.states.shape[1].bit_length() - 1
         labels = tuple(_basis_tables(basis, num_qubits).labels for basis in bases)
         which = self.column(by) if by else np.zeros(len(self.masses), int)
-        groups = np.bincount(which).nonzero()[0].tolist()
-        rows = [(which == group).nonzero()[0] for group in groups]
-        parts = [branch_rows(self.states[at], bases[g]) for at, g in zip(rows, groups)]
-        parent = np.concatenate([at[part.parent] for at, part in zip(rows, parts)])
-        outcome, prob, states = map(np.concatenate, list(zip(*parts))[1:])
-        order = np.lexsort((outcome, parent))  # (node, outcome) order
-        found = (array[order] for array in (parent, outcome, prob, states))
-        self._grow(key, *found, labels if by else labels[0], by)
+        probs = np.zeros((len(self.masses), len(labels[0])))
+        states = np.zeros(probs.shape + self.states.shape[1:], self.states.dtype)
+        for group in set(which.tolist()):
+            at = (which == group).nonzero()[0]
+            probs[at], states[at] = measurement_rows(self.states[at], bases[group])
+        self._grow(key, probs, states, labels if by else labels[0], by)
 
     def attack(self, kind: AttackKind, transit: tuple[int, ...]) -> None:
         """Eve's attack ``kind`` on the qubits ``transit``, her note under
@@ -395,7 +400,7 @@ class _BranchTree:
         forwards its whole row, and every node holds the one note."""
         probs, states, notes = attack_rows(kind, self.states, transit)
         if len(notes) > 1:
-            self._grow("note", *nonzero_branches(probs, states), notes)
+            self._grow("note", probs, states, notes)
             return
         self.states = states[:, 0]
         self.assign("note", np.zeros(len(self.masses), int), notes)

@@ -9,12 +9,10 @@ weight-``2**(n - q)`` bit of the index. No function here writes into an
 array it is given; each returns new arrays.
 
 Everything works on a *stack*, a ``(rows, 2**n)`` array of states, one
-per row (the gates and :func:`measurement_rows` also take a flat array
-as one state; :func:`branch_rows` takes stacks only): the gates are the
-``*_rows`` functions, :func:`measurement_rows` gives every row's exact
-outcome probabilities and its state after every outcome (zero-probability
-outcomes included), and :func:`branch_rows` keeps the nonzero-probability
-branches.
+per row (a flat array is taken as one state): the gates are the
+``*_rows`` functions, and :func:`measurement_rows` gives every row's exact
+outcome probabilities and its state after every outcome, zero-probability
+outcomes included; this module prunes no outcome.
 Each is plain numpy, one stacked call for all rows, and a row of a stack
 goes through the same arithmetic, in the same order, as the row passed
 alone, so stacked and one-row calls agree bit for bit. The branch trees
@@ -45,7 +43,7 @@ from .errors import DimensionMismatch, IndexOutOfRange, InvalidBasis, NonUnitary
 # sqrt(2), sqrt(3), sqrt(6), so double precision holds them to ~1e-16)
 ATOL = 1e-12
 
-# branch probabilities below this are treated as exact zeros
+# outcome probabilities at most this are treated as exact zeros
 ZERO_PROB = 1e-15
 
 
@@ -88,22 +86,10 @@ class BasisKind(str, Enum):
     BELL = "bell"
 
 
-class BellLabel(str, Enum):
-    PSI_PLUS = "psi+"
-    PSI_MINUS = "psi-"
-    PHI_PLUS = "phi+"
-    PHI_MINUS = "phi-"
-
-
 # the Bell outcome indices 0..3; each Bell state is two basis components
 # of the pair weighted 1/sqrt(2): the pair bits (2 * bit_a + bit_b) of
 # each component, and its sign
-BELL_ORDER = (
-    BellLabel.PSI_PLUS,
-    BellLabel.PSI_MINUS,
-    BellLabel.PHI_PLUS,
-    BellLabel.PHI_MINUS,
-)
+BELL_ORDER = ("psi+", "psi-", "phi+", "phi-")
 _BELL_COMPONENTS = np.array([[2, 1], [2, 1], [0, 3], [0, 3]])
 _BELL_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, -1.0]])
 
@@ -189,7 +175,7 @@ def _pair_rest_indices(num_qubits: int, qa: int, qb: int) -> np.ndarray:
 def outcome_at(basis: MeasurementBasis, i: int) -> Outcome:
     """The outcome with outcome index ``i`` of a basis."""
     if basis.kind is BasisKind.BELL:
-        return Outcome(BasisKind.BELL, BELL_ORDER[i].value)
+        return Outcome(BasisKind.BELL, BELL_ORDER[i])
     return Outcome(basis.kind, format(i, f"0{len(basis.qubits)}b"))
 
 
@@ -295,30 +281,6 @@ def measurement_rows(amps: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndar
     out = out / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
     states = out if basis.kind is BasisKind.Z else _rotate_measured(out, basis)
     return np.add.accumulate(grouped, axis=-1)[..., -1], states
-
-
-class Branches(NamedTuple):
-    """The nonzero-probability branches of every row of a stack, in
-    (row, outcome) order: branch ``i`` is outcome ``outcome[i]`` of row
-    ``parent[i]``, of probability ``prob[i]``, and leaves the state
-    ``states[i]``."""
-
-    parent: np.ndarray
-    outcome: np.ndarray
-    prob: np.ndarray
-    states: np.ndarray
-
-
-def nonzero_branches(probs: np.ndarray, states: np.ndarray) -> Branches:
-    """The branches of a ``measurement_rows`` result whose probability
-    exceeds ``ZERO_PROB``."""
-    parent, outcome = (probs > ZERO_PROB).nonzero()
-    return Branches(parent, outcome, probs[parent, outcome], states[parent, outcome])
-
-
-def branch_rows(amps: np.ndarray, basis: MeasurementBasis) -> Branches:
-    """The nonzero-probability branches of measuring every row."""
-    return nonzero_branches(*measurement_rows(amps, basis))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -227,6 +228,17 @@ class RoundStream:
         self._pos += 1
         return float(value)
 
+
+
+def pruned_branches(probs: np.ndarray, states: np.ndarray) -> SimpleNamespace:
+    """The outcomes of a ``measurement_rows`` or ``attack_rows`` result
+    whose probability exceeds ``ZERO_PROB``, in (row, outcome) order, as
+    the branch trees keep them: branch ``i`` is outcome ``outcome[i]`` of
+    row ``parent[i]``, of probability ``prob[i]``, and leaves ``states[i]``."""
+    parent, outcome = (probs > ZERO_PROB).nonzero()
+    return SimpleNamespace(
+        parent=parent, outcome=outcome, prob=probs[parent, outcome], states=states[parent, outcome]
+    )
 
 
 def sample_index(probs: np.ndarray, u: float) -> int:

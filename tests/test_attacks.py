@@ -16,6 +16,7 @@ from oracle_tools import (
     x_projector,
     z_projector,
     project as dense_project,
+    pruned_branches,
     recover_bit,
 )
 from wqsc.attacks import CAO_ATTACKS, PRESENT_ATTACKS, AttackKind, attack_rows
@@ -25,8 +26,7 @@ from wqsc.qstate import (
     BasisKind,
     Outcome,
     bell_basis,
-    branch_rows,
-    nonzero_branches,
+    measurement_rows,
     outcome_at,
 )
 from wqsc.states import build
@@ -43,7 +43,7 @@ def _attack_branches(kind, state, transit):
     """The nonzero-probability branches of ``kind`` on ``state``, and
     Eve's notes per outcome."""
     probs, states, notes = attack_rows(kind, state[None], transit)
-    return nonzero_branches(probs, states), notes
+    return pruned_branches(probs, states), notes
 
 
 class TestBranches:
@@ -213,7 +213,7 @@ class TestEveGuess:
             assert leaf.eve_guess == leaf.message_bit
             seen.add((node["note"].observed, node["alice"].value, leaf.message_bit))
         attacked, notes = _attack_branches(CAO_IR, build("w4"), (3, 4))
-        alice = branch_rows(attacked.states, bell_basis(1, 2))
+        alice = pruned_branches(*measurement_rows(attacked.states, bell_basis(1, 2)))
         alice_outcomes = {
             (notes[note].observed, outcome_at(bell_basis(1, 2), out).value)
             for note, out in zip(attacked.outcome[alice.parent].tolist(), alice.outcome.tolist())

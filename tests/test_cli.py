@@ -181,3 +181,23 @@ def test_exact_only_process_never_imports_numpy_random():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["identities"],
+    ["exact", "--scheme", "cao", "--attack", "cao-ir-z"],
+    ["run", "--scheme", "present", "--attack", "ir-z", "--rounds", "500", "--format", "csv"],
+])
+def test_closed_stdout_exits_one_without_traceback(argv):
+    # a reader that stops early (``wqsc run ... | head -1``) closes the
+    # pipe; its read end is closed here before the command writes at all
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(wqsc.__file__).parents[1])}
+    try:
+        done = subprocess.run([sys.executable, "-m", "wqsc.cli", *argv], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr, done.stderr

@@ -70,7 +70,7 @@ STACKED_CALLS_PER_LEVEL = 3
 # the bindings through which the tree builders make their stacked calls
 # (the gates and measurements inside an attack go through attack_rows)
 _STACKED_CALLS = (
-    (harness, "branch_rows"),
+    (harness, "measurement_rows"),
     (harness, "apply_1q_rows"),
     (harness, "attack_rows"),
     (protocol, "measurement_rows"),
@@ -224,25 +224,6 @@ class TestExactAnalyze:
                 with pytest.raises(errors.InvalidConfig):
                     exact_analyze(scheme, attack, **policies)
 
-    def test_branch_tree_mass_sums_to_one(self):
-        # path probabilities through attack x sender x receiver multiply
-        # and exhaust the distribution
-        from wqsc.attacks import attack_rows
-        from wqsc.qstate import HADAMARD, apply_1q_rows, branch_rows, nonzero_branches, z_basis
-        from wqsc.states import build
-
-        for initial in ("phi1", "phi2"):
-            for kind in (AttackKind.INTERCEPT_RESEND_Z, AttackKind.CNOT_ANCILLA):
-                amps = build(initial)[None]
-                attacked = nonzero_branches(*attack_rows(kind, amps, (3,))[:2])
-                decoded = attacked.states
-                if initial == "phi2":
-                    decoded = apply_1q_rows(decoded, 3, HADAMARD)
-                alice = branch_rows(decoded, z_basis(1, 2))
-                bob = branch_rows(alice.states, z_basis(3))
-                masses = attacked.prob[alice.parent][bob.parent] * alice.prob[bob.parent] * bob.prob
-                assert math.fsum(masses) == pytest.approx(1.0, abs=ATOL)
-
 
 class TestRoundTrees:
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
@@ -302,6 +283,31 @@ class TestRoundTrees:
         for m0, m1 in masses.values():
             posterior = m1 / (m0 + m1)
             assert min(abs(posterior - p) for p in (0.0, 0.5, 1.0)) <= harness._TIE_TOLERANCE
+
+    @pytest.mark.parametrize("scheme,attack", sorted({config[:2] for config in VALID_CONFIGS}))
+    def test_random_policy_tree_is_union_of_fixed_policy_trees(self, scheme, attack):
+        # a random policy's tree, cut to the leaves where the policy's key
+        # has code g, is fixed policy g's tree leaf by leaf, in the same
+        # order, each leaf of 1/len(policies) of its mass; the key is drawn
+        # in both present trees, but only in cao's check tree
+        key, policies, drawn_in = {
+            "present": ("initial", harness.INIT_POLICIES[1:], (0, 1)),
+            "cao": ("basis", CHECK_BASES, (0,)),
+        }[scheme]
+        kind = AttackKind(attack)
+        random_trees = harness._config_trees(scheme, kind, "random")
+        for code, policy in enumerate(policies):
+            fixed_trees = harness._config_trees(scheme, kind, policy)
+            for tree, fixed in [(random_trees[t], fixed_trees[t]) for t in drawn_in]:
+                at = tree.column(key) == code
+                assert tree._columns.keys() == fixed._columns.keys()
+                for name in fixed._columns:
+                    assert np.array_equal(tree.column(name)[at], fixed.column(name)), name
+                for column, expected in zip(tree.leaf_columns, fixed.leaf_columns, strict=True):
+                    assert np.array_equal(column[at], expected)
+                np.testing.assert_allclose(
+                    tree.masses[at], fixed.masses / len(policies), rtol=1e-15, atol=0
+                )
 
 
 def _oracle_table(rule, first, second, absent=-1) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracle_tools import unit, z_projector, x_projector, project as dense_project
+from oracle_tools import pruned_branches, unit, z_projector, x_projector, project as dense_project
 from wqsc.attacks import AttackKind, attack_rows
 from wqsc.harness import _BranchTree, _walk, _walk_tables
 from wqsc.qstate import (
@@ -16,9 +16,7 @@ from wqsc.qstate import (
     apply_1q_rows,
     apply_cnot_rows,
     bell_basis,
-    branch_rows,
     measurement_rows,
-    nonzero_branches,
     outcome_at,
     phase_deviation,
     tensor_rows,
@@ -53,7 +51,7 @@ def test_norm_preserved_by_all_operations(seed, n, data):
         assert np.linalg.norm(apply_cnot_rows(state, qubit, target)) == pytest.approx(
             1.0, abs=ATOL
         )
-    collapsed = branch_rows(state[None], z_basis(qubit)).states
+    collapsed = pruned_branches(*measurement_rows(state[None], z_basis(qubit))).states
     assert np.linalg.norm(collapsed, axis=1) == pytest.approx(1.0, abs=ATOL)
 
 
@@ -109,7 +107,7 @@ def test_measurement_branches_match_dense_projectors(seed, data):
     basis = z_basis(*qubits) if kind == "z" else x_basis(*qubits)
     projector_fn = z_projector if kind == "z" else x_projector
     probs, states = measurement_rows(state[None], basis)
-    found = nonzero_branches(probs, states)
+    found = pruned_branches(probs, states)
     collapsed = dict(zip(found.outcome.tolist(), found.states))
     for i, prob in enumerate(probs[0]):
         dense_prob, dense_state = dense_project(
@@ -131,7 +129,7 @@ def test_collapse_average_reconstructs_distribution(seed):
     the original Z statistics on the untouched qubits."""
     amps = random_state(seed, 3)[None]
     before, _ = measurement_rows(amps, z_basis(1, 2))
-    found = branch_rows(amps, z_basis(3))
+    found = pruned_branches(*measurement_rows(amps, z_basis(3)))
     after, _ = measurement_rows(found.states, z_basis(1, 2))
     assert found.prob @ after == pytest.approx(before[0], abs=ATOL)
 
@@ -186,20 +184,6 @@ def sparse_states(seed: int, n: int, m: int) -> list:
     return states
 
 
-def _same_branches(stacked, per_row) -> None:
-    """A stacked result equals the results of its rows alone, bit for bit:
-    the branches in (row, outcome) order, with their outcomes,
-    probabilities and post-measurement states."""
-    assert np.array_equal(
-        stacked.parent, [row for row, found in enumerate(per_row) for _ in found.outcome]
-    )
-    for field in ("outcome", "prob"):
-        assert np.array_equal(
-            getattr(stacked, field), np.concatenate([getattr(found, field) for found in per_row])
-        )
-    assert np.array_equal(stacked.states, np.concatenate([found.states for found in per_row]))
-
-
 def _same_rows(stacked, per_row) -> None:
     """A stacked ``(probs, states, ...)`` result equals the results of its
     rows alone, bit for bit: the ``(rows, outcomes)`` probabilities and
@@ -228,8 +212,6 @@ def test_stacked_measurement_equals_one_row(seed, n, m, data):
     for basis in bases:
         per_row = [measurement_rows(amps[None], basis) for amps in stack]
         _same_rows(measurement_rows(stack, basis), per_row)
-        per_row = [branch_rows(amps[None], basis) for amps in stack]
-        _same_branches(branch_rows(stack, basis), per_row)
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,4 +264,3 @@ def test_stacked_attack_equals_one_row(seed, n, m, kind, data):
     per_row = [attack_rows(kind, amps[None], transit) for amps in stack]
     stacked = attack_rows(kind, stack, transit)
     _same_rows(stacked, per_row)
-    _same_branches(nonzero_branches(*stacked[:2]), [nonzero_branches(*one[:2]) for one in per_row])

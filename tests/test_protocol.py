@@ -19,12 +19,13 @@ from oracle_tools import (
     max_dev_up_to_phase,
     node_values,
     project as dense_project,
+    pruned_branches,
 )
 import wqsc
 from wqsc import attacks, harness, protocol, qstate
 from wqsc.harness import RunConfig, _round_trees, exact_analyze
 from wqsc.protocol import CHECK_BASES, _pair_basis, _rule_tables
-from wqsc.qstate import ATOL, FLIP, branch_rows, outcome_at, z_basis
+from wqsc.qstate import ATOL, FLIP, measurement_rows, outcome_at, z_basis
 from wqsc.states import build
 
 
@@ -95,8 +96,8 @@ class TestPresentRound:
         from wqsc.qstate import apply_1q_rows
 
         encoded = apply_1q_rows(build("phi1"), 3, FLIP)
-        alice = branch_rows(encoded[None], z_basis(1, 2))
-        bob = branch_rows(alice.states, z_basis(3))
+        alice = pruned_branches(*measurement_rows(encoded[None], z_basis(1, 2)))
+        bob = pruned_branches(*measurement_rows(alice.states, z_basis(3)))
         seen_00 = False
         for a, b in zip(alice.outcome[bob.parent].tolist(), bob.outcome.tolist()):
             alice_out, bob_out = outcome_at(z_basis(1, 2), a), outcome_at(z_basis(3), b)
@@ -122,8 +123,8 @@ class TestCaoRound:
         # only (psi+, phi+/-) and (phi+/-, psi+) carry probability
         from wqsc.qstate import bell_basis
 
-        alice = branch_rows(build("w4")[None], bell_basis(1, 2))
-        bob = branch_rows(alice.states, bell_basis(3, 4))
+        alice = pruned_branches(*measurement_rows(build("w4")[None], bell_basis(1, 2)))
+        bob = pruned_branches(*measurement_rows(alice.states, bell_basis(3, 4)))
         assert alice.prob[bob.parent] * bob.prob == pytest.approx([0.25] * 4, abs=ATOL)
         seen = {
             (outcome_at(bell_basis(1, 2), a).value, outcome_at(bell_basis(3, 4), b).value)

@@ -24,7 +24,6 @@ from wqsc.qstate import (
     apply_1q_rows,
     apply_cnot_rows,
     bell_basis,
-    branch_rows,
     measurement_rows,
     phase_deviation,
     tensor_rows,
@@ -208,16 +207,17 @@ class TestMeasure:
     def test_branch_probability_matches_distribution(self):
         amps = build("phi2")[None]
         probs, _ = measurement_rows(amps, z_basis(1, 2))
-        found = branch_rows(amps, z_basis(1, 2))
-        assert np.array_equal(found.prob, probs[0, found.outcome])
+        tree = _BranchTree()
+        tree.prepare(amps)
+        tree.measure("outcome", (z_basis(1, 2),))
+        assert np.array_equal(tree.levels[0].prob, probs[0, tree.column("outcome")])
 
 
 class TestProject:
     def test_zero_branch_is_none(self):
         amps = ket("00")[None]
-        probs, _ = measurement_rows(amps, z_basis(1, 2))
-        assert probs[0, 3] == 0.0
-        assert 3 not in branch_rows(amps, z_basis(1, 2)).outcome
+        probs, states = measurement_rows(amps, z_basis(1, 2))
+        assert probs[0, 3] == 0.0 and not states[0, 3].any()
 
 
 class TestStatesEqual:
