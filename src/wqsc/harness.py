@@ -620,8 +620,9 @@ _BLOCKS_PER_ROUND = 2
 # mode flags starts on a Philox counter step
 _BLOCK_ROUNDS = 2**13
 
-# about 19 minutes of rounds at 8.7e6 rounds/s (a cold 1e8-round cao-ir-z
-# run took 11.3-11.6 s on a 2-core VM); larger counts would run for hours to months
+# about 10 minutes of rounds at 1.7e7 rounds/s (a cold 1e8-round cao-ir-z
+# run took a median 5.81 s on a 2-core VM, benchmarks/BENCH_table-levels.json);
+# larger counts would run for hours to months
 _MAX_ROUNDS = 10**10
 
 

@@ -24,8 +24,9 @@ Measurements are supported in the computational (Z) basis, the Hadamard
 (X) basis with outcomes encoded as bits (0 for ``|+>``, 1 for ``|->``),
 and the Bell basis on an ordered qubit pair. A basis's outcomes are
 numbered by *outcome index* (:func:`outcome_at` gives their labels).
-Bell measurement is done by direct projection onto the four Bell states,
-which keeps branch probabilities exact.
+Every basis is measured through one path: a rotation maps it onto Z (a
+Hadamard on each X qubit; CNOT(a, b), then H(a) for Bell on (a, b)), the
+rotated stack is measured in Z, and each collapsed state is rotated back.
 """
 
 from __future__ import annotations
@@ -86,12 +87,11 @@ class BasisKind(str, Enum):
     BELL = "bell"
 
 
-# the Bell outcome indices 0..3; each Bell state is two basis components
-# of the pair weighted 1/sqrt(2): the pair bits (2 * bit_a + bit_b) of
-# each component, and its sign
+# the Bell outcome indices 0..3, and the Bell outcome index of each Z
+# outcome 2 * bit_a + bit_b of the rotated pair: CNOT(a, b), then H(a)
+# sends phi+, psi+, phi-, psi- to 00, 01, 10, 11
 BELL_ORDER = ("psi+", "psi-", "phi+", "phi-")
-_BELL_COMPONENTS = np.array([[2, 1], [2, 1], [0, 3], [0, 3]])
-_BELL_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, -1.0]])
+_BELL_OF_Z = np.array([BELL_ORDER.index(label) for label in ("phi+", "psi+", "phi-", "psi-")])
 
 
 @dataclass(frozen=True)
@@ -136,15 +136,17 @@ class Outcome:
 class _BasisTables(NamedTuple):
     """What measuring in a basis needs, per register width."""
 
-    outcomes: np.ndarray  # Z/X: the outcome of every basis state
-    order: np.ndarray  # Z/X: the basis states, grouped by outcome
+    outcomes: np.ndarray  # the outcome of every basis state, once rotated onto Z
+    order: np.ndarray  # the basis states, grouped by outcome
     labels: tuple[Outcome, ...]  # the Outcome of every outcome index
 
 
 @lru_cache(maxsize=None)
 def _basis_tables(basis: MeasurementBasis, num_qubits: int) -> _BasisTables:
-    """Validated tables of a basis (for a Bell basis, only its labels),
-    cached since the same few bases are measured in every tree build."""
+    """Validated tables of a basis, read off the Z bits of its measured
+    qubits after :func:`_rotate_measured` (for Bell, numbered in
+    ``BELL_ORDER``), cached since the same few bases are measured in
+    every tree build."""
     if len(set(basis.qubits)) != len(basis.qubits):
         raise InvalidBasis(f"duplicate qubit in {basis.qubits}")
     if basis.kind is BasisKind.BELL and len(basis.qubits) != 2:
@@ -159,11 +161,13 @@ def _basis_tables(basis: MeasurementBasis, num_qubits: int) -> _BasisTables:
     outcomes = np.zeros(1 << num_qubits, dtype=np.int64)
     for q in basis.qubits:
         outcomes = (outcomes << 1) | ((idx >> (num_qubits - q)) & 1)
+    if basis.kind is BasisKind.BELL:
+        outcomes = _BELL_OF_Z[outcomes]
     order = np.argsort(outcomes, kind="stable")
     outcomes.setflags(write=False)
     order.setflags(write=False)
-    count = 4 if basis.kind is BasisKind.BELL else 1 << len(basis.qubits)
-    return _BasisTables(outcomes, order, tuple(outcome_at(basis, i) for i in range(count)))
+    labels = tuple(outcome_at(basis, i) for i in range(1 << len(basis.qubits)))
+    return _BasisTables(outcomes, order, labels)
 
 
 def _pair_rest_indices(num_qubits: int, qa: int, qb: int) -> np.ndarray:
@@ -221,42 +225,19 @@ def apply_cnot_rows(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     return amps[..., [i ^ tbit if i & cbit else i for i in range(amps.shape[-1])]]
 
 
-def _rotate_measured(amps: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
-    """Hadamard every measured qubit, mapping an X measurement onto Z."""
-    for q in basis.qubits:
+def _rotate_measured(amps: np.ndarray, basis: MeasurementBasis, back: bool = False) -> np.ndarray:
+    """The rotation that maps a measurement in ``basis`` onto Z, or with
+    ``back`` its inverse: none for Z; a Hadamard on every X qubit (they
+    commute, so one order serves both ways); for Bell on (a, b), CNOT(a, b),
+    then H(a), both self-inverse, so going back is the same steps reversed."""
+    if basis.kind is BasisKind.BELL:
+        a, b = basis.qubits
+        if back:
+            return apply_cnot_rows(apply_1q_rows(amps, a, HADAMARD), a, b)
+        return apply_1q_rows(apply_cnot_rows(amps, a, b), a, HADAMARD)
+    for q in basis.qubits if basis.kind is BasisKind.X else ():
         amps = apply_1q_rows(amps, q, HADAMARD)
     return amps
-
-
-def _bell_probabilities(amps: np.ndarray, pair_idx: np.ndarray) -> np.ndarray:
-    """Probabilities of the four Bell outcomes on the pair that
-    ``pair_idx`` (:func:`_pair_rest_indices`) indexes, shape ``(..., 4)``."""
-    pairs = amps[..., pair_idx]
-    # (a10, a00) and (a01, a11): their sums are psi+ and phi+, their
-    # differences psi- and phi-, so c[..., i, j] is Bell state 2i + j
-    first, second = pairs[..., ::-1, 0, :], pairs[..., :, 1, :]
-    c = np.empty(pairs.shape, dtype=amps.dtype)
-    np.add(first, second, out=c[..., 0, :])
-    np.subtract(first, second, out=c[..., 1, :])
-    sums = np.add.reduce(c.real ** 2 + c.imag ** 2, axis=-1)
-    return 0.5 * sums.reshape(amps.shape[:-1] + (4,))
-
-
-def _bell_collapse(amps: np.ndarray, pair_idx: np.ndarray) -> np.ndarray:
-    """Every row projected onto each of the four Bell states of the
-    indexed pair and renormalized, shape ``(..., 4, 2**n)``."""
-    # (outcome, component, rest): the flat indices of each Bell state's components
-    where = pair_idx.reshape(4, -1)[_BELL_COMPONENTS]
-    signs = _BELL_SIGNS[..., None]
-    parts = amps[..., where]
-    s1, s2 = signs[:, 0], signs[:, 1]
-    overlap = (s1 * parts[..., 0, :] + s2 * parts[..., 1, :]) * _SQRT2_INV
-    norm2 = np.add.reduce(overlap.real ** 2 + overlap.imag ** 2, axis=-1, keepdims=True)
-    scale = _SQRT2_INV / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
-    out = np.zeros(amps.shape[:-1] + (4, amps.shape[-1]), dtype=amps.dtype)
-    collapsed = signs * overlap[..., None, :] * scale[..., None, :]
-    out[..., np.arange(4)[:, None, None], where] = collapsed
-    return out
 
 
 def measurement_rows(amps: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -264,12 +245,8 @@ def measurement_rows(amps: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndar
     outcome probabilities, and the ``(rows, outcomes, 2**n)`` array of
     each row's state after each outcome, projected and renormalized (all
     zeros after an outcome of zero probability)."""
-    n = _qubit_count(amps)
-    tables = _basis_tables(basis, n)
-    if basis.kind is BasisKind.BELL:
-        idx = _pair_rest_indices(n, *basis.qubits)
-        return _bell_probabilities(amps, idx), _bell_collapse(amps, idx)
-    work = amps if basis.kind is BasisKind.Z else _rotate_measured(amps, basis)
+    tables = _basis_tables(basis, _qubit_count(amps))
+    work = _rotate_measured(amps, basis)
     # ``order`` lists the basis states outcome by outcome, and a running
     # sum adds an outcome's weights one by one in index order, as a
     # per-outcome bincount does, so each sum has the same bits
@@ -277,10 +254,13 @@ def measurement_rows(amps: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndar
     grouped = weights.take(tables.order, axis=-1).reshape(work.shape[:-1] + (len(tables.labels), -1))
     outcomes = np.arange(len(tables.labels))[:, None]
     out = np.where(tables.outcomes == outcomes, work[..., None, :], 0.0 + 0.0j)
-    norm2 = np.add.reduce(out.real ** 2 + out.imag ** 2, axis=-1, keepdims=True)
+    # a rotated stack need not be C-contiguous (a CNOT's fancy index puts
+    # its row axis innermost), and numpy reduces another layout in
+    # another order; a C-contiguous copy sums every row as it sums one
+    squares = np.ascontiguousarray(out.real ** 2 + out.imag ** 2)
+    norm2 = np.add.reduce(squares, axis=-1, keepdims=True)
     out = out / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
-    states = out if basis.kind is BasisKind.Z else _rotate_measured(out, basis)
-    return np.add.accumulate(grouped, axis=-1)[..., -1], states
+    return np.add.accumulate(grouped, axis=-1)[..., -1], _rotate_measured(out, basis, back=True)
 
 
 # ---------------------------------------------------------------------------

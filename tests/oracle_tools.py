@@ -120,16 +120,17 @@ def x_projector(num_qubits: int, qubits: tuple[int, ...], bits: str) -> np.ndarr
     return out
 
 
-def bell_projector_first_pair(label: str, rest_qubits: int) -> np.ndarray:
-    """Projector |bell><bell| on qubits 1,2 with identity on the rest."""
+def bell_projector(num_qubits: int, pair: tuple[int, int], label: str) -> np.ndarray:
+    """Projector |bell><bell| on the ordered qubit pair ``pair`` (its first
+    qubit the high bit of the Bell vector's index) with identity on the
+    rest, entry by entry: two basis states meet only where their other
+    qubits' bits agree."""
     vec = BELL_VECTORS[label]
-    return np.kron(np.outer(vec, vec.conj()), np.eye(1 << rest_qubits))
-
-
-def bell_projector_second_pair(label: str, leading_qubits: int) -> np.ndarray:
-    """Projector |bell><bell| on the last two qubits."""
-    vec = BELL_VECTORS[label]
-    return np.kron(np.eye(1 << leading_qubits), np.outer(vec, vec.conj()))
+    qa, qb = pair
+    idx = np.arange(1 << num_qubits)
+    amp = vec[2 * ((idx >> (num_qubits - qa)) & 1) + ((idx >> (num_qubits - qb)) & 1)]
+    rest = idx & ~((1 << (num_qubits - qa)) | (1 << (num_qubits - qb)))
+    return np.outer(amp, amp.conj()) * (rest[:, None] == rest[None, :])
 
 
 def project(vec: np.ndarray, projector: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -189,11 +190,11 @@ def allowed_joint_outcomes(basis: str) -> frozenset[tuple[str, str]]:
         )
     allowed = set()
     for la in BELL_VECTORS:
-        prob_a, collapsed = project(w4, bell_projector_first_pair(la, 2))
+        prob_a, collapsed = project(w4, bell_projector(4, (1, 2), la))
         if prob_a > 0.0:
             allowed |= {
                 (la, lb) for lb in BELL_VECTORS
-                if project(collapsed, bell_projector_second_pair(lb, 2))[0] > 0.0
+                if project(collapsed, bell_projector(4, (3, 4), lb))[0] > 0.0
             }
     return frozenset(allowed)
 

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracle_tools import pruned_branches, unit, z_projector, x_projector, project as dense_project
+from oracle_tools import (
+    bell_projector,
+    pruned_branches,
+    unit,
+    z_projector,
+    x_projector,
+    project as dense_project,
+)
 from wqsc.attacks import AttackKind, attack_rows
 from wqsc.harness import _BranchTree, _walk, _walk_tables
 from wqsc.qstate import (
@@ -93,19 +100,32 @@ def test_bell_completeness(seed, n, data):
     assert probs.sum() == pytest.approx(1.0, abs=ATOL)
 
 
-@settings(max_examples=30, deadline=None)
+# each kind's basis maker and its dense projector
+_DENSE_KINDS = {
+    "z": (z_basis, z_projector),
+    "x": (x_basis, x_projector),
+    "bell": (bell_basis, bell_projector),
+}
+
+
+@settings(max_examples=45, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_measurement_branches_match_dense_projectors(seed, data):
     """Branch probabilities and collapsed states agree with explicit
-    projector arithmetic in both Z and X bases."""
-    n = 3
+    projector arithmetic in the Z and X bases on three qubits, and in
+    the Bell basis on an ordered pair of two to five."""
+    kind = data.draw(st.sampled_from(sorted(_DENSE_KINDS)))
+    if kind == "bell":
+        n = data.draw(st.integers(2, 5))
+        qubits = tuple(data.draw(st.permutations(range(1, n + 1)))[:2])
+    else:
+        n = 3
+        qubits = tuple(sorted(data.draw(
+            st.sets(st.integers(1, n), min_size=1, max_size=2)
+        )))
+    make_basis, projector_fn = _DENSE_KINDS[kind]
+    basis = make_basis(*qubits)
     state = random_state(seed, n)
-    qubits = tuple(sorted(data.draw(
-        st.sets(st.integers(1, n), min_size=1, max_size=2)
-    )))
-    kind = data.draw(st.sampled_from(["z", "x"]))
-    basis = z_basis(*qubits) if kind == "z" else x_basis(*qubits)
-    projector_fn = z_projector if kind == "z" else x_projector
     probs, states = measurement_rows(state[None], basis)
     found = pruned_branches(probs, states)
     collapsed = dict(zip(found.outcome.tolist(), found.states))
@@ -200,7 +220,7 @@ def _same_rows(stacked, per_row) -> None:
 
 @settings(max_examples=60, deadline=None)
 @given(
-    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 6), data=st.data()
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 6), data=st.data()
 )
 def test_stacked_measurement_equals_one_row(seed, n, m, data):
     stack = np.stack(sparse_states(seed, n, m))
@@ -216,7 +236,7 @@ def test_stacked_measurement_equals_one_row(seed, n, m, data):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 6), data=st.data()
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 6), data=st.data()
 )
 def test_stacked_gates_equal_one_row(seed, n, m, data):
     # each stacked gate gives every row the bits of a one-row call
@@ -249,7 +269,7 @@ _TRANSIT_QUBITS = {
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 4),
+    n=st.integers(1, 6),
     m=st.integers(1, 6),
     kind=st.sampled_from(list(AttackKind)),
     data=st.data(),

@@ -13,8 +13,7 @@ from oracle_tools import (
     X,
     Z,
     allowed_joint_outcomes,
-    bell_projector_first_pair,
-    bell_projector_second_pair,
+    bell_projector,
     leaf_values,
     max_dev_up_to_phase,
     node_values,
@@ -162,8 +161,8 @@ class TestCaoCheckError:
     def test_bell_forbidden_joint_probability_is_zero(self):
         # P(psi+ on 1,2 AND psi+ on 3,4) computed densely
         w4 = build("w4")
-        prob_a, collapsed = dense_project(w4, bell_projector_first_pair("psi+", 2))
-        prob_b, _ = dense_project(collapsed, bell_projector_second_pair("psi+", 2))
+        prob_a, collapsed = dense_project(w4, bell_projector(4, (1, 2), "psi+"))
+        prob_b, _ = dense_project(collapsed, bell_projector(4, (3, 4), "psi+"))
         assert prob_a == pytest.approx(0.5, abs=ATOL)
         assert prob_b <= 1e-15
 
