@@ -19,10 +19,8 @@ from .harness import (
     run_monte_carlo,
 )
 from .qstate import (
-    BasisKind,
     Gate1Q,
     MeasurementBasis,
-    Outcome,
     bell_basis,
     x_basis,
     z_basis,
@@ -33,13 +31,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackKind",
-    "BasisKind",
     "EveNote",
     "ExactResult",
     "Gate1Q",
     "IdentityReport",
     "MeasurementBasis",
-    "Outcome",
     "RunConfig",
     "RunStats",
     "StateLabel",

@@ -123,4 +123,4 @@ def attack_rows(kind: AttackKind, amps: np.ndarray, transit_qubits: tuple[int, .
     (q,) = transit_qubits
     basis = z_basis(q) if kind is AttackKind.INTERCEPT_RESEND_Z else x_basis(q)
     probs, states = measurement_rows(amps, basis)
-    return probs, states, [EveNote(basis=basis.kind.value, observed=str(i)) for i in (0, 1)]
+    return probs, states, [EveNote(basis=basis.kind, observed=str(i)) for i in (0, 1)]

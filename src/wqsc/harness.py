@@ -77,11 +77,12 @@ import numpy as np
 
 from .attacks import AttackKind, CAO_ATTACKS, PRESENT_ATTACKS, attack_rows
 from .errors import InvalidConfig, InvalidCounts, UnsupportedPair
-from .protocol import CHECK_BASES, _pair_basis, _rule_tables
+from .protocol import CHECK_BASES, _rule_tables
 from .qstate import (
     FLIP,
     HADAMARD,
     ZERO_PROB,
+    MeasurementBasis,
     _basis_tables,
     apply_1q_rows,
     measurement_rows,
@@ -189,6 +190,13 @@ def _validate(scheme: str, attack: str, init_policy: str, check_basis_policy: st
         raise InvalidConfig(f"init_policy {init_policy!r} invalid")
     if check_basis_policy not in CHECK_BASIS_POLICIES:
         raise InvalidConfig(f"check_basis_policy {check_basis_policy!r} invalid")
+    # the other scheme's policy is left at random, never silently ignored
+    if scheme == "present" and check_basis_policy != "random":
+        raise InvalidConfig(
+            f"check_basis_policy {check_basis_policy!r} does not apply to 'present'"
+        )
+    if scheme == "cao" and init_policy != "random":
+        raise InvalidConfig(f"init_policy {init_policy!r} does not apply to 'cao'")
     return kind
 
 
@@ -328,7 +336,8 @@ class _BranchTree:
         return self._columns[key][0]
 
     def values(self, key: str) -> list:
-        """The values of ``key`` at the deepest level's nodes."""
+        """The values of ``key`` at the deepest level's nodes: an outcome's
+        label string, a choice's value (a string or an int), or a note."""
         _, labels, by = self._columns[key]
         codes = self.column(key).tolist()
         if by:
@@ -479,7 +488,7 @@ def _cao_tree(kind: AttackKind, basis_policy: str, message: bool) -> _BranchTree
     tree.attack(kind, (3, 4))
     tree.choose("basis", CHECK_BASES, "bell" if message else basis_policy)
     for key, pair in (("alice", (1, 2)), ("bob", (3, 4))):
-        tree.measure(key, tuple(_pair_basis(basis, *pair) for basis in CHECK_BASES), by="basis")
+        tree.measure(key, tuple(MeasurementBasis(basis, pair) for basis in CHECK_BASES), by="basis")
     if not message:
         columns = tuple(tree.column(key) for key in ("basis", "alice", "bob"))
         return tree.finish(check_pass=1 - rules["check_error"][columns])
@@ -519,13 +528,9 @@ def _config_trees(scheme: str, kind: AttackKind, policy: str) -> _ConfigTrees:
     ``kind`` and the scheme's init or check-basis ``policy``, built once per
     process, each from its root. The keys are the 20 valid configs, not a
     :class:`RunConfig`, whose seed and round count would grow the memo
-    without bound. The cao message tree is the same for every check-basis
-    policy, so each cao config reads that of its attack's Bell config."""
+    without bound."""
     build_tree = _present_tree if scheme == "present" else _cao_tree
-    check = build_tree(kind, policy, False)
-    if scheme == "cao" and policy != "bell":
-        return _ConfigTrees((check, _config_trees(scheme, kind, "bell")[1]))
-    return _ConfigTrees((check, build_tree(kind, policy, True)))
+    return _ConfigTrees((build_tree(kind, policy, False), build_tree(kind, policy, True)))
 
 
 def _round_trees(config: RunConfig) -> _ConfigTrees:
@@ -589,7 +594,7 @@ def exact_analyze(
         total_error += (1.0 / len(groups)) * totals[group]["check_errors"]
     conditional_error = {group: counts["check_errors"] for group, counts in totals.items()}
 
-    # the cao scheme has one message tree, whatever the check basis
+    # the cao message tree is the same, whatever the check basis
     messages = totals if scheme == "present" else {"w4": totals[groups[0]]}
     conditional_leak = {group: _message_rates(counts)[1] for group, counts in messages.items()}
     message = dict.fromkeys(_COUNTS, 0.0)

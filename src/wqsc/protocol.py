@@ -22,7 +22,8 @@ one-time-pad transfer of a message bit through the announced ciphertext.
 
 Each rule is one table (:func:`_rule_tables`), indexed by the outcome
 indices of the outcomes it reads (:func:`~wqsc.qstate.outcome_at` gives
-their labels), with -1 at the outcomes that no modelled round reaches.
+their label strings, such as ``"01"`` or ``"psi+"``), with -1 at the
+outcomes that no modelled round reaches.
 A round itself is played only as a branch tree in :mod:`wqsc.harness`,
 whose leaves read their entries; the test suite's oracle states each
 rule again, on outcome labels, and replays rounds one at a time as an
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import ZERO_PROB, MeasurementBasis, bell_basis, measurement_rows, x_basis, z_basis
+from .qstate import ZERO_PROB, MeasurementBasis, measurement_rows
 from .states import StateLabel, build
 
 CHECK_BASES = ("z", "x", "bell")
@@ -52,22 +53,14 @@ _ALICE_KEY = (0, -1, 1, 1)
 _BOB_KEY = (1, -1, 0, 0)
 
 
-def _pair_basis(kind: str, qa: int, qb: int) -> MeasurementBasis:
-    if kind == "z":
-        return z_basis(qa, qb)
-    if kind == "x":
-        return x_basis(qa, qb)
-    return bell_basis(qa, qb)
-
-
 def _check_error(basis: str) -> np.ndarray:
     """Whether a cao check round in ``basis`` flags an error, by [sender
     pair, receiver pair] outcome: 1 where the ideal w4 state gives the
     joint outcome at most ``ZERO_PROB``, else 0. The sender's pair is
     measured first, and each of its outcomes collapsed, one of zero
     probability to a zero state."""
-    probs, after = measurement_rows(build(StateLabel.W4)[None], _pair_basis(basis, 1, 2))
-    joint = probs.T * measurement_rows(after[0], _pair_basis(basis, 3, 4))[0]
+    probs, after = measurement_rows(build(StateLabel.W4)[None], MeasurementBasis(basis, (1, 2)))
+    joint = probs.T * measurement_rows(after[0], MeasurementBasis(basis, (3, 4)))[0]
     return (joint <= ZERO_PROB).astype(np.int64)
 
 

@@ -22,8 +22,11 @@ numbers.
 
 Measurements are supported in the computational (Z) basis, the Hadamard
 (X) basis with outcomes encoded as bits (0 for ``|+>``, 1 for ``|->``),
-and the Bell basis on an ordered qubit pair. A basis's outcomes are
-numbered by *outcome index* (:func:`outcome_at` gives their labels).
+and the Bell basis on an ordered qubit pair: a basis's kind is the
+string ``"z"``, ``"x"`` or ``"bell"``. A basis's outcomes are numbered
+by *outcome index*, and each has a plain string label
+(:func:`outcome_at`): its bits in qubit order (``"01"``) or a Bell label
+(``"psi+"``).
 Every basis is measured through one path: a rotation maps it onto Z (a
 Hadamard on each X qubit; CNOT(a, b), then H(a) for Bell on (a, b)), the
 rotated stack is measured in Z, and each collapsed state is rotated back.
@@ -32,7 +35,6 @@ rotated stack is measured in Z, and each collapsed state is rotated back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -81,12 +83,6 @@ HADAMARD = Gate1Q(np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV, name=
 # bases and outcomes
 
 
-class BasisKind(str, Enum):
-    Z = "z"
-    X = "x"
-    BELL = "bell"
-
-
 # the Bell outcome indices 0..3, and the Bell outcome index of each Z
 # outcome 2 * bit_a + bit_b of the rotated pair: CNOT(a, b), then H(a)
 # sends phi+, psi+, phi-, psi- to 00, 01, 10, 11
@@ -96,37 +92,25 @@ _BELL_OF_Z = np.array([BELL_ORDER.index(label) for label in ("phi+", "psi+", "ph
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Z or X on a set of qubits, or the Bell basis on an ordered pair."""
+    """Z or X (``kind`` ``"z"``, ``"x"``) on a set of qubits, or the Bell
+    basis (``"bell"``) on an ordered pair."""
 
-    kind: BasisKind
+    kind: str
     qubits: tuple[int, ...]
 
-@lru_cache(maxsize=None)
+
 def z_basis(*qubits: int) -> MeasurementBasis:
     """Z basis on the given qubits; outcome bits in ascending qubit order."""
-    return MeasurementBasis(BasisKind.Z, tuple(sorted(qubits)))
+    return MeasurementBasis("z", tuple(sorted(qubits)))
 
 
-@lru_cache(maxsize=None)
 def x_basis(*qubits: int) -> MeasurementBasis:
     """X basis on the given qubits; outcome bit 0 is ``|+>``, 1 is ``|->``."""
-    return MeasurementBasis(BasisKind.X, tuple(sorted(qubits)))
+    return MeasurementBasis("x", tuple(sorted(qubits)))
 
 
-@lru_cache(maxsize=None)
 def bell_basis(first: int, second: int) -> MeasurementBasis:
-    return MeasurementBasis(BasisKind.BELL, (first, second))
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Measurement result: bit string for Z/X, Bell label for Bell."""
-
-    kind: BasisKind
-    value: str
-
-    def __str__(self) -> str:
-        return self.value
+    return MeasurementBasis("bell", (first, second))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +122,7 @@ class _BasisTables(NamedTuple):
 
     outcomes: np.ndarray  # the outcome of every basis state, once rotated onto Z
     order: np.ndarray  # the basis states, grouped by outcome
-    labels: tuple[Outcome, ...]  # the Outcome of every outcome index
+    labels: tuple[str, ...]  # the label of every outcome index
 
 
 @lru_cache(maxsize=None)
@@ -147,9 +131,11 @@ def _basis_tables(basis: MeasurementBasis, num_qubits: int) -> _BasisTables:
     qubits after :func:`_rotate_measured` (for Bell, numbered in
     ``BELL_ORDER``), cached since the same few bases are measured in
     every tree build."""
+    if basis.kind not in ("z", "x", "bell"):
+        raise InvalidBasis(f"unknown basis kind {basis.kind!r}")
     if len(set(basis.qubits)) != len(basis.qubits):
         raise InvalidBasis(f"duplicate qubit in {basis.qubits}")
-    if basis.kind is BasisKind.BELL and len(basis.qubits) != 2:
+    if basis.kind == "bell" and len(basis.qubits) != 2:
         raise InvalidBasis("Bell basis requires exactly two qubits")
     if not basis.qubits:
         raise InvalidBasis("empty qubit set")
@@ -161,7 +147,7 @@ def _basis_tables(basis: MeasurementBasis, num_qubits: int) -> _BasisTables:
     outcomes = np.zeros(1 << num_qubits, dtype=np.int64)
     for q in basis.qubits:
         outcomes = (outcomes << 1) | ((idx >> (num_qubits - q)) & 1)
-    if basis.kind is BasisKind.BELL:
+    if basis.kind == "bell":
         outcomes = _BELL_OF_Z[outcomes]
     order = np.argsort(outcomes, kind="stable")
     outcomes.setflags(write=False)
@@ -172,15 +158,16 @@ def _basis_tables(basis: MeasurementBasis, num_qubits: int) -> _BasisTables:
 
 def _pair_rest_indices(num_qubits: int, qa: int, qb: int) -> np.ndarray:
     """Flat indices by (bit_a, bit_b, rest); rest bits keep qubit order."""
-    pair = MeasurementBasis(BasisKind.Z, (qa, qb))  # outcome 2 * bit_a + bit_b
+    pair = MeasurementBasis("z", (qa, qb))  # outcome 2 * bit_a + bit_b
     return _basis_tables(pair, num_qubits).order.reshape(2, 2, -1)
 
 
-def outcome_at(basis: MeasurementBasis, i: int) -> Outcome:
-    """The outcome with outcome index ``i`` of a basis."""
-    if basis.kind is BasisKind.BELL:
-        return Outcome(BasisKind.BELL, BELL_ORDER[i])
-    return Outcome(basis.kind, format(i, f"0{len(basis.qubits)}b"))
+def outcome_at(basis: MeasurementBasis, i: int) -> str:
+    """The label of the outcome with outcome index ``i`` of a basis: a
+    Bell label, or the measured qubits' bits in qubit order."""
+    if basis.kind == "bell":
+        return BELL_ORDER[i]
+    return format(i, f"0{len(basis.qubits)}b")
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +217,12 @@ def _rotate_measured(amps: np.ndarray, basis: MeasurementBasis, back: bool = Fal
     ``back`` its inverse: none for Z; a Hadamard on every X qubit (they
     commute, so one order serves both ways); for Bell on (a, b), CNOT(a, b),
     then H(a), both self-inverse, so going back is the same steps reversed."""
-    if basis.kind is BasisKind.BELL:
+    if basis.kind == "bell":
         a, b = basis.qubits
         if back:
             return apply_cnot_rows(apply_1q_rows(amps, a, HADAMARD), a, b)
         return apply_1q_rows(apply_cnot_rows(amps, a, b), a, HADAMARD)
-    for q in basis.qubits if basis.kind is BasisKind.X else ():
+    for q in basis.qubits if basis.kind == "x" else ():
         amps = apply_1q_rows(amps, q, HADAMARD)
     return amps
 

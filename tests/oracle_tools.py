@@ -33,13 +33,12 @@ from typing import NamedTuple
 import numpy as np
 
 from wqsc.attacks import AttackKind, attack_rows
-from wqsc.protocol import CHECK_BASES, _pair_basis
+from wqsc.protocol import CHECK_BASES
 from wqsc.qstate import (
     FLIP,
     HADAMARD,
-    BasisKind,
+    MeasurementBasis,
     ZERO_PROB,
-    Outcome,
     apply_1q_rows,
     bell_basis,
     measurement_rows,
@@ -159,20 +158,20 @@ ALICE_KEY = {"psi+": 0, "phi+": 1, "phi-": 1}
 BOB_KEY = {"phi+": 0, "phi-": 0, "psi+": 1}
 
 
-def check_consistent(alice: Outcome, bob: Outcome) -> bool:
+def check_consistent(alice: str, bob: str) -> bool:
     """Whether a present check round's Z outcomes follow the correlation."""
-    return CORRELATION[alice.value] == bob.value
+    return CORRELATION[alice] == bob
 
 
-def recover_bit(alice: Outcome, bob: Outcome) -> int:
+def recover_bit(alice: str, bob: str) -> int:
     """The message bit the receiver reads off a Z result, given the
     sender's published Z pair."""
-    return int(CORRELATION[alice.value] != bob.value)
+    return int(CORRELATION[alice] != bob)
 
 
-def cao_keys(alice: Outcome, bob: Outcome) -> tuple[int, int]:
+def cao_keys(alice: str, bob: str) -> tuple[int, int]:
     """Sender's and receiver's key bits from their Bell outcomes."""
-    return ALICE_KEY[alice.value], BOB_KEY[bob.value]
+    return ALICE_KEY[alice], BOB_KEY[bob]
 
 
 @lru_cache(maxsize=None)
@@ -199,10 +198,10 @@ def allowed_joint_outcomes(basis: str) -> frozenset[tuple[str, str]]:
     return frozenset(allowed)
 
 
-def cao_check_error(basis: str, alice: Outcome, bob: Outcome) -> bool:
+def cao_check_error(basis: str, alice: str, bob: str) -> bool:
     """Whether a cao check round's joint outcome is impossible for the
     ideal state."""
-    return (alice.value, bob.value) not in allowed_joint_outcomes(basis)
+    return (alice, bob) not in allowed_joint_outcomes(basis)
 
 
 class FixedUniform:
@@ -335,7 +334,7 @@ def reference_guess(kind: AttackKind, note, initial=None, alice=None, ciphertext
         readable, bob_value = "phi2", note.observed
     if initial != readable:
         return None
-    return recover_bit(alice, Outcome(BasisKind.Z, bob_value))
+    return recover_bit(alice, bob_value)
 
 
 def present_round(kind: AttackKind, init_policy: str, bit: int | None, rng, seen=None) -> tuple:
@@ -361,7 +360,7 @@ def present_round(kind: AttackKind, init_policy: str, bit: int | None, rng, seen
     if note is not None and note.ancilla_qubit is not None:
         # Eve measures her ancilla only now, at guess time
         ancilla, _ = sample_measurement(after, z_basis(note.ancilla_qubit), rng)
-        note = replace(note, ancilla_outcome=int(ancilla.value))
+        note = replace(note, ancilla_outcome=int(ancilla))
         seen["note"] = note
     guess = reference_guess(kind, note, initial=initial, alice=alice)
     return (bit, None, recover_bit(alice, bob), guess)
@@ -378,8 +377,8 @@ def cao_round(kind: AttackKind, basis_policy: str, bit: int | None, rng, seen=No
         basis = basis_policy
         if basis == "random":
             basis = CHECK_BASES[int(rng.random() * 3.0) % 3]
-        alice, after = sample_measurement(state, _pair_basis(basis, 1, 2), rng)
-        bob, _ = sample_measurement(after, _pair_basis(basis, 3, 4), rng)
+        alice, after = sample_measurement(state, MeasurementBasis(basis, (1, 2)), rng)
+        bob, _ = sample_measurement(after, MeasurementBasis(basis, (3, 4)), rng)
         seen.update(basis=basis, note=note, alice=alice, bob=bob)
         return (None, not cao_check_error(basis, alice, bob), None, None)
     alice, after = sample_measurement(state, bell_basis(1, 2), rng)

@@ -194,7 +194,7 @@ def test_criterion_9_property_battery():
     double_excitations = 0
     for attack in ("ir-z", "ir-x", "cnot"):
         for tree in _round_trees(RunConfig(scheme="present", attack=attack)):
-            double_excitations += sum(alice.value == "11" for alice in tree.values("alice"))
+            double_excitations += sum(alice == "11" for alice in tree.values("alice"))
     ok &= double_excitations == 0
 
     # frequencies sampled by walking a one-level branch tree of the
@@ -211,7 +211,7 @@ def test_criterion_9_property_battery():
     counts = dict.fromkeys(exact, 0)
     outcomes = tree.values("outcome")
     for outcome, hits in zip(outcomes, np.bincount(leaves, minlength=len(outcomes)).tolist()):
-        counts[outcome.value] = hits
+        counts[outcome] = hits
     for value, p in exact.items():
         if p == 0.0:
             ok &= counts[value] == 0

@@ -23,8 +23,6 @@ from wqsc.attacks import CAO_ATTACKS, PRESENT_ATTACKS, AttackKind, attack_rows
 from wqsc.harness import RunConfig, _round_trees, exact_analyze
 from wqsc.qstate import (
     ATOL,
-    BasisKind,
-    Outcome,
     bell_basis,
     measurement_rows,
     outcome_at,
@@ -164,7 +162,7 @@ class TestInvisibility:
             check, _ = _round_trees(RunConfig(scheme="present", attack=attack, init_policy="phi1"))
             law: dict[tuple[str, str], float] = {}
             for node, mass in zip(node_values(check, "alice", "bob"), check.masses, strict=True):
-                key = (node["alice"].value, node["bob"].value)
+                key = (node["alice"], node["bob"])
                 law[key] = law.get(key, 0.0) + mass
             laws.append(law)
         ideal, attacked = laws
@@ -198,8 +196,7 @@ class TestEveGuess:
         # her resent Z eigenstate is the receiver's result in phi1 rounds
         leaves = _message_leaves("present", "ir-z", init_policy="phi1")
         for node, leaf in leaves:
-            eve_as_bob = Outcome(BasisKind.Z, node["note"].observed)
-            assert leaf.eve_guess == recover_bit(node["alice"], eve_as_bob)
+            assert leaf.eve_guess == recover_bit(node["alice"], node["note"].observed)
         assert {leaf.eve_guess for _, leaf in leaves} == {0, 1}
 
     def test_ir_z_phi2_round_unknown(self):
@@ -211,11 +208,11 @@ class TestEveGuess:
         seen = set()
         for node, leaf in _message_leaves("cao", "cao-ir-z"):
             assert leaf.eve_guess == leaf.message_bit
-            seen.add((node["note"].observed, node["alice"].value, leaf.message_bit))
+            seen.add((node["note"].observed, node["alice"], leaf.message_bit))
         attacked, notes = _attack_branches(CAO_IR, build("w4"), (3, 4))
         alice = pruned_branches(*measurement_rows(attacked.states, bell_basis(1, 2)))
         alice_outcomes = {
-            (notes[note].observed, outcome_at(bell_basis(1, 2), out).value)
+            (notes[note].observed, outcome_at(bell_basis(1, 2), out))
             for note, out in zip(attacked.outcome[alice.parent].tolist(), alice.outcome.tolist())
         }
         assert seen == {(*pair, bit) for pair in alice_outcomes for bit in (0, 1)}
@@ -227,7 +224,7 @@ class TestEveGuess:
         laws: list[dict[tuple[str, str], float]] = [{}, {}]
         nodes = node_values(tree, "bit", "note", "alice")
         for node, mass in zip(nodes, tree.masses, strict=True):
-            key = (node["note"].observed, node["alice"].value)
+            key = (node["note"].observed, node["alice"])
             law = laws[node["bit"]]
             law[key] = law.get(key, 0.0) + mass
         assert set(laws[0]) == set(laws[1])

@@ -147,6 +147,20 @@ class TestUsageErrors:
         assert code == 1
         assert "rounds" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--scheme", "cao", "--init", "phi1"],
+        ["run", "--scheme", "present", "--check-basis", "x"],
+        ["run", "--scheme", "cao", "--init", "phi2", "--rounds", "200"],
+        ["exact", "--scheme", "present", "--check-basis", "bell", "--format", "csv"],
+    ])
+    def test_other_schemes_policy_exits_one(self, capsys, argv):
+        # the flag that the scheme never reads is an error, not ignored
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("wqsc: error: ") and "does not apply to" in err
+
     @pytest.mark.parametrize("rounds", [10**13, 10**30])
     def test_extreme_rounds_exit_one(self, capsys, rounds):
         # both lie above the 10**10-round ceiling that RunConfig enforces

@@ -44,8 +44,8 @@ from wqsc.harness import (
     to_csv,
     to_json,
 )
-from wqsc.protocol import CHECK_BASES, _pair_basis, _rule_tables
-from wqsc.qstate import bell_basis, outcome_at, z_basis
+from wqsc.protocol import CHECK_BASES, _rule_tables
+from wqsc.qstate import MeasurementBasis, bell_basis, outcome_at, z_basis
 from wqsc.states import verify_identities
 
 ATOL = 1e-12
@@ -252,6 +252,21 @@ class TestRoundTrees:
             assert leaf.eve_guess is None
 
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
+    def test_values_are_plain_data(self, scheme, attack, init, basis):
+        # every key but Eve's note decodes to plain strings and ints: the
+        # outcome labels, the initial state, the check basis, the bits
+        config = RunConfig(
+            scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
+        )
+        for tree in _round_trees(config):
+            keys = [key for key in tree._columns if key != "note"]
+            assert {"alice", "bob", "initial" if scheme == "present" else "basis"} <= set(keys)
+            for key in keys:
+                values = tree.values(key)
+                assert {type(value) for value in values} <= {str, int}, key
+                assert json.loads(json.dumps(values)) == values, key
+
+    @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
     def test_guess_matches_reference_rule(self, scheme, attack, init, basis):
         # the guess read off the tree equals the rule written by hand for
         # each attack, on every message leaf
@@ -328,7 +343,8 @@ ORACLE_TABLES = {
     "consistent": lambda: _oracle_table(check_consistent, z_basis(1, 2), z_basis(3)),
     "recovered": lambda: _oracle_table(recover_bit, z_basis(1, 2), z_basis(3)),
     "check_error": lambda: np.array([
-        _oracle_table(partial(cao_check_error, basis), _pair_basis(basis, 1, 2), _pair_basis(basis, 3, 4))
+        _oracle_table(partial(cao_check_error, basis),
+                      MeasurementBasis(basis, (1, 2)), MeasurementBasis(basis, (3, 4)))
         for basis in CHECK_BASES
     ]),
     "keys": lambda: _oracle_table(cao_keys, bell_basis(1, 2), bell_basis(3, 4), (-1, -1)),
@@ -502,10 +518,21 @@ class TestConfigTrees:
     @pytest.mark.parametrize(
         "scheme,attack,init,basis", [config for config in VALID_CONFIGS if config[0] == "cao"]
     )
-    def test_cao_configs_share_the_bell_message_tree(self, scheme, attack, init, basis):
+    def test_cao_message_tree_is_the_same_for_every_check_basis(self, scheme, attack, init, basis):
+        # each config builds its own message tree; a key round's basis is
+        # Bell whatever the check-basis policy, so all four are one tree
         kind = AttackKind(attack)
         message = harness._config_trees(scheme, kind, basis)[1]
-        assert message is harness._config_trees(scheme, kind, "bell")[1]
+        bell = harness._config_trees(scheme, kind, "bell")[1]
+        assert (message is bell) == (basis == "bell")
+        assert list(message._columns) == list(bell._columns)
+        for key in bell._columns:
+            assert _same(message.column(key), bell.column(key)), key
+            assert message.values(key) == bell.values(key), key
+        assert _same(message.masses, bell.masses)
+        assert len(message.leaf_columns) == len(bell.leaf_columns) == 4
+        for ours, theirs in zip(message.leaf_columns, bell.leaf_columns):
+            assert _same(ours, theirs)
 
     def test_seed_sweep_keeps_one_entry(self):
         harness._config_trees.cache_clear()
@@ -516,8 +543,7 @@ class TestConfigTrees:
 
     def test_entries_are_the_configs_keys(self):
         # exact analysis of a random policy reads the trees of the policy's
-        # groups, each of which is a config of its own, and every cao
-        # config reads the message tree of its attack's Bell config
+        # groups, each of which is a config of its own
         harness._config_trees.cache_clear()
         for scheme, attack, init, basis in VALID_CONFIGS:
             run_monte_carlo(RunConfig(scheme=scheme, attack=attack, rounds=100,
@@ -538,6 +564,21 @@ class TestRunConfig:
             RunConfig(scheme="present", rounds=2, check_fraction=0.1)
         with pytest.raises(errors.UnsupportedPair):
             RunConfig(scheme="present", attack="cao-ir-z")
+
+    @pytest.mark.parametrize("scheme,policies,rejected", [
+        ("cao", {"init_policy": "phi1"}, "init_policy 'phi1'"),
+        ("cao", {"init_policy": "phi2", "check_basis_policy": "x"}, "init_policy 'phi2'"),
+        ("present", {"check_basis_policy": "x"}, "check_basis_policy 'x'"),
+        ("present", {"init_policy": "phi1", "check_basis_policy": "bell"},
+         "check_basis_policy 'bell'"),
+    ])
+    def test_other_schemes_policy_rejected(self, scheme, policies, rejected):
+        # a policy that the scheme never reads is an error, not ignored
+        match = f"{rejected} does not apply to '{scheme}'"
+        with pytest.raises(errors.InvalidConfig, match=match):
+            RunConfig(scheme=scheme, **policies)
+        with pytest.raises(errors.InvalidConfig, match=match):
+            exact_analyze(scheme, "none", **policies)
 
     @pytest.mark.parametrize(
         "field,value", [("rounds", 1000.0), ("master_seed", 1.5), ("master_seed", "7")]

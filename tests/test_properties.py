@@ -131,7 +131,7 @@ def test_measurement_branches_match_dense_projectors(seed, data):
     collapsed = dict(zip(found.outcome.tolist(), found.states))
     for i, prob in enumerate(probs[0]):
         dense_prob, dense_state = dense_project(
-            state, projector_fn(n, qubits, outcome_at(basis, i).value)
+            state, projector_fn(n, qubits, outcome_at(basis, i))
         )
         assert prob == pytest.approx(dense_prob, abs=ATOL)
         if dense_state is None:
@@ -172,7 +172,7 @@ def test_empirical_frequencies_match_exact_distribution():
     counts = dict.fromkeys(exact, 0)
     outcomes = tree.values("outcome")
     for outcome, hits in zip(outcomes, np.bincount(leaves, minlength=len(outcomes)).tolist()):
-        counts[outcome.value] = hits
+        counts[outcome] = hits
     for value, p in exact.items():
         if p == 0.0:
             assert counts[value] == 0

@@ -23,8 +23,8 @@ from oracle_tools import (
 import wqsc
 from wqsc import attacks, harness, protocol, qstate
 from wqsc.harness import RunConfig, _round_trees, exact_analyze
-from wqsc.protocol import CHECK_BASES, _pair_basis, _rule_tables
-from wqsc.qstate import ATOL, FLIP, measurement_rows, outcome_at, z_basis
+from wqsc.protocol import CHECK_BASES, _rule_tables
+from wqsc.qstate import ATOL, FLIP, MeasurementBasis, measurement_rows, outcome_at, z_basis
 from wqsc.states import build
 
 
@@ -35,10 +35,10 @@ def _entry(table: str, *labels: str, basis: str | None = None) -> int:
     if basis is None:
         bases, entries = (z_basis(1, 2), z_basis(3)), _rule_tables()[table]
     else:
-        bases = (_pair_basis(basis, 1, 2), _pair_basis(basis, 3, 4))
+        bases = (MeasurementBasis(basis, (1, 2)), MeasurementBasis(basis, (3, 4)))
         entries = _rule_tables()[table][CHECK_BASES.index(basis)]
     index = tuple(
-        next(i for i in range(4) if outcome_at(b, i).value == label)
+        next(i for i in range(4) if outcome_at(b, i) == label)
         for b, label in zip(bases, labels)
     )
     return entries[index].tolist()
@@ -84,7 +84,7 @@ class TestPresentRound:
                 continue
             assert node["initial"] == initial
             assert leaf.recovered_bit == bit
-            assert node["alice"].value != "11"
+            assert node["alice"] != "11"
             assert leaf.eve_guess is None
             mass += m
         assert mass == pytest.approx(0.5, abs=ATOL)
@@ -101,9 +101,9 @@ class TestPresentRound:
         for a, b in zip(alice.outcome[bob.parent].tolist(), bob.outcome.tolist()):
             alice_out, bob_out = outcome_at(z_basis(1, 2), a), outcome_at(z_basis(3), b)
             assert _rule_tables()["recovered"][a, b] == 1
-            if alice_out.value == "00":
+            if alice_out == "00":
                 seen_00 = True
-                assert bob_out.value == "0"
+                assert bob_out == "0"
         assert seen_00
 
     def test_phi2_check_error_under_interception_is_half(self):
@@ -126,7 +126,7 @@ class TestCaoRound:
         bob = pruned_branches(*measurement_rows(alice.states, bell_basis(3, 4)))
         assert alice.prob[bob.parent] * bob.prob == pytest.approx([0.25] * 4, abs=ATOL)
         seen = {
-            (outcome_at(bell_basis(1, 2), a).value, outcome_at(bell_basis(3, 4), b).value)
+            (outcome_at(bell_basis(1, 2), a), outcome_at(bell_basis(3, 4), b))
             for a, b in zip(alice.outcome[bob.parent].tolist(), bob.outcome.tolist())
         }
         assert seen == {
@@ -144,10 +144,10 @@ class TestCaoCheckError:
     def test_derived_tables_match_dense_projector_oracle(self, basis):
         # the pairs the package's w4-derived table allows are those the
         # oracle's dense projectors give nonzero probability
-        first, second = _pair_basis(basis, 1, 2), _pair_basis(basis, 3, 4)
+        first, second = MeasurementBasis(basis, (1, 2)), MeasurementBasis(basis, (3, 4))
         table = _rule_tables()["check_error"][CHECK_BASES.index(basis)]
         allowed = {
-            (outcome_at(first, a).value, outcome_at(second, b).value)
+            (outcome_at(first, a), outcome_at(second, b))
             for a, b in zip(*(table == 0).nonzero())
         }
         assert allowed == allowed_joint_outcomes(basis)

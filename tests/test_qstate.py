@@ -21,6 +21,7 @@ from wqsc.qstate import (
     FLIP,
     Gate1Q,
     HADAMARD,
+    MeasurementBasis,
     apply_1q_rows,
     apply_cnot_rows,
     bell_basis,
@@ -169,6 +170,13 @@ class TestDistribution:
         with pytest.raises(errors.InvalidBasis):
             measurement_rows(build("phi1")[None], z_basis(1, 1))
 
+    @pytest.mark.parametrize("kind", ["y", "Z", "", "bells"])
+    def test_unknown_kind_rejected(self, kind):
+        # a kind is one of the strings "z", "x" and "bell"; any other is
+        # no basis, never a Z measurement under another name
+        with pytest.raises(errors.InvalidBasis, match="basis kind"):
+            measurement_rows(build("phi1")[None], MeasurementBasis(kind, (1,)))
+
 
 class TestMeasure:
     def test_bell_eigenstate(self):
@@ -199,7 +207,7 @@ class TestMeasure:
         tree = _BranchTree()
         tree.prepare([ket("00")])
         tree.measure("outcome", (z_basis(1, 2),))
-        assert [outcome.value for outcome in tree.values("outcome")] == ["00"]
+        assert tree.values("outcome") == ["00"]
         words = np.append(np.linspace(0, 0.999999 * 2**53, 23).astype(np.int64), 2**53 - 1)
         walked = _walk(_walk_tables([tree]), np.zeros(len(words), dtype=np.int64), words[:, None])
         assert np.array_equal(walked, np.zeros(len(words)))
