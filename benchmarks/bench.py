@@ -18,7 +18,14 @@ may use, to which it pins itself):
   and the trees it reads, so the same call times the whole Monte Carlo
   path of any version;
 * ``exact_cold_ms`` and ``exact_warm_ms``: ``exact_analyze`` of the
-  config.
+  config;
+* ``phases_ms``: where a warm ``run_warm_ms`` call spends its time. For
+  one more such call, each function of ``PHASES`` that the version has
+  (mode flags, draws, walk; ``_run_counts`` reads them from the module's
+  globals) is wrapped in a timer. Per phase, the median of its ms, or
+  null for a name the version lacks; and ``rest``, the median of the
+  call's time outside them (leaf counts, config and loop overhead).
+  ``phases_totals_ms`` sums each over the configs.
 
 A version that keeps each config's trees for the life of the process
 (``_config_trees``, whose entries also hold what a run compiles from the
@@ -117,6 +124,7 @@ COLD_ROWS = {
 # timed in this order: each cold call follows a call that builds trees in
 # every version, so no version's build code is colder in the CPU's caches
 LAYERS = ("build_ms", "run_cold_ms", "exact_cold_ms", "run_warm_ms", "exact_warm_ms")
+PHASES = ("_check_flags", "_draw_block", "_walk")
 
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 from calibrate import REF_NOMINAL_S, burst  # noqa: E402
@@ -174,7 +182,8 @@ def _timed(call) -> float:
 
 def _calls(harness, spec: tuple[str, str, str, str]) -> dict:
     """Per layer, the function to call before it, untimed, and the call
-    that times it for one config."""
+    that times it for one config; and ``phases_ms``, the call that times
+    the phases of a run (:func:`_phase_times`)."""
     scheme, attack, init, basis = spec
     config = harness.RunConfig(
         scheme=scheme, attack=attack, rounds=ROUNDS, check_fraction=0.5,
@@ -190,16 +199,45 @@ def _calls(harness, spec: tuple[str, str, str, str]) -> dict:
         "exact_cold_ms": (cold, exact),
         "run_warm_ms": (run, run),
         "exact_warm_ms": (exact, exact),
+        "phases_ms": lambda: _phase_times(harness, config),
     }
 
 
+def _phase_times(harness, config) -> dict:
+    """ms of one ``_run_counts(config)`` call (``total``) and of each of
+    its ``PHASES`` that ``harness`` has, each wrapped in a timer for the
+    call."""
+    originals = {name: getattr(harness, name) for name in PHASES if hasattr(harness, name)}
+    spent = dict.fromkeys(originals, 0.0)
+
+    def timer(name):
+        def timed(*args):
+            start = time.perf_counter()
+            try:
+                return originals[name](*args)
+            finally:
+                spent[name] += (time.perf_counter() - start) * 1e3
+        return timed
+
+    for name in originals:
+        setattr(harness, name, timer(name))
+    try:
+        total = _timed(lambda: harness._run_counts(config))
+    finally:
+        for name, call in originals.items():
+            setattr(harness, name, call)
+    return {"total": total, **spent}
+
+
 def _timed_layers(calls: dict) -> dict:
-    """Per layer, in ``LAYERS`` order, the ms of its call."""
+    """Per layer, in ``LAYERS`` order, the ms of its call; then the
+    phases of a warm run (:func:`_phase_times`)."""
     walls = {}
     for layer in LAYERS:
         before, call = calls[layer]
         before()
         walls[layer] = _timed(call)
+    walls["phases_ms"] = calls["phases_ms"]()
     return walls
 
 
@@ -209,7 +247,7 @@ def measure(versions: list) -> tuple[list[list[dict]], float]:
     repeat the versions take turns per config, in an order that
     alternates from repeat to repeat."""
     calls = [[_calls(harness, spec) for spec in CONFIGS] for harness in versions]
-    times = [[{layer: [] for layer in LAYERS} for _ in CONFIGS] for _ in versions]
+    times = [[{layer: [] for layer in (*LAYERS, "phases_ms")} for _ in CONFIGS] for _ in versions]
     refs = [burst()]
     for repeat in range(REPEATS):
         order = list(range(len(versions)))
@@ -222,6 +260,8 @@ def measure(versions: list) -> tuple[list[list[dict]], float]:
             for v, wall in walls.items():
                 for layer in LAYERS:
                     times[v][case][layer].append(wall[layer] * scale)
+                phases = {name: ms * scale for name, ms in wall["phases_ms"].items()}
+                times[v][case]["phases_ms"].append(phases)
     return times, statistics.median(refs) * 1e3
 
 
@@ -233,6 +273,25 @@ def _spread(values: list[float]) -> dict:
 
 def _medians(cases: list[dict]) -> list[dict]:
     return [{layer: statistics.median(case[layer]) for layer in LAYERS} for case in cases]
+
+
+def _phase_medians(runs: list[dict]) -> dict:
+    """Per phase, the median ms over ``runs`` (None for a phase the version
+    lacks), and ``rest``, the median of each call's ms outside them."""
+    medians = {
+        name: statistics.median(run[name] for run in runs) if name in runs[0] else None
+        for name in PHASES
+    }
+    medians["rest"] = statistics.median(
+        run["total"] - sum(run.get(name, 0.0) for name in PHASES) for run in runs
+    )
+    return medians
+
+
+def _phase_totals(phases: list[dict]) -> dict:
+    """Per phase (and ``rest``), the sum of the configs' medians, or None."""
+    return {name: None if phases[0][name] is None else sum(case[name] for case in phases)
+            for name in phases[0]}
 
 
 # A child spawned from this process shares (or copies) its memory until
@@ -327,8 +386,9 @@ def main(argv: list[str] | None = None) -> int:
     versions = [harness] + ([_harness(parent, "wqsc_parent")] if parent else [])
     times, ref_burst_ms = measure(versions)
     configs = [
-        {"scheme": scheme, "attack": attack, "init": init, "check_basis": basis, **medians}
-        for (scheme, attack, init, basis), medians in zip(CONFIGS, _medians(times[0]))
+        {"scheme": scheme, "attack": attack, "init": init, "check_basis": basis, **medians,
+         "phases_ms": _phase_medians(case["phases_ms"])}
+        for (scheme, attack, init, basis), medians, case in zip(CONFIGS, _medians(times[0]), times[0])
     ]
     totals = {layer: sum(case[layer] for case in configs) for layer in LAYERS}
     report = {
@@ -349,6 +409,7 @@ def main(argv: list[str] | None = None) -> int:
         "ref_nominal_ms": REF_NOMINAL_S * 1e3,
         "ref_burst_ms": ref_burst_ms,
         "totals_ms": totals,
+        "phases_totals_ms": _phase_totals([case["phases_ms"] for case in configs]),
         "configs": configs,
     }
     if parent:
@@ -358,13 +419,16 @@ def main(argv: list[str] | None = None) -> int:
         ]
         sums = [{layer: list(map(sum, zip(*(case[layer] for case in cases)))) for layer in LAYERS}
                 for cases in times]
-        for case, medians, ratio in zip(configs, _medians(times[1]), ratios):
-            case["parent"] = medians
+        for case, medians, ratio, runs in zip(configs, _medians(times[1]), ratios, times[1]):
+            case["parent"] = {**medians, "phases_ms": _phase_medians(runs["phases_ms"])}
             case["ratio"] = {layer: _spread(ratio[layer]) for layer in LAYERS}
         report["parent"] = _checkout(parent)
         report["parent_totals_ms"] = {
             layer: sum(case["parent"][layer] for case in configs) for layer in LAYERS
         }
+        report["parent_phases_totals_ms"] = _phase_totals(
+            [case["parent"]["phases_ms"] for case in configs]
+        )
         report["totals_ratio"] = {
             layer: _spread([a / b for a, b in zip(sums[0][layer], sums[1][layer])])
             for layer in LAYERS
@@ -389,6 +453,11 @@ def main(argv: list[str] | None = None) -> int:
                 line += f" (x{case['ratio'][layer]['median']:.2f})"
         print(line + " ms")
     print("totals (ms): " + ", ".join(f"{k} {v:.2f}" for k, v in totals.items()))
+    for key in ("phases_totals_ms", "parent_phases_totals_ms"):
+        if key in report:
+            print(f"{key}: " + ", ".join(
+                f"{name} {'null' if ms is None else f'{ms:.2f}'}" for name, ms in report[key].items()
+            ))
     if parent:
         print("parent totals (ms): "
               + ", ".join(f"{k} {v:.2f}" for k, v in report["parent_totals_ms"].items()))

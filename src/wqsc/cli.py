@@ -6,8 +6,8 @@ Three subcommands:
 * ``exact``      sampling-free analysis by branch enumeration
 * ``identities`` re-derive and check the state decomposition identities
 
-Output goes to stdout as JSON (default) or CSV. Exit codes: 0 success,
-1 usage/config error, 2 when ``identities`` finds a failing identity.
+Output goes to stdout as JSON (default) or CSV. Exit codes: 0 success, 1
+usage/config error, 2 a failing ``identities`` check, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -106,6 +106,9 @@ def main(argv: list[str] | None = None) -> int:
     except WqscError as exc:
         print(f"wqsc: error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("wqsc: interrupted", file=sys.stderr)
+        return 130
     try:
         sys.stdout.write(to_json(payload) + "\n" if args.format == "json" else to_csv(payload))
         sys.stdout.flush()

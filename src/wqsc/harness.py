@@ -26,9 +26,10 @@ analyses sum the trees' joined leaves with one function
   The two trees are compiled once into one walk table with two roots,
   down which a run walks each block of rounds with numpy array
   operations, a check round from the check tree's root and a message
-  round from the message tree's: each level matches one column of the
-  rounds' words against its nodes' cumulative probabilities as integer
-  cutoffs, in the order of the round's steps, so a walk reproduces the
+  round from the message tree's: each level compares one column of the
+  rounds' raw words with its nodes' cumulative probabilities as integer
+  cutoffs, in the order of the round's steps, and moves each round from
+  node ``n`` to child ``k``, node ``n * width + k``, so a walk reproduces the
   round that the test suite's one-round oracle plays on the same draws.
   A run streams its rounds in fixed blocks: its memory does not grow
   with the round count, nor do its results depend on the block size.
@@ -223,67 +224,65 @@ class _Level(NamedTuple):
     prob: np.ndarray  # per child, its branch probability
 
 
-def _walk_tables(trees) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], int]:
+def _walk_tables(trees) -> tuple[tuple[tuple[np.ndarray, ...], ...], np.ndarray]:
     """The tables that walk ``trees`` as one, tree ``t``'s root being node
-    ``t``: nodes are numbered roots first, depth by depth, and at every
-    depth the first tree's nodes come first. A tree that ends above the
-    deepest level gets one pass-through child (probability 1) per leaf
-    and level, so its leaves stay leaves, and the leaves of all trees, in
-    tree order, are the deepest nodes. A walk holds node ``n`` as its row
-    offset ``n * stride`` (``stride``: the most children of any node) and
-    reads child ``k`` at ``+ k`` of two flat read-only tables: ``thresholds``,
-    ``ceil(min(t, 1) * _WORD)`` for cumulative probability ``t`` up to child
-    ``k`` (``t <= w / _WORD`` iff ``w >=`` it), but ``_WORD`` (no word reaches
-    it) from the last child on; and ``successor``, child ``k``'s row offset,
-    or leaf number. Then per depth, the most children, and ``stride``."""
-    levels = [
-        tree.levels[depth] if depth < len(tree.levels)
-        else _Level(len(tree.masses), np.arange(len(tree.masses)), np.ones(len(tree.masses)))
-        for depth in range(max(len(tree.levels) for tree in trees))
-        for tree in trees
-    ]
+    ``t``; a tree that ends above the deepest level gets one pass-through
+    child (probability 1) per leaf and level. Each depth numbers its nodes
+    in mixed radix: child ``k`` of node ``n`` is ``n * width + k``, ``width``
+    the most children of any node there. Per depth, ``width - 1`` read-only
+    arrays by node number: array ``k`` holds ``(c << 11) - 1``, ``c =
+    ceil(min(t, 1) * _WORD)`` for cumulative probability ``t`` up to child
+    ``k`` (``t <= (raw >> 11) / _WORD`` iff ``raw >`` it), or ``2**64 - 1``
+    (no word exceeds it) from the last child on and where no node is. Then
+    the deepest numbers' leaf indices, trees in order, -1 where no leaf is."""
+    levels = [tree.levels[depth] if depth < len(tree.levels)
+              else _Level(len(tree.masses), np.arange(len(tree.masses)), np.ones(len(tree.masses)))
+              for depth in range(max(len(tree.levels) for tree in trees)) for tree in trees]
+    # all depths at once, roots first; child k (node k + len(trees)) is rank[k] among siblings
     offsets = np.cumsum([0] + [level.nodes for level in levels])
     parent = np.concatenate([start + level.parent for start, level in zip(offsets, levels)])
     count = np.bincount(parent, minlength=offsets[-1])
-    # the children of all levels, in this order, follow the roots; node
-    # n's first child is the child first[n] among them
-    first = np.cumsum(count) - count
-    stride = int(count.max())
-    table = np.zeros((offsets[-1], stride))
-    table[parent, np.arange(len(parent)) - first[parent]] = np.concatenate(
-        [level.prob for level in levels]
-    )
+    rank = np.arange(len(parent)) - (np.cumsum(count) - count)[parent]
+    table = np.zeros((offsets[-1], count.max()))
+    table[parent, rank] = np.concatenate([level.prob for level in levels])
     # zeros pad each row after its children, so a row's sums up to its
     # next to last child are those of its children alone
     thresholds = np.cumsum(table, axis=1)
-    thresholds[np.arange(stride) >= count[:, None] - 1] = 1.0
-    cutoffs = np.ceil(np.minimum(thresholds, 1.0) * _WORD).astype(np.int64).ravel()
-    child = len(trees) + first[:, None] + np.arange(stride)
-    successor = np.where(child < offsets[-1], child * stride, child - offsets[-1]).ravel()
-    depths = offsets[:: len(trees)]
-    widths = tuple(np.maximum.reduceat(count, depths[:-1]).tolist())
-    for array in (cutoffs, successor):
-        array.setflags(write=False)
-    return cutoffs, successor, widths, stride
+    thresholds[np.arange(table.shape[1]) >= count[:, None] - 1] = 1.0
+    c = np.ceil(np.minimum(thresholds, 1.0) * _WORD).astype(np.uint64)
+    cuts = ((c - 1) << 11) | 0x7FF  # (c << 11) - 1, as c >= 1
+    bounds = [*offsets[:: len(trees)].tolist(), len(trees) + len(parent)]
+    number, padded, tables = np.arange(len(trees)), len(trees), []
+    for lo, hi, end in zip(bounds, bounds[1:], bounds[2:]):  # nodes lo..hi-1, children hi..end-1
+        width = int(count[lo:hi].max())
+        cutoffs = np.full((width - 1, padded), np.uint64(2**64 - 1))
+        cutoffs[:, number] = cuts[lo:hi, : width - 1].T
+        cutoffs.setflags(write=False)
+        tables.append(tuple(cutoffs))
+        kids = slice(hi - len(trees), end - len(trees))
+        number, padded = number[parent[kids] - lo] * width + rank[kids], padded * width
+    leaves = np.full(padded, -1)
+    leaves[number] = np.arange(len(number))
+    leaves.setflags(write=False)
+    return tuple(tables), leaves
 
 
 def _walk(tables, roots: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Leaf index reached by each row of ``words``, row ``i`` walked from
-    root ``roots[i]`` down :func:`_walk_tables`'s ``tables``. Every level
-    picks by the Born rule: the first child whose threshold exceeds the
-    word ``words[i, level]``, or the last child if none does: it adds the
-    ``uint8`` count of thresholds at or below the word to the row offset."""
-    thresholds, successor, widths, stride = tables
-    node = roots * np.int64(stride)
-    for column, width in enumerate(widths):
-        w = words[:, column]
-        if width > 1:
-            steps = (thresholds[node] <= w).view(np.uint8)
-            for k in range(1, width - 1):
-                steps += (thresholds[k:][node] <= w).view(np.uint8)
-            node = node + steps
-        node = successor[node]
-    return node
+    """Leaf index reached by each row of raw ``words``, row ``i`` walked from
+    root ``roots[i]`` down :func:`_walk_tables`'s ``tables``. Each level picks
+    by the Born rule the first child whose cumulative probability exceeds
+    the draw of ``words[i, level]``, or the last: the count of cutoffs below."""
+    levels, leaves = tables
+    node = roots.astype(np.intp)
+    for column, cutoffs in enumerate(levels):
+        if cutoffs:
+            w = words[:, column]
+            steps = (cutoffs[0][node] < w).view(np.uint8)
+            for cutoff in cutoffs[1:]:
+                steps += (cutoff[node] < w).view(np.uint8)
+            node *= len(cutoffs) + 1
+            node += steps
+    return leaves[node]
 
 
 class _BranchTree:
@@ -509,7 +508,7 @@ class _ConfigTrees(tuple):
     ``indicators[c, i]``, whether joined leaf ``i`` counts towards ``_COUNTS[c]``."""
 
     @cached_property
-    def walk(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], int]:
+    def walk(self) -> tuple[tuple[tuple[np.ndarray, ...], ...], np.ndarray]:
         return _walk_tables(self)
 
     @cached_property
@@ -625,20 +624,18 @@ _BLOCKS_PER_ROUND = 2
 # mode flags starts on a Philox counter step
 _BLOCK_ROUNDS = 2**13
 
-# about 10 minutes of rounds at 1.7e7 rounds/s (a cold 1e8-round cao-ir-z
-# run took a median 5.81 s on a 2-core VM, benchmarks/BENCH_table-levels.json);
+# about 12 minutes of rounds at 1.35e7 rounds/s (a cold 1e8-round cao-ir-z
+# run took a median 7.40 s on a 2-core VM, benchmarks/BENCH_raw-radix-walk.json);
 # larger counts would run for hours to months
 _MAX_ROUNDS = 10**10
 
 
 def _words(bitgen: np.random.Philox, key: list[int], steps: int, count: int) -> np.ndarray:
-    """``count`` int64 words ``raw >> 11`` of ``bitgen``, its whole state first set
-    to ``Philox(key=key, counter=[steps, 0, 0, 0])``'s (as ints numpy reads)."""
+    """``count`` raw uint64 words of ``bitgen``, unshifted, its whole state first
+    set to ``Philox(key=key, counter=[steps, 0, 0, 0])``'s (as ints numpy reads)."""
     bitgen.state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
                     "uinteger": 0, "state": {"counter": [steps, 0, 0, 0], "key": key}}
-    words = bitgen.random_raw(count)
-    words >>= 11
-    return words.view(np.int64)
+    return bitgen.random_raw(count)
 
 
 def _draw_block(master_seed: int, start: int, count: int, bitgen) -> np.ndarray:
@@ -650,10 +647,10 @@ def _draw_block(master_seed: int, start: int, count: int, bitgen) -> np.ndarray:
 
 def _check_flags(config: RunConfig, start: int, count: int, bitgen) -> np.ndarray:
     """Check/message assignment of rounds [start, start+count), ``start`` a
-    multiple of 4, by the draw scheme (``u < f`` iff ``w < ceil(f * _WORD)``);
-    a block 0 with no check flag scans later blocks for one."""
+    multiple of 4, by the draw scheme (``u < f`` iff ``raw < ceil(f * _WORD)
+    << 11``); a block 0 with no check flag scans later blocks for one."""
     words = _words(bitgen, [config.master_seed, _MODE_STREAM_TAG], start // 4, count)
-    flags = words < math.ceil(config.check_fraction * _WORD)
+    flags = words < np.uint64(math.ceil(config.check_fraction * _WORD) << 11)
     if start == 0 and not flags.any():
         blocks = (_check_flags(config, lo, min(_BLOCK_ROUNDS, config.rounds - lo), bitgen)
                   for lo in range(count, config.rounds, _BLOCK_ROUNDS))

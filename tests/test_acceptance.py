@@ -206,7 +206,7 @@ def test_criterion_9_property_battery():
     tree.measure("outcome", (z_basis(3),))
     n = 100_000
     freq_rng = np.random.default_rng(2024)
-    words = (freq_rng.random((n, 1)) * 2**53).astype(np.int64)  # each draw's exact word
+    words = (freq_rng.random((n, 1)) * 2**53).astype(np.uint64) << 11  # each draw's raw word
     leaves = _walk(_walk_tables([tree]), np.zeros(n, dtype=np.int64), words)
     counts = dict.fromkeys(exact, 0)
     outcomes = tree.values("outcome")

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -215,3 +217,29 @@ def test_closed_stdout_exits_one_without_traceback(argv):
         os.close(write_end)
     assert done.returncode == 1
     assert "Traceback" not in done.stderr, done.stderr
+
+
+def test_interrupted_run_exits_130_without_traceback():
+    # SIGINT about 1 s after the start of a run of 10**10 rounds (over 10
+    # minutes): 0.5 s after the child reports that it has imported wqsc,
+    # so the signal never lands in the interpreter's start-up
+    script = (
+        "import sys; from wqsc import cli\n"
+        "print('ready', flush=True)\n"
+        "sys.exit(cli.main(['run', '--scheme', 'cao', '--attack', 'cao-ir-z',"
+        " '--rounds', '10000000000']))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(wqsc.__file__).parents[1])}
+    child = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline() == "ready\n"
+        time.sleep(0.5)
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == 130, err
+    assert err == "wqsc: interrupted\n"  # one line, and no traceback
+    assert out == ""

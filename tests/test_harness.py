@@ -482,12 +482,12 @@ class TestConfigTrees:
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
     def test_compiled_walk_and_indicators_are_read_only(self, scheme, attack, init, basis):
         trees = harness._config_trees(scheme, AttackKind(attack), _policy(scheme, init, basis))
-        thresholds, successor, widths, stride = trees.walk
+        tables, leaves = trees.walk
         assert trees.walk is trees.walk  # kept in the entry, not compiled per read
-        leaves = sum(len(tree.masses) for tree in trees)
-        assert trees.indicators.dtype == bool and trees.indicators.shape == (6, leaves)
-        assert isinstance(widths, tuple) and isinstance(stride, int)
-        for array in (thresholds, successor, trees.indicators):
+        count = sum(len(tree.masses) for tree in trees)
+        assert trees.indicators.dtype == bool and trees.indicators.shape == (6, count)
+        assert isinstance(tables, tuple) and all(isinstance(cutoffs, tuple) for cutoffs in tables)
+        for array in (*(cutoff for cutoffs in tables for cutoff in cutoffs), leaves, trees.indicators):
             with pytest.raises(ValueError):
                 array[...] = 0
 
@@ -673,7 +673,7 @@ class TestTreeWalk:
                 flags = _check_flags(config, 0, config.rounds, bitgen)
                 words = _draw_block(seed, 0, config.rounds, bitgen)
                 walked, hit = self._replay(config, flags, words)
-                draws = words * 2.0**-53  # the doubles of Generator.random
+                draws = (words >> 11) * 2.0**-53  # the doubles of Generator.random
                 assert walked == scalar_round_outcomes(config, flags, draws), (seed, fraction)
                 reached |= hit
         # the replay compared every path of both trees: the joint leaves are
@@ -712,8 +712,8 @@ class TestTreeWalk:
             nodes = node_values(tree, *keys)
             for leaf, (node, outcome) in enumerate(zip(nodes, leaf_values(tree), strict=True)):
                 # the word of the midpoint draw, and that word's own draw
-                words = (self._midpoint_row(tree, leaf) * 2**53).astype(np.int64)
-                assert _walk(tables, np.array([root]), words[None]).tolist() == [first + leaf]
+                words = (self._midpoint_row(tree, leaf) * 2**53).astype(np.uint64)
+                assert _walk(tables, np.array([root]), (words << 11)[None]).tolist() == [first + leaf]
                 seen = {}
                 assert scalar_round(config, root == 0, words * 2.0**-53, seen) == tuple(outcome)
                 assert seen == {key: node[key] for key in seen}
@@ -732,58 +732,68 @@ class TestTreeWalk:
         assert np.array_equal(born, thirds)
         tree = _BranchTree()
         tree.choose("basis", CHECK_BASES)
-        walked = _walk(_walk_tables([tree]), np.zeros(len(k), dtype=np.int64), k[:, None])
+        raw = k.astype(np.uint64) << 11
+        walked = _walk(_walk_tables([tree]), np.zeros(len(k), dtype=np.int64), raw[:, None])
         assert np.array_equal(walked, thirds)
 
     def test_walk_table_picks_as_reference(self):
-        # at every node of every config's walk table, for the words at both
-        # ends of [0, 2**53) and at and beside each child's word cutoff K,
-        # the walk's pick equals the scalar Born-rule reference on the
-        # node's child probabilities at the word's draw u = w * 2**-53
+        # at every node of every config's walk table, for the raw words at
+        # both ends of [0, 2**64) and, for each child's 53-bit cutoff K, at
+        # (K << 11) - 1, K << 11 and (K << 11) | 0x7FF, the walk's pick
+        # equals the scalar Born-rule reference on the node's child
+        # probabilities at the word's draw u = (raw >> 11) * 2**-53
         mismatches = []
         for scheme, attack, init, basis in VALID_CONFIGS:
             trees = _round_trees(RunConfig(
                 scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
             ))
-            thresholds, successor, _, stride = _walk_tables(trees)
-            assert thresholds.dtype == np.int64
-            # every level of the tables' numbering, roots excluded: depth by
-            # depth, each tree's children in tree order, and one pass-through
-            # child per leaf of a tree that ended above
-            levels = [
-                tree.levels[depth] if depth < len(tree.levels)
-                else (len(tree.masses), np.arange(len(tree.masses)), np.ones(len(tree.masses)))
-                for depth in range(max(len(tree.levels) for tree in trees))
-                for tree in trees
-            ]
-            firsts = np.cumsum([0] + [nodes for nodes, _, _ in levels])
-            parents = np.concatenate([start + parent for start, (_, parent, _) in zip(firsts, levels)])
-            probs = np.concatenate([prob for _, _, prob in levels])
-            # a walk holds an inner node as its row offset, and a leaf (a node
-            # numbered from firsts[-1] on) as its leaf number
-            numbers = len(trees) + np.arange(len(parents))
-            held = np.where(numbers < firsts[-1], numbers * stride, numbers - firsts[-1])
-            assert len(thresholds) == len(successor) == firsts[-1] * stride
-            for node in range(firsts[-1]):
-                row = node * stride
-                children = np.flatnonzero(parents == node)
-                assert successor[row + np.arange(len(children))].tolist() == held[children].tolist()
-                cutoffs = thresholds[row: row + stride]
-                assert (cutoffs[len(children) - 1:] == 2**53).all()  # no word reaches these
-                words = {0, 2**53 - 1}
-                for k in cutoffs[: len(children) - 1].tolist():
-                    words |= {w for w in (k - 1, k, k + 1) if 0 <= w < 2**53}
-                words = np.array(sorted(words), dtype=np.int64)
-                # one level of the walk from this node, comparing all its
-                # cutoffs: it reaches what the successor table holds
-                step = (thresholds, successor, (stride,), stride)
-                walked = _walk(step, np.full(len(words), node), words[:, None])
-                reference = [sample_index(probs[children], w * 2.0**-53) for w in words.tolist()]
-                mismatches += [
-                    (scheme, attack, init, basis, node, w)
-                    for w, child, pick in zip(words.tolist(), walked.tolist(), reference)
-                    if child != held[children[pick]]
+            tables, leaves = _walk_tables(trees)
+            # each depth numbers its nodes in mixed radix from the roots:
+            # child k of node n is n * width + k, width the most children of
+            # any node there. number[i] is the number of the depth's node i,
+            # each tree's nodes in tree order, and a tree that ended above
+            # gets one pass-through child per leaf
+            number, padded = np.arange(len(trees)), len(trees)
+            for depth, cutoffs in enumerate(tables):
+                levels = [
+                    tree.levels[depth] if depth < len(tree.levels)
+                    else (len(tree.masses), np.arange(len(tree.masses)), np.ones(len(tree.masses)))
+                    for tree in trees
                 ]
+                starts = np.cumsum([0] + [nodes for nodes, _, _ in levels])
+                parents = np.concatenate([start + parent for start, (_, parent, _) in zip(starts, levels)])
+                probs = np.concatenate([prob for _, _, prob in levels])
+                width = int(np.bincount(parents).max())
+                assert len(cutoffs) == width - 1
+                assert all(cutoff.dtype == np.uint64 and len(cutoff) == padded for cutoff in cutoffs)
+                # one level of the walk from each node, to its child's number
+                step = ((cutoffs,), np.arange(padded * width))
+                for node in range(len(number)):
+                    children = np.flatnonzero(parents == node)
+                    assert all(cutoff[number[node]] == 2**64 - 1
+                               for cutoff in cutoffs[len(children) - 1:])  # no word exceeds these
+                    words = {0, 2**64 - 1}
+                    for t in np.cumsum(probs[children])[:-1].tolist():
+                        k = math.ceil(min(t, 1.0) * 2**53)
+                        words |= {(k << 11) - 1, k << 11, (k << 11) | 0x7FF}
+                    words = np.array(sorted(w for w in words if w < 2**64), dtype=np.uint64)
+                    walked = _walk(step, np.full(len(words), number[node]), words[:, None])
+                    reference = [
+                        sample_index(probs[children], (w >> 11) * 2.0**-53) for w in words.tolist()
+                    ]
+                    mismatches += [
+                        (scheme, attack, init, basis, depth, node, w)
+                        for w, child, pick in zip(words.tolist(), walked.tolist(), reference)
+                        if child != number[node] * width + pick
+                    ]
+                rank = np.arange(len(parents)) - np.searchsorted(parents, parents)
+                number, padded = number[parents] * width + rank, padded * width
+            # the deepest numbers map to the joined leaves, the rest to -1;
+            # a tree that blows up the numbering fails here before it fills
+            # a run's memory
+            assert len(leaves) == padded <= 288
+            assert leaves[number].tolist() == list(range(len(number)))
+            assert (np.delete(leaves, number) == -1).all()
         assert mismatches == []
 
     @pytest.mark.parametrize("fraction", [
@@ -801,10 +811,11 @@ class TestTreeWalk:
             expected[0] |= not expected.any()  # the forced check round
             assert np.array_equal(_check_flags(run, 0, 4096, np.random.Philox()), expected)
         cutoff = math.ceil(fraction * 2**53)
-        words = [w for w in (0, cutoff - 1, cutoff, cutoff + 1, 2**53 - 1) if 0 <= w < 2**53]
-        monkeypatch.setattr(harness, "_words", lambda *_: np.array(words, dtype=np.int64))
+        raw = (0, (cutoff - 1) << 11, (cutoff << 11) - 1, cutoff << 11, (cutoff + 1) << 11, 2**64 - 1)
+        words = np.array([w for w in raw if w < 2**64], dtype=np.uint64)
+        monkeypatch.setattr(harness, "_words", lambda *_: words)
         run = SimpleNamespace(master_seed=0, check_fraction=fraction, rounds=len(words))
-        expected = np.array(words) * 2.0**-53 < fraction
+        expected = (words >> 11) * 2.0**-53 < fraction
         expected[0] |= not expected.any()
         assert np.array_equal(_check_flags(run, 0, len(words), None), expected), words
 
@@ -822,7 +833,7 @@ class TestTreeWalk:
             generator = np.random.Generator(np.random.Philox(key=key).advance(2 * start))
             table = generator.random((count, harness._DRAWS_PER_ROUND))
             words = _draw_block(seed, start, count, np.random.Philox())
-            assert words.dtype == np.int64 and np.array_equal(words * 2.0**-53, table)
+            assert words.dtype == np.uint64 and np.array_equal((words >> 11) * 2.0**-53, table)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_draws_follow_the_stated_scheme(self, seed):
@@ -832,7 +843,7 @@ class TestTreeWalk:
         for start, count in ((0, 2), (harness._BLOCK_ROUNDS - 1, 3), (harness._MAX_ROUNDS - 2, 2)):
             words = _draw_block(seed, start, count, np.random.Philox())
             expected = [draw_words(seed, r) for r in range(start, start + count)]
-            assert words.tolist() == expected, (seed, start)
+            assert (words >> 11).tolist() == expected, (seed, start)
         for start in (0, harness._BLOCK_ROUNDS - 32, harness._MAX_ROUNDS - 64):
             run = SimpleNamespace(master_seed=seed, check_fraction=0.5, rounds=harness._MAX_ROUNDS)
             flags = _check_flags(run, start, 64, np.random.Philox())

@@ -167,7 +167,7 @@ def test_empirical_frequencies_match_exact_distribution():
     tree.measure("outcome", (z_basis(1, 2),))
     rng = np.random.default_rng(123)
     n = 100_000
-    words = (rng.random((n, 1)) * 2**53).astype(np.int64)  # each draw's exact word
+    words = (rng.random((n, 1)) * 2**53).astype(np.uint64) << 11  # each draw's raw word
     leaves = _walk(_walk_tables([tree]), np.zeros(n, dtype=np.int64), words)
     counts = dict.fromkeys(exact, 0)
     outcomes = tree.values("outcome")

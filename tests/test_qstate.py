@@ -208,9 +208,9 @@ class TestMeasure:
         tree.prepare([ket("00")])
         tree.measure("outcome", (z_basis(1, 2),))
         assert tree.values("outcome") == ["00"]
-        words = np.append(np.linspace(0, 0.999999 * 2**53, 23).astype(np.int64), 2**53 - 1)
-        walked = _walk(_walk_tables([tree]), np.zeros(len(words), dtype=np.int64), words[:, None])
-        assert np.array_equal(walked, np.zeros(len(words)))
+        w = np.append(np.linspace(0, 0.999999 * 2**53, 23), 2**53 - 1).astype(np.uint64)
+        walked = _walk(_walk_tables([tree]), np.zeros(len(w), dtype=np.int64), (w << 11)[:, None])
+        assert np.array_equal(walked, np.zeros(len(w)))
 
     def test_branch_probability_matches_distribution(self):
         amps = build("phi2")[None]
