@@ -20,8 +20,8 @@ config reads the same read-only trees; no result is ever cached. Both
 analyses sum the trees' joined leaves with one function
 (:func:`_leaf_totals`):
 
-* the exact analyzer weights each leaf by its mass, so its check-error
-  and leak rates carry no sampling error;
+* the exact analyzer weights each leaf by its mass (one weight row per
+  group of a conditional rate), so its rates carry no sampling error;
 * the Monte Carlo runner weights each leaf by the rounds that reach it.
   The two trees are compiled once into one walk table with two roots,
   down which a run walks each block of rounds with numpy array
@@ -177,7 +177,7 @@ class ExactResult:
     recovery_accuracy: float
 
 
-def _validate(scheme: str, attack: str, init_policy: str, check_basis_policy: str) -> AttackKind:
+def _validate(scheme: str, attack: str, init_policy: str, check_basis_policy: str) -> None:
     if scheme not in SCHEMES:
         raise UnsupportedPair(f"unknown scheme {scheme!r}")
     try:
@@ -198,7 +198,6 @@ def _validate(scheme: str, attack: str, init_policy: str, check_basis_policy: st
         )
     if scheme == "cao" and init_policy != "random":
         raise InvalidConfig(f"init_policy {init_policy!r} does not apply to 'cao'")
-    return kind
 
 
 def binomial_ci(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -483,6 +482,7 @@ def _cao_tree(kind: AttackKind, basis_policy: str, message: bool) -> _BranchTree
     rules = _rule_tables()
     tree = _BranchTree()
     tree.choose("bit", (0, 1), "random" if message else 0)
+    tree.choose("initial", (StateLabel.W4.value,), StateLabel.W4.value)
     tree.prepare([build(StateLabel.W4)])
     tree.attack(kind, (3, 4))
     tree.choose("basis", CHECK_BASES, "bell" if message else basis_policy)
@@ -533,8 +533,8 @@ def _config_trees(scheme: str, kind: AttackKind, policy: str) -> _ConfigTrees:
 
 
 def _round_trees(config: RunConfig) -> _ConfigTrees:
-    """(check-round tree, message-round tree) of a run's config, from the
-    memo of :func:`_config_trees`."""
+    """(check-round tree, message-round tree) of a config, from the memo of
+    :func:`_config_trees`: what its runs walk and its exact analysis sums."""
     policy = config.init_policy if config.scheme == "present" else config.check_basis_policy
     return _config_trees(config.scheme, AttackKind(config.attack), policy)
 
@@ -543,25 +543,28 @@ _COUNTS = ("check_rounds", "check_errors", "message_rounds",
            "recovered_correct", "guesses_known", "guesses_correct")
 
 
-def _leaf_totals(trees: _ConfigTrees, weights: np.ndarray) -> dict:
+def _leaf_totals(trees: _ConfigTrees, weights: np.ndarray) -> list[dict]:
     """The run counts of rounds ending at the joined leaves of a config's
-    (check, message) ``trees``, leaf ``i`` weighted by ``weights[i]``: its
-    hit count (Monte Carlo) or its mass (exact). Each count is an indicator
-    row dotted with the weights as a running sum in leaf order, to which
-    a leaf of indicator 0 adds an exact 0.0."""
-    totals = np.add.accumulate(trees.indicators * weights, axis=1)[:, -1]
-    return dict(zip(_COUNTS, totals.tolist()))
+    (check, message) ``trees``, one per row of ``weights``, leaf ``i``
+    weighted by ``weights[r, i]``: its hit count (Monte Carlo) or its mass
+    (exact). Each count is an indicator row dotted with a weight row as a
+    running sum in leaf order, to which a leaf of indicator 0 adds an
+    exact 0.0."""
+    totals = np.add.accumulate(trees.indicators * weights[:, None], axis=2)[:, :, -1]
+    return [dict(zip(_COUNTS, row)) for row in totals.tolist()]
 
 
-def _message_rates(totals: dict) -> tuple[float, float, float]:
-    """(recovery accuracy, leak rate, unknown fraction) of the message
-    rounds in ``totals``; the leak rate counts only the rounds in which
-    Eve guesses."""
-    total, known = totals["message_rounds"], totals["guesses_known"]
+def _rates(totals: dict) -> tuple[float, float, float, float]:
+    """(error rate, recovery accuracy, leak rate, unknown fraction) of the
+    rounds in ``totals``: the error rate of its check rounds, the rest of
+    its message rounds; the leak rate counts only the rounds in which Eve
+    guesses."""
+    checks, total, known = totals["check_rounds"], totals["message_rounds"], totals["guesses_known"]
+    error = totals["check_errors"] / checks if checks else 0.0
     recovery = totals["recovered_correct"] / total if total else 1.0
     leak = totals["guesses_correct"] / known if known else 0.0
     unknown_fraction = 1.0 - known / total if total else 1.0
-    return recovery, leak, unknown_fraction
+    return error, recovery, leak, unknown_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -574,42 +577,42 @@ def exact_analyze(
     init_policy: str = "random",
     check_basis_policy: str = "random",
 ) -> ExactResult:
-    """Exact rates for a (scheme, attack) pair: the leaves of the round's
-    branch trees, weighted by their masses.
+    """Exact rates of a config: the joined leaves of the branch trees that
+    its Monte Carlo runs walk, each weighted by its mass.
 
-    A random policy is analyzed one concrete group at a time (``phi1`` and
-    ``phi2``, or the three check bases) and the groups are weighted
-    equally, which yields the per-group conditional rates.
+    A conditional rate reads one group of those leaves: for an error rate,
+    the leaves whose code of the key that the policy sets (the initial
+    state, or the check basis) is the group's; for a leak rate, those of
+    the group's initial state (the cao scheme has one, w4). It is computed
+    from the group's masses as the config's rate is from all of them, and
+    a group with no check (or message) leaf is left out, so a fixed policy
+    has one group.
     """
-    kind = _validate(scheme, attack, init_policy, check_basis_policy)
-    if scheme == "present":
-        groups = INIT_POLICIES[1:] if init_policy == "random" else (init_policy,)
-    else:
-        groups = CHECK_BASES if check_basis_policy == "random" else (check_basis_policy,)
-    totals, total_error = {}, 0.0
-    for group in groups:
-        trees = _config_trees(scheme, kind, group)
-        totals[group] = _leaf_totals(trees, np.concatenate([tree.masses for tree in trees]))
-        total_error += (1.0 / len(groups)) * totals[group]["check_errors"]
-    conditional_error = {group: counts["check_errors"] for group, counts in totals.items()}
-
-    # the cao message tree is the same, whatever the check basis
-    messages = totals if scheme == "present" else {"w4": totals[groups[0]]}
-    conditional_leak = {group: _message_rates(counts)[1] for group, counts in messages.items()}
-    message = dict.fromkeys(_COUNTS, 0.0)
-    for counts in messages.values():
-        for key in _COUNTS:
-            message[key] += (1.0 / len(messages)) * counts[key]
-
-    recovery, leak, unknown_fraction = _message_rates(message)
+    trees = _round_trees(RunConfig(scheme, attack, init_policy=init_policy,
+                                   check_basis_policy=check_basis_policy))
+    masses = np.concatenate([tree.masses for tree in trees])
+    # weight rows: every leaf's mass, then, per label of the key that the
+    # policy sets and of the initial state (for present, one key), the
+    # masses of the leaves with it
+    error_key = "initial" if scheme == "present" else "basis"
+    labels = {key: trees[0]._columns[key][1] for key in (error_key, "initial")}
+    weights = [masses[None]] + [
+        masses * (np.concatenate([tree.column(key) for tree in trees]) == np.arange(len(names))[:, None])
+        for key, names in labels.items()
+    ]
+    total, *rows = _leaf_totals(trees, np.concatenate(weights))
+    groups = dict(zip([name for names in labels.values() for name in names], rows))
+    total_error, recovery, leak, unknown_fraction = _rates(total)
     return ExactResult(
         scheme=scheme,
-        attack=kind.value,
+        attack=AttackKind(attack).value,
         total_error_rate=total_error,
-        conditional_error_rates=conditional_error,
+        conditional_error_rates={name: _rates(groups[name])[0] for name in labels[error_key]
+                                 if groups[name]["check_rounds"]},
         leak_rate=leak,
         unknown_fraction=unknown_fraction,
-        conditional_leak_rates=conditional_leak,
+        conditional_leak_rates={name: _rates(groups[name])[2] for name in labels["initial"]
+                                if groups[name]["message_rounds"]},
         recovery_accuracy=recovery,
     )
 
@@ -647,10 +650,11 @@ def _draw_block(master_seed: int, start: int, count: int, bitgen) -> np.ndarray:
 
 def _check_flags(config: RunConfig, start: int, count: int, bitgen) -> np.ndarray:
     """Check/message assignment of rounds [start, start+count), ``start`` a
-    multiple of 4, by the draw scheme (``u < f`` iff ``raw < ceil(f * _WORD)
-    << 11``); a block 0 with no check flag scans later blocks for one."""
+    multiple of 4, by the draw scheme (``u < f`` iff ``raw <= (ceil(f *
+    _WORD) << 11) - 1``, at most ``2**64 - 1``); a block 0 with no check flag
+    scans later blocks for one."""
     words = _words(bitgen, [config.master_seed, _MODE_STREAM_TAG], start // 4, count)
-    flags = words < np.uint64(math.ceil(config.check_fraction * _WORD) << 11)
+    flags = words <= np.uint64((math.ceil(config.check_fraction * _WORD) << 11) - 1)
     if start == 0 and not flags.any():
         blocks = (_check_flags(config, lo, min(_BLOCK_ROUNDS, config.rounds - lo), bitgen)
                   for lo in range(count, config.rounds, _BLOCK_ROUNDS))
@@ -676,7 +680,7 @@ def _run_counts(config: RunConfig) -> dict[str, int]:
         roots = ~_check_flags(config, start, count, bitgen)
         words = _draw_block(config.master_seed, start, count, bitgen)
         hits += np.bincount(_walk(trees.walk, roots, words), minlength=len(hits))
-    return _leaf_totals(trees, hits)
+    return _leaf_totals(trees, hits[None])[0]
 
 
 def run_monte_carlo(config: RunConfig, workers: int = 1) -> RunStats:
@@ -690,22 +694,17 @@ def run_monte_carlo(config: RunConfig, workers: int = 1) -> RunStats:
     if workers != 1:
         raise InvalidConfig(f"workers={workers}: the process pool was removed")
     counts = _run_counts(config)
-
-    check_rounds = counts["check_rounds"]
-    message_rounds = counts["message_rounds"]
-    error_rate = counts["check_errors"] / check_rounds if check_rounds else 0.0
-    ci = binomial_ci(counts["check_errors"], check_rounds) if check_rounds else (0.0, 0.0)
-    recovery, leak, unknown_fraction = _message_rates(counts)
-
+    checks, errors = counts["check_rounds"], counts["check_errors"]
+    error_rate, recovery, leak, unknown_fraction = _rates(counts)
     return RunStats(
         scheme=config.scheme,
         attack=config.attack,
         rounds_total=config.rounds,
-        check_rounds=check_rounds,
-        check_errors=counts["check_errors"],
-        message_rounds=message_rounds,
+        check_rounds=checks,
+        check_errors=errors,
+        message_rounds=counts["message_rounds"],
         error_rate=error_rate,
-        error_rate_ci95=ci,
+        error_rate_ci95=binomial_ci(errors, checks) if checks else (0.0, 0.0),
         recovery_accuracy=recovery,
         eve_leak_rate=leak,
         unknown_fraction=unknown_fraction,

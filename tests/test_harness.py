@@ -3,7 +3,8 @@
 import itertools
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -50,6 +51,11 @@ from wqsc.states import verify_identities
 
 ATOL = 1e-12
 
+# every exact rate of the modelled attacks is a multiple of 1/12 (1/12 is
+# the cao scheme's detection rate); the float sums that reach it from a
+# few dozen leaf masses may miss it by at most this much
+TWELFTHS_ATOL = 4 * 2**-52
+
 # every valid (scheme, attack, init policy, check-basis policy)
 VALID_CONFIGS = [
     ("present", attack, init, "random")
@@ -90,7 +96,7 @@ def _count_stacked_calls(monkeypatch, bindings=_STACKED_CALLS) -> list[str]:
 
 
 # exact_analyze of every valid config, floats as float.hex, dicts as
-# ordered pairs, as the scheme-specific branch enumerators computed them
+# ordered pairs: the mass-weighted sums over the config's own branch trees
 EXACT_RESULTS = json.loads((Path(__file__).parent / "exact_results.json").read_text())
 
 
@@ -182,6 +188,18 @@ class TestExactAnalyze:
         for tree in _round_trees(config):
             assert len(tree.masses) == len(leaf_values(tree))
             assert math.fsum(tree.masses) == pytest.approx(1.0, abs=ATOL)
+
+    @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
+    def test_rates_are_twelfths_within_a_few_ulps(self, scheme, attack, init, basis):
+        # a bound that reads no pin: each rate is checked against the
+        # nearest multiple of 1/12, exactly, as fractions
+        result = exact_analyze(scheme, attack, init, basis)
+        for field in fields(result):
+            value = getattr(result, field.name)
+            for rate in value.values() if isinstance(value, dict) else [value]:
+                if isinstance(rate, float):
+                    twelfth = Fraction(round(rate * 12), 12)
+                    assert abs(Fraction(rate) - twelfth) <= TWELFTHS_ATOL, (field.name, rate)
 
     def test_total_is_weighted_sum_of_conditionals(self):
         for scheme, attack, weight in [
@@ -323,6 +341,17 @@ class TestRoundTrees:
                 np.testing.assert_allclose(
                     tree.masses[at], fixed.masses / len(policies), rtol=1e-15, atol=0
                 )
+            # so each group's conditional rates are its fixed policy's
+            mixed = exact_analyze(scheme, attack)
+            fixed = exact_analyze(scheme, attack, **{
+                "present": {"init_policy": policy}, "cao": {"check_basis_policy": policy}
+            }[scheme])
+            for rates, fixed_rates in (
+                (mixed.conditional_error_rates, fixed.conditional_error_rates),
+                (mixed.conditional_leak_rates, fixed.conditional_leak_rates),
+            ):
+                for group, rate in fixed_rates.items():
+                    assert rates[group] == pytest.approx(rate, rel=0, abs=1e-15), group
 
 
 def _oracle_table(rule, first, second, absent=-1) -> np.ndarray:
@@ -542,8 +571,13 @@ class TestConfigTrees:
         assert harness._config_trees.cache_info().currsize == 1
 
     def test_entries_are_the_configs_keys(self):
-        # exact analysis of a random policy reads the trees of the policy's
-        # groups, each of which is a config of its own
+        # a config's exact analysis reads its own trees, the one entry its
+        # runs walk, whatever its policy: a random policy's groups are
+        # read off its own trees, not off the fixed policies' entries
+        for scheme, attack, init, basis in VALID_CONFIGS:
+            harness._config_trees.cache_clear()
+            exact_analyze(scheme, attack, init, basis)
+            assert harness._config_trees.cache_info().currsize == 1
         harness._config_trees.cache_clear()
         for scheme, attack, init, basis in VALID_CONFIGS:
             run_monte_carlo(RunConfig(scheme=scheme, attack=attack, rounds=100,
@@ -605,6 +639,12 @@ class TestRunConfig:
         for as_numpy in (np.float64(0.25), np.float32(0.25)):
             config = RunConfig(scheme="present", rounds=500, check_fraction=as_numpy)
             assert _run_counts(config) == _run_counts(as_float)
+        # a Fraction just below 1 is real and in (0, 1) too; its cutoff
+        # ceil(f * 2**53) << 11 is 2**64, one past the largest word, so
+        # every round is a check round, as the float rule u < f says
+        nearly_one = Fraction(2**60 - 1, 2**60)
+        config = RunConfig(scheme="present", rounds=10, check_fraction=nearly_one)
+        assert run_monte_carlo(config).check_rounds == 10
 
     def test_numpy_integers_accepted(self):
         as_int = RunConfig(scheme="present", rounds=500, master_seed=3)
