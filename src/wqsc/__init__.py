@@ -6,46 +6,30 @@ improves on) together with the standard eavesdropping attacks against
 them, and reproduces the detection error rates and information-leak
 behavior both by exact probability enumeration and by Monte Carlo
 sampling.
+
+The public API is what the ``wqsc`` command line uses: a run is a
+:class:`RunConfig` given to :func:`run_monte_carlo` (a :class:`RunStats`),
+:func:`exact_analyze` gives the exact rates of a config (an
+:class:`ExactResult`), and :func:`verify_identities` checks the state
+algebra (a list of :class:`IdentityReport`). A scheme, an attack and a
+policy are named by their command-line strings, and every error the
+package raises is a :class:`WqscError`. The modules that hold the states,
+gates, measurements and attacks are internal.
 """
 
-from .attacks import AttackKind, EveNote
 from .errors import WqscError
-from .harness import (
-    ExactResult,
-    RunConfig,
-    RunStats,
-    binomial_ci,
-    exact_analyze,
-    run_monte_carlo,
-)
-from .qstate import (
-    Gate1Q,
-    MeasurementBasis,
-    bell_basis,
-    x_basis,
-    z_basis,
-)
-from .states import IdentityReport, StateLabel, build, verify_identities
+from .harness import ExactResult, RunConfig, RunStats, exact_analyze, run_monte_carlo
+from .states import IdentityReport, verify_identities
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackKind",
-    "EveNote",
     "ExactResult",
-    "Gate1Q",
     "IdentityReport",
-    "MeasurementBasis",
     "RunConfig",
     "RunStats",
-    "StateLabel",
     "WqscError",
-    "bell_basis",
-    "binomial_ci",
-    "build",
     "exact_analyze",
     "run_monte_carlo",
     "verify_identities",
-    "x_basis",
-    "z_basis",
 ]

@@ -1,5 +1,8 @@
 """Adversary channels applied to in-transit qubits.
 
+An attack is named by its command-line string, one of
+``PRESENT_ATTACKS`` or ``CAO_ATTACKS``.
+
 :func:`attack_rows` is the one description of an attack. It applies the
 attack to a stack of states at once (one row per node of a branch-tree
 level) and yields every outcome's exact probability, the state Eve
@@ -34,7 +37,6 @@ leaves that show her that view, abstaining at a tie.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -47,26 +49,10 @@ from .qstate import (
     x_basis,
     z_basis,
 )
-from .states import StateLabel, build
+from .states import build
 
-
-class AttackKind(str, Enum):
-    """CLI-facing attack identifiers."""
-
-    NONE = "none"
-    INTERCEPT_RESEND_Z = "ir-z"
-    INTERCEPT_RESEND_X = "ir-x"
-    CNOT_ANCILLA = "cnot"
-    CAO_INTERCEPT_RESEND_Z = "cao-ir-z"
-
-
-PRESENT_ATTACKS = (
-    AttackKind.NONE,
-    AttackKind.INTERCEPT_RESEND_Z,
-    AttackKind.INTERCEPT_RESEND_X,
-    AttackKind.CNOT_ANCILLA,
-)
-CAO_ATTACKS = (AttackKind.NONE, AttackKind.CAO_INTERCEPT_RESEND_Z)
+PRESENT_ATTACKS = ("none", "ir-z", "ir-x", "cnot")
+CAO_ATTACKS = ("none", "cao-ir-z")
 
 
 @dataclass(frozen=True)
@@ -82,7 +68,7 @@ class EveNote:
 _KET0 = np.array([1.0, 0.0], dtype=np.complex128)
 
 
-def attack_rows(kind: AttackKind, amps: np.ndarray, transit_qubits: tuple[int, ...]):
+def attack_rows(kind: str, amps: np.ndarray, transit_qubits: tuple[int, ...]):
     """Eve's attack ``kind`` on every row of a stack of states: the
     ``(rows, outcomes)`` array of her outcome probabilities; the
     ``(rows, outcomes, 2**n)`` array of the states she forwards from each
@@ -94,16 +80,16 @@ def attack_rows(kind: AttackKind, amps: np.ndarray, transit_qubits: tuple[int, .
     nothing, so a round draws nothing for it. The probe's forwarded states
     carry her ancilla as an extra, last qubit, which her note names.
     """
-    if kind is AttackKind.NONE:
+    if kind == "none":
         return np.ones((len(amps), 1)), amps[:, None], [None]
 
-    if kind is AttackKind.CNOT_ANCILLA:
+    if kind == "cnot":
         (q,) = transit_qubits
         ancilla = _qubit_count(amps) + 1
         probed = apply_cnot_rows(tensor_rows(amps, _KET0), q, ancilla)
         return np.ones((len(amps), 1)), probed[:, None], [EveNote(ancilla_qubit=ancilla)]
 
-    if kind is AttackKind.CAO_INTERCEPT_RESEND_Z:
+    if kind == "cao-ir-z":
         # Z measurement of the transit pair, then forward |00> for outcome
         # 00 and a fresh psi+ pair for a single-excitation outcome: the
         # state after excited outcome i is the rest of the register times
@@ -111,7 +97,7 @@ def attack_rows(kind: AttackKind, amps: np.ndarray, transit_qubits: tuple[int, .
         qa, qb = transit_qubits
         probs, states = measurement_rows(amps, z_basis(qa, qb))
         pairs = _pair_rest_indices(_qubit_count(amps), qa, qb).reshape(4, -1)
-        fresh = build(StateLabel.BELL_PSI_PLUS)
+        fresh = build("psi+")
         for i in range(1, 4):
             rest = states[:, i, pairs[i]]
             for pair in range(4):
@@ -121,6 +107,6 @@ def attack_rows(kind: AttackKind, amps: np.ndarray, transit_qubits: tuple[int, .
 
     # ir-z, ir-x: measuring the transit qubit is the resend
     (q,) = transit_qubits
-    basis = z_basis(q) if kind is AttackKind.INTERCEPT_RESEND_Z else x_basis(q)
+    basis = z_basis(q) if kind == "ir-z" else x_basis(q)
     probs, states = measurement_rows(amps, basis)
     return probs, states, [EveNote(basis=basis.kind, observed=str(i)) for i in (0, 1)]

@@ -76,8 +76,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attacks import AttackKind, CAO_ATTACKS, PRESENT_ATTACKS, attack_rows
-from .errors import InvalidConfig, InvalidCounts, UnsupportedPair
+from .attacks import CAO_ATTACKS, PRESENT_ATTACKS, attack_rows
+from .errors import InvalidConfig, UnsupportedPair
 from .protocol import CHECK_BASES, _rule_tables
 from .qstate import (
     FLIP,
@@ -85,14 +85,15 @@ from .qstate import (
     ZERO_PROB,
     MeasurementBasis,
     _basis_tables,
+    _qubit_count,
     apply_1q_rows,
     measurement_rows,
     z_basis,
 )
-from .states import IdentityReport, StateLabel, build
+from .states import IdentityReport, build
 
 SCHEMES = ("present", "cao")
-ATTACKS = tuple(kind.value for kind in AttackKind)
+ATTACKS = PRESENT_ATTACKS + CAO_ATTACKS[1:]
 INIT_POLICIES = ("random", "phi1", "phi2")  # present scheme
 CHECK_BASIS_POLICIES = ("random", *CHECK_BASES)  # cao scheme
 
@@ -113,7 +114,7 @@ _TIE_TOLERANCE = 1e-9
 @dataclass(frozen=True)
 class RunConfig:
     scheme: str
-    attack: str = AttackKind.NONE.value
+    attack: str = "none"
     rounds: int = 100_000
     check_fraction: float = 0.5
     master_seed: int = 0
@@ -180,12 +181,9 @@ class ExactResult:
 def _validate(scheme: str, attack: str, init_policy: str, check_basis_policy: str) -> None:
     if scheme not in SCHEMES:
         raise UnsupportedPair(f"unknown scheme {scheme!r}")
-    try:
-        kind = AttackKind(attack)
-    except ValueError:
-        raise UnsupportedPair(f"unknown attack {attack!r}") from None
-    allowed = PRESENT_ATTACKS if scheme == "present" else CAO_ATTACKS
-    if kind not in allowed:
+    if not isinstance(attack, str) or attack not in ATTACKS:  # an array compares elementwise
+        raise UnsupportedPair(f"unknown attack {attack!r}")
+    if attack not in (PRESENT_ATTACKS if scheme == "present" else CAO_ATTACKS):
         raise UnsupportedPair(f"attack {attack!r} does not apply to scheme {scheme!r}")
     if init_policy not in INIT_POLICIES:
         raise InvalidConfig(f"init_policy {init_policy!r} invalid")
@@ -200,14 +198,11 @@ def _validate(scheme: str, attack: str, init_policy: str, check_basis_policy: st
         raise InvalidConfig(f"init_policy {init_policy!r} does not apply to 'cao'")
 
 
-def binomial_ci(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Normal-approximation binomial interval, clamped to [0, 1]."""
-    if trials < 1:
-        raise InvalidCounts(f"trials must be >= 1, got {trials}")
-    if not 0 <= successes <= trials:
-        raise InvalidCounts(f"successes {successes} outside 0..{trials}")
+def _binomial_ci(successes: int, trials: int) -> tuple[float, float]:
+    """The normal-approximation 95% binomial interval of ``0 <= successes
+    <= trials``, ``trials >= 1``, clamped to [0, 1]."""
     p = successes / trials
-    half = z * math.sqrt(p * (1.0 - p) / trials)
+    half = 1.96 * math.sqrt(p * (1.0 - p) / trials)
     return (max(0.0, p - half), min(1.0, p + half))
 
 
@@ -391,8 +386,7 @@ class _BranchTree:
         """Measure each node's state in ``bases[g]``, ``g`` its code of
         ``by`` (0 without ``by``), one stacked call per distinct basis
         filling the rows of its nodes in one table of the level."""
-        num_qubits = self.states.shape[1].bit_length() - 1
-        labels = tuple(_basis_tables(basis, num_qubits).labels for basis in bases)
+        labels = tuple(_basis_tables(basis, _qubit_count(self.states)).labels for basis in bases)
         which = self.column(by) if by else np.zeros(len(self.masses), int)
         probs = np.zeros((len(self.masses), len(labels[0])))
         states = np.zeros(probs.shape + self.states.shape[1:], self.states.dtype)
@@ -401,7 +395,7 @@ class _BranchTree:
             probs[at], states[at] = measurement_rows(self.states[at], bases[group])
         self._grow(key, probs, states, labels if by else labels[0], by)
 
-    def attack(self, kind: AttackKind, transit: tuple[int, ...]) -> None:
+    def attack(self, kind: str, transit: tuple[int, ...]) -> None:
         """Eve's attack ``kind`` on the qubits ``transit``, her note under
         ``note``. One with a single outcome adds no level: each node
         forwards its whole row, and every node holds the one note."""
@@ -440,7 +434,7 @@ class _BranchTree:
         return self
 
 
-def _present_tree(kind: AttackKind, init_policy: str, message: bool) -> _BranchTree:
+def _present_tree(kind: str, init_policy: str, message: bool) -> _BranchTree:
     """The present scheme's message-round tree, or (``message`` false) its
     check-round tree: a message round of bit 0, whose encoding is the
     identity, that ends at Bob's measurement."""
@@ -452,13 +446,13 @@ def _present_tree(kind: AttackKind, init_policy: str, message: bool) -> _BranchT
     tree.prepare([build(label) for label in initials], by="initial")
     tree.gate(3, FLIP, tree.column("bit") == 1)
     tree.attack(kind, (3,))
-    tree.gate(3, HADAMARD, tree.column("initial") == initials.index(StateLabel.PHI2.value))
+    tree.gate(3, HADAMARD, tree.column("initial") == initials.index("phi2"))
     tree.measure("alice", (z_basis(1, 2),))
     tree.measure("bob", (z_basis(3),))
     if not message:
         return tree.finish(check_pass=rules["consistent"][tree.column("alice"), tree.column("bob")])
 
-    if kind is AttackKind.CNOT_ANCILLA:
+    if kind == "cnot":
         # Eve measures her ancilla only at guess time; every node holds the
         # probe's one note until then
         note = tree.values("note")[0]
@@ -473,7 +467,7 @@ def _present_tree(kind: AttackKind, init_policy: str, message: bool) -> _BranchT
     )
 
 
-def _cao_tree(kind: AttackKind, basis_policy: str, message: bool) -> _BranchTree:
+def _cao_tree(kind: str, basis_policy: str, message: bool) -> _BranchTree:
     """The cao scheme's check-round tree of ``basis_policy``, or (``message``
     true) its message-round tree: the w4 state, the attack, the check basis
     (a key round's is the Bell basis) and each party's measurement of its
@@ -482,8 +476,8 @@ def _cao_tree(kind: AttackKind, basis_policy: str, message: bool) -> _BranchTree
     rules = _rule_tables()
     tree = _BranchTree()
     tree.choose("bit", (0, 1), "random" if message else 0)
-    tree.choose("initial", (StateLabel.W4.value,), StateLabel.W4.value)
-    tree.prepare([build(StateLabel.W4)])
+    tree.choose("initial", ("w4",), "w4")
+    tree.prepare([build("w4")])
     tree.attack(kind, (3, 4))
     tree.choose("basis", CHECK_BASES, "bell" if message else basis_policy)
     for key, pair in (("alice", (1, 2)), ("bob", (3, 4))):
@@ -503,9 +497,10 @@ def _cao_tree(kind: AttackKind, basis_policy: str, message: bool) -> _BranchTree
 
 
 class _ConfigTrees(tuple):
-    """A config's (check-round tree, message-round tree), with what runs read
-    off both, compiled on first use, read-only: the walk tables, and
-    ``indicators[c, i]``, whether joined leaf ``i`` counts towards ``_COUNTS[c]``."""
+    """A config's (check-round tree, message-round tree), with what runs and
+    exact analysis read off both, compiled on first use, read-only: the walk
+    tables, ``indicators[c, i]``, whether joined leaf ``i`` counts towards
+    ``_COUNTS[c]``, and the weight rows of exact analysis (``exact_weights``)."""
 
     @cached_property
     def walk(self) -> tuple[tuple[tuple[np.ndarray, ...], ...], np.ndarray]:
@@ -520,9 +515,24 @@ class _ConfigTrees(tuple):
         indicators.setflags(write=False)
         return indicators
 
+    @cached_property
+    def exact_weights(self) -> tuple[np.ndarray, dict[str, tuple]]:
+        """The weight rows of exact analysis and the labels they group by:
+        every joined leaf's mass, then, per label of each grouping key that
+        the trees hold (the initial state, and for cao the check basis), the
+        masses of the leaves with it; and each such key's labels."""
+        masses = np.concatenate([tree.masses for tree in self])
+        labels = {key: entry[1] for key, entry in self[0]._columns.items() if key in ("initial", "basis")}
+        weights = np.concatenate([masses[None]] + [
+            masses * (np.concatenate([tree.column(key) for tree in self]) == np.arange(len(names))[:, None])
+            for key, names in labels.items()
+        ])
+        weights.setflags(write=False)
+        return weights, labels
+
 
 @lru_cache(maxsize=None)
-def _config_trees(scheme: str, kind: AttackKind, policy: str) -> _ConfigTrees:
+def _config_trees(scheme: str, kind: str, policy: str) -> _ConfigTrees:
     """(check-round tree, message-round tree) of ``scheme`` under attack
     ``kind`` and the scheme's init or check-basis ``policy``, built once per
     process, each from its root. The keys are the 20 valid configs, not a
@@ -536,7 +546,7 @@ def _round_trees(config: RunConfig) -> _ConfigTrees:
     """(check-round tree, message-round tree) of a config, from the memo of
     :func:`_config_trees`: what its runs walk and its exact analysis sums."""
     policy = config.init_policy if config.scheme == "present" else config.check_basis_policy
-    return _config_trees(config.scheme, AttackKind(config.attack), policy)
+    return _config_trees(config.scheme, config.attack, policy)
 
 
 _COUNTS = ("check_rounds", "check_errors", "message_rounds",
@@ -590,22 +600,14 @@ def exact_analyze(
     """
     trees = _round_trees(RunConfig(scheme, attack, init_policy=init_policy,
                                    check_basis_policy=check_basis_policy))
-    masses = np.concatenate([tree.masses for tree in trees])
-    # weight rows: every leaf's mass, then, per label of the key that the
-    # policy sets and of the initial state (for present, one key), the
-    # masses of the leaves with it
-    error_key = "initial" if scheme == "present" else "basis"
-    labels = {key: trees[0]._columns[key][1] for key in (error_key, "initial")}
-    weights = [masses[None]] + [
-        masses * (np.concatenate([tree.column(key) for tree in trees]) == np.arange(len(names))[:, None])
-        for key, names in labels.items()
-    ]
-    total, *rows = _leaf_totals(trees, np.concatenate(weights))
+    weights, labels = trees.exact_weights
+    total, *rows = _leaf_totals(trees, weights)
     groups = dict(zip([name for names in labels.values() for name in names], rows))
+    error_key = "initial" if scheme == "present" else "basis"
     total_error, recovery, leak, unknown_fraction = _rates(total)
     return ExactResult(
         scheme=scheme,
-        attack=AttackKind(attack).value,
+        attack=attack,
         total_error_rate=total_error,
         conditional_error_rates={name: _rates(groups[name])[0] for name in labels[error_key]
                                  if groups[name]["check_rounds"]},
@@ -704,7 +706,7 @@ def run_monte_carlo(config: RunConfig, workers: int = 1) -> RunStats:
         check_errors=errors,
         message_rounds=counts["message_rounds"],
         error_rate=error_rate,
-        error_rate_ci95=binomial_ci(errors, checks) if checks else (0.0, 0.0),
+        error_rate_ci95=_binomial_ci(errors, checks),
         recovery_accuracy=recovery,
         eve_leak_rate=leak,
         unknown_fraction=unknown_fraction,

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .qstate import ZERO_PROB, MeasurementBasis, measurement_rows
-from .states import StateLabel, build
+from .states import build
 
 CHECK_BASES = ("z", "x", "bell")
 
@@ -59,7 +59,7 @@ def _check_error(basis: str) -> np.ndarray:
     joint outcome at most ``ZERO_PROB``, else 0. The sender's pair is
     measured first, and each of its outcomes collapsed, one of zero
     probability to a zero state."""
-    probs, after = measurement_rows(build(StateLabel.W4)[None], MeasurementBasis(basis, (1, 2)))
+    probs, after = measurement_rows(build("w4")[None], MeasurementBasis(basis, (1, 2)))
     joint = probs.T * measurement_rows(after[0], MeasurementBasis(basis, (3, 4)))[0]
     return (joint <= ZERO_PROB).astype(np.int64)
 

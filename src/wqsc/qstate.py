@@ -34,13 +34,11 @@ rotated stack is measured in Z, and each collapsed state is rotated back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidBasis, NonUnitaryGate
 
 # tolerance for exact algebra (all amplitudes are small rationals over
 # sqrt(2), sqrt(3), sqrt(6), so double precision holds them to ~1e-16)
@@ -51,32 +49,15 @@ ZERO_PROB = 1e-15
 
 
 # ---------------------------------------------------------------------------
-# gates
+# gates: read-only 2x2 unitaries
 
-
-@dataclass(frozen=True)
-class Gate1Q:
-    """A 2x2 unitary, checked at construction."""
-
-    entries: np.ndarray = field(repr=False)
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.entries, dtype=np.complex128)
-        if mat.shape != (2, 2):
-            raise DimensionMismatch("single-qubit gate must be 2x2")
-        if np.max(np.abs(mat @ mat.conj().T - np.eye(2))) > ATOL:
-            raise NonUnitaryGate(f"gate {self.name or mat} is not unitary")
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
-
-
-_SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 # flips both the computational and the Hadamard basis (up to sign):
 # |0> -> -|1>, |1> -> |0>, |+> -> |->, |-> -> -|+>
-FLIP = Gate1Q(np.array([[0, 1], [-1, 0]], dtype=complex), name="U")
-HADAMARD = Gate1Q(np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV, name="H")
+FLIP = np.array([[0, 1], [-1, 0]], dtype=complex)
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * (1.0 / np.sqrt(2.0))
+FLIP.setflags(write=False)
+HADAMARD.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +69,11 @@ HADAMARD = Gate1Q(np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV, name=
 # sends phi+, psi+, phi-, psi- to 00, 01, 10, 11
 BELL_ORDER = ("psi+", "psi-", "phi+", "phi-")
 _BELL_OF_Z = np.array([BELL_ORDER.index(label) for label in ("phi+", "psi+", "phi-", "psi-")])
+
+# the outcome index of each rotated Z outcome, by basis kind (None: the Z
+# outcome itself); a kind not named here is a KeyError, never a Z
+# measurement under another name
+_OUTCOME_OF_Z = {"z": None, "x": None, "bell": _BELL_OF_Z}
 
 
 @dataclass(frozen=True)
@@ -109,10 +95,6 @@ def x_basis(*qubits: int) -> MeasurementBasis:
     return MeasurementBasis("x", tuple(sorted(qubits)))
 
 
-def bell_basis(first: int, second: int) -> MeasurementBasis:
-    return MeasurementBasis("bell", (first, second))
-
-
 # ---------------------------------------------------------------------------
 # basis tables
 
@@ -127,28 +109,17 @@ class _BasisTables(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _basis_tables(basis: MeasurementBasis, num_qubits: int) -> _BasisTables:
-    """Validated tables of a basis, read off the Z bits of its measured
-    qubits after :func:`_rotate_measured` (for Bell, numbered in
-    ``BELL_ORDER``), cached since the same few bases are measured in
-    every tree build."""
-    if basis.kind not in ("z", "x", "bell"):
-        raise InvalidBasis(f"unknown basis kind {basis.kind!r}")
-    if len(set(basis.qubits)) != len(basis.qubits):
-        raise InvalidBasis(f"duplicate qubit in {basis.qubits}")
-    if basis.kind == "bell" and len(basis.qubits) != 2:
-        raise InvalidBasis("Bell basis requires exactly two qubits")
-    if not basis.qubits:
-        raise InvalidBasis("empty qubit set")
-    for q in basis.qubits:
-        if not 1 <= q <= num_qubits:
-            raise IndexOutOfRange(f"qubit {q} outside 1..{num_qubits}")
+    """The tables of a basis, read off the Z bits of its measured qubits
+    after :func:`_rotate_measured` (for Bell, numbered in ``BELL_ORDER``),
+    cached since the same few bases are measured in every tree build."""
     # the measured qubits' bits of every basis state, read MSB-first
     idx = np.arange(1 << num_qubits)
     outcomes = np.zeros(1 << num_qubits, dtype=np.int64)
     for q in basis.qubits:
         outcomes = (outcomes << 1) | ((idx >> (num_qubits - q)) & 1)
-    if basis.kind == "bell":
-        outcomes = _BELL_OF_Z[outcomes]
+    relabel = _OUTCOME_OF_Z[basis.kind]
+    if relabel is not None:
+        outcomes = relabel[outcomes]
     order = np.argsort(outcomes, kind="stable")
     outcomes.setflags(write=False)
     order.setflags(write=False)
@@ -172,17 +143,11 @@ def outcome_at(basis: MeasurementBasis, i: int) -> str:
 
 # ---------------------------------------------------------------------------
 # stacks
-#
-# Measurements check their basis (``_basis_tables``), gates their qubit
-# numbers (``_qubit_count``).
 
 
-def _qubit_count(amps: np.ndarray, *qubits: int) -> int:
-    """The qubit count of a stack's states; ``qubits`` must be distinct ones."""
-    n = amps.shape[-1].bit_length() - 1
-    if qubits and (min(qubits) < 1 or max(qubits) > n or len(set(qubits)) < len(qubits)):
-        raise IndexOutOfRange(f"qubits {qubits} must be distinct qubits of 1..{n}")
-    return n
+def _qubit_count(amps: np.ndarray) -> int:
+    """The qubit count of a stack's states."""
+    return amps.shape[-1].bit_length() - 1
 
 
 def tensor_rows(amps: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -192,20 +157,19 @@ def tensor_rows(amps: np.ndarray, other: np.ndarray) -> np.ndarray:
     return (amps[..., :, None] * other).reshape(amps.shape[:-1] + (-1,))
 
 
-def apply_1q_rows(amps: np.ndarray, qubit: int, gate: Gate1Q) -> np.ndarray:
-    """``gate`` applied to ``qubit`` of every row."""
+def apply_1q_rows(amps: np.ndarray, qubit: int, gate: np.ndarray) -> np.ndarray:
+    """The 2x2 unitary ``gate`` applied to ``qubit`` of every row."""
     # axis -2 of the view is the qubit's bit; row r of the gate makes the
     # amplitudes with that bit set to r
-    pos = _qubit_count(amps, qubit) - qubit
+    pos = _qubit_count(amps) - qubit
     pairs = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << pos))
-    g = gate.entries
-    out = g[:, 0, None] * pairs[..., 0:1, :] + g[:, 1, None] * pairs[..., 1:2, :]
+    out = gate[:, 0, None] * pairs[..., 0:1, :] + gate[:, 1, None] * pairs[..., 1:2, :]
     return out.reshape(amps.shape)
 
 
 def apply_cnot_rows(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     """A CNOT applied to every row."""
-    n = _qubit_count(amps, control, target)
+    n = _qubit_count(amps)
     cbit, tbit = 1 << (n - control), 1 << (n - target)
     # a permutation of at most 2**8 indices, cheaper as a list than as
     # the handful of array operations it would take
@@ -257,8 +221,6 @@ def measurement_rows(amps: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndar
 def phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
     """Max amplitude deviation between two states after aligning the
     best global phase."""
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot compare states of shapes {a.shape} and {b.shape}")
     inner = np.vdot(b, a)
     mag = abs(inner)
     phase = inner / mag if mag > 0.0 else 1.0

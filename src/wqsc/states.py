@@ -2,7 +2,8 @@
 
 Two families are provided: the three-qubit states used by the present
 scheme (``phi1``, ``phi2``), and the four-qubit symmetric single-excitation
-state ``w4`` used by the Cao scheme, plus the four Bell pairs. Canonical
+state ``w4`` used by the Cao scheme, plus the four Bell pairs (``psi+``,
+``psi-``, ``phi+``, ``phi-``); a state is named by that string. Canonical
 amplitudes are placed directly (``phi2`` by literal expansion of ``|+>``
 and ``|->`` on qubit 3), not built from circuits, so each constructor is
 an independent anchor for the rest of the package.
@@ -15,24 +16,11 @@ certifies the algebra the protocol and attack analyses stand on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import UnknownLabel
 from .qstate import ATOL, apply_cnot_rows, phase_deviation, tensor_rows
-
-
-class StateLabel(str, Enum):
-    PHI1 = "phi1"
-    PHI2 = "phi2"
-    W4 = "w4"
-    BELL_PSI_PLUS = "psi+"
-    BELL_PSI_MINUS = "psi-"
-    BELL_PHI_PLUS = "phi+"
-    BELL_PHI_MINUS = "phi-"
-
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -54,35 +42,27 @@ _PLUS = np.array([1.0, 1.0], dtype=np.complex128) / _SQRT2
 _MINUS = np.array([1.0, -1.0], dtype=np.complex128) / _SQRT2
 
 
+# every named state's amplitudes, before normalization
+_VECTORS = {
+    # (|100> + |010> + |001>) / sqrt(3)
+    "phi1": _ket("100") + _ket("010") + _ket("001"),
+    # (|10+> + |01+> + |00->) / sqrt(3), |+-> expanded literally
+    "phi2": np.kron(_ket("10"), _PLUS) + np.kron(_ket("01"), _PLUS) + np.kron(_ket("00"), _MINUS),
+    "w4": _ket("1000") + _ket("0100") + _ket("0010") + _ket("0001"),
+    "psi+": _ket("10") + _ket("01"),
+    "psi-": _ket("10") - _ket("01"),
+    "phi+": _ket("00") + _ket("11"),
+    "phi-": _ket("00") - _ket("11"),
+}
+
+
 @lru_cache(maxsize=None)
-def build(label: StateLabel | str) -> np.ndarray:
-    """Canonical normalized state for a label (exact amplitudes, not
-    merely up to phase), as a read-only complex128 array. Values are
-    cached and shared by every caller, so they are frozen against writes."""
-    try:
-        label = StateLabel(label)
-    except ValueError:
-        raise UnknownLabel(f"no state named {label!r}") from None
-    if label is StateLabel.PHI1:
-        # (|100> + |010> + |001>) / sqrt(3)
-        return _normalized(_ket("100") + _ket("010") + _ket("001"))
-    if label is StateLabel.PHI2:
-        # (|10+> + |01+> + |00->) / sqrt(3), |+-> expanded literally
-        vec = (
-            np.kron(_ket("10"), _PLUS)
-            + np.kron(_ket("01"), _PLUS)
-            + np.kron(_ket("00"), _MINUS)
-        )
-        return _normalized(vec)
-    if label is StateLabel.W4:
-        return _normalized(_ket("1000") + _ket("0100") + _ket("0010") + _ket("0001"))
-    if label is StateLabel.BELL_PSI_PLUS:
-        return _normalized(_ket("10") + _ket("01"))
-    if label is StateLabel.BELL_PSI_MINUS:
-        return _normalized(_ket("10") - _ket("01"))
-    if label is StateLabel.BELL_PHI_PLUS:
-        return _normalized(_ket("00") + _ket("11"))
-    return _normalized(_ket("00") - _ket("11"))
+def build(label: str) -> np.ndarray:
+    """Canonical normalized state named ``label`` (exact amplitudes, not
+    merely up to phase), as a read-only complex128 array; a name with no
+    state raises ``KeyError``. Values are cached and shared by every
+    caller, so they are frozen against writes."""
+    return _normalized(_VECTORS[label])
 
 
 @dataclass(frozen=True)
@@ -110,8 +90,8 @@ def _compare(identity_id: str, description: str, forms: list[np.ndarray]) -> Ide
 # the pieces of the expansions below: the single excitation of a pair in
 # Z, in the Bell basis (psi+ against phi+ + phi-) and in X (|++>, ...)
 _PAIR_SUM = _ket("10") + _ket("01")
-_PSI_PLUS = build(StateLabel.BELL_PSI_PLUS)
-_PHI_SUM = build(StateLabel.BELL_PHI_PLUS) + build(StateLabel.BELL_PHI_MINUS)
+_PSI_PLUS = build("psi+")
+_PHI_SUM = build("phi+") + build("phi-")
 _PP, _PM, _MP, _MM = (np.kron(a, b) for a in (_PLUS, _MINUS) for b in (_PLUS, _MINUS))
 
 
@@ -178,7 +158,7 @@ def verify_identities() -> list[IdentityReport]:
         _compare(
             "w4_three_bases",
             "w4: computational form = Bell-pair form = Hadamard form",
-            [build(StateLabel.W4), _w4_z_form(), _w4_bell_form(), _w4_x_form()],
+            [build("w4"), _w4_z_form(), _w4_bell_form(), _w4_x_form()],
         ),
         _compare(
             "collapse_excitation_first_pair",
@@ -198,22 +178,22 @@ def verify_identities() -> list[IdentityReport]:
             "the literal four-qubit expansion",
             [
                 _entangled_ancilla_form(),
-                apply_cnot_rows(tensor_rows(build(StateLabel.PHI2), _ket("0")), 3, 4),
+                apply_cnot_rows(tensor_rows(build("phi2"), _ket("0")), 3, 4),
             ],
         ),
         _compare(
             "phi1_split_z",
             "phi1 equals its two-qubit/one-qubit split with |0>,|1> on qubit 3",
-            [build(StateLabel.PHI1), _phi1_split_form()],
+            [build("phi1"), _phi1_split_form()],
         ),
         _compare(
             "phi2_split_x",
             "the split form with |+>,|-> on qubit 3 equals phi2",
-            [build(StateLabel.PHI2), _phi2_split_form()],
+            [build("phi2"), _phi2_split_form()],
         ),
     ]
     # the |+>/|-> split is sometimes mislabeled as phi1; record the mismatch
-    deviation = phase_deviation(_phi2_split_form(), build(StateLabel.PHI1))
+    deviation = phase_deviation(_phi2_split_form(), build("phi1"))
     reports.append(
         IdentityReport(
             identity_id="phi2_split_x_vs_phi1",

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from wqsc.attacks import AttackKind, attack_rows
+from wqsc.attacks import attack_rows
 from wqsc.protocol import CHECK_BASES
 from wqsc.qstate import (
     FLIP,
@@ -40,7 +40,6 @@ from wqsc.qstate import (
     MeasurementBasis,
     ZERO_PROB,
     apply_1q_rows,
-    bell_basis,
     measurement_rows,
     outcome_at,
     z_basis,
@@ -229,6 +228,10 @@ class RoundStream:
         return float(value)
 
 
+def bell_basis(first: int, second: int) -> MeasurementBasis:
+    """The Bell basis on the ordered qubit pair (first, second)."""
+    return MeasurementBasis("bell", (first, second))
+
 
 def pruned_branches(probs: np.ndarray, states: np.ndarray) -> SimpleNamespace:
     """The outcomes of a ``measurement_rows`` or ``attack_rows`` result
@@ -294,30 +297,30 @@ def sample_measurement(state, basis, rng):
 # uniform of its draw row on Eve's outcome; written here by hand, as the
 # reference the package's attacks must agree with
 MEASURING_ATTACKS = frozenset({
-    AttackKind.INTERCEPT_RESEND_Z,
-    AttackKind.INTERCEPT_RESEND_X,
-    AttackKind.CAO_INTERCEPT_RESEND_Z,
+    "ir-z",
+    "ir-x",
+    "cao-ir-z",
 })
 
 
-def sample_attack(kind: AttackKind, state, transit_qubits: tuple[int, ...], rng):
+def sample_attack(kind: str, state, transit_qubits: tuple[int, ...], rng):
     """One sampled branch of the attack channel: the forwarded state and
     Eve's note. Only an attack that measures draws from ``rng``."""
-    if kind is AttackKind.NONE:
+    if kind == "none":
         return state, None
     probs, states, notes = attack_rows(kind, state[None], transit_qubits)
     i = sample_index(probs[0], float(rng.random())) if kind in MEASURING_ATTACKS else 0
     return states[0, i], notes[i]
 
 
-def reference_guess(kind: AttackKind, note, initial=None, alice=None, ciphertext=None):
+def reference_guess(kind: str, note, initial=None, alice=None, ciphertext=None):
     """Eve's message-bit guess, by hand for each attack, from her note
     and the round's announcements: the initial state and the sender's
     published outcome (present scheme) or the ciphertext (cao scheme).
     Returns None (unknown) where her side information says nothing."""
-    if kind is AttackKind.NONE:
+    if kind == "none":
         return None
-    if kind is AttackKind.CAO_INTERCEPT_RESEND_Z:
+    if kind == "cao-ir-z":
         # pair outcome 00 means the key pair stayed with the sender (key 0);
         # any excitation means the sender's Bell outcome encodes key 1
         return ciphertext ^ (0 if note.observed == "00" else 1)
@@ -326,9 +329,9 @@ def reference_guess(kind: AttackKind, note, initial=None, alice=None, ciphertext
     # turns it back into a Z eigenstate), and the probe's ancilla is a
     # copy of the receiver's qubit only in phi1 rounds; there her bit is
     # the receiver's result
-    if kind is AttackKind.CNOT_ANCILLA:
+    if kind == "cnot":
         readable, bob_value = "phi1", str(note.ancilla_outcome)
-    elif kind is AttackKind.INTERCEPT_RESEND_Z:
+    elif kind == "ir-z":
         readable, bob_value = "phi1", note.observed
     else:
         readable, bob_value = "phi2", note.observed
@@ -337,7 +340,7 @@ def reference_guess(kind: AttackKind, note, initial=None, alice=None, ciphertext
     return recover_bit(alice, bob_value)
 
 
-def present_round(kind: AttackKind, init_policy: str, bit: int | None, rng, seen=None) -> tuple:
+def present_round(kind: str, init_policy: str, bit: int | None, rng, seen=None) -> tuple:
     """``(message_bit, check_pass, recovered_bit, eve_guess)`` of one
     round of the three-qubit scheme; ``bit`` None plays a check round.
     ``seen``, if given, receives the initial state, Eve's note and both
@@ -366,7 +369,7 @@ def present_round(kind: AttackKind, init_policy: str, bit: int | None, rng, seen
     return (bit, None, recover_bit(alice, bob), guess)
 
 
-def cao_round(kind: AttackKind, basis_policy: str, bit: int | None, rng, seen=None) -> tuple:
+def cao_round(kind: str, basis_policy: str, bit: int | None, rng, seen=None) -> tuple:
     """``(message_bit, check_pass, recovered_bit, eve_guess)`` of one
     round of the four-qubit scheme; ``bit`` None plays a check round.
     ``seen``, if given, receives Eve's note, both parties' outcomes and,
@@ -395,12 +398,11 @@ def scalar_round(config, is_check: bool, row: np.ndarray, seen=None) -> tuple:
     round of ``config`` from the one-round engines, consuming ``row`` in
     order: a message round's first draw picks its bit (0 iff ``u < 0.5``).
     ``seen`` receives the values the round drew, as the engine names them."""
-    kind = AttackKind(config.attack)
     rng = RoundStream(row)
     bit = None if is_check else (0 if rng.random() < 0.5 else 1)
     if config.scheme == "present":
-        return present_round(kind, config.init_policy, bit, rng, seen)
-    return cao_round(kind, config.check_basis_policy, bit, rng, seen)
+        return present_round(config.attack, config.init_policy, bit, rng, seen)
+    return cao_round(config.attack, config.check_basis_policy, bit, rng, seen)
 
 
 def scalar_round_outcomes(config, flags: np.ndarray, draws: np.ndarray) -> list[tuple]:

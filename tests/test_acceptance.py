@@ -14,7 +14,7 @@ import numpy as np
 
 from oracle_tools import ket, project, unit, z_projector
 from wqsc import cli
-from wqsc.attacks import AttackKind, attack_rows
+from wqsc.attacks import attack_rows
 from wqsc.harness import (
     RunConfig,
     _BranchTree,
@@ -26,7 +26,6 @@ from wqsc.harness import (
 )
 from wqsc.qstate import (
     FLIP,
-    Gate1Q,
     apply_1q_rows,
     apply_cnot_rows,
     tensor_rows,
@@ -71,7 +70,7 @@ def test_criterion_3_entangling_probe_rate_and_intermediate_state():
     result = exact_analyze("present", "cnot")
     rate_ok = abs(result.total_error_rate - 0.25) <= TOL
 
-    probed = attack_rows(AttackKind.CNOT_ANCILLA, build("phi2")[None], (3,))[1][0, 0]
+    probed = attack_rows("cnot", build("phi2")[None], (3,))[1][0, 0]
     expected = (
         np.kron(ket("10") + ket("01"), ket("00") + ket("11"))
         + np.kron(ket("00"), ket("00") - ket("11"))
@@ -176,15 +175,15 @@ def test_criterion_9_property_battery():
 
     # unitarity round trips, including a random unitary
     raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    gate = Gate1Q(np.linalg.qr(raw)[0])
+    gate = np.linalg.qr(raw)[0]
     state = unit(rng.normal(size=8) + 1j * rng.normal(size=8))
-    back = apply_1q_rows(apply_1q_rows(state, 2, gate), 2, Gate1Q(gate.entries.conj().T))
+    back = apply_1q_rows(apply_1q_rows(state, 2, gate), 2, gate.conj().T)
     ok &= float(np.max(np.abs(back - state))) <= TOL
     ok &= float(np.max(np.abs(apply_cnot_rows(apply_cnot_rows(state, 1, 3), 1, 3) - state))) <= TOL
 
     # componentwise flip relations
     sqrt2 = np.sqrt(2.0)
-    u = FLIP.entries
+    u = FLIP
     ok &= bool(np.array_equal(u @ [1, 0], [0, -1]))
     ok &= bool(np.array_equal(u @ [0, 1], [1, 0]))
     ok &= bool(np.allclose(u @ np.array([1, 1]) / sqrt2, np.array([1, -1]) / sqrt2, atol=TOL))

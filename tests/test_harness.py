@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracle_tools import (
+    bell_basis,
     cao_check_error,
     cao_keys,
     check_consistent,
@@ -26,17 +27,16 @@ from oracle_tools import (
 )
 from philox_ref import draw_words, mode_word
 from wqsc import errors, harness, protocol
-from wqsc.attacks import AttackKind
 from wqsc.harness import (
     RunConfig,
     _BranchTree,
+    _binomial_ci,
     _check_flags,
     _draw_block,
     _round_trees,
     _run_counts,
     _walk,
     _walk_tables,
-    binomial_ci,
     exact_analyze,
     exact_result_to_dict,
     identity_reports_to_dict,
@@ -46,7 +46,7 @@ from wqsc.harness import (
     to_json,
 )
 from wqsc.protocol import CHECK_BASES, _rule_tables
-from wqsc.qstate import MeasurementBasis, bell_basis, outcome_at, z_basis
+from wqsc.qstate import MeasurementBasis, outcome_at, z_basis
 from wqsc.states import verify_identities
 
 ATOL = 1e-12
@@ -154,24 +154,25 @@ SEED42_COUNTS = {
 
 class TestBinomialCi:
     def test_zero_successes_clamps(self):
-        assert binomial_ci(0, 100, 1.96) == (0.0, 0.0)
+        assert _binomial_ci(0, 100) == (0.0, 0.0)
 
     def test_quarter_by_hand(self):
         # 0.25 +- 1.96 * sqrt(0.25*0.75/100)
-        low, high = binomial_ci(25, 100, 1.96)
+        low, high = _binomial_ci(25, 100)
         assert low == pytest.approx(0.16513, abs=1e-3)
         assert high == pytest.approx(0.33487, abs=1e-3)
 
-    def test_zero_width(self):
-        assert binomial_ci(50, 100, 0.0) == (0.5, 0.5)
+    def test_all_successes_clamps(self):
+        assert _binomial_ci(100, 100) == (1.0, 1.0)
 
     def test_invalid_counts(self):
-        with pytest.raises(errors.InvalidCounts):
-            binomial_ci(1, 0)
-        with pytest.raises(errors.InvalidCounts):
-            binomial_ci(5, 4)
-        with pytest.raises(errors.InvalidCounts):
-            binomial_ci(-1, 4)
+        # counts no interval exists for fail, never give an interval
+        with pytest.raises(ZeroDivisionError):
+            _binomial_ci(1, 0)
+        with pytest.raises(ValueError):
+            _binomial_ci(5, 4)
+        with pytest.raises(ValueError):
+            _binomial_ci(-1, 4)
 
 
 class TestExactAnalyze:
@@ -232,6 +233,9 @@ class TestExactAnalyze:
             exact_analyze("bb84", "none")
         with pytest.raises(errors.UnsupportedPair):
             exact_analyze("present", "pns")
+        # an array of names is no attack, and no numpy truth-value error
+        with pytest.raises(errors.UnsupportedPair):
+            exact_analyze("present", np.array(["none", "cnot"]))
 
     def test_policies_checked_as_run_config_checks_them(self):
         # each scheme reads one policy, yet both must be valid, as in RunConfig
@@ -291,12 +295,11 @@ class TestRoundTrees:
         config = RunConfig(
             scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
         )
-        kind = AttackKind(attack)
         _, message = _round_trees(config)
         mismatches = [
             (node, leaf.eve_guess)
             for node, leaf in zip(_nodes(scheme, message), leaf_values(message), strict=True)
-            if leaf.eve_guess != reference_guess(kind, node["note"], **_announced(scheme, node))
+            if leaf.eve_guess != reference_guess(attack, node["note"], **_announced(scheme, node))
         ]
         assert leaf_values(message) and mismatches == []
 
@@ -327,10 +330,9 @@ class TestRoundTrees:
             "present": ("initial", harness.INIT_POLICIES[1:], (0, 1)),
             "cao": ("basis", CHECK_BASES, (0,)),
         }[scheme]
-        kind = AttackKind(attack)
-        random_trees = harness._config_trees(scheme, kind, "random")
+        random_trees = harness._config_trees(scheme, attack, "random")
         for code, policy in enumerate(policies):
-            fixed_trees = harness._config_trees(scheme, kind, policy)
+            fixed_trees = harness._config_trees(scheme, attack, policy)
             for tree, fixed in [(random_trees[t], fixed_trees[t]) for t in drawn_in]:
                 at = tree.column(key) == code
                 assert tree._columns.keys() == fixed._columns.keys()
@@ -474,7 +476,7 @@ class TestConfigTrees:
 
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
     def test_memoized_trees_are_read_only(self, scheme, attack, init, basis):
-        key = (scheme, AttackKind(attack), _policy(scheme, init, basis))
+        key = (scheme, attack, _policy(scheme, init, basis))
         trees = harness._config_trees(*key)
         assert harness._config_trees(*key) is trees
         for tree in trees:
@@ -510,13 +512,18 @@ class TestConfigTrees:
 
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
     def test_compiled_walk_and_indicators_are_read_only(self, scheme, attack, init, basis):
-        trees = harness._config_trees(scheme, AttackKind(attack), _policy(scheme, init, basis))
+        trees = harness._config_trees(scheme, attack, _policy(scheme, init, basis))
         tables, leaves = trees.walk
         assert trees.walk is trees.walk  # kept in the entry, not compiled per read
         count = sum(len(tree.masses) for tree in trees)
         assert trees.indicators.dtype == bool and trees.indicators.shape == (6, count)
         assert isinstance(tables, tuple) and all(isinstance(cutoffs, tuple) for cutoffs in tables)
-        for array in (*(cutoff for cutoffs in tables for cutoff in cutoffs), leaves, trees.indicators):
+        # exact analysis's weight rows too: the masses, then one row per group
+        weights, labels = trees.exact_weights
+        assert trees.exact_weights is trees.exact_weights
+        assert weights.shape == (1 + sum(map(len, labels.values())), count)
+        for array in (*(cutoff for cutoffs in tables for cutoff in cutoffs), leaves, trees.indicators,
+                      weights):
             with pytest.raises(ValueError):
                 array[...] = 0
 
@@ -530,7 +537,7 @@ class TestConfigTrees:
         # ciphertext (cao's Bell basis), so the check tree built from its
         # own root is the message tree's bit-0 branch down to that level
         check, message = harness._config_trees(
-            scheme, AttackKind(attack), _policy(scheme, init, basis)
+            scheme, attack, _policy(scheme, init, basis)
         )
         assert message.levels[0].prob.tolist() == [0.5, 0.5]  # the message bit
         # ends at Bob: his measurement is the last step that sets a key
@@ -550,9 +557,8 @@ class TestConfigTrees:
     def test_cao_message_tree_is_the_same_for_every_check_basis(self, scheme, attack, init, basis):
         # each config builds its own message tree; a key round's basis is
         # Bell whatever the check-basis policy, so all four are one tree
-        kind = AttackKind(attack)
-        message = harness._config_trees(scheme, kind, basis)[1]
-        bell = harness._config_trees(scheme, kind, "bell")[1]
+        message = harness._config_trees(scheme, attack, basis)[1]
+        bell = harness._config_trees(scheme, attack, "bell")[1]
         assert (message is bell) == (basis == "bell")
         assert list(message._columns) == list(bell._columns)
         for key in bell._columns:
@@ -598,6 +604,14 @@ class TestRunConfig:
             RunConfig(scheme="present", rounds=2, check_fraction=0.1)
         with pytest.raises(errors.UnsupportedPair):
             RunConfig(scheme="present", attack="cao-ir-z")
+
+    @pytest.mark.parametrize("attack", [1, None, ("cnot",), np.array(["none", "cnot"])],
+                             ids=["int", "none", "tuple", "array"])
+    def test_non_string_attack_rejected(self, attack):
+        # an attack is named by its string; anything else is no attack,
+        # and an array is no numpy truth-value error
+        with pytest.raises(errors.UnsupportedPair, match="unknown attack"):
+            RunConfig(scheme="present", attack=attack)
 
     @pytest.mark.parametrize("scheme,policies,rejected", [
         ("cao", {"init_policy": "phi1"}, "init_policy 'phi1'"),

@@ -13,6 +13,7 @@ from oracle_tools import (
     X,
     Z,
     allowed_joint_outcomes,
+    bell_basis,
     bell_projector,
     leaf_values,
     max_dev_up_to_phase,
@@ -21,7 +22,7 @@ from oracle_tools import (
     pruned_branches,
 )
 import wqsc
-from wqsc import attacks, harness, protocol, qstate
+from wqsc import attacks, errors, harness, protocol, qstate, states
 from wqsc.harness import RunConfig, _round_trees, exact_analyze
 from wqsc.protocol import CHECK_BASES, _rule_tables
 from wqsc.qstate import ATOL, FLIP, MeasurementBasis, measurement_rows, outcome_at, z_basis
@@ -120,8 +121,6 @@ class TestPresentRound:
 class TestCaoRound:
     def test_key_branch_support(self):
         # only (psi+, phi+/-) and (phi+/-, psi+) carry probability
-        from wqsc.qstate import bell_basis
-
         alice = pruned_branches(*measurement_rows(build("w4")[None], bell_basis(1, 2)))
         bob = pruned_branches(*measurement_rows(alice.states, bell_basis(3, 4)))
         assert alice.prob[bob.parent] * bob.prob == pytest.approx([0.25] * 4, abs=ATOL)
@@ -187,7 +186,7 @@ def test_rules_import_neither_attacks_nor_harness():
         assert not imported & forbidden, module.__name__
 
     # the trees know an attack only through attack_rows: harness names one
-    # attack kind, the probe whose ancilla Eve measures at guess time, and
+    # attack, the probe whose ancilla Eve measures at guess time, and
     # beyond that only RunConfig's default
     tree = ast.parse(Path(harness.__file__).read_text())
     (default,) = (
@@ -197,27 +196,34 @@ def test_rules_import_neither_attacks_nor_harness():
         for stmt in node.body
         if isinstance(stmt, ast.AnnAssign) and stmt.target.id == "attack"
     )
-    in_default = {id(node) for node in ast.walk(default)}
-    members = {
-        node.attr
+    attack_names = set(attacks.PRESENT_ATTACKS + attacks.CAO_ATTACKS)
+    named = [
+        node
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "AttackKind"
-        and id(node) not in in_default
-    }
-    assert members == {"CNOT_ANCILLA"}
-    attack_names = {kind.value for kind in attacks.AttackKind}
-    assert not any(
-        isinstance(node, ast.Constant) and node.value in attack_names for node in ast.walk(tree)
-    )
+        if isinstance(node, ast.Constant) and node.value in attack_names and node is not default
+    ]
+    assert default.value == "none"
+    assert [node.value for node in named] == ["cnot"]
 
 
 def test_package_exports_resolve():
-    # a name removed from the package must leave __all__ too
+    # the public API is what the command line uses: a config, the three
+    # calls, their results and the base error; the rest is internal
+    assert set(wqsc.__all__) == {
+        "RunConfig", "RunStats", "ExactResult", "IdentityReport",
+        "run_monte_carlo", "exact_analyze", "verify_identities", "WqscError",
+    }
     missing = [name for name in wqsc.__all__ if not hasattr(wqsc, name)]
     assert missing == []
-    # a state is a plain array and the ``*_rows`` calls are the only gates:
-    # the one-state wrapper and its gate API stay gone
-    retired = ("StateVector", "make_state", "tensor", "apply_1q", "apply_cnot", "states_equal")
-    assert [name for name in retired if hasattr(wqsc, name) or hasattr(qstate, name)] == []
+    # a state is a plain array, a gate a read-only 2x2 array, and the
+    # ``*_rows`` calls are the only gates; states and attacks are named by
+    # strings, the interval has no width knob, and the guards that only
+    # outside callers could trip are gone with their error classes
+    retired = (
+        "StateVector", "make_state", "tensor", "apply_1q", "apply_cnot", "states_equal",
+        "Gate1Q", "bell_basis", "StateLabel", "AttackKind", "binomial_ci",
+        "DimensionMismatch", "NonUnitaryGate", "InvalidBasis", "IndexOutOfRange",
+        "UnknownLabel", "InvalidCounts",
+    )
+    modules = (wqsc, qstate, states, attacks, errors)
+    assert [name for name in retired if any(hasattr(module, name) for module in modules)] == []

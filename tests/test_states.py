@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from oracle_tools import BELL_VECTORS, ket
-from wqsc import errors
 from wqsc.qstate import ATOL, measurement_rows, z_basis
-from wqsc.states import StateLabel, build, verify_identities
+from wqsc.states import build, verify_identities
 
 SQRT3 = np.sqrt(3.0)
 
@@ -27,13 +26,13 @@ BUILD_SHA256 = {
 
 class TestBuild:
     def test_phi1_amplitudes(self):
-        amps = build(StateLabel.PHI1)
+        amps = build("phi1")
         expected = np.zeros(8)
         expected[[4, 2, 1]] = 1 / SQRT3
         assert np.max(np.abs(amps - expected)) <= ATOL
 
     def test_phi2_literal_expansion(self):
-        amps = build(StateLabel.PHI2)
+        amps = build("phi2")
         expected = np.zeros(8)
         expected[[4, 5, 2, 3, 0]] = 1 / np.sqrt(6)
         expected[1] = -1 / np.sqrt(6)
@@ -50,17 +49,24 @@ class TestBuild:
             assert np.max(np.abs(build(label) - vec)) <= ATOL
 
     def test_unknown_label(self):
-        with pytest.raises(errors.UnknownLabel):
+        # a name with no state is an error, never another state
+        with pytest.raises(KeyError):
             build("ghz")
 
+    @pytest.mark.parametrize("label", ["PHI1", "Phi2", "w3", ""])
+    def test_near_label_never_falls_through(self, label):
+        # names are matched exactly: no case folding, no nearest state
+        with pytest.raises(KeyError):
+            build(label)
+
     def test_norms_and_support(self):
-        for label in StateLabel:
+        for label in BUILD_SHA256:
             state = build(label)
             assert np.linalg.norm(state) == pytest.approx(1.0, abs=ATOL)
         # phi2 has no weight on |110> or |111>
         assert np.all(build("phi2")[6:] == 0)
 
-    @pytest.mark.parametrize("label", list(StateLabel), ids=lambda label: label.value)
+    @pytest.mark.parametrize("label", list(BUILD_SHA256))
     def test_array_contract(self, label):
         state = build(label)
         assert isinstance(state, np.ndarray)
@@ -71,7 +77,7 @@ class TestBuild:
         # every later run
         with pytest.raises(ValueError):
             state[0] = 1.0
-        assert hashlib.sha256(state.tobytes()).hexdigest() == BUILD_SHA256[label.value]
+        assert hashlib.sha256(state.tobytes()).hexdigest() == BUILD_SHA256[label]
 
     def test_bell_pairwise_orthogonality(self):
         labels = ["psi+", "psi-", "phi+", "phi-"]
