@@ -12,19 +12,19 @@ may use, to which it pins itself):
 * ``build_ms``: ``_round_trees(config)``, the check-round and
   message-round trees of a run, timed cold (see below), so that every
   call builds them;
-* ``run_cold_ms`` and ``run_warm_ms``: ``_run_counts(config)`` of a
+* ``run_cold_ms`` and ``run_warm_ms``: ``run_monte_carlo(config)`` of a
   2000-round run at check fraction 0.5 and seed 0: its mode flags and
-  draws, the walk (with the walk tables it compiles) and the leaf totals,
-  and the trees it reads, so the same call times the whole Monte Carlo
-  path of any version;
+  draws, the walk (with the walk tables it compiles), the leaf totals and
+  rates, and the trees it reads, so the same public call times the whole
+  Monte Carlo path of any version;
 * ``exact_cold_ms`` and ``exact_warm_ms``: ``exact_analyze`` of the
   config;
 * ``phases_ms``: where a warm ``run_warm_ms`` call spends its time. For
   one more such call, each function of ``PHASES`` that the version has
-  (mode flags, draws, walk; ``_run_counts`` reads them from the module's
-  globals) is wrapped in a timer. Per phase, the median of its ms, or
-  null for a name the version lacks; and ``rest``, the median of the
-  call's time outside them (leaf counts, config and loop overhead).
+  (mode flags, draws, walk; a run reads them from the module's globals)
+  is wrapped in a timer. Per phase, the median of its ms, or null for a
+  name the version lacks; and ``rest``, the median of the call's time
+  outside them (leaf totals, rates, config and loop overhead).
   ``phases_totals_ms`` sums each over the configs.
 
 A version that keeps each config's trees for the life of the process
@@ -191,7 +191,7 @@ def _calls(harness, spec: tuple[str, str, str, str]) -> dict:
     )
     memo = getattr(harness, "_config_trees", None)
     cold = memo.cache_clear if memo else lambda: None
-    run = lambda: harness._run_counts(config)  # noqa: E731
+    run = lambda: harness.run_monte_carlo(config)  # noqa: E731
     exact = lambda: harness.exact_analyze(scheme, attack, init, basis)  # noqa: E731
     return {
         "build_ms": (cold, lambda: harness._round_trees(config)),
@@ -204,7 +204,7 @@ def _calls(harness, spec: tuple[str, str, str, str]) -> dict:
 
 
 def _phase_times(harness, config) -> dict:
-    """ms of one ``_run_counts(config)`` call (``total``) and of each of
+    """ms of one ``run_monte_carlo(config)`` call (``total``) and of each of
     its ``PHASES`` that ``harness`` has, each wrapped in a timer for the
     call."""
     originals = {name: getattr(harness, name) for name in PHASES if hasattr(harness, name)}
@@ -222,7 +222,7 @@ def _phase_times(harness, config) -> dict:
     for name in originals:
         setattr(harness, name, timer(name))
     try:
-        total = _timed(lambda: harness._run_counts(config))
+        total = _timed(lambda: harness.run_monte_carlo(config))
     finally:
         for name, call in originals.items():
             setattr(harness, name, call)

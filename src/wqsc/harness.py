@@ -17,20 +17,21 @@ decoded. A config's two trees depend only on its scheme, attack and
 policy, so each process builds them once (:func:`_config_trees`, the one
 way to a config's trees), and every run and every exact analysis of that
 config reads the same read-only trees; no result is ever cached. Both
-analyses sum the trees' joined leaves with one function
-(:func:`_leaf_totals`):
+analyses fold a weight row over the trees' joined leaves into counts with
+one function (:func:`_leaf_totals`):
 
 * the exact analyzer weights each leaf by its mass (one weight row per
   group of a conditional rate), so its rates carry no sampling error;
-* the Monte Carlo runner weights each leaf by the rounds that reach it.
-  The two trees are compiled once into one walk table with two roots,
-  down which a run walks each block of rounds with numpy array
-  operations, a check round from the check tree's root and a message
-  round from the message tree's: each level compares one column of the
-  rounds' raw words with its nodes' cumulative probabilities as integer
-  cutoffs, in the order of the round's steps, and moves each round from
-  node ``n`` to child ``k``, node ``n * width + k``, so a walk reproduces the
-  round that the test suite's one-round oracle plays on the same draws.
+* the Monte Carlo runner weights each leaf by its hits, the rounds that
+  end at it, which is what a run returns (:func:`_run_hits`). The two
+  trees are compiled once into one walk table with two roots, down which a
+  run walks each block of rounds with numpy array operations, a check
+  round from the check tree's root and a message round from the message
+  tree's: each level compares one column of the rounds' raw words with its
+  nodes' cumulative probabilities as integer cutoffs, in the order of the
+  round's steps, and moves each round from node ``n`` to child ``k``, node
+  ``n * width + k``, so a walk reproduces the round that the test suite's
+  one-round oracle plays on the same draws.
   A run streams its rounds in fixed blocks: its memory does not grow
   with the round count, nor do its results depend on the block size.
 
@@ -122,7 +123,23 @@ class RunConfig:
     check_basis_policy: str = "random"  # one of CHECK_BASIS_POLICIES
 
     def __post_init__(self) -> None:
-        _validate(self.scheme, self.attack, self.init_policy, self.check_basis_policy)
+        scheme, attack, init, basis = self.scheme, self.attack, self.init_policy, self.check_basis_policy
+        # a name is a string; an array would compare elementwise
+        if not isinstance(scheme, str) or scheme not in SCHEMES:
+            raise UnsupportedPair(f"unknown scheme {scheme!r}")
+        if not isinstance(attack, str) or attack not in ATTACKS:
+            raise UnsupportedPair(f"unknown attack {attack!r}")
+        if attack not in (PRESENT_ATTACKS if scheme == "present" else CAO_ATTACKS):
+            raise UnsupportedPair(f"attack {attack!r} does not apply to scheme {scheme!r}")
+        if not isinstance(init, str) or init not in INIT_POLICIES:
+            raise InvalidConfig(f"init_policy {init!r} invalid")
+        if not isinstance(basis, str) or basis not in CHECK_BASIS_POLICIES:
+            raise InvalidConfig(f"check_basis_policy {basis!r} invalid")
+        # the other scheme's policy is left at random, never silently ignored
+        if scheme == "present" and basis != "random":
+            raise InvalidConfig(f"check_basis_policy {basis!r} does not apply to 'present'")
+        if scheme == "cao" and init != "random":
+            raise InvalidConfig(f"init_policy {init!r} does not apply to 'cao'")
         for name in ("rounds", "master_seed"):
             value = getattr(self, name)
             try:
@@ -176,26 +193,6 @@ class ExactResult:
     unknown_fraction: float
     conditional_leak_rates: dict[str, float]
     recovery_accuracy: float
-
-
-def _validate(scheme: str, attack: str, init_policy: str, check_basis_policy: str) -> None:
-    if scheme not in SCHEMES:
-        raise UnsupportedPair(f"unknown scheme {scheme!r}")
-    if not isinstance(attack, str) or attack not in ATTACKS:  # an array compares elementwise
-        raise UnsupportedPair(f"unknown attack {attack!r}")
-    if attack not in (PRESENT_ATTACKS if scheme == "present" else CAO_ATTACKS):
-        raise UnsupportedPair(f"attack {attack!r} does not apply to scheme {scheme!r}")
-    if init_policy not in INIT_POLICIES:
-        raise InvalidConfig(f"init_policy {init_policy!r} invalid")
-    if check_basis_policy not in CHECK_BASIS_POLICIES:
-        raise InvalidConfig(f"check_basis_policy {check_basis_policy!r} invalid")
-    # the other scheme's policy is left at random, never silently ignored
-    if scheme == "present" and check_basis_policy != "random":
-        raise InvalidConfig(
-            f"check_basis_policy {check_basis_policy!r} does not apply to 'present'"
-        )
-    if scheme == "cao" and init_policy != "random":
-        raise InvalidConfig(f"init_policy {init_policy!r} does not apply to 'cao'")
 
 
 def _binomial_ci(successes: int, trials: int) -> tuple[float, float]:
@@ -653,10 +650,12 @@ def _draw_block(master_seed: int, start: int, count: int, bitgen) -> np.ndarray:
 def _check_flags(config: RunConfig, start: int, count: int, bitgen) -> np.ndarray:
     """Check/message assignment of rounds [start, start+count), ``start`` a
     multiple of 4, by the draw scheme (``u < f`` iff ``raw <= (ceil(f *
-    _WORD) << 11) - 1``, at most ``2**64 - 1``); a block 0 with no check flag
-    scans later blocks for one."""
+    _WORD) << 11) - 1``, at most ``2**64 - 1``, the ceiling exact from ``f``'s
+    integer ratio: ``f * _WORD`` overflows a float16); a block 0 with no
+    check flag scans later blocks for one."""
+    numerator, denominator = config.check_fraction.as_integer_ratio()
     words = _words(bitgen, [config.master_seed, _MODE_STREAM_TAG], start // 4, count)
-    flags = words <= np.uint64((math.ceil(config.check_fraction * _WORD) << 11) - 1)
+    flags = words <= np.uint64((-(-numerator * _WORD // denominator) << 11) - 1)
     if start == 0 and not flags.any():
         blocks = (_check_flags(config, lo, min(_BLOCK_ROUNDS, config.rounds - lo), bitgen)
                   for lo in range(count, config.rounds, _BLOCK_ROUNDS))
@@ -670,11 +669,11 @@ def _philox() -> np.random.Philox:
     return np.random.Philox(0)
 
 
-def _run_counts(config: RunConfig) -> dict[str, int]:
-    """The run's counts: its rounds, ``_BLOCK_ROUNDS`` at a time, walked
-    down one table of both trees, a check round from the check tree's
-    root (node 0) and a message round from the message tree's (node 1),
-    and the leaf hits summed over the blocks."""
+def _run_hits(config: RunConfig) -> np.ndarray:
+    """The run's leaf hits, its rounds that end at each joined leaf in
+    ``_ConfigTrees.indicators`` order: walked ``_BLOCK_ROUNDS`` at a time down
+    one table of both trees, a check round from the check tree's root (node
+    0) and a message round from the message tree's (node 1)."""
     trees, bitgen = _round_trees(config), _philox()
     hits = np.zeros(trees.indicators.shape[1], dtype=np.int64)
     for start in range(0, config.rounds, _BLOCK_ROUNDS):
@@ -682,20 +681,21 @@ def _run_counts(config: RunConfig) -> dict[str, int]:
         roots = ~_check_flags(config, start, count, bitgen)
         words = _draw_block(config.master_seed, start, count, bitgen)
         hits += np.bincount(_walk(trees.walk, roots, words), minlength=len(hits))
-    return _leaf_totals(trees, hits[None])[0]
+    return hits
 
 
 def run_monte_carlo(config: RunConfig, workers: int = 1) -> RunStats:
-    """Execute ``config.rounds`` independent rounds and aggregate counts.
+    """Execute ``config.rounds`` independent rounds and fold their leaf hits
+    into counts (:func:`_leaf_totals`, as exact analysis folds masses).
 
     Rounds stream in fixed blocks, so memory stays constant whatever the
     round count. Every round draws from its own counter-keyed stream and
-    the counts merge is a plain sum, so the result is the same for any
+    the hits merge is a plain sum, so the result is the same for any
     block size. ``workers`` remains only as 1: the process pool is gone.
     """
     if workers != 1:
         raise InvalidConfig(f"workers={workers}: the process pool was removed")
-    counts = _run_counts(config)
+    counts = _leaf_totals(_round_trees(config), _run_hits(config)[None])[0]
     checks, errors = counts["check_rounds"], counts["check_errors"]
     error_rate, recovery, leak, unknown_fraction = _rates(counts)
     return RunStats(

@@ -33,8 +33,9 @@ from wqsc.harness import (
     _binomial_ci,
     _check_flags,
     _draw_block,
+    _leaf_totals,
     _round_trees,
-    _run_counts,
+    _run_hits,
     _walk,
     _walk_tables,
     exact_analyze,
@@ -605,13 +606,19 @@ class TestRunConfig:
         with pytest.raises(errors.UnsupportedPair):
             RunConfig(scheme="present", attack="cao-ir-z")
 
-    @pytest.mark.parametrize("attack", [1, None, ("cnot",), np.array(["none", "cnot"])],
+    @pytest.mark.parametrize("field,error,match", [
+        ("scheme", errors.UnsupportedPair, "unknown scheme"),
+        ("attack", errors.UnsupportedPair, "unknown attack"),
+        ("init_policy", errors.InvalidConfig, "init_policy .* invalid"),
+        ("check_basis_policy", errors.InvalidConfig, "check_basis_policy .* invalid"),
+    ], ids=["scheme", "attack", "init", "basis"])
+    @pytest.mark.parametrize("value", [1, None, ("none",), np.array(["random", "none"])],
                              ids=["int", "none", "tuple", "array"])
-    def test_non_string_attack_rejected(self, attack):
-        # an attack is named by its string; anything else is no attack,
-        # and an array is no numpy truth-value error
-        with pytest.raises(errors.UnsupportedPair, match="unknown attack"):
-            RunConfig(scheme="present", attack=attack)
+    def test_non_string_name_rejected(self, field, error, match, value):
+        # a scheme, attack or policy is named by its string; anything else
+        # names nothing, and an array is no numpy truth-value error
+        with pytest.raises(error, match=match):
+            RunConfig(**{"scheme": "present", field: value})
 
     @pytest.mark.parametrize("scheme,policies,rejected", [
         ("cao", {"init_policy": "phi1"}, "init_policy 'phi1'"),
@@ -650,9 +657,9 @@ class TestRunConfig:
             with pytest.raises(errors.InvalidConfig, match="check_fraction must be a real"):
                 RunConfig(scheme="present", check_fraction=value)
         as_float = RunConfig(scheme="present", rounds=500, check_fraction=0.25)
-        for as_numpy in (np.float64(0.25), np.float32(0.25)):
+        for as_numpy in (np.float64(0.25), np.float32(0.25), np.float16(0.25)):
             config = RunConfig(scheme="present", rounds=500, check_fraction=as_numpy)
-            assert _run_counts(config) == _run_counts(as_float)
+            assert np.array_equal(_run_hits(config), _run_hits(as_float))
         # a Fraction just below 1 is real and in (0, 1) too; its cutoff
         # ceil(f * 2**53) << 11 is 2**64, one past the largest word, so
         # every round is a check round, as the float rule u < f says
@@ -663,7 +670,7 @@ class TestRunConfig:
     def test_numpy_integers_accepted(self):
         as_int = RunConfig(scheme="present", rounds=500, master_seed=3)
         as_numpy = RunConfig(scheme="present", rounds=np.int64(500), master_seed=np.uint64(3))
-        assert _run_counts(as_numpy) == _run_counts(as_int)
+        assert np.array_equal(_run_hits(as_numpy), _run_hits(as_int))
 
     def test_at_least_one_check_round_forced(self, monkeypatch):
         # fraction small enough that some seeds draw no check round
@@ -673,16 +680,16 @@ class TestRunConfig:
         ]
         for config in configs:
             assert _check_flags(config, 0, config.rounds, np.random.Philox()).sum() >= 1
-        whole = [_run_counts(config) for config in configs]
+        whole = [_run_hits(config) for config in configs]
         # in blocks of 4 the rule still looks at the whole run
         monkeypatch.setattr(harness, "_BLOCK_ROUNDS", 4)
-        for config, counts in zip(configs, whole):
+        for config, hits in zip(configs, whole):
             bitgen = np.random.Philox()
             blocked = [_check_flags(config, lo, 4, bitgen) for lo in range(0, 12, 4)]
             whole_run = _check_flags(config, 0, config.rounds, bitgen)
             assert np.array_equal(np.concatenate(blocked), whole_run)
             harness._philox().random_raw(3)  # left mid-buffer, re-keyed by the rescan too
-            assert _run_counts(config) == counts
+            assert np.array_equal(_run_hits(config), hits)
 
 
 class TestDeterminism:
@@ -707,7 +714,7 @@ class TestTreeWalk:
     @staticmethod
     def _replay(config, flags, words):
         """Per-round outcomes of the run's walk, down the one table of both
-        trees from each round's root as ``_run_counts`` walks them, and the
+        trees from each round's root as ``_run_hits`` walks them, and the
         joint leaves it reached."""
         trees = _round_trees(config)
         leaves = [leaf for tree in trees for leaf in leaf_values(tree)]
@@ -913,13 +920,13 @@ class TestTreeWalk:
         fresh = []
         for config in configs:
             harness._philox.cache_clear()
-            fresh.append(_run_counts(config))
+            fresh.append(_run_hits(config))
         assert harness._philox() is harness._philox()
         other = RunConfig(scheme="present", attack="cnot", rounds=20001, master_seed=3)
-        for disturb in (lambda: harness._philox().random_raw(3), lambda: _run_counts(other)):
-            for config, counts in zip(configs, fresh):
+        for disturb in (lambda: harness._philox().random_raw(3), lambda: _run_hits(other)):
+            for config, hits in zip(configs, fresh):
                 disturb()
-                assert _run_counts(config) == counts
+                assert np.array_equal(_run_hits(config), hits)
 
     @pytest.mark.parametrize(
         "scheme,attack,init,basis",
@@ -938,9 +945,13 @@ class TestTreeWalk:
             scheme=scheme, attack=attack, rounds=5003, master_seed=11,
             init_policy=init, check_basis_policy=basis,
         )
-        whole = _run_counts(config)
+        whole = _run_hits(config)
+        # every round ends at one leaf, and every check round at one of the check tree's
+        flags = _check_flags(config, 0, config.rounds, np.random.Philox())
+        assert whole.sum() == config.rounds
+        assert whole[: len(_round_trees(config)[0].masses)].sum() == flags.sum()
         monkeypatch.setattr(harness, "_BLOCK_ROUNDS", block)
-        assert _run_counts(config) == whole
+        assert np.array_equal(_run_hits(config), whole)
 
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
     def test_tree_build_stacked_calls_bounded_per_level(
@@ -973,7 +984,7 @@ class TestTreeWalk:
         results, _ = attack_mc_runs
         for (scheme, attack), pinned in SEED42_COUNTS.items():
             config = RunConfig(scheme=scheme, attack=attack, rounds=100_000, master_seed=42)
-            assert _run_counts(config) == pinned
+            assert _leaf_totals(_round_trees(config), _run_hits(config)[None]) == [pinned]
             stats = results[(scheme, attack)]
             assert stats.check_rounds == pinned["check_rounds"]
             assert stats.check_errors == pinned["check_errors"]
