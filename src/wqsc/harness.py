@@ -3,7 +3,7 @@
 A round of either scheme is described once, as the finite branch tree of
 a check round and of a message round (message bit x initial state or
 check basis x attack outcome x both parties' measurement outcomes x, for
-the entangling probe, the ancilla outcome). Every leaf carries its
+the entangling probe, Eve's ancilla outcome). Every leaf carries its
 outcome and its mass, the product of the branch probabilities on its
 path. A tree is built level by level with stacked calls, and its nodes'
 values are columns of codes (:class:`_BranchTree`), so neither the
@@ -43,9 +43,12 @@ is and ``r`` is 0), each word as ``raw >> 11``. A process builds one
 generator, on its first run, re-keyed in full per block; not thread-safe.
 
 Eve's guess is read off a message tree, one rule for every attack. Her
-view of a round is what she sees of it: for the present scheme the
-announced initial state, the sender's published outcome and her note;
-for the cao scheme the ciphertext and her note. Neither view holds the
+note is the label of her own outcome: of her interception, or (the
+entangling probe) of her ancilla, measured in Z at the end of a message
+round; an attack with no outcome of hers notes None. Her view of a round
+is what she sees of it: for the present scheme the announced initial
+state, the sender's published outcome and her note; for the cao scheme
+the ciphertext and her note. Neither view holds the
 receiver's outcome or the sender's Bell label. Among the leaves that
 show her the same view she guesses the message bit of larger mass (the
 Bayes-optimal guess), and abstains where the two masses tie within
@@ -71,7 +74,7 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -158,7 +161,9 @@ class RunConfig:
             raise InvalidConfig(
                 f"check_fraction must lie in (0, 1), got {self.check_fraction}"
             )
-        if self.rounds * self.check_fraction < 1.0:
+        # in float64: a float16 product rounds 3 x float16(1/3) up to 1 and
+        # overflows at 10**10 rounds
+        if self.rounds * float(self.check_fraction) < 1.0:
             raise InvalidConfig("check_fraction must yield at least one check round")
         if not 0 <= self.master_seed < 2**64:
             raise InvalidConfig("master_seed must fit in 64 bits")
@@ -327,7 +332,8 @@ class _BranchTree:
 
     def values(self, key: str) -> list:
         """The values of ``key`` at the deepest level's nodes: an outcome's
-        label string, a choice's value (a string or an int), or a note."""
+        label string (None for the note of an attack with one outcome) or
+        a choice's value (a string or an int)."""
         _, labels, by = self._columns[key]
         codes = self.column(key).tolist()
         if by:
@@ -393,9 +399,10 @@ class _BranchTree:
         self._grow(key, probs, states, labels if by else labels[0], by)
 
     def attack(self, kind: str, transit: tuple[int, ...]) -> None:
-        """Eve's attack ``kind`` on the qubits ``transit``, her note under
-        ``note``. One with a single outcome adds no level: each node
-        forwards its whole row, and every node holds the one note."""
+        """Eve's attack ``kind`` on the qubits ``transit``, her outcome's
+        label under ``note``. One with a single outcome adds no level: each
+        node forwards its whole row, and every node holds the one note,
+        None."""
         probs, states, notes = attack_rows(kind, self.states, transit)
         if len(notes) > 1:
             self._grow("note", probs, states, notes)
@@ -450,12 +457,9 @@ def _present_tree(kind: str, init_policy: str, message: bool) -> _BranchTree:
         return tree.finish(check_pass=rules["consistent"][tree.column("alice"), tree.column("bob")])
 
     if kind == "cnot":
-        # Eve measures her ancilla only at guess time; every node holds the
-        # probe's one note until then
-        note = tree.values("note")[0]
-        tree.measure("ancilla", (z_basis(note.ancilla_qubit),))
-        notes = tuple(replace(note, ancilla_outcome=outcome) for outcome in (0, 1))
-        tree.assign("note", tree.column("ancilla"), notes)
+        # Eve measures her ancilla, qubit 4, only at guess time, so its
+        # outcome is her note
+        tree.measure("note", (z_basis(4),))
 
     return tree.finish(
         message_bit=tree.column("bit"),

@@ -25,7 +25,6 @@ attack, where the package reads it off the trees.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -315,29 +314,24 @@ def sample_attack(kind: str, state, transit_qubits: tuple[int, ...], rng):
 
 def reference_guess(kind: str, note, initial=None, alice=None, ciphertext=None):
     """Eve's message-bit guess, by hand for each attack, from her note
-    and the round's announcements: the initial state and the sender's
-    published outcome (present scheme) or the ciphertext (cao scheme).
-    Returns None (unknown) where her side information says nothing."""
+    (her outcome's label) and the round's announcements: the initial
+    state and the sender's published outcome (present scheme) or the
+    ciphertext (cao scheme). Returns None (unknown) where her side
+    information says nothing."""
     if kind == "none":
         return None
     if kind == "cao-ir-z":
         # pair outcome 00 means the key pair stayed with the sender (key 0);
         # any excitation means the sender's Bell outcome encodes key 1
-        return ciphertext ^ (0 if note.observed == "00" else 1)
-    # her resent Z eigenstate survives decoding only in phi1 rounds, her
+        return ciphertext ^ (0 if note == "00" else 1)
+    # her note is the receiver's bit in the rounds she can read: her
+    # resent Z eigenstate survives decoding only in phi1 rounds, her
     # resent X eigenstate only in phi2 rounds (the receiver's Hadamard
     # turns it back into a Z eigenstate), and the probe's ancilla is a
-    # copy of the receiver's qubit only in phi1 rounds; there her bit is
-    # the receiver's result
-    if kind == "cnot":
-        readable, bob_value = "phi1", str(note.ancilla_outcome)
-    elif kind == "ir-z":
-        readable, bob_value = "phi1", note.observed
-    else:
-        readable, bob_value = "phi2", note.observed
-    if initial != readable:
+    # copy of the receiver's qubit only in phi1 rounds
+    if initial != ("phi2" if kind == "ir-x" else "phi1"):
         return None
-    return recover_bit(alice, bob_value)
+    return recover_bit(alice, note)
 
 
 def present_round(kind: str, init_policy: str, bit: int | None, rng, seen=None) -> tuple:
@@ -360,10 +354,9 @@ def present_round(kind: str, init_policy: str, bit: int | None, rng, seen=None) 
     seen.update(initial=initial, note=note, alice=alice, bob=bob)
     if bit is None:
         return (None, check_consistent(alice, bob), None, None)
-    if note is not None and note.ancilla_qubit is not None:
-        # Eve measures her ancilla only now, at guess time
-        ancilla, _ = sample_measurement(after, z_basis(note.ancilla_qubit), rng)
-        note = replace(note, ancilla_outcome=int(ancilla))
+    if kind == "cnot":
+        # Eve measures her ancilla, qubit 4, only now, at guess time
+        note, _ = sample_measurement(after, z_basis(4), rng)
         seen["note"] = note
     guess = reference_guess(kind, note, initial=initial, alice=alice)
     return (bit, None, recover_bit(alice, bob), guess)

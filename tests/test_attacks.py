@@ -39,7 +39,7 @@ CAO_IR = "cao-ir-z"
 
 def _attack_branches(kind, state, transit):
     """The nonzero-probability branches of ``kind`` on ``state``, and
-    Eve's notes per outcome."""
+    Eve's note (her outcome's label) per outcome."""
     probs, states, notes = attack_rows(kind, state[None], transit)
     return pruned_branches(probs, states), notes
 
@@ -57,7 +57,7 @@ class TestBranches:
     def test_ir_z_on_phi2(self):
         probs, states, notes = attack_rows(IR_Z, build("phi2")[None], (3,))
         assert probs[0] == pytest.approx([0.5, 0.5], abs=ATOL)
-        assert [(note.basis, note.observed) for note in notes] == [("z", "0"), ("z", "1")]
+        assert list(notes) == ["0", "1"]
         forwarded = states[0]
         expected0 = unit(np.kron(ket("10") + ket("01") + ket("00"), ket("0")))
         expected1 = unit(np.kron(ket("10") + ket("01") - ket("00"), ket("1")))
@@ -66,7 +66,8 @@ class TestBranches:
 
     def test_cao_branch_structure(self):
         found, notes = _attack_branches(CAO_IR, build("w4"), (3, 4))
-        assert [notes[i].observed for i in found.outcome] == ["00", "01", "10"]
+        assert list(notes) == ["00", "01", "10", "11"]
+        assert [notes[i] for i in found.outcome] == ["00", "01", "10"]
         assert found.prob == pytest.approx([0.5, 0.25, 0.25], abs=ATOL)
         # forwarded states: psi+ x |00> after outcome 00, |00> x psi+ otherwise
         kept = unit(np.kron(ket("10") + ket("01"), ket("00")))
@@ -79,7 +80,7 @@ class TestBranches:
     def test_probe_extends_register(self):
         probs, states, notes = attack_rows(CNOT_PROBE, build("phi2")[None], (3,))
         assert np.array_equal(probs, [[1.0]])
-        assert [note.ancilla_qubit for note in notes] == [4]
+        assert notes == [None]
         probed = states[0, 0]
         expected = (
             np.kron(ket("10") + ket("01"), ket("00") + ket("11"))
@@ -126,7 +127,7 @@ class TestResendEquivalence:
         state = build(initial)
         found, notes = _attack_branches(kind, state, (3,))
         for i, forwarded, prob in zip(found.outcome, found.states, found.prob):
-            observed = notes[i].observed
+            observed = notes[i]
             proj = projector(3, (3,), observed)
             dense_prob, collapsed = dense_project(state, proj)
             assert prob == pytest.approx(dense_prob, abs=ATOL)
@@ -184,7 +185,7 @@ class TestEveGuess:
         # the bit; any excitation means key 1
         for node, leaf in _message_leaves("cao", "cao-ir-z"):
             ciphertext = cao_keys(node["alice"], node["bob"])[0] ^ leaf.message_bit
-            key = 0 if node["note"].observed == "00" else 1
+            key = 0 if node["note"] == "00" else 1
             assert leaf.eve_guess == ciphertext ^ key
 
     def test_no_attack_unknown(self):
@@ -196,7 +197,7 @@ class TestEveGuess:
         # her resent Z eigenstate is the receiver's result in phi1 rounds
         leaves = _message_leaves("present", "ir-z", init_policy="phi1")
         for node, leaf in leaves:
-            assert leaf.eve_guess == recover_bit(node["alice"], node["note"].observed)
+            assert leaf.eve_guess == recover_bit(node["alice"], node["note"])
         assert {leaf.eve_guess for _, leaf in leaves} == {0, 1}
 
     def test_ir_z_phi2_round_unknown(self):
@@ -208,11 +209,11 @@ class TestEveGuess:
         seen = set()
         for node, leaf in _message_leaves("cao", "cao-ir-z"):
             assert leaf.eve_guess == leaf.message_bit
-            seen.add((node["note"].observed, node["alice"], leaf.message_bit))
+            seen.add((node["note"], node["alice"], leaf.message_bit))
         attacked, notes = _attack_branches(CAO_IR, build("w4"), (3, 4))
         alice = pruned_branches(*measurement_rows(attacked.states, bell_basis(1, 2)))
         alice_outcomes = {
-            (notes[note].observed, outcome_at(bell_basis(1, 2), out))
+            (notes[note], outcome_at(bell_basis(1, 2), out))
             for note, out in zip(attacked.outcome[alice.parent].tolist(), alice.outcome.tolist())
         }
         assert seen == {(*pair, bit) for pair in alice_outcomes for bit in (0, 1)}
@@ -224,7 +225,7 @@ class TestEveGuess:
         laws: list[dict[tuple[str, str], float]] = [{}, {}]
         nodes = node_values(tree, "bit", "note", "alice")
         for node, mass in zip(nodes, tree.masses, strict=True):
-            key = (node["note"].observed, node["alice"])
+            key = (node["note"], node["alice"])
             law = laws[node["bit"]]
             law[key] = law.get(key, 0.0) + mass
         assert set(laws[0]) == set(laws[1])

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from functools import partial
@@ -276,17 +277,19 @@ class TestRoundTrees:
 
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
     def test_values_are_plain_data(self, scheme, attack, init, basis):
-        # every key but Eve's note decodes to plain strings and ints: the
-        # outcome labels, the initial state, the check basis, the bits
+        # every key decodes to plain strings and ints, or None: the outcome
+        # labels (Eve's note among them, None where she has no outcome), the
+        # initial state, the check basis, the bits
         config = RunConfig(
             scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
         )
         for tree in _round_trees(config):
-            keys = [key for key in tree._columns if key != "note"]
-            assert {"alice", "bob", "initial" if scheme == "present" else "basis"} <= set(keys)
+            keys = list(tree._columns)
+            assert {"note", "alice", "bob", "initial" if scheme == "present" else "basis"} <= set(keys)
+            assert "ancilla" not in keys
             for key in keys:
                 values = tree.values(key)
-                assert {type(value) for value in values} <= {str, int}, key
+                assert {type(value) for value in values} <= {str, int, type(None)}, key
                 assert json.loads(json.dumps(values)) == values, key
 
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
@@ -666,6 +669,20 @@ class TestRunConfig:
         nearly_one = Fraction(2**60 - 1, 2**60)
         config = RunConfig(scheme="present", rounds=10, check_fraction=nearly_one)
         assert run_monte_carlo(config).check_rounds == 10
+
+    def test_check_round_rule_in_float64(self):
+        # 3 x float16(1/3) is 4095/4096, below one check round, though a
+        # float16 product rounds it up to 1; at 10**10 rounds a float16
+        # product would overflow with a RuntimeWarning
+        with pytest.raises(errors.InvalidConfig, match="at least one check round"):
+            RunConfig(scheme="present", rounds=3, check_fraction=np.float16(1 / 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            RunConfig(scheme="present", rounds=10**10, check_fraction=np.float16(1 / 3))
+        # float64 products of 1 stay accepted, though the exact ratio of
+        # 3 x (1/3 as a float64) is below 1
+        RunConfig(scheme="present", rounds=3, check_fraction=1 / 3)
+        RunConfig(scheme="present", rounds=7, check_fraction=1 / 7)
 
     def test_numpy_integers_accepted(self):
         as_int = RunConfig(scheme="present", rounds=500, master_seed=3)

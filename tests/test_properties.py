@@ -1,5 +1,7 @@
 """Property-based checks of the simulator's structural invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,8 +15,16 @@ from oracle_tools import (
     x_projector,
     project as dense_project,
 )
-from wqsc.attacks import attack_rows
-from wqsc.harness import _BranchTree, _walk, _walk_tables
+from wqsc import RunConfig, WqscError, exact_analyze
+from wqsc.attacks import CAO_ATTACKS, PRESENT_ATTACKS, attack_rows
+from wqsc.harness import (
+    _MAX_ROUNDS,
+    CHECK_BASIS_POLICIES,
+    INIT_POLICIES,
+    _BranchTree,
+    _walk,
+    _walk_tables,
+)
 from wqsc.qstate import (
     ATOL,
     FLIP,
@@ -283,3 +293,88 @@ def test_stacked_attack_equals_one_row(seed, n, m, kind, data):
     per_row = [attack_rows(kind, amps[None], transit) for amps in stack]
     stacked = attack_rows(kind, stack, transit)
     _same_rows(stacked, per_row)
+
+
+# every input a caller can hand RunConfig or exact_analyze: the valid names
+# and other strings, non-strings, integers at and past each edge (rounds
+# 1.._MAX_ROUNDS, seeds below 2**64), bools, numpy scalars, floats of each
+# width, Fractions and the float specials; the example budget and the
+# deadline are fixed here, before any run
+_VALID_NAMES = [
+    *({"scheme": "present", "attack": attack, "init_policy": init, "check_basis_policy": "random"}
+      for attack in PRESENT_ATTACKS for init in INIT_POLICIES),
+    *({"scheme": "cao", "attack": attack, "init_policy": "random", "check_basis_policy": basis}
+      for attack in CAO_ATTACKS for basis in CHECK_BASIS_POLICIES),
+]
+_NAMES = sorted({name for names in _VALID_NAMES for name in names.values()})
+_EDGE_INTS = [0, -1, 1, 2**63, 2**64 - 1, 2**64, _MAX_ROUNDS - 1, _MAX_ROUNDS, _MAX_ROUNDS + 1]
+_SPECIAL_FLOATS = [0.0, -0.0, 0.5, 1 / 3, 1.0, 1e-320, 1e400, -math.inf, math.nan]
+_names = st.one_of(
+    st.sampled_from(_NAMES),
+    st.sampled_from(_NAMES).map(np.str_),
+    st.text(max_size=8),
+    st.none(),
+    st.tuples(st.sampled_from(_NAMES)),
+    st.just(np.array(["present", "none"])),
+)
+_integers = st.one_of(
+    st.sampled_from(_EDGE_INTS),
+    st.integers(-1, 2**64),
+    st.integers(),
+    st.sampled_from([v for v in _EDGE_INTS if 0 <= v < 2**64]).map(np.uint64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.just(np.True_),
+)
+_fractions = st.one_of(  # in (0, 1), of every type
+    *(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, width=width)
+      .map(np.dtype(f"f{width // 8}").type) for width in (16, 32, 64)),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.fractions(0, 1).filter(lambda f: 0 < f < 1),
+)
+_reals = st.one_of(
+    st.sampled_from(_SPECIAL_FLOATS),
+    _fractions,
+    *(st.floats(width=width).map(np.dtype(f"f{width // 8}").type) for width in (16, 32, 64)),
+    st.floats(),
+    st.fractions(),
+)
+_anything = st.one_of(_names, _integers, _reals)
+# per RunConfig field, in order: its valid inputs (None for a name, which
+# comes from one of the valid configs), and its inputs at and past its
+# edges (a name's are other strings and non-strings)
+_FIELDS = {
+    "scheme": (None, _names),
+    "attack": (None, _names),
+    "rounds": (st.integers(1, _MAX_ROUNDS), _integers),
+    "check_fraction": (_fractions, _reals),
+    "master_seed": (st.integers(0, 2**64 - 1), _integers),
+    "init_policy": (None, _names),
+    "check_basis_policy": (None, _names),
+}
+
+
+@settings(max_examples=400, deadline=1000)
+@given(
+    names=st.sampled_from(_VALID_NAMES),
+    changed=st.sets(st.sampled_from(list(_FIELDS))),
+    data=st.data(),
+)
+def test_config_and_exact_inputs_fail_only_as_wqsc_errors(names, changed, data):
+    # a valid config with the fields ``changed`` drawn from their edges or
+    # from any input at all: building it or analyzing it exactly either
+    # succeeds or raises WqscError, never a TypeError, ValueError,
+    # OverflowError or numpy warning
+    values = {
+        field: data.draw(edges | _anything, label=field) if field in changed
+        else names[field] if valid is None else data.draw(valid, label=field)
+        for field, (valid, edges) in _FIELDS.items()
+    }
+    try:
+        RunConfig(**values)
+    except WqscError:
+        pass
+    try:
+        exact_analyze(**{field: values[field] for field in names})
+    except WqscError:
+        pass
