@@ -42,7 +42,6 @@ import numpy as np
 
 from .qstate import (
     _basis_tables,
-    _pair_rest_indices,
     _qubit_count,
     apply_cnot_rows,
     measurement_rows,
@@ -91,9 +90,10 @@ def attack_rows(kind: str, amps: np.ndarray, transit_qubits: tuple[int, ...]):
     if kind == "cao-ir-z":
         # forward |00> for outcome 00 and a fresh psi+ pair for a
         # single-excitation outcome: the state after excited outcome i is
-        # the rest of the register times the pair's bits i, so the rest
-        # times psi+ replaces it (both unit)
-        pairs = _pair_rest_indices(_qubit_count(amps), qa, qb).reshape(4, -1)
+        # the rest of the register times the pair's bits i (``order`` lists
+        # the basis states by those bits, the rest in qubit order), so the
+        # rest times psi+ replaces it (both unit)
+        pairs = _basis_tables(basis, _qubit_count(amps)).order.reshape(4, -1)
         fresh = build("psi+")
         for i in range(1, 4):
             rest = states[:, i, pairs[i]]

@@ -36,12 +36,12 @@ from .states import verify_identities
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; this tool reserves 2 for
-    identity failures, so usage errors exit 1 instead."""
+    """argparse exits 2 on usage errors; this tool reserves 2 for identity
+    failures, so usage errors exit 1, on one line whatever they quote."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

@@ -5,9 +5,10 @@ a check round and of a message round (message bit x initial state or
 check basis x attack outcome x both parties' measurement outcomes x, for
 the entangling probe, Eve's ancilla outcome). Every leaf carries its
 outcome and its mass, the product of the branch probabilities on its
-path. A tree is built level by level with stacked calls, and its nodes'
-values are columns of codes (:class:`_BranchTree`), so neither the
-stacked calls nor the Python code of a build grow with its node count.
+path as whole shares (:func:`~wqsc.qstate.shares`). A tree is built level
+by level with stacked calls, and its nodes' values are columns of codes
+(:class:`_BranchTree`), so neither the stacked calls nor the Python code
+of a build grow with its node count.
 The protocol rules classify the leaves through their outcome-index
 tables (:func:`~wqsc.protocol._rule_tables`), built once per process.
 Each scheme has one builder (:func:`_present_tree`, :func:`_cao_tree`)
@@ -21,7 +22,7 @@ analyses fold a weight row over the trees' joined leaves into counts with
 one function (:func:`_leaf_totals`):
 
 * the exact analyzer weights each leaf by its mass (one weight row per
-  group of a conditional rate), so its rates carry no sampling error;
+  group of a conditional rate): its rates are exact ratios, correctly rounded;
 * the Monte Carlo runner weights each leaf by its hits, the rounds that
   end at it, which is what a run returns (:func:`_run_hits`). The two
   trees are compiled once into one walk table with two roots, down which a
@@ -51,8 +52,7 @@ state, the sender's published outcome and her note; for the cao scheme
 the ciphertext and her note. Neither view holds the
 receiver's outcome or the sender's Bell label. Among the leaves that
 show her the same view she guesses the message bit of larger mass (the
-Bayes-optimal guess), and abstains where the two masses tie within
-``_TIE_TOLERANCE`` of the view's mass.
+Bayes-optimal guess), and abstains where the two masses are equal.
 
 Rate conventions: ``error_rate`` is a check-round statistic;
 ``recovery_accuracy`` and ``eve_leak_rate`` are message-round statistics.
@@ -86,12 +86,12 @@ from .protocol import CHECK_BASES, _rule_tables
 from .qstate import (
     FLIP,
     HADAMARD,
-    ZERO_PROB,
     MeasurementBasis,
     _basis_tables,
     _qubit_count,
     apply_1q_rows,
     measurement_rows,
+    shares,
     z_basis,
 )
 from .states import IdentityReport, build
@@ -104,11 +104,6 @@ CHECK_BASIS_POLICIES = ("random", *CHECK_BASES)  # cao scheme
 _MODE_STREAM_TAG = 0xFFFFFFFFFFFFFFFF
 _DRAW_STREAM_TAG = 0xFFFFFFFFFFFFFFFE
 _WORD = 2**53  # Generator.random() is (raw >> 11) / _WORD of a raw Philox word
-
-# Eve abstains when her view's two message-bit masses differ by at most
-# this share of the view's mass; every posterior of the modelled attacks
-# is exactly 0, 1/2 or 1, so a tie is a posterior of 1/2
-_TIE_TOLERANCE = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +295,17 @@ class _BranchTree:
     calls give a row the same outcome probabilities and collapse whether
     it is alone or one of many, and every level grows from one table of
     all its nodes' outcomes (:meth:`_grow`, the one place that prunes
-    outcomes of probability at most ``ZERO_PROB``), so a walk reaches the
-    leaf that a round played one state at a time on one-row stacks (the
-    test suite's oracle) reaches on the same draw row.
+    outcomes, those of zero shares), so a walk reaches the leaf that a
+    round played one state at a time on one-row stacks (the test suite's
+    oracle) reaches on the same draw row.
 
     A node's classical values are integer codes per key: a level's
     outcome indices, a value every node shares, or a value computed from
     other keys. Each key's codes are kept for the deepest level's nodes,
     so every new level re-indexes them by its ``parent`` array;
     :meth:`column` reads them, and :meth:`values` decodes them.
-    ``masses[i]`` is the probability of the path to node (finally leaf)
-    ``i``: the product of its branch probabilities, root first.
+    ``masses[i]``, the probability of the path to node (finally leaf) ``i``
+    in int64 units of ``SHARES**-len(levels)``, is its branch shares' product.
 
     A finished tree is frozen: every array it holds is read-only, so no
     caller can change what later calls read off a tree that
@@ -319,7 +314,7 @@ class _BranchTree:
 
     def __init__(self) -> None:
         self.levels: list[_Level] = []
-        self.masses = np.ones(1)
+        self.masses = np.ones(1, dtype=np.int64)
         self.leaf_columns: tuple[np.ndarray, ...] = ()
         # key -> (codes, labels, by): the deepest level's node i has
         # labels[codes[i]], or labels[g][codes[i]], g its code of ``by``
@@ -347,14 +342,15 @@ class _BranchTree:
     def _grow(self, key, probs, states, labels, by=None) -> None:
         """Add a level from every node's ``(nodes, outcomes)`` outcome
         probabilities and ``(nodes, outcomes, 2**n)`` states after them (or
-        None): a child per outcome of probability above ``ZERO_PROB``, in
-        (node, outcome) order, whose code of ``key`` is its outcome index."""
-        parent, outcome = (probs > ZERO_PROB).nonzero()
+        None): a child per outcome of nonzero :func:`~wqsc.qstate.shares`,
+        in (node, outcome) order, whose code of ``key`` is its outcome index."""
+        counts = shares(probs)
+        parent, outcome = counts.nonzero()
         prob = probs[parent, outcome]
         for array in (parent, prob):
             array.setflags(False)  # write=False, which numpy parses more slowly
         self.levels.append(_Level(len(self.masses), parent, prob))
-        self.masses = self.masses[parent] * prob
+        self.masses = self.masses[parent] * counts[parent, outcome]
         self.states = None if states is None else states[parent, outcome]
         for name, (codes, *rest) in self._columns.items():
             self._columns[name] = (codes[parent], *rest)
@@ -419,9 +415,9 @@ class _BranchTree:
         for key in view:
             radix = len(self._columns[key][1])
             seen, views = seen * radix + self.column(key), views * radix
-        # bincount adds each view's masses in node order, one by one
+        # bincount sums in float64, exact for whole masses below 2**53
         m0, m1 = np.bincount(2 * seen + self.column("bit"), self.masses, 2 * views).reshape(-1, 2).T
-        guesses = np.where(np.abs(m1 - m0) <= _TIE_TOLERANCE * (m0 + m1), -1, m1 > m0)
+        guesses = np.where(m1 == m0, -1, m1 > m0)
         return guesses[seen]
 
     def finish(self, message_bit=None, check_pass=None, recovered_bit=None, eve_guess=None):
@@ -518,10 +514,10 @@ class _ConfigTrees(tuple):
 
     @cached_property
     def exact_weights(self) -> tuple[np.ndarray, dict[str, tuple]]:
-        """The weight rows of exact analysis and the labels they group by:
-        every joined leaf's mass, then, per label of each grouping key that
-        the trees hold (the initial state, and for cao the check basis), the
-        masses of the leaves with it; and each such key's labels."""
+        """Exact analysis' weight rows: every joined leaf's mass, each tree's
+        in its own unit ``SHARES**-len(levels)``, so only ratios within one
+        tree mean anything; then the masses per label of each grouping key
+        (the initial state, and for cao the check basis); and those labels."""
         masses = np.concatenate([tree.masses for tree in self])
         labels = {key: entry[1] for key, entry in self[0]._columns.items() if key in ("initial", "basis")}
         weights = np.concatenate([masses[None]] + [
@@ -556,13 +552,10 @@ _COUNTS = ("check_rounds", "check_errors", "message_rounds",
 
 def _leaf_totals(trees: _ConfigTrees, weights: np.ndarray) -> list[dict]:
     """The run counts of rounds ending at the joined leaves of a config's
-    (check, message) ``trees``, one per row of ``weights``, leaf ``i``
-    weighted by ``weights[r, i]``: its hit count (Monte Carlo) or its mass
-    (exact). Each count is an indicator row dotted with a weight row as a
-    running sum in leaf order, to which a leaf of indicator 0 adds an
-    exact 0.0."""
-    totals = np.add.accumulate(trees.indicators * weights[:, None], axis=2)[:, :, -1]
-    return [dict(zip(_COUNTS, row)) for row in totals.tolist()]
+    (check, message) ``trees``, one per row of the int64 ``weights``, leaf
+    ``i`` weighted by ``weights[r, i]``: its hit count (Monte Carlo) or its
+    mass (exact); each count is an indicator row dotted with a weight row."""
+    return [dict(zip(_COUNTS, row)) for row in (weights @ trees.indicators.T).tolist()]
 
 
 def _rates(totals: dict) -> tuple[float, float, float, float]:

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import ZERO_PROB, MeasurementBasis, measurement_rows
+from .qstate import MeasurementBasis, measurement_rows, shares
 from .states import build
 
 CHECK_BASES = ("z", "x", "bell")
@@ -56,12 +56,12 @@ _BOB_KEY = (1, -1, 0, 0)
 def _check_error(basis: str) -> np.ndarray:
     """Whether a cao check round in ``basis`` flags an error, by [sender
     pair, receiver pair] outcome: 1 where the ideal w4 state gives the
-    joint outcome at most ``ZERO_PROB``, else 0. The sender's pair is
-    measured first, and each of its outcomes collapsed, one of zero
-    probability to a zero state."""
+    joint outcome no share (:func:`~wqsc.qstate.shares`), else 0. The
+    sender's pair is measured first, and each of its outcomes collapsed,
+    one of zero probability to a zero state."""
     probs, after = measurement_rows(build("w4")[None], MeasurementBasis(basis, (1, 2)))
-    joint = probs.T * measurement_rows(after[0], MeasurementBasis(basis, (3, 4)))[0]
-    return (joint <= ZERO_PROB).astype(np.int64)
+    joint = shares(probs.T) * shares(measurement_rows(after[0], MeasurementBasis(basis, (3, 4)))[0])
+    return (joint == 0).astype(np.int64)
 
 
 @lru_cache(maxsize=None)

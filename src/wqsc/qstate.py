@@ -40,12 +40,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import WqscError
+
 # tolerance for exact algebra (all amplitudes are small rationals over
 # sqrt(2), sqrt(3), sqrt(6), so double precision holds them to ~1e-16)
 ATOL = 1e-12
 
-# outcome probabilities at most this are treated as exact zeros
-ZERO_PROB = 1e-15
+# every outcome probability of a modelled round is k / SHARES for a whole k
+# in 0..24, which its float misses by at most 1.8e-14, far inside the tolerance
+SHARES = 24
+_SNAP_TOLERANCE = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +131,6 @@ def _basis_tables(basis: MeasurementBasis, num_qubits: int) -> _BasisTables:
     return _BasisTables(outcomes, order, labels)
 
 
-def _pair_rest_indices(num_qubits: int, qa: int, qb: int) -> np.ndarray:
-    """Flat indices by (bit_a, bit_b, rest); rest bits keep qubit order."""
-    pair = MeasurementBasis("z", (qa, qb))  # outcome 2 * bit_a + bit_b
-    return _basis_tables(pair, num_qubits).order.reshape(2, 2, -1)
-
-
 def outcome_at(basis: MeasurementBasis, i: int) -> str:
     """The label of the outcome with outcome index ``i`` of a basis: a
     Bell label, or the measured qubits' bits in qubit order."""
@@ -212,6 +210,15 @@ def measurement_rows(amps: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndar
     norm2 = np.add.reduce(squares, axis=-1, keepdims=True)
     out = out / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
     return np.add.accumulate(grouped, axis=-1)[..., -1], _rotate_measured(out, basis, back=True)
+
+
+def shares(probs: np.ndarray) -> np.ndarray:
+    """``probs`` as int64 counts of ``1 / SHARES``; raises ``WqscError``
+    where a probability is not one within ``_SNAP_TOLERANCE`` (or is nan)."""
+    counts = np.rint(probs * SHARES)
+    if not np.all(np.abs(probs - counts / SHARES) <= _SNAP_TOLERANCE):
+        raise WqscError(f"an outcome probability is not a whole number of 1/{SHARES}")
+    return counts.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,17 @@ from wqsc.qstate import (
     FLIP,
     HADAMARD,
     MeasurementBasis,
-    ZERO_PROB,
     apply_1q_rows,
     measurement_rows,
     outcome_at,
     z_basis,
 )
 from wqsc.states import build
+
+# the reference's own zero rule, apart from the package's (a probability
+# of no whole share, ``wqsc.qstate.shares``): an outcome of probability at
+# most this is unreachable, so the walk replay cross-checks the two rules
+ZERO_PROB = 1e-15
 
 I2 = np.eye(2, dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

@@ -1,5 +1,7 @@
 """Adversary channels: branch enumeration, sampling, Eve's guesses."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from wqsc.attacks import CAO_ATTACKS, PRESENT_ATTACKS, attack_rows
 from wqsc.harness import RunConfig, _round_trees, exact_analyze
 from wqsc.qstate import (
     ATOL,
+    SHARES,
     measurement_rows,
     outcome_at,
 )
@@ -157,19 +160,19 @@ class TestInvisibility:
 
     def test_ir_z_leaves_phi1_z_statistics_intact(self):
         # the joint law of both check outcomes, over every branch of the
-        # check tree with and without the interception
+        # check tree with and without the interception, as exact fractions
+        # (the interception adds a level, so a mass counts finer shares)
         laws = []
         for attack in ("none", "ir-z"):
             check, _ = _round_trees(RunConfig(scheme="present", attack=attack, init_policy="phi1"))
-            law: dict[tuple[str, str], float] = {}
-            for node, mass in zip(node_values(check, "alice", "bob"), check.masses, strict=True):
+            law: dict[tuple[str, str], Fraction] = {}
+            whole = SHARES ** len(check.levels)
+            for node, mass in zip(node_values(check, "alice", "bob"), check.masses.tolist(), strict=True):
                 key = (node["alice"], node["bob"])
-                law[key] = law.get(key, 0.0) + mass
+                law[key] = law.get(key, 0) + Fraction(mass, whole)
             laws.append(law)
         ideal, attacked = laws
-        assert set(ideal) == set(attacked)
-        for key, p in ideal.items():
-            assert attacked[key] == pytest.approx(p, abs=ATOL)
+        assert attacked == ideal
 
 
 def _message_leaves(scheme: str, attack: str, **policy):
@@ -222,15 +225,13 @@ class TestEveGuess:
         # joint law of (Eve's bit, Alice's outcome) under ir-z on phi2 is
         # identical for both message bits, so "unknown" is forced
         _, tree = _round_trees(RunConfig(scheme="present", attack="ir-z", init_policy="phi2"))
-        laws: list[dict[tuple[str, str], float]] = [{}, {}]
+        laws: list[dict[tuple[str, str], int]] = [{}, {}]
         nodes = node_values(tree, "bit", "note", "alice")
-        for node, mass in zip(nodes, tree.masses, strict=True):
+        for node, mass in zip(nodes, tree.masses.tolist(), strict=True):
             key = (node["note"], node["alice"])
             law = laws[node["bit"]]
-            law[key] = law.get(key, 0.0) + mass
-        assert set(laws[0]) == set(laws[1])
-        for key in laws[0]:
-            assert laws[0][key] == pytest.approx(laws[1][key], abs=ATOL)
+            law[key] = law.get(key, 0) + mass
+        assert laws[0] == laws[1]
 
     def test_exact_leak_rates(self):
         ir_z = exact_analyze("present", "ir-z")

@@ -1,6 +1,9 @@
 """Exit codes and output formats of the command line interface."""
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import signal
@@ -10,6 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import wqsc
 from wqsc import cli, harness
@@ -96,6 +100,16 @@ class TestRun:
         annotated.pop("threshold")
         annotated.pop("threshold_exceeded")
         assert annotated == plain  # statistics untouched
+
+    def test_threshold_equal_to_the_rate_is_not_exceeded(self, capsys):
+        # a clean run's error rate is 0.0: a threshold of 0 is met, not
+        # exceeded, and any rate above it exceeds it
+        args = ["run", "--scheme", "cao", "--rounds", "300", "--seed", "2", "--threshold", "0"]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0 and json.loads(out)["threshold_exceeded"] is False
+        code, out, _ = run_cli(capsys, *args, "--attack", "cao-ir-z")
+        payload = json.loads(out)
+        assert code == 0 and payload["error_rate"] > 0 and payload["threshold_exceeded"] is True
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(
@@ -243,3 +257,112 @@ def test_interrupted_run_exits_130_without_traceback():
     assert child.returncode == 130, err
     assert err == "wqsc: interrupted\n"  # one line, and no traceback
     assert out == ""
+
+
+# argvs for cli.main: every subcommand and a malformed one, each flag with
+# its choices, other strings and nothing at all, integers at and past each
+# edge, floats at the specials, and malformed strings. A valid round count
+# above 1e5 is never generated, so that no example runs for long (so
+# --rounds draws _MAX_ROUNDS - 1 and _MAX_ROUNDS only where no run reads
+# them); the example budget and the deadline are fixed here, before any run
+_EDGE_INTS = [0, -1, 1, 2**63, 2**64 - 1, 2**64, harness._MAX_ROUNDS - 1, harness._MAX_ROUNDS,
+              harness._MAX_ROUNDS + 1]
+_SAFE_ROUNDS = [n for n in _EDGE_INTS if n <= 10**5 or n > harness._MAX_ROUNDS]
+_FLOATS = ["nan", "inf", "-inf", "1e-320", "1e400", "0", "1", "0.5", "-0.0", "0.99999999999999999",
+           "1e-5", "0x1p-3"]
+_malformed = st.text(max_size=6).filter(  # help is no malformed input: it exits 0 with usage text
+    lambda s: not (s.startswith("-h") or (len(s) > 2 and "--help".startswith(s))))
+_RUN_COLUMNS = ["scheme", "attack", "rounds_total", "check_rounds", "check_errors", "message_rounds",
+                "error_rate", "error_rate_ci95_low", "error_rate_ci95_high", "recovery_accuracy",
+                "eve_leak_rate", "unknown_fraction"]
+_reals = st.sampled_from(_FLOATS) | st.floats().map(repr) | _malformed
+
+
+def _short(rounds: str) -> bool:
+    """Whether ``rounds`` is no valid round count above 1e5 (int() reads
+    " 12", "1_0" and other digits too)."""
+    try:
+        return not 10**5 < int(rounds) <= harness._MAX_ROUNDS
+    except ValueError:
+        return True
+
+
+# per flag, its valid values, and its values at and past its edges
+_FLAGS = {
+    **{flag: (st.sampled_from(choices), _malformed) for flag, choices in (
+        ("--scheme", harness.SCHEMES), ("--attack", harness.ATTACKS), ("--init", harness.INIT_POLICIES),
+        ("--check-basis", harness.CHECK_BASIS_POLICIES), ("--format", ("json", "csv")))},
+    "--rounds": (st.integers(1, 10**5).map(str),
+                 st.sampled_from(_SAFE_ROUNDS).map(str) | st.integers(-10, 0).map(str)
+                 | _malformed.filter(_short)),
+    "--seed": (st.integers(0, 2**64 - 1).map(str),
+               st.sampled_from(_EDGE_INTS).map(str) | st.integers().map(str) | _malformed),
+    "--check-fraction": (st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr), _reals),
+    "--threshold": (st.floats(0.0, 1.0).map(repr), _reals),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """An argv, each part valid three times in four; at the edge or past it else."""
+    def part(valid, edge):
+        return draw(valid) if draw(st.integers(0, 3)) else draw(edge)
+
+    command = part(st.sampled_from(["run", "exact", "identities"]), _malformed)
+    flags = draw(st.lists(st.sampled_from([*_FLAGS, "--bogus"]), max_size=5))
+    argv = [command, "--scheme", part(*_FLAGS["--scheme"])] if draw(st.integers(0, 3)) else [command]
+    for flag in flags:
+        if flag == "--rounds" and command != "run":  # no run reads them, so any count
+            argv += [flag, part(_FLAGS[flag][0], st.sampled_from(_EDGE_INTS).map(str))]
+        else:
+            argv += [flag] if flag == "--bogus" else [flag, part(*_FLAGS[flag])]
+    return argv
+
+
+@settings(max_examples=200, deadline=2000)
+@given(argv=_argvs())
+@example(argv=["identities", "--scheme", "\n0"])  # argparse quoted it raw, over two lines
+@example(argv=["exact", "--bogus", "\x85"])  # a line end to str.splitlines
+def test_generated_argvs_exit_cleanly(argv):
+    # exit 0 with stdout that parses, or 1 with an error line, or 2 only
+    # from identities; any other exception escapes as a traceback would
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1) or (code == 2 and argv[0] == "identities"), (code, err)
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == "" and "error:" in err.splitlines()[-1]
+        return
+    if "--format" in argv and argv[len(argv) - argv[::-1].index("--format")] == "csv":
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        assert rows and all(len(row) == len(header) for row in rows)
+        if argv[0] == "run":
+            assert header[: len(_RUN_COLUMNS)] == _RUN_COLUMNS
+    else:
+        payload = json.loads(out)
+        assert payload["all_passed"] if argv[0] == "identities" else payload["scheme"] in harness.SCHEMES
+
+
+# a run's peak RSS at 2e6 rounds may exceed its peak RSS at 2e4 rounds by
+# at most this much: a run streams fixed blocks of rounds, so its memory
+# does not grow with the round count (fixed before any run)
+RSS_MARGIN_KB = 4096
+
+
+def test_peak_rss_flat_in_round_count():
+    env = {**os.environ, "PYTHONPATH": str(Path(wqsc.__file__).parents[1])}
+    peaks = []
+    for rounds in ("20000", "2000000"):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "wqsc.cli", "run", "--scheme", "cao", "--attack", "cao-ir-z",
+             "--rounds", rounds], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == 0
+        peaks.append(usage.ru_maxrss)  # in KB on Linux
+    assert peaks[1] - peaks[0] <= RSS_MARGIN_KB, peaks

@@ -4,7 +4,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from make_pins import VALID_CONFIGS, exact_fractions, exact_pin
 from oracle_tools import (
     bell_basis,
     cao_check_error,
@@ -48,26 +49,10 @@ from wqsc.harness import (
     to_json,
 )
 from wqsc.protocol import CHECK_BASES, _rule_tables
-from wqsc.qstate import MeasurementBasis, outcome_at, z_basis
+from wqsc.qstate import SHARES, MeasurementBasis, outcome_at, shares, z_basis
 from wqsc.states import verify_identities
 
 ATOL = 1e-12
-
-# every exact rate of the modelled attacks is a multiple of 1/12 (1/12 is
-# the cao scheme's detection rate); the float sums that reach it from a
-# few dozen leaf masses may miss it by at most this much
-TWELFTHS_ATOL = 4 * 2**-52
-
-# every valid (scheme, attack, init policy, check-basis policy)
-VALID_CONFIGS = [
-    ("present", attack, init, "random")
-    for attack in ("none", "ir-z", "ir-x", "cnot")
-    for init in ("random", "phi1", "phi2")
-] + [
-    ("cao", attack, "random", basis)
-    for attack in ("none", "cao-ir-z")
-    for basis in ("random", "z", "x", "bell")
-]
 
 # the most stacked calls that building one level of a branch tree may
 # make, on average over a tree: a cao check tree of random basis makes the
@@ -97,8 +82,9 @@ def _count_stacked_calls(monkeypatch, bindings=_STACKED_CALLS) -> list[str]:
     return calls
 
 
-# exact_analyze of every valid config, floats as float.hex, dicts as
-# ordered pairs: the mass-weighted sums over the config's own branch trees
+# exact_analyze of every valid config (tests/make_pins.py), each rate as
+# [float.hex, exact fraction], dicts as ordered pairs: the mass-weighted
+# sums over the config's own branch trees
 EXACT_RESULTS = json.loads((Path(__file__).parent / "exact_results.json").read_text())
 
 
@@ -116,14 +102,6 @@ def _announced(scheme: str, node: dict) -> dict:
     if scheme == "present":
         return {"initial": node["initial"], "alice": node["alice"]}
     return {"ciphertext": cao_keys(node["alice"], node["bob"])[0] ^ node["bit"]}
-
-
-def _hexed(value):
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return [[key, rate.hex()] for key, rate in value.items()]
-    return value
 
 
 # run_stats_to_dict of every valid config at five (seed, rounds, check
@@ -180,29 +158,49 @@ class TestBinomialCi:
 class TestExactAnalyze:
     @pytest.mark.parametrize("case", EXACT_RESULTS, ids=lambda case: "-".join(case["config"]))
     def test_results_bit_identical_to_enumerators(self, case):
-        result = exact_analyze(*case["config"])
-        assert {key: _hexed(value) for key, value in asdict(result).items()} == case["result"]
+        assert exact_pin(tuple(case["config"])) == case
 
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
     def test_leaf_masses_sum_to_one(self, scheme, attack, init, basis):
+        # in whole shares: a tree of d levels holds SHARES**d of them, every
+        # leaf at least one
         config = RunConfig(
             scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
         )
         for tree in _round_trees(config):
             assert len(tree.masses) == len(leaf_values(tree))
-            assert math.fsum(tree.masses) == pytest.approx(1.0, abs=ATOL)
+            assert tree.masses.dtype == np.int64 and tree.masses.min() > 0
+            assert int(tree.masses.sum()) == SHARES ** len(tree.levels)
 
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
-    def test_rates_are_twelfths_within_a_few_ulps(self, scheme, attack, init, basis):
-        # a bound that reads no pin: each rate is checked against the
-        # nearest multiple of 1/12, exactly, as fractions
+    def test_rates_are_correctly_rounded_fractions(self, scheme, attack, init, basis):
+        # each rate is the float nearest the exact fraction of the integer
+        # leaf totals that it divides
+        result = exact_analyze(scheme, attack, init, basis)
+        fractions = exact_fractions(scheme, attack, init, basis)
+        for field in fields(result):
+            value = getattr(result, field.name)
+            if isinstance(value, dict):
+                assert value == {name: float(rate) for name, rate in fractions[field.name].items()}
+            elif isinstance(value, float):
+                assert value == float(fractions[field.name]), field.name
+
+    @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
+    def test_rates_are_twelfths(self, scheme, attack, init, basis):
+        # a bound that reads no pin: each rate is the float of a multiple
+        # of 1/12, exactly
         result = exact_analyze(scheme, attack, init, basis)
         for field in fields(result):
             value = getattr(result, field.name)
             for rate in value.values() if isinstance(value, dict) else [value]:
                 if isinstance(rate, float):
-                    twelfth = Fraction(round(rate * 12), 12)
-                    assert abs(Fraction(rate) - twelfth) <= TWELFTHS_ATOL, (field.name, rate)
+                    assert rate == float(Fraction(round(rate * 12), 12)), (field.name, rate)
+
+    def test_paper_detection_rates_exactly(self):
+        # 25% for the present scheme under every attack, 1/12 for cao's
+        for attack in ("ir-z", "ir-x", "cnot"):
+            assert exact_analyze("present", attack).total_error_rate == 0.25
+        assert exact_analyze("cao", "cao-ir-z").total_error_rate == 1 / 12
 
     def test_total_is_weighted_sum_of_conditionals(self):
         for scheme, attack, weight in [
@@ -219,12 +217,12 @@ class TestExactAnalyze:
 
     def test_fixed_initial_policy(self):
         result = exact_analyze("present", "ir-z", init_policy="phi2")
-        assert result.total_error_rate == pytest.approx(0.5, abs=ATOL)
+        assert result.total_error_rate == 0.5
         assert list(result.conditional_error_rates) == ["phi2"]
 
     def test_fixed_basis_policy(self):
         result = exact_analyze("cao", "cao-ir-z", check_basis_policy="x")
-        assert result.total_error_rate == pytest.approx(0.25, abs=ATOL)
+        assert result.total_error_rate == 0.25
 
     def test_unsupported_pairs(self):
         with pytest.raises(errors.UnsupportedPair):
@@ -317,18 +315,18 @@ class TestRoundTrees:
         _, message = _round_trees(config)
         masses: dict = {}
         nodes = _nodes(scheme, message)
-        for node, leaf, mass in zip(nodes, leaf_values(message), message.masses, strict=True):
+        for node, leaf, mass in zip(nodes, leaf_values(message), message.masses.tolist(), strict=True):
             view = (node["note"], *_announced(scheme, node).values())
-            masses.setdefault(view, [0.0, 0.0])[leaf.message_bit] += mass
+            masses.setdefault(view, [0, 0])[leaf.message_bit] += mass
         for m0, m1 in masses.values():
-            posterior = m1 / (m0 + m1)
-            assert min(abs(posterior - p) for p in (0.0, 0.5, 1.0)) <= harness._TIE_TOLERANCE
+            assert Fraction(m1, m0 + m1) in (0, Fraction(1, 2), 1)
 
     @pytest.mark.parametrize("scheme,attack", sorted({config[:2] for config in VALID_CONFIGS}))
     def test_random_policy_tree_is_union_of_fixed_policy_trees(self, scheme, attack):
         # a random policy's tree, cut to the leaves where the policy's key
         # has code g, is fixed policy g's tree leaf by leaf, in the same
-        # order, each leaf of 1/len(policies) of its mass; the key is drawn
+        # order, each leaf of 1/len(policies) of its mass, in the shares of
+        # one more level; the key is drawn
         # in both present trees, but only in cao's check tree
         key, policies, drawn_in = {
             "present": ("initial", harness.INIT_POLICIES[1:], (0, 1)),
@@ -344,9 +342,7 @@ class TestRoundTrees:
                     assert np.array_equal(tree.column(name)[at], fixed.column(name)), name
                 for column, expected in zip(tree.leaf_columns, fixed.leaf_columns, strict=True):
                     assert np.array_equal(column[at], expected)
-                np.testing.assert_allclose(
-                    tree.masses[at], fixed.masses / len(policies), rtol=1e-15, atol=0
-                )
+                assert np.array_equal(tree.masses[at], fixed.masses * (SHARES // len(policies)))
             # so each group's conditional rates are its fixed policy's
             mixed = exact_analyze(scheme, attack)
             fixed = exact_analyze(scheme, attack, **{
@@ -357,7 +353,7 @@ class TestRoundTrees:
                 (mixed.conditional_leak_rates, fixed.conditional_leak_rates),
             ):
                 for group, rate in fixed_rates.items():
-                    assert rates[group] == pytest.approx(rate, rel=0, abs=1e-15), group
+                    assert rates[group] == rate, group
 
 
 def _oracle_table(rule, first, second, absent=-1) -> np.ndarray:
@@ -430,15 +426,15 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
 def _bit0_branch(tree, depth: int):
     """The first ``depth`` levels, as (nodes, parent, prob), of the subtree
     under a message tree's first root child (bit 0); that subtree's masses
-    from 1 at its root; and a function that gives a key's codes at its
+    in whole shares from 1 at its root; and a function that gives a key's codes at its
     deepest nodes. At every depth the subtree's nodes come first, in
     (parent, outcome) order, so each of its levels is a prefix of the tree's."""
-    counts, levels, masses = [None, 1], [], np.ones(1)
+    counts, levels, masses = [None, 1], [], np.ones(1, dtype=np.int64)
     for level in tree.levels[1 : depth + 1]:
         count = int(np.searchsorted(level.parent, counts[-1]))
         parent, prob = level.parent[:count], level.prob[:count]
         levels.append((counts[-1], parent, prob))
-        masses = masses[parent] * prob
+        masses = masses[parent] * shares(prob)
         counts.append(count)
 
     def codes(key: str) -> np.ndarray:
@@ -594,6 +590,22 @@ class TestConfigTrees:
                                       init_policy=init, check_basis_policy=basis))
             exact_analyze(scheme, attack, init, basis)
         assert harness._config_trees.cache_info().currsize == len(VALID_CONFIGS) == 20
+
+    def test_leaf_counts_tell_a_wrong_guess_from_a_right_one(self):
+        # Eve's guess is right wherever she guesses in every modelled
+        # attack, so no config's leaves tell guesses_known from
+        # guesses_correct; hand-made trees where she guesses 1 whatever
+        # the bit, and a check tree of one failing leaf, do
+        check, message = _BranchTree(), _BranchTree()
+        check.finish(check_pass=np.array([0]))
+        message.choose("bit", (0, 1))
+        message.finish(message_bit=message.column("bit"), recovered_bit=np.array([0, 0]),
+                       eve_guess=np.array([1, 1]))
+        trees = harness._ConfigTrees((check, message))
+        assert _leaf_totals(trees, np.array([[1, 2, 3]])) == [{
+            "check_rounds": 1, "check_errors": 1, "message_rounds": 5,
+            "recovered_correct": 2, "guesses_known": 5, "guesses_correct": 3,
+        }]
 
 
 class TestRunConfig:

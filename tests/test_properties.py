@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracle_tools import (
+    ZERO_PROB,
     bell_basis,
     bell_projector,
     pruned_branches,
@@ -28,7 +29,6 @@ from wqsc.harness import (
 from wqsc.qstate import (
     ATOL,
     FLIP,
-    ZERO_PROB,
     HADAMARD,
     apply_1q_rows,
     apply_cnot_rows,

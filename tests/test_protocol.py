@@ -1,6 +1,7 @@
 """Correlation rules, derived check tables, the modules' imports and exports."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ import wqsc
 from wqsc import attacks, errors, harness, protocol, qstate, states
 from wqsc.harness import RunConfig, _round_trees, exact_analyze
 from wqsc.protocol import CHECK_BASES, _rule_tables
-from wqsc.qstate import ATOL, FLIP, MeasurementBasis, measurement_rows, outcome_at, z_basis
+from wqsc.qstate import ATOL, FLIP, SHARES, MeasurementBasis, measurement_rows, outcome_at, z_basis
 from wqsc.states import build
 
 
@@ -77,10 +78,10 @@ class TestPresentRound:
         # its probability, so no unsampled round can hide a failure
         config = RunConfig(scheme="present", init_policy=initial)
         _, message_tree = _round_trees(config)
-        mass = 0.0
+        mass = 0
         nodes = node_values(message_tree, "initial", "alice")
         leaves = leaf_values(message_tree)
-        for node, leaf, m in zip(nodes, leaves, message_tree.masses, strict=True):
+        for node, leaf, m in zip(nodes, leaves, message_tree.masses.tolist(), strict=True):
             if leaf.message_bit != bit:
                 continue
             assert node["initial"] == initial
@@ -88,7 +89,7 @@ class TestPresentRound:
             assert node["alice"] != "11"
             assert leaf.eve_guess is None
             mass += m
-        assert mass == pytest.approx(0.5, abs=ATOL)
+        assert Fraction(mass, SHARES ** len(message_tree.levels)) == Fraction(1, 2)
 
     def test_flip_encoding_branch_enumeration(self):
         # encoded bit 1 on phi1: whenever the sender reads 00 the receiver

@@ -15,6 +15,7 @@ from oracle_tools import (
     op_full,
     unit,
 )
+from wqsc import WqscError
 from wqsc.harness import _BranchTree, _walk, _walk_tables
 from wqsc.qstate import (
     ATOL,
@@ -25,6 +26,7 @@ from wqsc.qstate import (
     apply_cnot_rows,
     measurement_rows,
     phase_deviation,
+    shares,
     tensor_rows,
     x_basis,
     z_basis,
@@ -212,6 +214,31 @@ class TestMeasure:
         tree.prepare(amps)
         tree.measure("outcome", (z_basis(1, 2),))
         assert np.array_equal(tree.levels[0].prob, probs[0, tree.column("outcome")])
+
+
+class TestShares:
+    def test_halves(self):
+        counts = shares(np.array([[0.5, 0.5]]))
+        assert counts.dtype == np.int64 and counts.tolist() == [[12, 12]]
+
+    def test_float_thirds_and_eighths_snap(self):
+        # the float probabilities of the modelled rounds, and a zero that
+        # float arithmetic left a little above 0
+        probs = np.array([1 / 3, 1 / 8, 3 / 8, 1 / 6 + 1e-14, 2 / 3 - 1e-14, 1e-17])
+        assert shares(probs).tolist() == [8, 3, 9, 4, 16, 0]
+
+    @pytest.mark.parametrize("prob", [0.3, 1e-6, 1 / 24 + 1e-8, float("nan")])
+    def test_no_whole_share_raises(self, prob):
+        with pytest.raises(WqscError):
+            shares(np.array([[prob, 1.0 - prob]]))
+
+    def test_tree_of_no_whole_shares_raises(self):
+        # a level of another state's probabilities cannot be counted in
+        # shares, so no tree, and no wrong exact rate, is built from it
+        tree = _BranchTree()
+        tree.prepare([unit(np.array([0.3, 0.7], dtype=complex) ** 0.5)])
+        with pytest.raises(WqscError):
+            tree.measure("outcome", (z_basis(1),))
 
 
 class TestProject:
