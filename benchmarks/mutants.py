@@ -146,12 +146,26 @@ MUTANTS = [
            was=("return (joint <= ZERO_PROB).astype(np.int64)",
                 "return (joint > ZERO_PROB).astype(np.int64)")),
     Mutant("unknown-fraction-inverted", "harness.py",
-           "unknown_fraction = 1.0 - known / total if total else 1.0",
+           "unknown_fraction = (total - known) / total if total else 1.0",
            "unknown_fraction = known / total if total else 1.0",
-           "the unknown fraction reports the share of rounds Eve guesses"),
+           "the unknown fraction reports the share of rounds Eve guesses",
+           was=("unknown_fraction = 1.0 - known / total if total else 1.0",
+                "unknown_fraction = known / total if total else 1.0")),
     Mutant("walk-radix-short", "harness.py",
            "node *= len(cutoffs) + 1", "node *= len(cutoffs)",
            "the walk numbers a node's children with one radix too few"),
+    Mutant("probability-ulp-drift", "qstate.py",
+           "return probs, _rotate_measured(out, basis, back=True)",
+           "return probs * (1 + 2**-52), _rotate_measured(out, basis, back=True)",
+           "every outcome probability is one unit in the last place high, so walk cutoffs move",
+           was=("return np.add.accumulate(grouped, axis=-1)[..., -1], _rotate_measured(out, basis, back=True)",
+                "return np.add.accumulate(grouped, axis=-1)[..., -1] * (1 + 2**-52), "
+                "_rotate_measured(out, basis, back=True)")),
+    Mutant("collapse-unnormalized", "qstate.py",
+           "out = out / np.sqrt(np.where(probs > 0.0, probs, 1.0))[..., None]",
+           "out = out / 1.0",
+           "a measurement leaves each collapsed state unnormalized",
+           was=("out = out / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))", "out = out / 1.0")),
     Mutant("threshold-inclusive", "cli.py",
            'payload["threshold_exceeded"] = payload["error_rate"] > args.threshold',
            'payload["threshold_exceeded"] = payload["error_rate"] >= args.threshold',

@@ -90,10 +90,11 @@ def attack_rows(kind: str, amps: np.ndarray, transit_qubits: tuple[int, ...]):
     if kind == "cao-ir-z":
         # forward |00> for outcome 00 and a fresh psi+ pair for a
         # single-excitation outcome: the state after excited outcome i is
-        # the rest of the register times the pair's bits i (``order`` lists
-        # the basis states by those bits, the rest in qubit order), so the
-        # rest times psi+ replaces it (both unit)
-        pairs = _basis_tables(basis, _qubit_count(amps)).order.reshape(4, -1)
+        # the rest of the register times the pair's bits i, made unit by
+        # the squared norm that is i's probability (``pairs[i]`` lists the
+        # basis states of outcome i, the rest in qubit order), so the rest
+        # times psi+ replaces it (both unit)
+        pairs = np.argsort(_basis_tables(basis, _qubit_count(amps)).outcomes, kind="stable").reshape(4, -1)
         fresh = build("psi+")
         for i in range(1, 4):
             rest = states[:, i, pairs[i]]

@@ -567,7 +567,7 @@ def _rates(totals: dict) -> tuple[float, float, float, float]:
     error = totals["check_errors"] / checks if checks else 0.0
     recovery = totals["recovered_correct"] / total if total else 1.0
     leak = totals["guesses_correct"] / known if known else 0.0
-    unknown_fraction = 1.0 - known / total if total else 1.0
+    unknown_fraction = (total - known) / total if total else 1.0
     return error, recovery, leak, unknown_fraction
 
 

@@ -30,6 +30,8 @@ by *outcome index*, and each has a plain string label
 Every basis is measured through one path: a rotation maps it onto Z (a
 Hadamard on each X qubit; CNOT(a, b), then H(a) for Bell on (a, b)), the
 rotated stack is measured in Z, and each collapsed state is rotated back.
+An outcome's probability is the squared norm of its projection, computed
+once: the same number renormalizes the collapsed state.
 """
 
 from __future__ import annotations
@@ -107,7 +109,6 @@ class _BasisTables(NamedTuple):
     """What measuring in a basis needs, per register width."""
 
     outcomes: np.ndarray  # the outcome of every basis state, once rotated onto Z
-    order: np.ndarray  # the basis states, grouped by outcome
     labels: tuple[str, ...]  # the label of every outcome index
 
 
@@ -124,11 +125,9 @@ def _basis_tables(basis: MeasurementBasis, num_qubits: int) -> _BasisTables:
     relabel = _OUTCOME_OF_Z[basis.kind]
     if relabel is not None:
         outcomes = relabel[outcomes]
-    order = np.argsort(outcomes, kind="stable")
     outcomes.setflags(write=False)
-    order.setflags(write=False)
     labels = tuple(outcome_at(basis, i) for i in range(1 << len(basis.qubits)))
-    return _BasisTables(outcomes, order, labels)
+    return _BasisTables(outcomes, labels)
 
 
 def outcome_at(basis: MeasurementBasis, i: int) -> str:
@@ -196,20 +195,16 @@ def measurement_rows(amps: np.ndarray, basis: MeasurementBasis) -> tuple[np.ndar
     zeros after an outcome of zero probability)."""
     tables = _basis_tables(basis, _qubit_count(amps))
     work = _rotate_measured(amps, basis)
-    # ``order`` lists the basis states outcome by outcome, and a running
-    # sum adds an outcome's weights one by one in index order, as a
-    # per-outcome bincount does, so each sum has the same bits
-    weights = work.real ** 2 + work.imag ** 2
-    grouped = weights.take(tables.order, axis=-1).reshape(work.shape[:-1] + (len(tables.labels), -1))
     outcomes = np.arange(len(tables.labels))[:, None]
     out = np.where(tables.outcomes == outcomes, work[..., None, :], 0.0 + 0.0j)
-    # a rotated stack need not be C-contiguous (a CNOT's fancy index puts
-    # its row axis innermost), and numpy reduces another layout in
-    # another order; a C-contiguous copy sums every row as it sums one
-    squares = np.ascontiguousarray(out.real ** 2 + out.imag ** 2)
-    norm2 = np.add.reduce(squares, axis=-1, keepdims=True)
-    out = out / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0))
-    return np.add.accumulate(grouped, axis=-1)[..., -1], _rotate_measured(out, basis, back=True)
+    # an outcome's probability is its projection's squared norm, the number
+    # that renormalizes it; a rotated stack need not be C-contiguous (a
+    # CNOT's fancy index puts its row axis innermost), and numpy reduces
+    # another layout in another order, so a C-contiguous copy sums every
+    # row as it sums one
+    probs = np.add.reduce(np.ascontiguousarray(out.real ** 2 + out.imag ** 2), axis=-1)
+    out = out / np.sqrt(np.where(probs > 0.0, probs, 1.0))[..., None]
+    return probs, _rotate_measured(out, basis, back=True)
 
 
 def shares(probs: np.ndarray) -> np.ndarray:

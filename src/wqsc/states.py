@@ -80,11 +80,14 @@ class IdentityReport:
 _DISTINCT_MARGIN = 0.3
 
 
-def _compare(identity_id: str, description: str, forms: list[np.ndarray]) -> IdentityReport:
-    deviation = max(
-        phase_deviation(forms[0], other) for other in forms[1:]
-    )
-    return IdentityReport(identity_id, description, deviation, deviation <= ATOL)
+def _compare(identity_id: str, description: str, forms: list[np.ndarray],
+             expect: str = "equal") -> IdentityReport:
+    """How far ``forms[0]`` lies from the others; it passes if each is equal
+    to it within ``ATOL``, or (``expect="distinct"``) more than
+    ``_DISTINCT_MARGIN`` away."""
+    deviation = max(phase_deviation(forms[0], other) for other in forms[1:])
+    passed = deviation <= ATOL if expect == "equal" else deviation > _DISTINCT_MARGIN
+    return IdentityReport(identity_id, description, deviation, passed, expect)
 
 
 # the pieces of the expansions below: the single excitation of a pair in
@@ -154,7 +157,7 @@ def verify_identities() -> list[IdentityReport]:
     ``|+>/|->`` form against ``phi1`` and must come out DISTINCT (the form
     belongs to ``phi2``); ``passed`` there means the mismatch is real.
     """
-    reports = [
+    return [
         _compare(
             "w4_three_bases",
             "w4: computational form = Bell-pair form = Hadamard form",
@@ -191,17 +194,11 @@ def verify_identities() -> list[IdentityReport]:
             "the split form with |+>,|-> on qubit 3 equals phi2",
             [build("phi2"), _phi2_split_form()],
         ),
-    ]
-    # the |+>/|-> split is sometimes mislabeled as phi1; record the mismatch
-    deviation = phase_deviation(_phi2_split_form(), build("phi1"))
-    reports.append(
-        IdentityReport(
-            identity_id="phi2_split_x_vs_phi1",
-            description="the |+>/|-> split form is NOT phi1 (deviation must "
-            "exceed %.1f)" % _DISTINCT_MARGIN,
-            deviation=deviation,
-            passed=deviation > _DISTINCT_MARGIN,
+        # the |+>/|-> split is sometimes mislabeled as phi1; record the mismatch
+        _compare(
+            "phi2_split_x_vs_phi1",
+            "the |+>/|-> split form is NOT phi1 (deviation must exceed %.1f)" % _DISTINCT_MARGIN,
+            [_phi2_split_form(), build("phi1")],
             expect="distinct",
-        )
-    )
-    return reports
+        ),
+    ]

@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python tests/make_pins.py [NAME ...]
 
-NAME is ``exact_results``, ``mc_counts`` or ``cli_outputs`` (all three by
-default); each is written to ``tests/NAME.json``, one entry a line:
+NAME is ``exact_results``, ``mc_counts``, ``cli_outputs`` or ``walk_tables``
+(all four by default); each is written to ``tests/NAME.json``, one entry a
+line:
 
 * ``exact_results``: ``exact_analyze`` of every valid config, each rate as
   ``[float hex, fraction]``, the fraction read off the integer leaf totals
@@ -11,11 +12,17 @@ default); each is written to ``tests/NAME.json``, one entry a line:
 * ``mc_counts``: ``run_stats_to_dict`` of every valid config at each point
   of ``MC_POINTS``;
 * ``cli_outputs``: the sha256 of the stdout of every argv of
-  :func:`cli_argvs`.
+  :func:`cli_argvs`;
+* ``walk_tables``: per valid config, the sha256 of its two trees' level
+  ``parent`` and ``prob`` bytes and that of its compiled walk tables and
+  leaf map (:func:`walk_pin`). A cutoff one unit off moves a seeded draw
+  only with probability about 2**-53, so no seeded pin sees it; this one
+  does.
 
-Seeded output is a contract, so a change that rewrites ``mc_counts`` or
-``cli_outputs`` says why in CHANGES.md. pytest does not collect this
-file; the tests import its tables and :func:`exact_fractions`.
+Seeded output is a contract, so a change that rewrites ``mc_counts``,
+``cli_outputs`` or ``walk_tables`` says why in CHANGES.md. pytest does
+not collect this file; the tests import its tables, :func:`exact_fractions`
+and the pin functions.
 """
 
 from __future__ import annotations
@@ -134,17 +141,33 @@ def cli_pin(argv: list[str]) -> dict:
     return {"argv": argv, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
+def walk_pin(config: tuple) -> dict:
+    """The walk_tables entry of a config: the digests of its trees' levels
+    and of the walk compiled from them."""
+    scheme, attack, init, basis = config
+    trees = _round_trees(RunConfig(scheme, attack, init_policy=init, check_basis_policy=basis))
+    levels, walk = hashlib.sha256(), hashlib.sha256()
+    for level in (level for tree in trees for level in tree.levels):
+        levels.update(level.parent.tobytes() + level.prob.tobytes())
+    tables, leaves = trees.walk
+    for array in [cutoff for table in tables for cutoff in table] + [leaves]:
+        walk.update(array.tobytes())
+    return {"config": list(config), "levels_sha256": levels.hexdigest(), "walk_sha256": walk.hexdigest()}
+
+
 def entries(name: str) -> list[dict]:
     """The entries of the pin ``name``."""
     if name == "exact_results":
         return [exact_pin(config) for config in VALID_CONFIGS]
     if name == "mc_counts":
         return [mc_pin(config, *point) for point in MC_POINTS for config in VALID_CONFIGS]
+    if name == "walk_tables":
+        return [walk_pin(config) for config in VALID_CONFIGS]
     return [cli_pin(argv) for argv in cli_argvs()]
 
 
 def main(names: list[str]) -> None:
-    for name in names or ("exact_results", "mc_counts", "cli_outputs"):
+    for name in names or ("exact_results", "mc_counts", "cli_outputs", "walk_tables"):
         indent = "  " if name == "cli_outputs" else ""
         lines = ",\n".join(indent + json.dumps(entry) for entry in entries(name))
         (HERE / f"{name}.json").write_text(f"[\n{lines}\n]\n")

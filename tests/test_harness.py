@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from make_pins import VALID_CONFIGS, exact_fractions, exact_pin
+from make_pins import VALID_CONFIGS, exact_fractions, exact_pin, walk_pin
 from oracle_tools import (
     bell_basis,
     cao_check_error,
@@ -36,6 +36,7 @@ from wqsc.harness import (
     _check_flags,
     _draw_block,
     _leaf_totals,
+    _rates,
     _round_trees,
     _run_hits,
     _walk,
@@ -110,6 +111,11 @@ def _announced(scheme: str, node: dict) -> dict:
 # stream flags no round, so round 0 is forced to be a check round
 MC_COUNTS = json.loads((Path(__file__).parent / "mc_counts.json").read_text())
 
+# the digests of every valid config's tree levels and of the walk compiled
+# from them (tests/make_pins.py): a cutoff one unit off moves a seeded draw
+# only with probability about 2**-53, so no seeded pin sees it
+WALK_TABLES = json.loads((Path(__file__).parent / "walk_tables.json").read_text())
+
 # counts of the seed-42, 1e5-round acceptance fixture, as the per-round
 # scalar engines produced them
 SEED42_COUNTS = {
@@ -153,6 +159,15 @@ class TestBinomialCi:
             _binomial_ci(5, 4)
         with pytest.raises(ValueError):
             _binomial_ci(-1, 4)
+
+
+class TestRates:
+    def test_unknown_fraction_rounded_once(self):
+        # 1 - 477/478 rounds twice and prints 0.0020920502092
+        totals = {"check_rounds": 1, "check_errors": 0, "message_rounds": 478,
+                  "recovered_correct": 478, "guesses_known": 477, "guesses_correct": 477}
+        assert _rates(totals)[3] == 1 / 478
+        assert harness._rounded(_rates(totals)[3]) == 0.00209205020921
 
 
 class TestExactAnalyze:
@@ -1008,6 +1023,11 @@ class TestTreeWalk:
             assert run_stats_to_dict(run_monte_carlo(config)) == case["stats"], case["config"]
         forced = [case["stats"] for case in MC_COUNTS if case["rounds"] == 12]
         assert forced and all(stats["check_rounds"] == 1 for stats in forced)
+
+    def test_walk_tables_of_every_config_pinned(self):
+        assert [case["config"] for case in WALK_TABLES] == [list(config) for config in VALID_CONFIGS]
+        for case in WALK_TABLES:
+            assert walk_pin(tuple(case["config"])) == case, case["config"]
 
     def test_seed_42_fixture_counts_pinned(self, attack_mc_runs):
         results, _ = attack_mc_runs
