@@ -85,8 +85,10 @@ MUTANTS = [
            "_BOB_KEY = (1, -1, 0, 0)", "_BOB_KEY = (1, -1, 0, 1)",
            "the receiver's key bit of phi- is flipped"),
     Mutant("cutoff-off-by-one", "harness.py",
-           "cuts = ((c - 1) << 11) | 0x7FF", "cuts = (c << 11) | 0x7FF",
-           "every walk cutoff is one 53-bit unit too high"),
+           "q = ((words[:, column] >> 11) * SHARES >> 53)",
+           "q = (((words[:, column] >> 11) - 1) * SHARES >> 53)",
+           "every walk cutoff is one 53-bit unit too high: a draw reads as the one below it",
+           was=("cuts = ((c - 1) << 11) | 0x7FF", "cuts = (c << 11) | 0x7FF")),
     Mutant("check-flag-strict", "harness.py",
            "flags = words <= np.uint64(", "flags = words < np.uint64(",
            "a word equal to the check cutoff makes a message round"),
@@ -152,15 +154,12 @@ MUTANTS = [
            was=("unknown_fraction = 1.0 - known / total if total else 1.0",
                 "unknown_fraction = known / total if total else 1.0")),
     Mutant("walk-radix-short", "harness.py",
-           "node *= len(cutoffs) + 1", "node *= len(cutoffs)",
-           "the walk numbers a node's children with one radix too few"),
-    Mutant("probability-ulp-drift", "qstate.py",
-           "return probs, _rotate_measured(out, basis, back=True)",
-           "return probs * (1 + 2**-52), _rotate_measured(out, basis, back=True)",
-           "every outcome probability is one unit in the last place high, so walk cutoffs move",
-           was=("return np.add.accumulate(grouped, axis=-1)[..., -1], _rotate_measured(out, basis, back=True)",
-                "return np.add.accumulate(grouped, axis=-1)[..., -1] * (1 + 2**-52), "
-                "_rotate_measured(out, basis, back=True)")),
+           "node = table[node * SHARES + q]", "node = table[node * (SHARES - 1) + q]",
+           "the walk steps from one node's children to the next's with one entry too few",
+           was=("node *= len(cutoffs) + 1", "node *= len(cutoffs)")),
+    Mutant("shares-truncated", "qstate.py",
+           "counts = np.rint(probs * SHARES)", "counts = np.floor(probs * SHARES)",
+           "a probability a hair below k/24 reads as k - 1 shares, not k"),
     Mutant("collapse-unnormalized", "qstate.py",
            "out = out / np.sqrt(np.where(probs > 0.0, probs, 1.0))[..., None]",
            "out = out / 1.0",

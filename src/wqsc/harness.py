@@ -25,14 +25,15 @@ one function (:func:`_leaf_totals`):
   group of a conditional rate): its rates are exact ratios, correctly rounded;
 * the Monte Carlo runner weights each leaf by its hits, the rounds that
   end at it, which is what a run returns (:func:`_run_hits`). The two
-  trees are compiled once into one walk table with two roots, down which a
+  trees are compiled once into walk tables with two roots, down which a
   run walks each block of rounds with numpy array operations, a check
   round from the check tree's root and a message round from the message
-  tree's: each level compares one column of the rounds' raw words with its
-  nodes' cumulative probabilities as integer cutoffs, in the order of the
-  round's steps, and moves each round from node ``n`` to child ``k``, node
-  ``n * width + k``, so a walk reproduces the round that the test suite's
-  one-round oracle plays on the same draws.
+  tree's. Every branch probability is a whole number of 24ths, so each
+  level cuts one column of the rounds' draws into 24 equal buckets, in
+  the order of the round's steps, and moves each round to the child that
+  its node's table holds at its bucket: one lookup, with no float and no
+  cutoff, that reproduces the round the test suite's one-round oracle
+  plays on the same draws.
   A run streams its rounds in fixed blocks: its memory does not grow
   with the round count, nor do its results depend on the block size.
 
@@ -86,6 +87,7 @@ from .protocol import CHECK_BASES, _rule_tables
 from .qstate import (
     FLIP,
     HADAMARD,
+    SHARES,
     MeasurementBasis,
     _basis_tables,
     _qubit_count,
@@ -210,70 +212,40 @@ class _Level(NamedTuple):
     """One draw of a round: the children of every node at one depth, in
     (parent, outcome) order."""
 
-    nodes: int  # nodes at the depth above
     parent: np.ndarray  # per child, the index of its parent node
-    prob: np.ndarray  # per child, its branch probability
+    share: np.ndarray  # per child, its branch probability in int64 counts of 1 / SHARES
 
 
-def _walk_tables(trees) -> tuple[tuple[tuple[np.ndarray, ...], ...], np.ndarray]:
+def _walk_tables(trees) -> tuple[np.ndarray, ...]:
     """The tables that walk ``trees`` as one, tree ``t``'s root being node
-    ``t``; a tree that ends above the deepest level gets one pass-through
-    child (probability 1) per leaf and level. Each depth numbers its nodes
-    in mixed radix: child ``k`` of node ``n`` is ``n * width + k``, ``width``
-    the most children of any node there. Per depth, ``width - 1`` read-only
-    arrays by node number: array ``k`` holds ``(c << 11) - 1``, ``c =
-    ceil(min(t, 1) * _WORD)`` for cumulative probability ``t`` up to child
-    ``k`` (``t <= (raw >> 11) / _WORD`` iff ``raw >`` it), or ``2**64 - 1``
-    (no word exceeds it) from the last child on and where no node is. Then
-    the deepest numbers' leaf indices, trees in order, -1 where no leaf is."""
-    levels = [tree.levels[depth] if depth < len(tree.levels)
-              else _Level(len(tree.masses), np.arange(len(tree.masses)), np.ones(len(tree.masses)))
-              for depth in range(max(len(tree.levels) for tree in trees)) for tree in trees]
-    # all depths at once, roots first; child k (node k + len(trees)) is rank[k] among siblings
-    offsets = np.cumsum([0] + [level.nodes for level in levels])
-    parent = np.concatenate([start + level.parent for start, level in zip(offsets, levels)])
-    count = np.bincount(parent, minlength=offsets[-1])
-    rank = np.arange(len(parent)) - (np.cumsum(count) - count)[parent]
-    table = np.zeros((offsets[-1], count.max()))
-    table[parent, rank] = np.concatenate([level.prob for level in levels])
-    # zeros pad each row after its children, so a row's sums up to its
-    # next to last child are those of its children alone
-    thresholds = np.cumsum(table, axis=1)
-    thresholds[np.arange(table.shape[1]) >= count[:, None] - 1] = 1.0
-    c = np.ceil(np.minimum(thresholds, 1.0) * _WORD).astype(np.uint64)
-    cuts = ((c - 1) << 11) | 0x7FF  # (c << 11) - 1, as c >= 1
-    bounds = [*offsets[:: len(trees)].tolist(), len(trees) + len(parent)]
-    number, padded, tables = np.arange(len(trees)), len(trees), []
-    for lo, hi, end in zip(bounds, bounds[1:], bounds[2:]):  # nodes lo..hi-1, children hi..end-1
-        width = int(count[lo:hi].max())
-        cutoffs = np.full((width - 1, padded), np.uint64(2**64 - 1))
-        cutoffs[:, number] = cuts[lo:hi, : width - 1].T
-        cutoffs.setflags(write=False)
-        tables.append(tuple(cutoffs))
-        kids = slice(hi - len(trees), end - len(trees))
-        number, padded = number[parent[kids] - lo] * width + rank[kids], padded * width
-    leaves = np.full(padded, -1)
-    leaves[number] = np.arange(len(number))
-    leaves.setflags(write=False)
-    return tuple(tables), leaves
+    ``t``, and each depth's nodes and children numbered trees in order; a
+    tree that ends above the deepest level passes each leaf on as its one
+    child, of share ``SHARES``. Per depth, one read-only array: entries
+    ``n * SHARES`` to ``n * SHARES + SHARES - 1`` are node ``n``'s children,
+    each repeated its share times. A node's shares sum to ``SHARES``, so
+    the children of the deepest depth are the trees' leaves, in order."""
+    tables = []
+    for depth in range(max(len(tree.levels) for tree in trees)):
+        share = np.concatenate([tree.levels[depth].share if depth < len(tree.levels)
+                                else np.full(len(tree.masses), SHARES) for tree in trees])
+        table = np.repeat(np.arange(len(share)), share)
+        table.setflags(write=False)
+        tables.append(table)
+    return tuple(tables)
 
 
 def _walk(tables, roots: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Leaf index reached by each row of raw ``words``, row ``i`` walked from
-    root ``roots[i]`` down :func:`_walk_tables`'s ``tables``. Each level picks
-    by the Born rule the first child whose cumulative probability exceeds
-    the draw of ``words[i, level]``, or the last: the count of cutoffs below."""
-    levels, leaves = tables
+    root ``roots[i]`` down :func:`_walk_tables`'s ``tables``. Each level
+    picks by the Born rule in whole shares: the draw ``u = (raw >> 11) *
+    2**-53`` of ``raw = words[i, level]`` falls in bucket ``q = floor(u *
+    SHARES)``, exact in uint64, and the child is the one whose running
+    shares bracket ``q``."""
     node = roots.astype(np.intp)
-    for column, cutoffs in enumerate(levels):
-        if cutoffs:
-            w = words[:, column]
-            steps = (cutoffs[0][node] < w).view(np.uint8)
-            for cutoff in cutoffs[1:]:
-                steps += (cutoff[node] < w).view(np.uint8)
-            node *= len(cutoffs) + 1
-            node += steps
-    return leaves[node]
+    for column, table in enumerate(tables):
+        q = ((words[:, column] >> 11) * SHARES >> 53).view(np.int64)
+        node = table[node * SHARES + q]
+    return node
 
 
 class _BranchTree:
@@ -346,11 +318,11 @@ class _BranchTree:
         in (node, outcome) order, whose code of ``key`` is its outcome index."""
         counts = shares(probs)
         parent, outcome = counts.nonzero()
-        prob = probs[parent, outcome]
-        for array in (parent, prob):
+        share = counts[parent, outcome]
+        for array in (parent, share):
             array.setflags(False)  # write=False, which numpy parses more slowly
-        self.levels.append(_Level(len(self.masses), parent, prob))
-        self.masses = self.masses[parent] * counts[parent, outcome]
+        self.levels.append(_Level(parent, share))
+        self.masses = self.masses[parent] * share
         self.states = None if states is None else states[parent, outcome]
         for name, (codes, *rest) in self._columns.items():
             self._columns[name] = (codes[parent], *rest)
@@ -360,7 +332,8 @@ class _BranchTree:
         """``key`` is ``policy`` if that is one of ``values``; else a fair
         choice: one child per value under every node, each of probability
         ``1 / len(values)``. By the Born rule a coin picks ``values[0]``
-        iff ``u < 0.5``, and a choice of three ``values[int(u * 3) % 3]``."""
+        iff ``u < 0.5``, and a choice of three ``values[floor(3 * u)]``, in
+        exact thirds."""
         if policy in values:
             self.assign(key, np.full(len(self.masses), values.index(policy)), values)
             return
@@ -500,7 +473,7 @@ class _ConfigTrees(tuple):
     ``_COUNTS[c]``, and the weight rows of exact analysis (``exact_weights``)."""
 
     @cached_property
-    def walk(self) -> tuple[tuple[tuple[np.ndarray, ...], ...], np.ndarray]:
+    def walk(self) -> tuple[np.ndarray, ...]:
         return _walk_tables(self)
 
     @cached_property
@@ -669,8 +642,8 @@ def _philox() -> np.random.Philox:
 def _run_hits(config: RunConfig) -> np.ndarray:
     """The run's leaf hits, its rounds that end at each joined leaf in
     ``_ConfigTrees.indicators`` order: walked ``_BLOCK_ROUNDS`` at a time down
-    one table of both trees, a check round from the check tree's root (node
-    0) and a message round from the message tree's (node 1)."""
+    the walk tables of both trees, a check round from the check tree's root
+    (node 0) and a message round from the message tree's (node 1)."""
     trees, bitgen = _round_trees(config), _philox()
     hits = np.zeros(trees.indicators.shape[1], dtype=np.int64)
     for start in range(0, config.rounds, _BLOCK_ROUNDS):

@@ -14,10 +14,9 @@ line:
 * ``cli_outputs``: the sha256 of the stdout of every argv of
   :func:`cli_argvs`;
 * ``walk_tables``: per valid config, the sha256 of its two trees' level
-  ``parent`` and ``prob`` bytes and that of its compiled walk tables and
-  leaf map (:func:`walk_pin`). A cutoff one unit off moves a seeded draw
-  only with probability about 2**-53, so no seeded pin sees it; this one
-  does.
+  ``parent`` and ``share`` bytes and that of its compiled walk tables
+  (:func:`walk_pin`): a fingerprint of what a run walks, which moves with
+  any change to it, even one that a seeded pin would see only rarely.
 
 Seeded output is a contract, so a change that rewrites ``mc_counts``,
 ``cli_outputs`` or ``walk_tables`` says why in CHANGES.md. pytest does
@@ -148,10 +147,9 @@ def walk_pin(config: tuple) -> dict:
     trees = _round_trees(RunConfig(scheme, attack, init_policy=init, check_basis_policy=basis))
     levels, walk = hashlib.sha256(), hashlib.sha256()
     for level in (level for tree in trees for level in tree.levels):
-        levels.update(level.parent.tobytes() + level.prob.tobytes())
-    tables, leaves = trees.walk
-    for array in [cutoff for table in tables for cutoff in table] + [leaves]:
-        walk.update(array.tobytes())
+        levels.update(level.parent.tobytes() + level.share.tobytes())
+    for table in trees.walk:
+        walk.update(table.tobytes())
     return {"config": list(config), "levels_sha256": levels.hexdigest(), "walk_sha256": walk.hexdigest()}
 
 

@@ -263,6 +263,14 @@ def sample_index(probs: np.ndarray, u: float) -> int:
     return last_positive
 
 
+def third(u: float) -> int:
+    """The fair choice of three that a draw ``u = k * 2**-53`` picks:
+    ``floor(3 * u)`` in exact integers, ``(3 * k) >> 53``. The float
+    product ``u * 3`` rounds up to 2.0 at ``k = round(2**54 / 3)``, just
+    below 2/3."""
+    return (int(u * 2**53) * 3) >> 53
+
+
 def node_values(tree, *keys) -> list[dict]:
     """Per node of a branch tree's deepest level, the dict of its values
     of ``keys``."""
@@ -376,7 +384,7 @@ def cao_round(kind: str, basis_policy: str, bit: int | None, rng, seen=None) -> 
     if bit is None:
         basis = basis_policy
         if basis == "random":
-            basis = CHECK_BASES[int(rng.random() * 3.0) % 3]
+            basis = CHECK_BASES[third(rng.random())]
         alice, after = sample_measurement(state, MeasurementBasis(basis, (1, 2)), rng)
         bob, _ = sample_measurement(after, MeasurementBasis(basis, (3, 4)), rng)
         seen.update(basis=basis, note=note, alice=alice, bob=bob)

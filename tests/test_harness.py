@@ -23,8 +23,8 @@ from oracle_tools import (
     node_values,
     recover_bit,
     reference_guess,
-    sample_index,
     scalar_round,
+    third,
     scalar_round_outcomes,
 )
 from philox_ref import draw_words, mode_word
@@ -50,7 +50,7 @@ from wqsc.harness import (
     to_json,
 )
 from wqsc.protocol import CHECK_BASES, _rule_tables
-from wqsc.qstate import SHARES, MeasurementBasis, outcome_at, shares, z_basis
+from wqsc.qstate import SHARES, MeasurementBasis, outcome_at, z_basis
 from wqsc.states import verify_identities
 
 ATOL = 1e-12
@@ -111,9 +111,9 @@ def _announced(scheme: str, node: dict) -> dict:
 # stream flags no round, so round 0 is forced to be a check round
 MC_COUNTS = json.loads((Path(__file__).parent / "mc_counts.json").read_text())
 
-# the digests of every valid config's tree levels and of the walk compiled
-# from them (tests/make_pins.py): a cutoff one unit off moves a seeded draw
-# only with probability about 2**-53, so no seeded pin sees it
+# the digests of every valid config's tree levels and of the walk tables
+# compiled from them (tests/make_pins.py): any change to a level's parents
+# or shares, or to how the tables hold them, moves one
 WALK_TABLES = json.loads((Path(__file__).parent / "walk_tables.json").read_text())
 
 # counts of the seed-42, 1e5-round acceptance fixture, as the per-round
@@ -439,7 +439,7 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _bit0_branch(tree, depth: int):
-    """The first ``depth`` levels, as (nodes, parent, prob), of the subtree
+    """The first ``depth`` levels, as (parent, share), of the subtree
     under a message tree's first root child (bit 0); that subtree's masses
     in whole shares from 1 at its root; and a function that gives a key's codes at its
     deepest nodes. At every depth the subtree's nodes come first, in
@@ -447,9 +447,9 @@ def _bit0_branch(tree, depth: int):
     counts, levels, masses = [None, 1], [], np.ones(1, dtype=np.int64)
     for level in tree.levels[1 : depth + 1]:
         count = int(np.searchsorted(level.parent, counts[-1]))
-        parent, prob = level.parent[:count], level.prob[:count]
-        levels.append((counts[-1], parent, prob))
-        masses = masses[parent] * shares(prob)
+        parent, share = level.parent[:count], level.share[:count]
+        levels.append((parent, share))
+        masses = masses[parent] * share
         counts.append(count)
 
     def codes(key: str) -> np.ndarray:
@@ -458,7 +458,7 @@ def _bit0_branch(tree, depth: int):
         # they are the codes of the subtree's deepest depth
         codes = tree.column(key)
         for level in reversed(tree.levels[depth + 1 :]):
-            codes, children = np.empty(level.nodes, codes.dtype), codes
+            codes, children = np.empty(level.parent[-1] + 1, codes.dtype), codes
             codes[level.parent] = children
         return codes[: counts[-1]]
 
@@ -495,7 +495,7 @@ class TestConfigTrees:
         trees = harness._config_trees(*key)
         assert harness._config_trees(*key) is trees
         for tree in trees:
-            levels = [array for level in tree.levels for array in (level.parent, level.prob)]
+            levels = [array for level in tree.levels for array in (level.parent, level.share)]
             codes = [entry[0] for entry in tree._columns.values()]
             for array in (tree.masses, *tree.leaf_columns, *levels, *codes):
                 with pytest.raises(ValueError):
@@ -528,17 +528,16 @@ class TestConfigTrees:
     @pytest.mark.parametrize("scheme,attack,init,basis", VALID_CONFIGS)
     def test_compiled_walk_and_indicators_are_read_only(self, scheme, attack, init, basis):
         trees = harness._config_trees(scheme, attack, _policy(scheme, init, basis))
-        tables, leaves = trees.walk
-        assert trees.walk is trees.walk  # kept in the entry, not compiled per read
+        tables = trees.walk
+        assert trees.walk is tables  # kept in the entry, not compiled per read
         count = sum(len(tree.masses) for tree in trees)
         assert trees.indicators.dtype == bool and trees.indicators.shape == (6, count)
-        assert isinstance(tables, tuple) and all(isinstance(cutoffs, tuple) for cutoffs in tables)
+        assert isinstance(tables, tuple)
         # exact analysis's weight rows too: the masses, then one row per group
         weights, labels = trees.exact_weights
         assert trees.exact_weights is trees.exact_weights
         assert weights.shape == (1 + sum(map(len, labels.values())), count)
-        for array in (*(cutoff for cutoffs in tables for cutoff in cutoffs), leaves, trees.indicators,
-                      weights):
+        for array in (*tables, trees.indicators, weights):
             with pytest.raises(ValueError):
                 array[...] = 0
 
@@ -554,14 +553,14 @@ class TestConfigTrees:
         check, message = harness._config_trees(
             scheme, attack, _policy(scheme, init, basis)
         )
-        assert message.levels[0].prob.tolist() == [0.5, 0.5]  # the message bit
+        assert message.levels[0].share.tolist() == [SHARES // 2] * 2  # the message bit
         # ends at Bob: his measurement is the last step that sets a key
         # (``_columns`` keeps its keys in the order the build first set them)
         assert len(check.levels) > 0 and list(check._columns)[-1] == "bob"
         levels, masses, codes = _bit0_branch(message, len(check.levels))
         assert len(levels) == len(check.levels)
-        for level, (nodes, parent, prob) in zip(check.levels, levels):
-            assert level.nodes == nodes and _same(level.parent, parent) and _same(level.prob, prob)
+        for level, (parent, share) in zip(check.levels, levels):
+            assert _same(level.parent, parent) and _same(level.share, share)
         assert _same(check.masses, masses)
         for key in ("alice", "bob"):
             assert _same(check.column(key), codes(key)), key
@@ -789,15 +788,16 @@ class TestTreeWalk:
     @staticmethod
     def _midpoint_row(tree, leaf: int) -> np.ndarray:
         """A draw row that follows the path to ``leaf``: at each level, the
-        midpoint of the chosen child's cumulative interval among its
-        siblings; 0.5 in the columns below the tree's deepest level."""
+        midpoint ``(C(i-1) + C(i)) / 48`` of the chosen child ``i``'s
+        interval, ``C`` its siblings' running shares; 0.5 in the columns
+        below the tree's deepest level."""
         row = np.full(harness._DRAWS_PER_ROUND, 0.5)
         node = leaf
         for depth in reversed(range(len(tree.levels))):
             level = tree.levels[depth]
-            siblings = np.flatnonzero(level.parent == level.parent[node])
-            before = np.cumsum(level.prob[siblings])[:node - siblings[0]]
-            row[depth] = (before[-1] if len(before) else 0.0) + level.prob[node] / 2
+            first = np.flatnonzero(level.parent == level.parent[node])[0]
+            before = int(level.share[first:node].sum())
+            row[depth] = (2 * before + int(level.share[node])) / (2 * SHARES)
             node = level.parent[node]
         return row
 
@@ -824,81 +824,79 @@ class TestTreeWalk:
                 assert seen == {key: node[key] for key in seen}
             first += len(tree.masses)
 
-    def test_three_way_choice_picks_as_int_u_times_3(self):
+    def test_three_way_choice_picks_exact_thirds(self):
         # every u = k * 2**-53 within 2**17 steps of 1/3 and of 2/3, and
-        # both ends of [0, 1): the Born thresholds of a fair three-way
-        # choice, also as a walked tree level, pick int(u * 3) % 3, the
-        # oracle's check basis
+        # both ends of [0, 1): a fair three-way choice, as a walked tree
+        # level and as the oracle's check basis, picks floor(3u) in exact
+        # integers, (3k) >> 53. Just below 2/3, at k = round(2**54 / 3),
+        # the float product u * 3 rounds up to 2.0
         steps = np.arange(-(2**17), 2**17 + 1)
         k = np.concatenate([round(2**53 / 3) + steps, round(2**54 / 3) + steps, [0, 2**53 - 1]])
-        u = k * 2.0**-53
-        thirds = (u * 3).astype(np.int64) % 3
-        born = (np.cumsum(np.full(3, 1 / 3))[:, None] <= u).sum(axis=0)
-        assert np.array_equal(born, thirds)
+        thirds = (k * 3) >> 53
+        edge = round(2**54 / 3)
+        assert edge * 2.0**-53 * 3 == 2.0 and thirds[k == edge].tolist() == [1]
         tree = _BranchTree()
         tree.choose("basis", CHECK_BASES)
         raw = k.astype(np.uint64) << 11
         walked = _walk(_walk_tables([tree]), np.zeros(len(k), dtype=np.int64), raw[:, None])
         assert np.array_equal(walked, thirds)
+        assert [third(u) for u in (k * 2.0**-53).tolist()] == thirds.tolist()
+        # the oracle's cao check round draws its basis by that rule
+        config = RunConfig(scheme="cao", attack="none")
+        for word in (2**53 // 3, 2**53 // 3 + 1, 2**54 // 3, 2**54 // 3 + 1):
+            seen = {}
+            scalar_round(config, True, np.array([word * 2.0**-53, 0.5, 0.5]), seen)
+            assert seen["basis"] == CHECK_BASES[(word * 3) >> 53], word
 
     def test_walk_table_picks_as_reference(self):
-        # at every node of every config's walk table, for the raw words at
-        # both ends of [0, 2**64) and, for each child's 53-bit cutoff K, at
-        # (K << 11) - 1, K << 11 and (K << 11) | 0x7FF, the walk's pick
-        # equals the scalar Born-rule reference on the node's child
-        # probabilities at the word's draw u = (raw >> 11) * 2**-53
+        # at every depth of every config's walk table, in integers: node
+        # n's entries n * 24 .. n * 24 + 23 hold each of its children
+        # exactly its share times; and from every node, the first and the
+        # last 53-bit word of each bucket q of 0..23, ceil(q * 2**53 / 24)
+        # and ceil((q + 1) * 2**53 / 24) - 1, each with its low 11 raw
+        # bits clear and set, walk to the child whose running shares
+        # bracket q
+        q = np.arange(SHARES)
+        first, last = -(-q * 2**53 // SHARES), -(-(q + 1) * 2**53 // SHARES) - 1
+        assert first[0] == 0 and last[-1] == 2**53 - 1 and (first[1:] == last[:-1] + 1).all()
+        m = np.concatenate([first, last, first, last]).astype(np.uint64) << 11
+        raw = m | np.repeat(np.uint64([0, 0x7FF]), 2 * SHARES)
+        bucket = np.tile(q, 4)
         mismatches = []
         for scheme, attack, init, basis in VALID_CONFIGS:
             trees = _round_trees(RunConfig(
                 scheme=scheme, attack=attack, init_policy=init, check_basis_policy=basis
             ))
-            tables, leaves = _walk_tables(trees)
-            # each depth numbers its nodes in mixed radix from the roots:
-            # child k of node n is n * width + k, width the most children of
-            # any node there. number[i] is the number of the depth's node i,
-            # each tree's nodes in tree order, and a tree that ended above
-            # gets one pass-through child per leaf
-            number, padded = np.arange(len(trees)), len(trees)
-            for depth, cutoffs in enumerate(tables):
+            tables = _walk_tables(trees)
+            assert len(tables) == max(len(tree.levels) for tree in trees)
+            # the joined depth: each tree's nodes after the trees' before
+            # it; a tree that ended above passes each leaf on, share 24
+            nodes = [1] * len(trees)
+            for depth, table in enumerate(tables):
                 levels = [
-                    tree.levels[depth] if depth < len(tree.levels)
-                    else (len(tree.masses), np.arange(len(tree.masses)), np.ones(len(tree.masses)))
-                    for tree in trees
+                    (tree.levels[depth].parent, tree.levels[depth].share) if depth < len(tree.levels)
+                    else (np.arange(count), np.full(count, SHARES))
+                    for tree, count in zip(trees, nodes)
                 ]
-                starts = np.cumsum([0] + [nodes for nodes, _, _ in levels])
-                parents = np.concatenate([start + parent for start, (_, parent, _) in zip(starts, levels)])
-                probs = np.concatenate([prob for _, _, prob in levels])
-                width = int(np.bincount(parents).max())
-                assert len(cutoffs) == width - 1
-                assert all(cutoff.dtype == np.uint64 and len(cutoff) == padded for cutoff in cutoffs)
-                # one level of the walk from each node, to its child's number
-                step = ((cutoffs,), np.arange(padded * width))
-                for node in range(len(number)):
+                starts = np.cumsum([0] + nodes)
+                parents = np.concatenate([start + parent for start, (parent, _) in zip(starts, levels)])
+                share = np.concatenate([share for _, share in levels])
+                assert table.dtype.kind == "i" and len(table) == SHARES * starts[-1]
+                for node in range(starts[-1]):
                     children = np.flatnonzero(parents == node)
-                    assert all(cutoff[number[node]] == 2**64 - 1
-                               for cutoff in cutoffs[len(children) - 1:])  # no word exceeds these
-                    words = {0, 2**64 - 1}
-                    for t in np.cumsum(probs[children])[:-1].tolist():
-                        k = math.ceil(min(t, 1.0) * 2**53)
-                        words |= {(k << 11) - 1, k << 11, (k << 11) | 0x7FF}
-                    words = np.array(sorted(w for w in words if w < 2**64), dtype=np.uint64)
-                    walked = _walk(step, np.full(len(words), number[node]), words[:, None])
-                    reference = [
-                        sample_index(probs[children], (w >> 11) * 2.0**-53) for w in words.tolist()
-                    ]
+                    held = np.bincount(table[node * SHARES : (node + 1) * SHARES], minlength=len(share))
+                    assert held[children].tolist() == share[children].tolist()
+                    assert held[children].sum() == SHARES  # so no other child is held
+                    picks = children[np.searchsorted(np.cumsum(share[children]), bucket, side="right")]
+                    walked = _walk((table,), np.full(len(raw), node), raw[:, None])
                     mismatches += [
-                        (scheme, attack, init, basis, depth, node, w)
-                        for w, child, pick in zip(words.tolist(), walked.tolist(), reference)
-                        if child != number[node] * width + pick
+                        (scheme, attack, init, basis, depth, node, int(w))
+                        for w, child, pick in zip(raw, walked.tolist(), picks.tolist())
+                        if child != pick
                     ]
-                rank = np.arange(len(parents)) - np.searchsorted(parents, parents)
-                number, padded = number[parents] * width + rank, padded * width
-            # the deepest numbers map to the joined leaves, the rest to -1;
-            # a tree that blows up the numbering fails here before it fills
-            # a run's memory
-            assert len(leaves) == padded <= 288
-            assert leaves[number].tolist() == list(range(len(number)))
-            assert (np.delete(leaves, number) == -1).all()
+                nodes = [len(parent) for parent, _ in levels]
+            # the deepest children are the joined leaves, trees in order
+            assert nodes == [len(tree.masses) for tree in trees]
         assert mismatches == []
 
     @pytest.mark.parametrize("fraction", [

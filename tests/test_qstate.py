@@ -213,7 +213,7 @@ class TestMeasure:
         tree = _BranchTree()
         tree.prepare(amps)
         tree.measure("outcome", (z_basis(1, 2),))
-        assert np.array_equal(tree.levels[0].prob, probs[0, tree.column("outcome")])
+        assert np.array_equal(tree.levels[0].share, shares(probs[0, tree.column("outcome")]))
 
 
 class TestShares:
