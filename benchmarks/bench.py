@@ -3,7 +3,7 @@ exact analysis) and the cost of cold ``wqsc`` processes.
 
 Usage (from the root of a checkout):
 
-    python benchmarks/bench.py --label NAME [--src DIR] [--parent-src DIR]
+    python benchmarks/bench.py --label NAME [--parent-src DIR]
 
 For each of the 20 valid (scheme, attack, init policy, check-basis
 policy) configs, the script times on one CPU (the last one the process
@@ -27,14 +27,13 @@ may use, to which it pins itself):
   outside them (leaf totals, rates, config and loop overhead).
   ``phases_totals_ms`` sums each over the configs.
 
-A version that keeps each config's trees for the life of the process
-(``_config_trees``, whose entries also hold what a run compiles from the
-trees: the walk tables and the leaf indicators) is timed twice per call:
-*cold*, with that memo emptied just before the call (outside the timed
-region), which is what a one-config CLI process pays for its trees and
-tables; and *warm*, right after the same call made untimed, which leaves
-them built. For a version without the memo both are the same call, which
-builds its trees every time.
+``_config_trees`` keeps each config's trees for the life of the process
+(its entries also hold what a run compiles from the trees: the walk
+tables and the leaf indicators), so each call is timed twice: *cold*,
+with that memo emptied just before the call (outside the timed region),
+which is what a one-config CLI process pays for its trees and tables;
+and *warm*, right after the same call made untimed, which leaves them
+built.
 
 Each figure is the median of ``REPEATS`` (31) runs. Repeats go
 round-robin over the configs, so a slow spell of the host hits every
@@ -75,22 +74,21 @@ rows as ``cold_exact`` (and ``parent_cold_exact``), the short runs as
 ``cold_short_run`` (and ``parent_cold_short_run``); each key holds a
 list of rows.
 
-Last, ``tier1`` (and ``parent_tier1``) times the tier-1 suite of each
+Last, ``tier1`` (and ``parent_tier1``) runs the tier-1 suite of each
 checkout, ``COLD_REPEATS`` times per version in the same alternating
-order: ``python -m pytest -q`` on the checkout's own ``tests`` from its
-root, with its ``src`` on ``PYTHONPATH``, on the same CPU. The row holds
-every run's wall seconds and exit code, and the median and quartiles of
-the wall seconds.
+order, on the same CPU, with the runner of ``mutants.py``: its ``TIER1``
+command from the checkout's root, with its ``src`` on ``PYTHONPATH``.
+The row holds every run's exit code, failing test ids and wall seconds,
+and the median and quartiles of the wall seconds.
 
-The result, with the machine's core count and the python and numpy versions,
-is written to ``benchmarks/BENCH_<label>.json``. ``--src`` measures the
-``wqsc`` package of another checkout instead of this one.
+The result, with each checkout's commit and source digest (also from
+``mutants.py``) and the machine's core count and the python and numpy
+versions, is written to ``benchmarks/BENCH_<label>.json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib.util
 import json
 import os
@@ -128,6 +126,7 @@ PHASES = ("_check_flags", "_draw_block", "_walk")
 
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 from calibrate import REF_NOMINAL_S, burst  # noqa: E402
+from mutants import commit, source_digest, tier1  # noqa: E402
 
 CONFIGS = [
     ("present", attack, init, "random")
@@ -138,26 +137,6 @@ CONFIGS = [
     for attack in ("none", "cao-ir-z")
     for basis in ("random", "z", "x", "bell")
 ]
-
-
-def _src_digest(src: Path) -> str:
-    """sha256 over the package's python files, names and contents."""
-    digest = hashlib.sha256()
-    for path in sorted((src / "wqsc").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
-
-
-def _commit(src: Path) -> str | None:
-    """The checkout's commit, suffixed ``-dirty`` if its files differ."""
-    try:
-        out = subprocess.run(
-            ["git", "-C", str(src), "describe", "--always", "--dirty", "--abbrev=40"],
-            capture_output=True, text=True, check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip() or None
 
 
 def _harness(src: Path, name: str):
@@ -189,8 +168,7 @@ def _calls(harness, spec: tuple[str, str, str, str]) -> dict:
         scheme=scheme, attack=attack, rounds=ROUNDS, check_fraction=0.5,
         init_policy=init, check_basis_policy=basis,
     )
-    memo = getattr(harness, "_config_trees", None)
-    cold = memo.cache_clear if memo else lambda: None
+    cold = harness._config_trees.cache_clear
     run = lambda: harness.run_monte_carlo(config)  # noqa: E731
     exact = lambda: harness.exact_analyze(scheme, attack, init, basis)  # noqa: E731
     return {
@@ -324,18 +302,6 @@ def cold(src: Path, argv: tuple[str, ...]) -> dict:
     return {"wall_s": float(wall), "peak_rss_mb": int(maxrss) / 1024}
 
 
-def tier1(src: Path) -> dict:
-    """Wall seconds and exit code of one run of the tier-1 suite of the
-    checkout whose package directory is ``src``."""
-    start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests"],
-        cwd=src.parent, env={**os.environ, "PYTHONPATH": str(src)},
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-    return {"wall_s": time.perf_counter() - start, "exit_code": done.returncode}
-
-
 def _alternating(srcs: list[Path], run) -> list[list[dict]]:
     """Per package in ``srcs``, ``COLD_REPEATS`` results of ``run(src)``,
     the packages taking turns in an order that alternates from repeat to
@@ -363,21 +329,19 @@ def cold_rows(srcs: list[Path], argv: tuple[str, ...]) -> list[dict]:
 
 
 def _checkout(src: Path) -> dict:
-    return {"src": str(src), "commit": _commit(src), "src_sha256": _src_digest(src)}
+    return {"src": str(src), "commit": commit(src.parent), "src_sha256": source_digest(src.parent)}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
-    parser.add_argument("--src", type=Path, default=HERE.parent / "src",
-                        help="directory that holds the wqsc package to measure")
     parser.add_argument("--parent-src", type=Path,
-                        help="directory that holds a wqsc package to time interleaved with it")
+                        help="directory that holds a wqsc package to time interleaved with this checkout's")
     args = parser.parse_args(argv)
 
     cpu = max(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
-    src = args.src.resolve()
+    src = HERE.parent / "src"
     sys.path.insert(0, str(src))
     import numpy as np
     from wqsc import harness
@@ -440,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
             for prefix, row in zip(("", "parent_"), rows_by_version):
                 report.setdefault(f"{prefix}{key}", []).append(row)
     srcs = [path for path in (src, parent) if path]
-    for prefix, rows in zip(("", "parent_"), _alternating(srcs, tier1)):
+    for prefix, rows in zip(("", "parent_"), _alternating(srcs, lambda src: tier1(src.parent))):
         report[f"{prefix}tier1"] = {"runs": rows, "wall_s": _spread([row["wall_s"] for row in rows])}
 
     path = HERE / f"BENCH_{args.label}.json"
@@ -473,9 +437,10 @@ def main(argv: list[str] | None = None) -> int:
                       f"[{wall['q1']:.2f}, {wall['q3']:.2f}], {rss['median']:.1f} MB")
     for key in ("tier1", "parent_tier1"):
         if key in report:
-            wall, codes = report[key]["wall_s"], [row["exit_code"] for row in report[key]["runs"]]
+            wall, runs = report[key]["wall_s"], report[key]["runs"]
+            failed = sorted({test for row in runs for test in row["failed"]})
             print(f"{key}: {wall['median']:.2f} s [{wall['q1']:.2f}, {wall['q3']:.2f}], "
-                  f"exit codes {codes}")
+                  f"exit codes {[row['exit_code'] for row in runs]}, failed {failed}")
     print(f"wrote {path}")
     return 0
 

@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout):
 
-    python benchmarks/mutants.py --label NAME [--root DIR] [--quick]
+    python benchmarks/mutants.py --label NAME [--root DIR]
 
 ``MUTANTS`` declares one-line source mutants: a file under ``src/wqsc``,
 the exact old text, the new text, and the defect it models. For each, the
@@ -13,9 +13,8 @@ and runs the tier-1 suite in the copy, one run at a time:
     PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 
 It records whether tier-1 failed (the mutant is *killed*), the ids of the
-failing tests (its *kill set*) and the wall time. ``--quick`` stops each
-run at its first failure (``pytest -x``), so it gives only killed or not.
-Before the mutants, the unmutated copy must pass, or the script stops.
+failing tests (its *kill set*) and the wall time. Before the mutants,
+the unmutated copy must pass, or the script stops.
 
 An old text must occur exactly once in its file, or the script fails. A
 mutant may also give ``was``, the (old, new) texts of the same defect in
@@ -26,8 +25,9 @@ occur but ``was`` does, that pair is applied and the result is marked
 The result, with the checkout's commit (``-dirty`` appended when tracked
 files differ from it), a sha256 of its ``src`` tree and the python
 version, is written to ``benchmarks/MUTANTS_<label>.json`` of this
-checkout. pytest does not collect this file, and it uses the stdlib
-only. A full run takes one tier-1 run per mutant, plus one.
+checkout. A run takes one tier-1 run per mutant, plus one. pytest does
+not collect this file. It uses the stdlib only, and ``bench.py`` imports
+its tier-1 runner, source digest and commit id.
 """
 
 from __future__ import annotations
@@ -186,29 +186,29 @@ def _apply(root: Path, mutant: Mutant) -> bool:
     return counterpart
 
 
-def _tier1(root: Path, quick: bool) -> dict:
+def tier1(root: Path) -> dict:
     """One tier-1 run in ``root``: exit code, failing test ids, wall seconds."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, *TIER1, *(["-x"] if quick else [])], cwd=root, env=env,
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - start
     failed = sorted({line.split(" - ")[0].split(" ", 1)[1] for line in done.stdout.splitlines()
                      if line.startswith(("FAILED ", "ERROR "))})
     return {"exit_code": done.returncode, "failed": failed, "wall_s": round(wall, 2)}
 
 
-def _source_digest(root: Path) -> str:
+def source_digest(root: Path) -> str:
+    """sha256 over the names and contents of ``src/wqsc``'s python files."""
     digest = hashlib.sha256()
     for path in sorted((root / "src" / "wqsc").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
 
 
-def _commit(root: Path) -> str | None:
+def commit(root: Path) -> str | None:
     """HEAD's sha at ``root``, with ``-dirty`` if tracked files differ from it."""
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True).stdout.strip()
-    dirty = subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=root).returncode != 0
+    dirty = bool(head) and subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=root).returncode != 0
     return head + "-dirty" * dirty if head else None
 
 
@@ -216,14 +216,13 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--root", type=Path, default=HERE.parent, help="the checkout to mutate")
-    parser.add_argument("--quick", action="store_true", help="stop each tier-1 run at its first failure")
     args = parser.parse_args()
     root = args.root.resolve()
     results = []
     with tempfile.TemporaryDirectory(prefix="wqsc-mutants-") as scratch:
         clean = Path(scratch) / "clean"
         shutil.copytree(root, clean, ignore=IGNORED)
-        baseline = _tier1(clean, args.quick)
+        baseline = tier1(clean)
         print(f"unmutated: exit {baseline['exit_code']} in {baseline['wall_s']} s", flush=True)
         if baseline["exit_code"] != 0:
             raise SystemExit(f"the unmutated checkout fails tier-1: {baseline['failed']}")
@@ -231,7 +230,7 @@ def main() -> None:
             copy = Path(scratch) / mutant.name
             shutil.copytree(clean, copy)
             counterpart = _apply(copy, mutant)
-            run = _tier1(copy, args.quick)
+            run = tier1(copy)
             shutil.rmtree(copy)
             killed = run["exit_code"] != 0
             results.append({"name": mutant.name, "file": mutant.file, "defect": mutant.defect,
@@ -240,9 +239,8 @@ def main() -> None:
                   f" ({run['wall_s']} s)", flush=True)
     report = {
         "label": args.label,
-        "commit": _commit(root),
-        "source_sha256": _source_digest(root),
-        "mode": "quick" if args.quick else "full",
+        "commit": commit(root),
+        "source_sha256": source_digest(root),
         "python": platform.python_version(),
         "tier1": " ".join(["PYTHONPATH=src", "python", *TIER1]),
         "unmutated_wall_s": baseline["wall_s"],

@@ -233,27 +233,33 @@ def test_closed_stdout_exits_one_without_traceback(argv):
     assert "Traceback" not in done.stderr, done.stderr
 
 
-def test_interrupted_run_exits_130_without_traceback():
+@pytest.mark.parametrize("inherited", [signal.SIG_DFL, signal.SIG_IGN], ids=["default", "ignored"])
+def test_interrupted_run_exits_130_without_traceback(inherited):
     # SIGINT about 1 s after the start of a run of 10**10 rounds (over 10
     # minutes): 0.5 s after the child reports that it has imported wqsc,
-    # so the signal never lands in the interpreter's start-up
+    # so the signal never lands in the interpreter's start-up. python keeps
+    # a SIGINT that it inherits ignored (as a background job does) ignored,
+    # so the child installs python's handler itself: the test checks wqsc's
+    # handling whatever disposition the launcher leaves
     script = (
-        "import sys; from wqsc import cli\n"
+        "import signal, sys; from wqsc import cli\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
         "print('ready', flush=True)\n"
         "sys.exit(cli.main(['run', '--scheme', 'cao', '--attack', 'cao-ir-z',"
         " '--rounds', '10000000000']))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(wqsc.__file__).parents[1])}
-    child = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
-                             stderr=subprocess.PIPE, text=True)
-    try:
-        assert child.stdout.readline() == "ready\n"
-        time.sleep(0.5)
-        child.send_signal(signal.SIGINT)
-        out, err = child.communicate(timeout=60)
-    finally:
-        child.kill()
-        child.wait()
+    # as a context manager, so that a failing run still closes its pipes
+    with subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True,
+                          preexec_fn=lambda: signal.signal(signal.SIGINT, inherited)) as child:
+        try:
+            assert child.stdout.readline() == "ready\n"
+            time.sleep(0.5)
+            child.send_signal(signal.SIGINT)
+            out, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
     assert child.returncode == 130, err
     assert err == "wqsc: interrupted\n"  # one line, and no traceback
     assert out == ""
